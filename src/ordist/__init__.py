@@ -54,34 +54,22 @@ from .jdc import (
     witness_reproduces_tables,
 )
 from .metrics import (
-    Bounded,
     BoundedOf,
     ClassificationDistance,
     ConditionalEntropy,
     ExpectedGround,
     FrechetDistance,
-    Max,
     MaxOf,
     Metric,
-    Mixture,
     MixtureOf,
     OrderDistance,
     OrderSpec,
     PDistance,
-    Power,
     PowerOf,
     SeparationDistance,
-    Sum,
     SumOf,
-    classification_distance,
-    conditional_entropy,
-    expected_ground,
-    frechet_distance,
     numeric_embedding,
-    order_distance,
-    p_distance,
     separation_distance,
-    transform,
     triangle_defect,
 )
 from .probspace import (
@@ -108,11 +96,48 @@ from .selectivity import (
     enumerate_irreducible,
     enumerate_realizable,
     is_irreducible,
-    pair_coverable,
     run_suite,
     transform_outputs,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # arith
+    "EPS_LP", "EPS_SUM", "EPS_TEST", "FLOAT", "RATIONAL", "Num",
+    "parse_number",
+    # binormal
+    "BinormalSystem", "binormal_order_distance", "demo_chain_violation",
+    "rho_grid",
+    # errors
+    "CapExceeded", "GroundAxiomViolation", "HiddenSpaceTooLarge",
+    "InvalidCorrelation", "InvalidExponent", "InvalidP",
+    "MarginalSelectivityViolated", "MetricEvaluationError",
+    "NumericalInstability", "OrdistError", "SameInput",
+    "SystemFormatError", "UnknownInput", "UnrankedValue",
+    "ValueNotInPartition",
+    # fileio
+    "LoadedSystem", "default_order_metric", "dump_system", "dumps_report",
+    "load_metric", "load_system",
+    # jdc
+    "EquivalenceReport", "FineReport", "FineSystem", "JdcProblem",
+    "JdcVerdict", "build_jdc", "d1_d2_chain_residuals",
+    "fine_chain_equivalence", "fine_inequalities", "is_2x2_binary",
+    "jdc_feasible", "witness_reproduces_tables",
+    # metrics
+    "BoundedOf", "ClassificationDistance", "ConditionalEntropy",
+    "ExpectedGround", "FrechetDistance", "MaxOf", "Metric", "MixtureOf",
+    "OrderDistance", "OrderSpec", "PDistance", "PowerOf",
+    "SeparationDistance", "SumOf", "numeric_embedding",
+    "separation_distance", "triangle_defect",
+    # probspace
+    "BivariateMarginal", "Design", "InputPoint", "JointDist",
+    "OutcomeSpace", "TreatmentTable", "ValidationIssue",
+    "ValidationReport", "bivariate", "diagonal_coupling", "marginalize",
+    "validate_system",
+    # selectivity
+    "ChainReport", "MarginalSelectivityReport", "SequenceWitness",
+    "SuiteReport", "chain_test", "check_marginal_selectivity",
+    "enumerate_irreducible", "enumerate_realizable", "is_irreducible",
+    "run_suite", "transform_outputs",
+]

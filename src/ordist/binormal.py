@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .errors import InvalidCorrelation, SameInput
 from .probspace import InputPoint
-from .selectivity import ChainReport
+from .selectivity import ChainReport, _chain_residual
 
 
 def saturating_sum(v: float, w: float) -> float:
@@ -65,18 +65,16 @@ class BinormalSystem:
         )
         if len(pts) < 3:
             raise ValueError("a chain needs at least three points")
-        lhs = self.order_distance(pts[0], pts[-1])
-        rhs = tuple(
-            self.order_distance(pts[i - 1], pts[i]) for i in range(1, len(pts))
+        lhs, rhs, residual, violated = _chain_residual(
+            pts, (None,) * len(pts), lambda x, y, _: self.order_distance(x, y), eps_test
         )
-        residual = sum(rhs) - lhs
         return ChainReport(
             sequence=pts,
             metric="order:sign",
             lhs=lhs,
             rhs_terms=rhs,
             residual=residual,
-            violated=residual < -eps_test,
+            violated=violated,
         )
 
 

@@ -162,7 +162,7 @@ def cmd_check(args) -> int:
             eps_test=args.tol_test,
             on_cap="truncate",
         )
-    except OrdistError as exc:
+    except (OrdistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     sj = suite.as_json()

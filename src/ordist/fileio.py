@@ -27,10 +27,17 @@ Metric configuration schema::
      "transform": [{"op": "power", "q": 0.5}, {"op": "bounded"},
                    {"op": "max"|"sum", "other": {...}},
                    {"op": "mixture", "others": [...], "weights": [...]}]}
+
+Each transform step wraps the metric built so far in one of the metric
+classes: "power" in PowerOf, "bounded" in BoundedOf, "max" in MaxOf,
+"sum" in SumOf and "mixture" in MixtureOf, whose weights cover the
+wrapped metric first, then "others" in order.  A malformed configuration
+raises SystemFormatError.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -41,22 +48,21 @@ from typing import Mapping
 from .arith import FLOAT, RATIONAL, parse_number, unify_regime
 from .errors import SystemFormatError
 from .metrics import (
-    Bounded,
+    BoundedOf,
     ClassificationDistance,
     ConditionalEntropy,
     ExpectedGround,
     FrechetDistance,
-    Max,
+    MaxOf,
     Metric,
-    Mixture,
+    MixtureOf,
     OrderDistance,
     OrderSpec,
     PDistance,
-    Power,
+    PowerOf,
     SeparationDistance,
-    Sum,
+    SumOf,
     numeric_embedding,
-    transform,
 )
 from .probspace import Design, InputPoint, OutcomeSpace, TreatmentTable
 
@@ -209,12 +215,18 @@ def _parse_per_point_ranks(entries) -> dict:
 
 
 def load_metric(source) -> Metric:
-    """Build a metric from a configuration dict, file path or JSON text."""
+    """Build a metric from a configuration dict, file path or JSON text.
+
+    Any malformed configuration raises SystemFormatError."""
     if isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = json.loads(source, parse_float=Decimal)
-    else:
-        doc = _read_json(source)
-    return _metric_from_config(doc)
+        source = io.StringIO(source)
+    doc = _read_json(source)
+    try:
+        return _metric_from_config(doc)
+    except KeyError as exc:
+        raise SystemFormatError(f"metric config is missing {exc}") from None
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        raise SystemFormatError(f"bad metric config: {exc}") from None
 
 
 def _metric_from_config(doc: Mapping) -> Metric:
@@ -259,17 +271,17 @@ def _metric_from_config(doc: Mapping) -> Metric:
     for step in doc.get("transform", []):
         op = step.get("op")
         if op == "power":
-            base = transform(base, Power(parse_number(step["q"], "auto")))
+            base = PowerOf(base, parse_number(step["q"], "auto"))
         elif op == "bounded":
-            base = transform(base, Bounded())
+            base = BoundedOf(base)
         elif op == "max":
-            base = transform(base, Max(_metric_from_config(step["other"])))
+            base = MaxOf(base, _metric_from_config(step["other"]))
         elif op == "sum":
-            base = transform(base, Sum(_metric_from_config(step["other"])))
+            base = SumOf(base, _metric_from_config(step["other"]))
         elif op == "mixture":
             others = tuple(_metric_from_config(o) for o in step["others"])
             weights = tuple(parse_number(w, "auto") for w in step["weights"])
-            base = transform(base, Mixture(others, weights))
+            base = MixtureOf((base, *others), weights)
         else:
             raise SystemFormatError(f"unknown transform op {op!r}")
     return base

@@ -35,7 +35,12 @@ from .errors import (
 from .lp import solve_equality_feasibility, verify_certificate, verify_solution
 from .metrics import OrderSpec, OrderDistance
 from .probspace import Design, InputPoint, OutcomeSpace, TreatmentTable
-from .selectivity import ChainReport, SequenceWitness, chain_test, check_marginal_selectivity
+from .selectivity import (
+    ChainReport,
+    _full_design_tetrads,
+    chain_test,
+    check_marginal_selectivity,
+)
 
 MAX_HIDDEN_SPACE = 1_000_000
 #: dense tableau guard for the bundled simplex (rows x columns)
@@ -358,29 +363,6 @@ def _binary_order_specs(design: Design, tables) -> tuple[OrderSpec, OrderSpec]:
     return OrderSpec({}, per_point_low), OrderSpec({}, per_point_rev)
 
 
-def _tetrad_witnesses(design: Design) -> list[SequenceWitness]:
-    n1, n2 = design.inputs
-    x, xp = design.values[n1]
-    y, yp = design.values[n2]
-    P = InputPoint
-    seqs = [
-        (P(n1, x), P(n2, y), P(n1, xp), P(n2, yp)),
-        (P(n1, x), P(n2, yp), P(n1, xp), P(n2, y)),
-        (P(n1, xp), P(n2, y), P(n1, x), P(n2, yp)),
-        (P(n1, xp), P(n2, yp), P(n1, x), P(n2, y)),
-    ]
-    out = []
-    for pts in seqs:
-        covers = (
-            design.cover((pts[0], pts[3])),
-            design.cover((pts[0], pts[1])),
-            design.cover((pts[1], pts[2])),
-            design.cover((pts[2], pts[3])),
-        )
-        out.append(SequenceWitness(pts, covers))
-    return out
-
-
 def d1_d2_chain_residuals(
     design: Design,
     tables: Iterable[TreatmentTable],
@@ -389,15 +371,15 @@ def d1_d2_chain_residuals(
     """The eight canonical chain tests of a 2x2 binary system.
 
     First four: order-distance with both outputs ranked by declared value
-    order, over the tetrads starting at (x, y'), (x, y), (x', y'), (x', y)
-    closings.  Second four: the same tetrads under the order-distance with
+    order, over the first four alternating tetrads of the full design, with
+    closings (x, y'), (x, y), (x', y'), (x', y).  Second four: the same tetrads under the order-distance with
     the second output's ranking reversed.
     """
     tables = list(tables)
     if not is_2x2_binary(design, tables):
         raise SystemFormatError("need a 2x2 factorial design with binary outputs")
     d1_spec, d2_spec = _binary_order_specs(design, tables)
-    witnesses = _tetrad_witnesses(design)
+    witnesses = list(itertools.islice(_full_design_tetrads(design, 4), 4))
     d1 = [chain_test(OrderDistance(d1_spec, "order:low-first"), w, tables, eps_test) for w in witnesses]
     d2 = [chain_test(OrderDistance(d2_spec, "order:second-reversed"), w, tables, eps_test) for w in witnesses]
     return d1, d2

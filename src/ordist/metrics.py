@@ -4,7 +4,7 @@ Every metric here evaluates a :class:`BivariateMarginal` to a nonnegative
 number, vanishes on the diagonal coupling of a variable with itself, and
 satisfies the triangle inequality whenever the two marginals come from one
 joint distribution.  Symmetry is *not* assumed anywhere: symmetrization is
-an explicit Sum/Max transform, never silent (a symmetrized violation always
+an explicit SumOf/MaxOf transform, never silent (a symmetrized violation always
 implies a violation of the raw metric, not vice versa).
 
 The workhorse is the order-distance D(A, B) = Pr[A strictly below B] for a
@@ -13,8 +13,9 @@ of the zoo: classification distance (order-distance of ranked partitions),
 Minkowski-style d^(p) on numeric embeddings, conditional entropy, the
 Fréchet distance E[|A-B| / (1+|A-B|)], separation distance
 Pr[A <= U < B], and expectation lifts of ground distances.  New metrics
-arise from transforms: q-th power (q <= 1), d/(1+d), pairwise max and sum,
-and finite mixtures.
+arise from the transform classes, each itself a Metric wrapping others:
+PowerOf (q-th power, q <= 1), BoundedOf (d/(1+d)), MaxOf and SumOf
+(pairwise), and MixtureOf (finite mixtures).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .arith import Num, is_exact
 from .errors import (
@@ -431,89 +432,12 @@ class MixtureOf(Metric):
         return f"mixture({inner})"
 
 
-# --- transform descriptors for the functional transform() API -------------
-
-
-@dataclass(frozen=True)
-class Power:
-    q: Union[float, Fraction]
-
-
-@dataclass(frozen=True)
-class Bounded:
-    pass
-
-
-@dataclass(frozen=True)
-class Max:
-    other: Metric
-
-
-@dataclass(frozen=True)
-class Sum:
-    other: Metric
-
-
-@dataclass(frozen=True)
-class Mixture:
-    """Mix the transformed base with `others`; weights cover base first."""
-
-    others: tuple
-    weights: tuple
-
-
-def transform(base: Metric, t) -> Metric:
-    """Build a new p.q.-metric from `base` by one of the standard
-    constructions; the axioms survive each of them by construction."""
-    if isinstance(t, Power):
-        return PowerOf(base, t.q)
-    if isinstance(t, Bounded):
-        return BoundedOf(base)
-    if isinstance(t, Max):
-        return MaxOf(base, t.other)
-    if isinstance(t, Sum):
-        return SumOf(base, t.other)
-    if isinstance(t, Mixture):
-        return MixtureOf((base, *t.others), tuple(t.weights))
-    raise TypeError(f"unknown transform {t!r}")
-
-
 def _zero_of(m: BivariateMarginal) -> Num:
     for row in m.probs:
         for p in row:
             if isinstance(p, float):
                 return 0.0
     return Fraction(0)
-
-
-# --- functional API --------------------------------------------------------
-
-
-def order_distance(m: BivariateMarginal, order: OrderSpec) -> Num:
-    """Pr[row variable strictly below column variable] under `order`."""
-    return OrderDistance(order).evaluate(m)
-
-
-def classification_distance(m: BivariateMarginal, cells: Sequence, per_point=None) -> Num:
-    return ClassificationDistance(
-        tuple(tuple(c) for c in cells), per_point or {}
-    ).evaluate(m)
-
-
-def p_distance(m: BivariateMarginal, embed: Embedding, p=1) -> Num:
-    return PDistance(embed, p).evaluate(m)
-
-
-def conditional_entropy(m: BivariateMarginal, log_base: float = 2.0) -> float:
-    return ConditionalEntropy(log_base).evaluate(m)
-
-
-def frechet_distance(m: BivariateMarginal, embed: Embedding) -> Num:
-    return FrechetDistance(embed).evaluate(m)
-
-
-def expected_ground(m: BivariateMarginal, ground: Mapping[tuple, Num], values=()) -> Num:
-    return ExpectedGround(ground, tuple(values)).evaluate(m)
 
 
 def separation_distance(trivariate: JointDist, embed: Embedding) -> Num:

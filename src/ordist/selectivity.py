@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arith import EPS_TEST, Num, is_exact, num_to_json
 from .errors import CapExceeded, SystemFormatError
@@ -139,15 +139,6 @@ class _Covers:
 
     def pair(self, x: InputPoint, y: InputPoint) -> Optional[tuple]:
         return self.of(frozenset((x, y)))
-
-
-def pair_coverable(x: InputPoint, y: InputPoint, design: Design) -> Optional[tuple]:
-    """Some allowable treatment containing both points, or None.
-
-    Deterministic: the lexicographically first treatment (by value order)
-    is returned.  Two distinct points of the same input are never covered.
-    """
-    return design.cover((x, y))
 
 
 def enumerate_realizable(
@@ -281,6 +272,37 @@ def _pair_marginal(table: TreatmentTable, x: InputPoint, y: InputPoint) -> Bivar
     return bivariate(table, x.input, y.input)
 
 
+def _cover_marginal(
+    by_t: Mapping[tuple, TreatmentTable], x: InputPoint, y: InputPoint, cover: tuple
+) -> BivariateMarginal:
+    """Joint of the outputs at x and y inside the covering treatment."""
+    try:
+        table = by_t[cover]
+    except KeyError:
+        raise SystemFormatError(f"no table for covering treatment {cover!r}") from None
+    return _pair_marginal(table, x, y)
+
+
+def _chain_residual(
+    points: Sequence[InputPoint],
+    covers: Sequence,
+    dist: Callable[[InputPoint, InputPoint, tuple], Num],
+    eps_test: float,
+) -> tuple[Num, tuple[Num, ...], Num, bool]:
+    """The chain inequality for one sequence, as plain values.
+
+    lhs is ``dist`` over the closing pair inside covers[0]; rhs term i is
+    ``dist`` over the adjacent pair (points[i-1], points[i]) inside
+    covers[i].  Returns (lhs, rhs_terms, residual, violated), where a
+    negative residual, or one below -eps_test in float mode, is a
+    violation."""
+    lhs = dist(points[0], points[-1], covers[0])
+    rhs = tuple(dist(points[i - 1], points[i], covers[i]) for i in range(1, len(points)))
+    residual = sum(rhs) - lhs
+    violated = residual < 0 if is_exact(residual) else residual < -eps_test
+    return lhs, rhs, residual, violated
+
+
 def chain_test(
     metric: Metric,
     witness: SequenceWitness,
@@ -294,23 +316,15 @@ def chain_test(
     that step's cover.  A repeated point contributes its diagonal coupling
     (distance zero for any p.q.-metric)."""
     by_t = _tables_by_treatment(tables)
-    pts = witness.points
 
     def dist(x: InputPoint, y: InputPoint, cover: tuple) -> Num:
-        try:
-            table = by_t[cover]
-        except KeyError:
-            raise SystemFormatError(f"no table for covering treatment {cover!r}") from None
-        return metric.evaluate(_pair_marginal(table, x, y))
+        return metric.evaluate(_cover_marginal(by_t, x, y, cover))
 
-    lhs = dist(pts[0], pts[-1], witness.covers[0])
-    rhs = tuple(
-        dist(pts[i - 1], pts[i], witness.covers[i]) for i in range(1, len(pts))
+    lhs, rhs, residual, violated = _chain_residual(
+        witness.points, witness.covers, dist, eps_test
     )
-    residual = sum(rhs) - lhs
-    violated = residual < 0 if is_exact(residual) else residual < -eps_test
     return ChainReport(
-        sequence=pts,
+        sequence=witness.points,
         metric=metric.describe(),
         lhs=lhs,
         rhs_terms=rhs,
@@ -338,37 +352,35 @@ def run_suite(
     """
     by_t = _tables_by_treatment(tables)
     metrics = list(metrics)
-    caches: list[dict] = [{} for _ in metrics]
     violations: list[ChainReport] = []
     tested = 0
     truncated = False
 
-    def dist(mi: int, x: InputPoint, y: InputPoint, cover: tuple) -> Num:
-        key = (x, y)
-        cache = caches[mi]
-        try:
-            return cache[key]
-        except KeyError:
-            d = metrics[mi].evaluate(_pair_marginal(by_t[cover], x, y))
-            cache[key] = d
-            return d
+    def cached(metric: Metric) -> Callable[[InputPoint, InputPoint, tuple], Num]:
+        cache: dict = {}
 
+        def dist(x: InputPoint, y: InputPoint, cover: tuple) -> Num:
+            try:
+                return cache[x, y]
+            except KeyError:
+                d = cache[x, y] = metric.evaluate(_cover_marginal(by_t, x, y, cover))
+                return d
+
+        return dist
+
+    dists = [(metric, cached(metric)) for metric in metrics]
     stream = enumerate_irreducible(design, max_len, cap)
     try:
         for w in stream:
             tested += 1
-            pts = w.points
-            for mi, metric in enumerate(metrics):
-                lhs = dist(mi, pts[0], pts[-1], w.covers[0])
-                rhs = tuple(
-                    dist(mi, pts[i - 1], pts[i], w.covers[i])
-                    for i in range(1, len(pts))
+            for metric, dist in dists:
+                # a report is built only for a violation: most chains hold
+                lhs, rhs, residual, violated = _chain_residual(
+                    w.points, w.covers, dist, eps_test
                 )
-                residual = sum(rhs) - lhs
-                violated = residual < 0 if is_exact(residual) else residual < -eps_test
                 if violated:
                     violations.append(
-                        ChainReport(pts, metric.describe(), lhs, rhs, residual, True, w.covers)
+                        ChainReport(w.points, metric.describe(), lhs, rhs, residual, True, w.covers)
                     )
     except CapExceeded:
         if on_cap != "truncate":

@@ -57,6 +57,34 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            '{"kind":"classification","cells_per_point":[{}]}',
+            '{"kind":"separation"}',
+            '{"kind":"expected_ground","ground":[[0]]}',
+            '{"kind":"order","transform":[{"op":"power"}]}',
+            '{"kind":"order","transform":[{"op":"mixture","others":[{"kind":"order"}],'
+            '"weights":["1/3","1/3"]}]}',
+            '{"kind":"entropy","base":1}',
+            '{"kind": bad json',
+            '{"kind":"order","transform":[{"op":"power","q":2}]}',
+            '{"kind":"order","rank":[1]}',
+            '{"kind":"expected_ground","values":["0","1"],"ground":[[0]]}',
+            '{"kind":"p","p":"1/0"}',
+        ],
+    )
+    def test_malformed_metric_is_input_error(self, capsys, config):
+        code, _, err = run(capsys, "check", str(SAMPLES / "product.json"), "--metric", config)
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_missing_metric_file_is_input_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "metric.json")
+        code, _, err = run(capsys, "check", str(SAMPLES / "product.json"), "--metric", missing)
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_invalid_probabilities_are_input_error(self, capsys, tmp_path):
         doc = json.loads((SAMPLES / "product.json").read_text())
         doc["tables"][0]["probs"][0]["p"] = "9/10"
@@ -138,15 +166,79 @@ class TestDemoNormal:
         assert distances == sorted(distances, reverse=True)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# two extra metrics that between them use every transform op
+POWER_BOUNDED = json.dumps(
+    {
+        "kind": "p",
+        "p": 1,
+        "embed": {"0": 0, "1": 1},
+        "transform": [{"op": "power", "q": "1/2"}, {"op": "bounded"}],
+    }
+)
+MIXED = json.dumps(
+    {
+        "kind": "order",
+        "rank": {"0": 1, "1": 2},
+        "transform": [
+            {
+                "op": "mixture",
+                "others": [{"kind": "classification", "cells": [["0"], ["1"]]}],
+                "weights": ["1/2", "1/2"],
+            },
+            {"op": "max", "other": {"kind": "frechet", "embed": {"0": 0, "1": 1}}},
+            {"op": "sum", "other": {"kind": "entropy"}},
+        ],
+    }
+)
+
+TRANSFORM_METRICS = ("--metric", POWER_BOUNDED, "--metric", MIXED)
+
+# sample -> (golden file, (command, *extra arguments), exit code); each
+# golden file holds the exact --json output
+SAMPLE_GOLDENS = {
+    "prbox.json": (
+        ("check_prbox", ("check",), 2),
+        ("jdc_prbox", ("jdc",), 2),
+        ("check_prbox_transforms", ("check", *TRANSFORM_METRICS), 2),
+    ),
+    "product.json": (
+        ("check_product", ("check",), 0),
+        ("jdc_product", ("jdc",), 0),
+        ("check_product_transforms", ("check", *TRANSFORM_METRICS), 0),
+    ),
+    "normal_sign.json": (
+        ("check_normal_sign", ("check",), 2),
+        ("jdc_normal_sign", ("jdc",), 2),
+    ),
+}
+
+
+def assert_golden(capsys, golden, argv, expected_code):
+    code, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert code == expected_code
+    assert first == second
+    assert first == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("name", ["prbox.json", "product.json", "normal_sign.json"])
+    @pytest.mark.parametrize("name", sorted(SAMPLE_GOLDENS))
     def test_byte_identical_reports(self, capsys, name):
-        _, first, _ = run(capsys, "jdc", str(SAMPLES / name), "--json")
-        _, second, _ = run(capsys, "jdc", str(SAMPLES / name), "--json")
-        assert first == second
-        _, c1, _ = run(capsys, "check", str(SAMPLES / name), "--json")
-        _, c2, _ = run(capsys, "check", str(SAMPLES / name), "--json")
-        assert c1 == c2
+        for golden, (command, *extra), code in SAMPLE_GOLDENS[name]:
+            argv = (command, str(SAMPLES / name), "--json", *extra)
+            assert_golden(capsys, golden, argv, code)
+
+    def test_byte_identical_demo_report(self, capsys):
+        assert_golden(capsys, "demo_normal", ("demo-normal", "--json"), 2)
+
+    def test_transform_goldens_name_every_op(self):
+        names = json.loads((GOLDEN / "check_prbox_transforms.json").read_text())["metrics"]
+        assert names == [
+            "bounded((d^(1))^1/2)",
+            "sum(max(mixture(order,classification),frechet),entropy(base=2))",
+        ]
 
 
 def f_to_float(value):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ordist import (
     BivariateMarginal,
-    Bounded,
     BoundedOf,
     ClassificationDistance,
     ConditionalEntropy,
@@ -17,27 +16,17 @@ from ordist import (
     GroundAxiomViolation,
     InvalidExponent,
     InvalidP,
-    Max,
     MaxOf,
     MixtureOf,
     OrderDistance,
     OrderSpec,
     PDistance,
-    Power,
     PowerOf,
     SeparationDistance,
-    Sum,
     SumOf,
     UnrankedValue,
-    classification_distance,
-    conditional_entropy,
     diagonal_coupling,
-    expected_ground,
-    frechet_distance,
-    order_distance,
-    p_distance,
     separation_distance,
-    transform,
     triangle_defect,
 )
 from randsys import random_dist, random_embedding, random_joint
@@ -84,23 +73,23 @@ class TestOrderDistance:
     def test_frozen_cell_sum(self):
         m = matrix("ab", "uv", [[F(1, 10), F(3, 10)], [F(4, 10), F(2, 10)]])
         order = OrderSpec({"a": 1, "b": 2, "u": 1, "v": 2})
-        assert order_distance(m, order) == F(3, 10)
-        assert order_distance(m, order) == brute_order_distance(
+        assert OrderDistance(order).evaluate(m) == F(3, 10)
+        assert OrderDistance(order).evaluate(m) == brute_order_distance(
             m, {"a": 1, "b": 2, "u": 1, "v": 2}
         )
 
     def test_zero_on_diagonal_coupling(self):
         order = OrderSpec({"0": 1, "1": 2})
-        assert order_distance(IDENTITY_COUPLING, order) == 0
+        assert OrderDistance(order).evaluate(IDENTITY_COUPLING) == 0
 
     def test_ties_contribute_nothing(self):
         m = uniform_independent(("0", "1"))
-        assert order_distance(m, OrderSpec({"0": 1, "1": 1})) == 0
+        assert OrderDistance(OrderSpec({"0": 1, "1": 1})).evaluate(m) == 0
 
     def test_unranked_value(self):
         m = uniform_independent(("0", "1"))
         with pytest.raises(UnrankedValue):
-            order_distance(m, OrderSpec({"0": 1}))
+            OrderDistance(OrderSpec({"0": 1})).evaluate(m)
 
     def test_per_point_ranks_override(self):
         from ordist import InputPoint
@@ -116,7 +105,7 @@ class TestOrderDistance:
             {"0": 1, "1": 2}, {InputPoint("2", "y"): {"0": 2, "1": 1}}
         )
         # row 0 is below column 0 after the flip: cells (0,0) only
-        assert order_distance(m, flipped) == F(1, 4)
+        assert OrderDistance(flipped).evaluate(m) == F(1, 4)
 
     def test_rank_validation(self):
         with pytest.raises(UnrankedValue):
@@ -125,19 +114,19 @@ class TestOrderDistance:
 
 class TestClassificationDistance:
     def test_identical_binary_partition_diagonal(self):
-        d = classification_distance(IDENTITY_COUPLING, (("0",), ("1",)))
+        d = ClassificationDistance((("0",), ("1",))).evaluate(IDENTITY_COUPLING)
         assert d == 0
 
     def test_three_cells_uniform_independent(self):
         vals = ("a", "b", "c")
         m = uniform_independent(vals)
-        d = classification_distance(m, (("a",), ("b",), ("c",)))
+        d = ClassificationDistance((("a",), ("b",), ("c",))).evaluate(m)
         assert d == F(1, 3)
 
     def test_sign_partition_tracks_order(self):
         # two cells "below zero" / "at or above zero" act as ranks 1 < 2
         m = matrix(("-1", "2"), ("-3", "4"), [[F(1, 8), F(3, 8)], [F(2, 8), F(2, 8)]])
-        d = classification_distance(m, (("-1", "-3"), ("2", "4")))
+        d = ClassificationDistance((("-1", "-3"), ("2", "4"))).evaluate(m)
         assert d == F(3, 8)
 
     def test_equals_order_distance_with_cell_ranks(self):
@@ -149,25 +138,25 @@ class TestClassificationDistance:
             rng.shuffle(values)
             cells = (tuple(values[:2]), tuple(values[2:4]), tuple(values[4:]))
             ranks = {v: k + 1 for k, cell in enumerate(cells) for v in cell}
-            assert classification_distance(m, cells) == order_distance(
-                m, OrderSpec(ranks)
-            )
+            assert ClassificationDistance(cells).evaluate(m) == OrderDistance(
+                OrderSpec(ranks)
+            ).evaluate(m)
 
 
 class TestPDistance:
     def test_identical_variable_zero_for_all_p(self):
         for p in (1, 2, 5, math.inf):
-            assert p_distance(IDENTITY_COUPLING, EMBED01, p) == 0
+            assert PDistance(EMBED01, p).evaluate(IDENTITY_COUPLING) == 0
 
     def test_independent_uniform_p1(self):
-        assert p_distance(uniform_independent(("0", "1")), EMBED01, 1) == F(1, 2)
+        assert PDistance(EMBED01, 1).evaluate(uniform_independent(("0", "1"))) == F(1, 2)
 
     def test_independent_uniform_p_infinity(self):
-        assert p_distance(uniform_independent(("0", "1")), EMBED01, math.inf) == 1
+        assert PDistance(EMBED01, math.inf).evaluate(uniform_independent(("0", "1"))) == 1
 
     def test_p2_is_root_of_mean_square(self):
         m = uniform_independent(("0", "1"))
-        assert p_distance(m, EMBED01, 2) == pytest.approx(math.sqrt(0.5))
+        assert PDistance(EMBED01, 2).evaluate(m) == pytest.approx(math.sqrt(0.5))
 
     def test_invalid_p(self):
         with pytest.raises(InvalidP):
@@ -175,31 +164,31 @@ class TestPDistance:
 
     def test_essential_sup_ignores_zero_mass(self):
         m = matrix(("0", "1"), ("0", "1"), [[F(1), F(0)], [F(0), F(0)]])
-        assert p_distance(m, EMBED01, math.inf) == 0
+        assert PDistance(EMBED01, math.inf).evaluate(m) == 0
 
 
 class TestConditionalEntropy:
     def test_identity_coupling_zero(self):
-        assert conditional_entropy(IDENTITY_COUPLING) == 0.0
+        assert ConditionalEntropy().evaluate(IDENTITY_COUPLING) == 0.0
 
     def test_independent_uniform_binary_one_bit(self):
-        assert conditional_entropy(uniform_independent(("0", "1"))) == pytest.approx(1.0)
+        assert ConditionalEntropy().evaluate(uniform_independent(("0", "1"))) == pytest.approx(1.0)
 
     def test_base_change(self):
         rng = random.Random(13)
         for _ in range(20):
             m = random_joint(rng, (3, 2)).bivariate(0, 1)
-            h2 = conditional_entropy(m, 2.0)
-            h7 = conditional_entropy(m, 7.0)
+            h2 = ConditionalEntropy(2.0).evaluate(m)
+            h7 = ConditionalEntropy(7.0).evaluate(m)
             assert h7 == pytest.approx(h2 / math.log2(7.0))
 
     def test_triangle_on_random_trivariate(self):
         rng = random.Random(17)
         for _ in range(60):
             joint = random_joint(rng, (2, 3, 2))
-            h_ab = conditional_entropy(joint.bivariate(0, 2))
-            h_ax = conditional_entropy(joint.bivariate(0, 1))
-            h_xb = conditional_entropy(joint.bivariate(1, 2))
+            h_ab = ConditionalEntropy().evaluate(joint.bivariate(0, 2))
+            h_ax = ConditionalEntropy().evaluate(joint.bivariate(0, 1))
+            h_xb = ConditionalEntropy().evaluate(joint.bivariate(1, 2))
             assert h_ax + h_xb - h_ab >= -1e-9
 
     def test_base_must_exceed_one(self):
@@ -209,18 +198,18 @@ class TestConditionalEntropy:
 
 class TestFrechet:
     def test_identical_zero(self):
-        assert frechet_distance(IDENTITY_COUPLING, EMBED01) == 0
+        assert FrechetDistance(EMBED01).evaluate(IDENTITY_COUPLING) == 0
 
     def test_deterministic_unit_gap(self):
         m = matrix(("0",), ("1",), [[F(1)]])
-        assert frechet_distance(m, EMBED01) == F(1, 2)
+        assert FrechetDistance(EMBED01).evaluate(m) == F(1, 2)
 
     def test_bounded_below_one(self):
         rng = random.Random(19)
         for _ in range(30):
             m = random_joint(rng, (3, 3)).bivariate(0, 1)
             embed = random_embedding(rng, set(m.row_values) | set(m.col_values))
-            assert 0 <= frechet_distance(m, embed) < 1
+            assert 0 <= FrechetDistance(embed).evaluate(m) < 1
 
 
 class TestSeparation:
@@ -275,17 +264,17 @@ class TestExpectedGround:
             values = tuple(sorted(set(m.row_values) | set(m.col_values)))
             embed = random_embedding(rng, values)
             ground = {(a, b): abs(embed[a] - embed[b]) for a in values for b in values}
-            assert expected_ground(m, ground, values) == p_distance(m, embed, 1)
+            assert ExpectedGround(ground, values).evaluate(m) == PDistance(embed, 1).evaluate(m)
 
     def test_zero_ground(self):
         values = ("0", "1")
         ground = {(a, b): F(0) for a in values for b in values}
-        assert expected_ground(uniform_independent(values), ground, values) == 0
+        assert ExpectedGround(ground, values).evaluate(uniform_independent(values)) == 0
 
     def test_discrete_metric_uniform_binary(self):
         values = ("0", "1")
         ground = {(a, b): F(0) if a == b else F(1) for a in values for b in values}
-        assert expected_ground(uniform_independent(values), ground, values) == F(1, 2)
+        assert ExpectedGround(ground, values).evaluate(uniform_independent(values)) == F(1, 2)
 
     def test_axiom_validation(self):
         values = ("0", "1")
@@ -307,27 +296,27 @@ class TestTransforms:
     def test_power_of_p_distance(self):
         m = uniform_independent(("0", "1"))
         base = PDistance(EMBED01, 2)
-        powered = transform(base, Power(F(1, 2)))
+        powered = PowerOf(base, F(1, 2))
         assert powered.evaluate(m) == pytest.approx(float(F(1, 2)) ** (0.5 / 2))
 
     def test_power_validation(self):
         base = PDistance(EMBED01, 1)
         with pytest.raises(InvalidExponent):
-            transform(base, Power(F(3, 2)))
+            PowerOf(base, F(3, 2))
         with pytest.raises(InvalidExponent):
-            transform(base, Power(0))
+            PowerOf(base, 0)
 
     def test_bounded_of_zero_is_zero(self):
         zero = ExpectedGround({(a, b): F(0) for a in "01" for b in "01"}, ("0", "1"))
         m = uniform_independent(("0", "1"))
-        assert transform(zero, Bounded()).evaluate(m) == 0
+        assert BoundedOf(zero).evaluate(m) == 0
 
     def test_sum_and_max(self):
         m = uniform_independent(("0", "1"))
         d1 = OrderDistance(OrderSpec({"0": 1, "1": 2}))
         d2 = PDistance(EMBED01, 1)
-        assert transform(d1, Sum(d2)).evaluate(m) == d1.evaluate(m) + d2.evaluate(m)
-        assert transform(d1, Max(d2)).evaluate(m) == max(d1.evaluate(m), d2.evaluate(m))
+        assert SumOf(d1, d2).evaluate(m) == d1.evaluate(m) + d2.evaluate(m)
+        assert MaxOf(d1, d2).evaluate(m) == max(d1.evaluate(m), d2.evaluate(m))
 
     def test_mixture_weights_validated(self):
         d = OrderDistance(OrderSpec({"0": 1, "1": 2}))

@@ -12,13 +12,13 @@ from ordist import (
     OrderSpec,
     PDistance,
     SequenceWitness,
+    SystemFormatError,
     TreatmentTable,
     chain_test,
     check_marginal_selectivity,
     enumerate_irreducible,
     enumerate_realizable,
     is_irreducible,
-    pair_coverable,
     run_suite,
     transform_outputs,
 )
@@ -49,16 +49,16 @@ def index_order_spec(tables):
 class TestPairCoverable:
     def test_full_design_covers_cross_input_pairs(self):
         d = binary_design()
-        assert pair_coverable(P("1", "x"), P("2", "y"), d) == ("x", "y")
-        assert pair_coverable(P("2", "y'"), P("1", "x"), d) == ("x", "y'")
+        assert d.cover((P("1", "x"), P("2", "y"))) == ("x", "y")
+        assert d.cover((P("2", "y'"), P("1", "x"))) == ("x", "y'")
 
     def test_same_input_distinct_values_never_covered(self):
         d = binary_design()
-        assert pair_coverable(P("1", "x"), P("1", "x'"), d) is None
+        assert d.cover((P("1", "x"), P("1", "x'"))) is None
 
     def test_point_with_itself(self):
         d = binary_design()
-        assert pair_coverable(P("1", "x'"), P("1", "x'"), d) == ("x'", "y")
+        assert d.cover((P("1", "x'"), P("1", "x'"))) == ("x'", "y")
 
     def test_restricted_design_membership_scan(self):
         d = Design(
@@ -66,8 +66,8 @@ class TestPairCoverable:
             {"1": ["x", "x'"], "2": ["y", "y'"]},
             [("x", "y"), ("x'", "y'")],
         )
-        assert pair_coverable(P("1", "x"), P("2", "y'"), d) is None
-        assert pair_coverable(P("1", "x"), P("2", "y"), d) == ("x", "y")
+        assert d.cover((P("1", "x"), P("2", "y'"))) is None
+        assert d.cover((P("1", "x"), P("2", "y"))) == ("x", "y")
 
 
 class TestEnumerateRealizable:
@@ -243,6 +243,18 @@ class TestChainTest:
                         baseline = report.residual
                     else:
                         assert report.residual == baseline
+
+
+    def test_missing_cover_table_is_format_error(self):
+        design, tables = product_system()
+        tables = [t for t in tables if t.treatment != ("x'", "y'")]
+        seq = (P("1", "x"), P("2", "y"), P("1", "x'"), P("2", "y'"))
+        witness = SequenceWitness(seq, (("x", "y'"), ("x", "y"), ("x'", "y"), ("x'", "y'")))
+        metric = OrderDistance(OrderSpec({"0": 1, "1": 2}))
+        with pytest.raises(SystemFormatError, match="no table"):
+            chain_test(metric, witness, tables)
+        with pytest.raises(SystemFormatError, match="no table"):
+            run_suite(design, tables, [metric])
 
 
 class TestMarginalSelectivity:
