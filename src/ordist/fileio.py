@@ -88,8 +88,17 @@ def _read_json(source) -> dict:
 
 
 def load_system(source, arithmetic: str = "auto") -> LoadedSystem:
-    """Read a system file (path, file object or dict) into design+tables."""
+    """Read a system file (path, file object or dict) into design+tables.
+
+    Any malformed document raises SystemFormatError."""
     doc = _read_json(source)
+    try:
+        return _system_from_doc(doc, arithmetic)
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        raise SystemFormatError(f"bad system file: {exc}") from None
+
+
+def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
     try:
         inputs_spec = doc["inputs"]
         tables_spec = doc["tables"]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .arith import EPS_LP, EPS_TEST, Num, is_exact, num_to_json
@@ -185,8 +184,7 @@ def jdc_feasible(
             f"dense tableau {m} x {problem.n_vars + m} exceeds the solver guard"
         )
     exact = problem.regime == "rational"
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    zero, one = (0, 1) if exact else (0.0, 1.0)
     rows = []
     rhs = []
     for c in problem.constraints:

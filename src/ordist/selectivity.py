@@ -141,37 +141,28 @@ class _Covers:
         return self.of(frozenset((x, y)))
 
 
-def enumerate_realizable(
-    design: Design, max_len: int = 6, cap: int = MAX_SEQUENCES
-) -> Iterator[SequenceWitness]:
-    """All treatment-realizable sequences of length 3..max_len, shortest
-    first, lexicographic within each length (design input order, declared
-    value order).  Raises CapExceeded past `cap` yields."""
+def _realizable_points(
+    design: Design, max_len: int, cap: int, covers: _Covers
+) -> Iterator[tuple[InputPoint, ...]]:
+    """The depth-first walk behind :func:`enumerate_realizable`: the point
+    tuples of all treatment-realizable sequences, in its order, without
+    their covers.  Raises CapExceeded past `cap` yields."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    covers = _Covers(design)
     pts = [p for p in design.points() if covers.pair(p, p) is not None]
     adj = {x: [y for y in pts if covers.pair(x, y) is not None] for x in pts}
     count = 0
     for length in range(3, max_len + 1):
         stack: list[InputPoint] = []
 
-        def emit() -> SequenceWitness:
-            closing = covers.pair(stack[0], stack[-1])
-            assert closing is not None
-            step_covers = tuple(
-                covers.pair(stack[i - 1], stack[i]) for i in range(1, length)
-            )
-            return SequenceWitness(tuple(stack), (closing, *step_covers))
-
-        def walk() -> Iterator[SequenceWitness]:
+        def walk() -> Iterator[tuple[InputPoint, ...]]:
             nonlocal count
             if len(stack) == length:
                 if covers.pair(stack[0], stack[-1]) is not None:
                     count += 1
                     if count > cap:
                         raise CapExceeded(f"more than {cap} realizable sequences")
-                    yield emit()
+                    yield tuple(stack)
                 return
             for y in adj[stack[-1]]:
                 stack.append(y)
@@ -182,6 +173,23 @@ def enumerate_realizable(
             stack.append(x)
             yield from walk()
             stack.pop()
+
+
+def _witness(points: tuple[InputPoint, ...], covers: _Covers) -> SequenceWitness:
+    """A realizable sequence with its closing cover, then its step covers."""
+    steps = tuple(covers.pair(points[i - 1], points[i]) for i in range(1, len(points)))
+    return SequenceWitness(points, (covers.pair(points[0], points[-1]), *steps))
+
+
+def enumerate_realizable(
+    design: Design, max_len: int = 6, cap: int = MAX_SEQUENCES
+) -> Iterator[SequenceWitness]:
+    """All treatment-realizable sequences of length 3..max_len, shortest
+    first, lexicographic within each length (design input order, declared
+    value order).  Raises CapExceeded past `cap` yields."""
+    covers = _Covers(design)
+    for points in _realizable_points(design, max_len, cap, covers):
+        yield _witness(points, covers)
 
 
 def is_irreducible(points: Sequence[InputPoint], design: Design, _covers: Optional[_Covers] = None) -> bool:
@@ -223,12 +231,13 @@ def enumerate_irreducible(
         return
     covers = _Covers(design)
     count = 0
-    for w in enumerate_realizable(design, max_len, cap):
-        if is_irreducible(w.points, design, covers):
+    # covers are built only for the few sequences that pass the filter
+    for points in _realizable_points(design, max_len, cap, covers):
+        if is_irreducible(points, design, covers):
             count += 1
             if count > cap:
                 raise CapExceeded(f"more than {cap} irreducible sequences")
-            yield w
+            yield _witness(points, covers)
 
 
 def _full_design_tetrads(design: Design, cap: int) -> Iterator[SequenceWitness]:

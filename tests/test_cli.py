@@ -331,6 +331,37 @@ class TestUsageErrors:
         assert code == 1
 
 
+class TestMalformedSystem:
+    @pytest.mark.parametrize("command", ["check", "jdc"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("tables",), 5),
+            (("outcomes",), 5),
+            ((), []),
+            (("treatments",), [["0"], 5]),
+            (("tables", 0, "probs", 0, "p"), "1/0"),
+            (("tables", 0, "probs", 0, "p"), [1]),
+        ],
+    )
+    def test_malformed_system_is_input_error(self, capsys, tmp_path, command, path, value):
+        # the product sample with the value at `path` replaced; () replaces
+        # the whole document
+        doc = json.loads((SAMPLES / "product.json").read_text())
+        if path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            doc = value
+        file = tmp_path / "malformed.json"
+        file.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, str(file))
+        assert code == 1
+        assert err.startswith("error:")
+
+
 class TestNonSelectiveJdc:
     def test_broken_marginal_selectivity_is_lp_infeasible(self, capsys, tmp_path):
         # a system violating marginal selectivity can match no joint at

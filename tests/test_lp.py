@@ -3,8 +3,30 @@ from fractions import Fraction as F
 
 import pytest
 
-from ordist import NumericalInstability
+from lp_reference import dense_bland_feasibility
+from ordist import NumericalInstability, build_jdc
 from ordist.lp import solve_equality_feasibility, verify_certificate, verify_solution
+from randsys import random_2x2_system, random_coupled_system, system_from_joint
+
+
+def random_instance(rng, max_m=4, max_n=6, coefficient=lambda rng: F(rng.randint(-3, 3))):
+    m, n = rng.randint(1, max_m), rng.randint(1, max_n)
+    rows = [[coefficient(rng) for _ in range(n)] for _ in range(m)]
+    rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+    return rows, rhs
+
+
+def assert_matches_reference(rows, rhs, eps=0.0):
+    """The sparse kernel and the dense reference loop pivot alike: same
+    verdict, witness, certificate, objective and pivot count."""
+    got = solve_equality_feasibility(rows, rhs, eps)
+    ref = dense_bland_feasibility(rows, rhs, eps)
+    assert got.feasible == ref.feasible
+    assert got.x == ref.x
+    assert got.certificate == ref.certificate
+    assert got.objective == ref.objective
+    assert got.iterations == ref.iterations
+    return got
 
 
 class TestExactMode:
@@ -58,12 +80,8 @@ class TestExactMode:
         rng = random.Random(97)
         feasible = infeasible = 0
         for _ in range(60):
-            m, n = rng.randint(1, 4), rng.randint(1, 6)
-            rows = [
-                [F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)
-            ]
-            rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
-            res = solve_equality_feasibility(rows, rhs)
+            rows, rhs = random_instance(rng)
+            res = assert_matches_reference(rows, rhs)
             if res.feasible:
                 feasible += 1
                 assert verify_solution(rows, rhs, res.x)
@@ -71,6 +89,63 @@ class TestExactMode:
                 infeasible += 1
                 assert verify_certificate(rows, rhs, res.certificate)
         assert feasible and infeasible
+
+    def test_iteration_cap_raises(self):
+        rows = [[F(1), F(1)], [F(0), F(1)]]
+        rhs = [F(1), F(1, 2)]
+        with pytest.raises(NumericalInstability):
+            solve_equality_feasibility(rows, rhs, max_iter=0)
+
+    def test_certificate_checks_every_column(self):
+        # y = (1, -1) refutes x1 + x2 = 1, x1 + x2 = 0 only while no column
+        # has y.A > 0; the last column breaks it, next to zero cells
+        rows = [[F(1), F(1), F(0)], [F(1), F(1), F(0)]]
+        rhs = [F(1), F(0)]
+        y = [F(1), F(-1)]
+        assert verify_certificate(rows, rhs, y)
+        last_column_positive = [[F(1), F(1), F(1)], [F(1), F(1), F(0)]]
+        assert not verify_certificate(last_column_positive, rhs, y)
+        assert not verify_certificate(rows, [F(1), F(1)], y)
+
+
+class TestReferenceAgreement:
+    def test_random_rational_instances(self):
+        rng = random.Random(5)
+
+        def coefficient(rng):
+            return F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 5]))
+
+        for _ in range(150):
+            rows, rhs = random_instance(rng, max_m=5, max_n=8, coefficient=coefficient)
+            assert_matches_reference(rows, rhs)
+            assert_matches_reference(
+                [[float(v) for v in row] for row in rows], [float(v) for v in rhs], eps=1e-9
+            )
+
+    @pytest.mark.parametrize("kind, count", [("2x2", 40), ("coupled-3", 8), ("joint-3", 3)])
+    def test_jdc_problems(self, kind, count):
+        rng = random.Random(13)
+        verdicts = set()
+        for _ in range(count):
+            if kind == "2x2":
+                design, tables = random_2x2_system(rng)
+            elif kind == "coupled-3":
+                design, tables = random_coupled_system(
+                    rng, n_inputs=3, max_input_values=2, out_sizes=(2, 2)
+                )
+            else:
+                design, tables, _ = system_from_joint(rng, n_inputs=3)
+            problem = build_jdc(design, tables)
+            rows = []
+            for c in problem.constraints:
+                row = [0] * problem.n_vars
+                for k in c.var_indices:
+                    row[k] = 1
+                rows.append(row)
+            rhs = [c.rhs for c in problem.constraints]
+            verdicts.add(assert_matches_reference(rows, rhs).feasible)
+        # explicit joints are sound; the other two kinds reach both verdicts
+        assert verdicts == ({True} if kind == "joint-3" else {True, False})
 
 
 class TestFloatMode:
