@@ -217,7 +217,7 @@ def cmd_jdc(args) -> int:
             report["fine"] = fine_inequalities(
                 fs, 0.0 if loaded.regime == "rational" else args.tol_test
             ).as_json()
-            eq = fine_chain_equivalence(loaded.design, loaded.tables, args.tol_test)
+            eq = fine_chain_equivalence(fs, loaded.design, loaded.tables)
             report["theorem4_max_discrepancy"] = num_to_json(eq.max_discrepancy)
         except OrdistError as exc:
             report["fine"] = {"error": str(exc)}

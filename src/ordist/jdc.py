@@ -403,17 +403,16 @@ class EquivalenceReport:
 
 
 def fine_chain_equivalence(
+    fs: FineSystem,
     design: Design,
     tables: Iterable[TreatmentTable],
-    eps: float = EPS_TEST,
 ) -> EquivalenceReport:
-    """Check, cell for cell, that the Fine expressions and the canonical
-    chain residuals are the same facts: each upper Fine inequality is the
-    negated first-family residual, each lower one is the second-family
-    residual shifted by 1.  Exact rational systems must come out at zero
-    discrepancy."""
+    """Check, cell for cell, that the Fine expressions of `fs` (built from
+    these tables) and the canonical chain residuals are the same facts:
+    each upper Fine inequality is the negated first-family residual, each
+    lower one is the second-family residual shifted by 1.  Exact rational
+    systems must come out at zero discrepancy."""
     tables = list(tables)
-    fs = FineSystem.from_tables(design, tables, eps)
     e = fine_expressions(fs)
     d1, d2 = d1_d2_chain_residuals(design, tables)
     disc = []

@@ -17,6 +17,7 @@ so evaluation is safe to run in parallel across tables.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -378,10 +379,14 @@ class ValidationIssue:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
+    """``skipped_checks`` names the issue codes that were not checked at
+    all; the JSON report carries it only when it is nonempty."""
+
     ok: bool
     issues: tuple[ValidationIssue, ...]
     regime: str
     sum_errors: Mapping[tuple, Num]
+    skipped_checks: tuple[str, ...] = ()
 
     def raise_if_invalid(self):
         if not self.ok:
@@ -389,17 +394,24 @@ class ValidationReport:
             raise SystemFormatError(f"invalid system: {lines}")
 
     def as_json(self):
-        return {
+        out = {
             "ok": self.ok,
             "regime": self.regime,
             "issues": [i.as_json() for i in self.issues],
         }
+        if self.skipped_checks:
+            out["skipped_checks"] = list(self.skipped_checks)
+        return out
 
 
 def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: float = EPS_SUM) -> ValidationReport:
     """Check tables against the design: one table per treatment, probabilities
     nonnegative and summing to one (exactly in the rational regime), and
-    outcome value sets consistent across tables sharing an input point."""
+    outcome value sets consistent across tables sharing an input point.
+
+    A design of more than MAX_EXPLICIT_TREATMENTS treatments is not
+    expanded, so its missing- and extra-treatment checks are skipped and
+    named in ``skipped_checks``."""
     tables = list(tables)
     issues: list[ValidationIssue] = []
     sum_errors: dict[tuple, Num] = {}
@@ -411,8 +423,11 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
             )
         by_treatment[t.treatment] = t
 
-    wanted = set(design.iter_treatments()) if design.treatment_count() <= MAX_EXPLICIT_TREATMENTS else None
-    if wanted is not None:
+    skipped: tuple[str, ...] = ()
+    if design.treatment_count() > MAX_EXPLICIT_TREATMENTS:
+        skipped = ("MissingTreatment", "ExtraTreatment")
+    else:
+        wanted = set(design.iter_treatments())
         for t in sorted(wanted - set(by_treatment), key=design._value_index_key):
             issues.append(
                 ValidationIssue("MissingTreatment", f"no table for treatment {t!r}", t)
@@ -470,6 +485,7 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
         issues=tuple(issues),
         regime="rational" if exact else "float",
         sum_errors=sum_errors,
+        skipped_checks=skipped,
     )
 
 
@@ -484,15 +500,21 @@ def marginalize(table: TreatmentTable, subset: Iterable[str]) -> dict:
         if name not in table.design._index:
             raise UnknownInput(f"unknown input {name!r}")
     keep = [i for i, name in enumerate(table.design.inputs) if name in names]
-    out: dict[tuple, Num] = {}
-    for outcome, p in table.probs.items():
-        key = tuple(outcome[i] for i in keep)
+    return _sum_down(table.probs, keep)
+
+
+def _sum_down(cells: Mapping[tuple, Num], keep: Sequence[int]) -> dict:
+    """Sum cells keyed by outcome vectors down to the positions `keep`.
+    Keys of the result are the kept values: a tuple, or the bare value when
+    one position is kept."""
+    at = operator.itemgetter(*keep) if keep else lambda outcome: ()
+    out: dict = {}
+    for outcome, p in cells.items():
+        key = at(outcome)
         if key in out:
             out[key] = out[key] + p
         else:
             out[key] = p
-    if len(keep) == 1:
-        return {k[0]: v for k, v in out.items()}
     return out
 
 

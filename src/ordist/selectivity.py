@@ -19,15 +19,27 @@ exactly the alternating tetrads x, y, s, t over two distinct inputs.
 All d-values are taken from the witnessing treatments' bivariate
 marginals; under marginal selectivity (checked separately) they do not
 depend on which witness covers a pair.
+
+On a full design the suite decides each tetrad in integers.  Per metric,
+the distance of every ordered pair of points that some tetrad uses is
+evaluated once; when all of them are exact they are scaled by the lcm of
+their denominators to plain ints, so a tetrad is screened by the sign of
+d(x,y) + d(y,x') + d(x',y') - d(x,y') over ints (otherwise over the raw
+values, with the float tolerance).  Only a flagged tetrad goes through
+:func:`_chain_residual`, the one kernel that produces every reported lhs,
+rhs term and residual and decides ``violated``.  The marginal-selectivity
+check likewise compares class members over integer-scaled tables and
+computes Fraction discrepancies only for members that differ.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .arith import EPS_TEST, Num, is_exact, num_to_json
+from .arith import EPS_TEST, RATIONAL, Num, is_exact, num_to_json
 from .errors import CapExceeded, SystemFormatError
 from .metrics import Metric
 from .probspace import (
@@ -38,6 +50,7 @@ from .probspace import (
     bivariate,
     diagonal_coupling,
     marginalize,
+    _sum_down,
 )
 
 MAX_SEQUENCES = 1_000_000
@@ -240,33 +253,33 @@ def enumerate_irreducible(
             yield _witness(points, covers)
 
 
+def _tetrad_indices(design: Design) -> Iterator[tuple[int, int, int, int]]:
+    """Indices into ``design.points()`` of the alternating tetrads
+    x, y, x', y' of a full design: x and x' distinct points of one input,
+    y and y' distinct points of another.  This is the one tetrad order:
+    x, then y, then x', then y', each over the points in design order."""
+    pts = design.points()
+    of_input = {
+        name: [i for i, p in enumerate(pts) if p.input == name] for name in design.inputs
+    }
+    for a, x in enumerate(pts):
+        xs = [c for c in of_input[x.input] if c != a]
+        for b, y in enumerate(pts):
+            if y.input == x.input:
+                continue
+            ys = [d for d in of_input[y.input] if d != b]
+            for c in xs:
+                for d in ys:
+                    yield a, b, c, d
+
+
 def _full_design_tetrads(design: Design, cap: int) -> Iterator[SequenceWitness]:
     pts = design.points()
     covers = _Covers(design)
-    count = 0
-    for x1 in pts:
-        for x2 in pts:
-            if x2.input == x1.input:
-                continue
-            for x3 in pts:
-                if x3.input != x1.input or x3 == x1:
-                    continue
-                for x4 in pts:
-                    if x4.input != x2.input or x4 == x2:
-                        continue
-                    seq = (x1, x2, x3, x4)
-                    count += 1
-                    if count > cap:
-                        raise CapExceeded(f"more than {cap} irreducible sequences")
-                    yield SequenceWitness(
-                        seq,
-                        (
-                            covers.pair(x1, x4),
-                            covers.pair(x1, x2),
-                            covers.pair(x2, x3),
-                            covers.pair(x3, x4),
-                        ),
-                    )
+    for count, (a, b, c, d) in enumerate(_tetrad_indices(design), 1):
+        if count > cap:
+            raise CapExceeded(f"more than {cap} irreducible sequences")
+        yield _witness((pts[a], pts[b], pts[c], pts[d]), covers)
 
 
 def _tables_by_treatment(tables: Iterable[TreatmentTable]) -> Mapping[tuple, TreatmentTable]:
@@ -343,6 +356,86 @@ def chain_test(
     )
 
 
+def _distance_screen(
+    metric: Metric,
+    pts: Sequence[InputPoint],
+    pairs: Sequence[tuple[int, int]],
+    by_t: Mapping[tuple, TreatmentTable],
+    covers: _Covers,
+    eps_test: float,
+) -> tuple[list[list], Num, Callable[[InputPoint, InputPoint, tuple], Num]]:
+    """One metric's distances over the point-index `pairs`, set up for the
+    tetrad scan of :func:`_scan_tetrads`.
+
+    Returns (D, lim, dist).  D[i][j] is the distance of (pts[i], pts[j])
+    inside its cover.  When every distance is exact, D holds them scaled
+    once by the lcm of their denominators, so a residual is a plain int
+    whose sign is the exact residual's, and lim is 0.  Otherwise D holds
+    the raw values, a residual is computed exactly as in
+    :func:`_chain_residual`, and a residual below lim is one that may be
+    violated: below -eps_test when every distance is a float, below
+    max(0, -eps_test) when exact and float distances mix.  ``dist`` serves
+    the raw values to :func:`_chain_residual`."""
+    raw = {}
+    for i, j in pairs:
+        x, y = pts[i], pts[j]
+        raw[x, y] = metric.evaluate(_cover_marginal(by_t, x, y, covers.pair(x, y)))
+    values = list(raw.values())
+    D: list[list] = [[None] * len(pts) for _ in pts]
+    if all(map(is_exact, values)):
+        scale = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
+        lim = 0
+    elif any(map(is_exact, values)):
+        lim = max(0, -eps_test)
+    else:
+        lim = -eps_test
+    for (i, j), v in zip(pairs, values):
+        D[i][j] = v
+    return D, lim, lambda x, y, cover: raw[x, y]
+
+
+def _scan_tetrads(
+    design: Design,
+    by_t: Mapping[tuple, TreatmentTable],
+    metrics: Sequence[Metric],
+    cap: int,
+    eps_test: float,
+    violations: list,
+) -> tuple[int, bool]:
+    """Chain-test the first `cap` alternating tetrads of a full design under
+    every metric, appending one report per violation to `violations`,
+    tetrads in :func:`_tetrad_indices` order, metrics inner.
+
+    Each tetrad is screened on the distance matrices of
+    :func:`_distance_screen`; only a flagged one goes through
+    :func:`_chain_residual`, which decides it and supplies every reported
+    number.  Returns the number of tetrads tested and whether any remain
+    past `cap`."""
+    pts = design.points()
+    covers = _Covers(design)
+    # every tetrad pair joins points of two distinct inputs of >= 2 values
+    multi = [i for i, p in enumerate(pts) if len(design.values[p.input]) >= 2]
+    pairs = [(i, j) for i in multi for j in multi if pts[i].input != pts[j].input]
+    screens = [
+        (metric, *_distance_screen(metric, pts, pairs, by_t, covers, eps_test))
+        for metric in metrics
+    ]
+    walk = _tetrad_indices(design)
+    tested = 0
+    for a, b, c, d in itertools.islice(walk, max(cap, 0)):
+        tested += 1
+        for metric, D, lim, dist in screens:
+            if D[a][b] + D[b][c] + D[c][d] - D[a][d] < lim:
+                w = _witness((pts[a], pts[b], pts[c], pts[d]), covers)
+                lhs, rhs, residual, violated = _chain_residual(w.points, w.covers, dist, eps_test)
+                if violated:
+                    violations.append(
+                        ChainReport(w.points, metric.describe(), lhs, rhs, residual, True, w.covers)
+                    )
+    return tested, next(walk, None) is not None
+
+
 def run_suite(
     design: Design,
     tables: Iterable[TreatmentTable],
@@ -355,9 +448,11 @@ def run_suite(
     """Chain-test every irreducible sequence under every metric.
 
     Assumes a validated, marginally selective system; distances are then
-    witness-independent, so they are cached per (metric, ordered point
-    pair).  ``on_cap="truncate"`` turns CapExceeded into a truncated
-    report instead of an exception.
+    witness-independent, so they are computed once per (metric, ordered
+    point pair).  A full design's tetrads are screened in integers (see
+    :func:`_scan_tetrads`); other designs' sequences are enumerated and
+    each goes through :func:`_chain_residual`.  ``on_cap="truncate"``
+    turns CapExceeded into a truncated report instead of an exception.
     """
     by_t = _tables_by_treatment(tables)
     metrics = list(metrics)
@@ -377,20 +472,24 @@ def run_suite(
 
         return dist
 
-    dists = [(metric, cached(metric)) for metric in metrics]
-    stream = enumerate_irreducible(design, max_len, cap)
     try:
-        for w in stream:
-            tested += 1
-            for metric, dist in dists:
-                # a report is built only for a violation: most chains hold
-                lhs, rhs, residual, violated = _chain_residual(
-                    w.points, w.covers, dist, eps_test
-                )
-                if violated:
-                    violations.append(
-                        ChainReport(w.points, metric.describe(), lhs, rhs, residual, True, w.covers)
+        if not design.is_full:
+            dists = [(metric, cached(metric)) for metric in metrics]
+            for w in enumerate_irreducible(design, max_len, cap):
+                tested += 1
+                for metric, dist in dists:
+                    # a report is built only for a violation: most chains hold
+                    lhs, rhs, residual, violated = _chain_residual(
+                        w.points, w.covers, dist, eps_test
                     )
+                    if violated:
+                        violations.append(
+                            ChainReport(w.points, metric.describe(), lhs, rhs, residual, True, w.covers)
+                        )
+        elif max_len >= 4:
+            tested, more = _scan_tetrads(design, by_t, metrics, cap, eps_test, violations)
+            if more:
+                raise CapExceeded(f"more than {cap} irreducible sequences")
     except CapExceeded:
         if on_cap != "truncate":
             raise
@@ -403,6 +502,18 @@ def run_suite(
     )
 
 
+def _scaled_cells(table: TreatmentTable) -> tuple[dict, int]:
+    """An exact table's cells as ints over the lcm of their denominators,
+    with that denominator."""
+    den = math.lcm(*(p.denominator for p in table.probs.values()))
+    return {o: p.numerator * (den // p.denominator) for o, p in table.probs.items()}, den
+
+
+def _same_over(m1: Mapping, den1: int, m2: Mapping, den2: int) -> bool:
+    """True when m1/den1 and m2/den2 agree outcome by outcome."""
+    return all(m1.get(k, 0) * den2 == m2.get(k, 0) * den1 for k in m1.keys() | m2.keys())
+
+
 def check_marginal_selectivity(
     design: Design,
     tables: Iterable[TreatmentTable],
@@ -411,26 +522,46 @@ def check_marginal_selectivity(
     """Compare marginals that must agree: for every single input and every
     input pair, treatments assigning the same values there must induce the
     same marginal over those outputs.  Exact comparison in the rational
-    regime, entrywise |diff| <= eps otherwise."""
+    regime, entrywise |diff| <= eps otherwise.
+
+    Each class member is first compared whole with the class's first
+    member: in the rational regime over ints, each table scaled once by
+    its lcm denominator and two denominators cross-multiplied; otherwise
+    over the tables' own numbers.  Only a member that differs is scanned
+    outcome by outcome in the tables' own numbers, which is where the
+    discrepancies and the witness come from."""
     tables = list(tables)
+    exact = all(t.regime() == RATIONAL for t in tables)
+    # (table, cells, denominator): an exact table's cells as ints over
+    # their lcm denominator, a float table's own cells over 1
+    members = [(t, *_scaled_cells(t)) if exact else (t, t.probs, 1) for t in tables]
     worst: Num = 0
     witness = None
     classes = []
     subset_sizes = [1] + ([2] if len(design.inputs) >= 2 else [])
     for size in subset_sizes:
         for names in itertools.combinations(design.inputs, size):
-            groups: dict[tuple, list[TreatmentTable]] = {}
-            for t in tables:
-                key = tuple(design.value_of(t.treatment, n) for n in names)
-                groups.setdefault(key, []).append(t)
+            keep = [design.index(n) for n in names]
+            groups: dict[tuple, list] = {}
+            for member in members:
+                key = tuple(member[0].treatment[i] for i in keep)
+                groups.setdefault(key, []).append(member)
             for key, group in groups.items():
                 if len(group) < 2:
                     continue
-                ref = group[0]
-                ref_m = marginalize(ref, names)
+                ref, ref_cells, ref_den = group[0]
+                ref_s = _sum_down(ref_cells, keep)
+                ref_m = None if exact else ref_s
                 class_worst: Num = 0
-                for other in group[1:]:
-                    m = marginalize(other, names)
+                for other, cells, den in group[1:]:
+                    m = _sum_down(cells, keep)
+                    if _same_over(ref_s, ref_den, m, den):
+                        continue
+                    if exact:
+                        # discrepancies are reported in the tables' fractions
+                        if ref_m is None:
+                            ref_m = marginalize(ref, names)
+                        m = marginalize(other, names)
                     # deterministic scan order so tied witnesses are stable
                     outcomes = list(ref_m) + [k for k in m if k not in ref_m]
                     for outcome in outcomes:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ordist.cli import main
+from ordist.jdc import FineSystem
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -139,6 +140,20 @@ class TestJdc:
         report = json.loads(out)
         assert report["fine"]["violations"]
 
+    def test_fine_block_built_once(self, capsys, monkeypatch):
+        built = []
+        original = FineSystem.from_tables.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FineSystem, "from_tables", classmethod(counting))
+        code, out, _ = run(capsys, "jdc", str(SAMPLES / "prbox.json"), "--json")
+        assert code == 2
+        assert json.loads(out)["theorem4_max_discrepancy"] == "0"
+        assert len(built) == 1
+
     def test_hidden_space_cap_is_input_error(self, capsys):
         code, _, err = run(capsys, "jdc", str(SAMPLES / "product.json"), "--cap", "8")
         assert code == 1
@@ -195,6 +210,13 @@ MIXED = json.dumps(
 
 TRANSFORM_METRICS = ("--metric", POWER_BOUNDED, "--metric", MIXED)
 
+# the low-first order-distance and its square root, on a 3x3 full design
+# with an embedded noisy PR box: violations under both, interleaved
+PR_FULL_METRICS = (
+    "--metric", '{"kind":"order","rank":{"0":1,"1":2}}',
+    "--metric", '{"kind":"order","rank":{"0":1,"1":2},"transform":[{"op":"power","q":"1/2"}]}',
+)
+
 # sample -> (golden file, (command, *extra arguments), exit code); each
 # golden file holds the exact --json output
 SAMPLE_GOLDENS = {
@@ -211,6 +233,9 @@ SAMPLE_GOLDENS = {
     "normal_sign.json": (
         ("check_normal_sign", ("check",), 2),
         ("jdc_normal_sign", ("jdc",), 2),
+    ),
+    "pr_full.json": (
+        ("check_pr_full", ("check", *PR_FULL_METRICS), 2),
     ),
 }
 

@@ -209,7 +209,7 @@ class TestFineChainEquivalence:
         rng = random.Random(67)
         for _ in range(50):
             design, tables = random_2x2_system(rng)
-            eq = fine_chain_equivalence(design, tables)
+            eq = fine_chain_equivalence(FineSystem.from_tables(design, tables), design, tables)
             assert eq.max_discrepancy == 0
 
     def test_float_system_within_rounding(self):
@@ -223,12 +223,12 @@ class TestFineChainEquivalence:
             )
             for t in tables
         ]
-        eq = fine_chain_equivalence(design, floated)
+        eq = fine_chain_equivalence(FineSystem.from_tables(design, floated), design, floated)
         assert eq.max_discrepancy <= 1e-12
 
     def test_pr_box_identity(self):
         design, tables = pr_box()
-        eq = fine_chain_equivalence(design, tables)
+        eq = fine_chain_equivalence(FineSystem.from_tables(design, tables), design, tables)
         assert eq.d1_residuals[2] == -eq.fine_values[2] == F(-1, 2)
 
 

@@ -17,6 +17,7 @@ from ordist import (
     marginalize,
     validate_system,
 )
+from ordist.probspace import MAX_EXPLICIT_TREATMENTS
 from randsys import binary_design, random_joint
 
 
@@ -140,6 +141,22 @@ class TestValidateSystem:
         report = validate_system(design, symbolic_tables(design)[:2])
         with pytest.raises(SystemFormatError):
             report.raise_if_invalid()
+
+    def test_treatment_checks_reported_when_skipped(self):
+        # 400 x 400 = 160,000 treatments: past MAX_EXPLICIT_TREATMENTS the
+        # design is not expanded, so nothing can say which tables are missing
+        values = {"1": [f"a{k}" for k in range(400)], "2": [f"b{k}" for k in range(400)]}
+        design = Design(["1", "2"], values)
+        assert design.treatment_count() > MAX_EXPLICIT_TREATMENTS
+        report = validate_system(design, [])
+        assert report.skipped_checks == ("MissingTreatment", "ExtraTreatment")
+        assert report.as_json()["skipped_checks"] == ["MissingTreatment", "ExtraTreatment"]
+
+    def test_no_skipped_field_when_every_check_ran(self):
+        design = binary_design()
+        report = validate_system(design, symbolic_tables(design)[:3])
+        assert report.skipped_checks == ()
+        assert "skipped_checks" not in report.as_json()
 
 
 class TestMarginalize:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,11 +7,14 @@ import pytest
 
 from ordist import (
     CapExceeded,
+    ClassificationDistance,
     Design,
     InputPoint,
+    Metric,
     OrderDistance,
     OrderSpec,
     PDistance,
+    PowerOf,
     SequenceWitness,
     SystemFormatError,
     TreatmentTable,
@@ -22,12 +26,15 @@ from ordist import (
     run_suite,
     transform_outputs,
 )
+from msel_reference import reference_marginal_selectivity
+from ordist.arith import EPS_TEST
 from randsys import (
     binary_design,
     canonical_order_specs,
     pr_box,
     product_system,
     random_coupled_system,
+    random_dist,
     random_order_spec,
     sign_system,
     system_from_joint,
@@ -338,6 +345,237 @@ class TestRunSuite:
         assert suite.truncated
         with pytest.raises(CapExceeded):
             run_suite(design, tables, [OrderDistance(index_order_spec(tables))], cap=3)
+
+
+def random_full_system(rng, regime: str):
+    """Full design over 2-4 inputs with 2-5 values each, one input with a
+    single value; every table an independent random joint over outputs
+    with 2 or 3 values, so chains fail often.  Each table has its own
+    denominator; in the float regime its cells are floats."""
+    names = [str(k + 1) for k in range(rng.randint(2, 4))]
+    sizes = [rng.randint(2, 5) for _ in names]
+    sizes[rng.randrange(len(names))] = 1
+    # keep the oracle's per-tetrad cost affordable
+    while sum(a * (a - 1) * b * (b - 1) for a in sizes for b in sizes) > 4000:
+        sizes[sizes.index(max(sizes))] -= 1
+    design = Design(names, {n: [f"w{k}" for k in range(s)] for n, s in zip(names, sizes)})
+    axes = [("0", "1", "2")[: rng.randint(2, 3)] for _ in names]
+    outcomes = list(itertools.product(*axes))
+    tables = []
+    for t in design.iter_treatments():
+        cells = random_dist(rng, len(outcomes), den=rng.choice([5, 6, 8, 12, 35]))
+        if regime == "float":
+            cells = [float(c) for c in cells]
+        tables.append(TreatmentTable(design, t, dict(zip(outcomes, cells)), axes=axes))
+    return design, tables
+
+
+class SomeFloat(Metric):
+    """An order-distance served as a float from points with an odd value
+    index and exactly from the rest, so that exact and float residuals mix
+    within one metric."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def evaluate(self, m):
+        d = self.base.evaluate(m)
+        return float(d) if m.row_point.value in ("w1", "w3") else d
+
+    def describe(self):
+        return "some-float"
+
+
+def suite_metrics(rng, tables):
+    """An exact order-distance, an exact classification distance, a
+    float-valued power of an order-distance (exact zero where the base
+    distance vanishes) and an order-distance with exact and float values."""
+    return [
+        OrderDistance(random_order_spec(rng, tables)),
+        ClassificationDistance(cells=(("0",), ("1", "2"))),
+        PowerOf(OrderDistance(random_order_spec(rng, tables), "order-b"), F(1, 2)),
+        SomeFloat(OrderDistance(random_order_spec(rng, tables))),
+    ]
+
+
+def oracle_suite(design, tables, metrics, max_len=6, cap=10**6, on_cap="raise", eps_test=EPS_TEST):
+    """run_suite rebuilt from enumerate_irreducible plus chain_test: the
+    violated reports in (sequence, metric) order and the sequence count."""
+    violations = []
+    tested = 0
+    truncated = False
+    try:
+        for w in enumerate_irreducible(design, max_len, cap):
+            tested += 1
+            for metric in metrics:
+                report = chain_test(metric, w, tables, eps_test)
+                if report.violated:
+                    violations.append(report)
+    except CapExceeded:
+        if on_cap != "truncate":
+            raise
+        truncated = True
+    return violations, tested, truncated
+
+
+def as_bytes(reports):
+    return json.dumps([r.as_json() for r in reports]).encode()
+
+
+class TestSuiteAgreement:
+    """The full-design suite's integer screen against the plain oracle."""
+
+    @pytest.mark.parametrize("regime", ["rational", "float"])
+    @pytest.mark.parametrize("eps_test", [EPS_TEST, 0.05])
+    def test_random_full_designs(self, regime, eps_test):
+        # a wide tolerance separates the float test (below -eps_test) from
+        # the exact one (below 0) that residuals of exact terms still get
+        rng = random.Random(f"suite-{regime}")
+        found = 0
+        for _ in range(10):
+            design, tables = random_full_system(rng, regime)
+            metrics = suite_metrics(rng, tables)
+            suite = run_suite(design, tables, metrics, eps_test=eps_test)
+            violations, tested, _ = oracle_suite(design, tables, metrics, eps_test=eps_test)
+            assert suite.sequences_tested == tested
+            assert not suite.truncated
+            assert as_bytes(suite.violations) == as_bytes(violations)
+            assert [v.covers for v in suite.violations] == [v.covers for v in violations]
+            found += len(violations)
+        assert found > 0  # the sample must exercise the reporting branch
+
+    def test_every_metric_kind_violates(self):
+        rng = random.Random("suite-kinds")
+        names = set()
+        for _ in range(10):
+            design, tables = random_full_system(rng, "rational")
+            suite = run_suite(design, tables, suite_metrics(rng, tables))
+            names.update(v.metric for v in suite.violations)
+        assert names == {"order", "classification", "(order-b)^1/2", "some-float"}
+
+    def test_cap_truncates_in_tetrad_order(self):
+        rng = random.Random("suite-cap")
+        checked = 0
+        while checked < 4:
+            design, tables = random_full_system(rng, "rational")
+            metrics = suite_metrics(rng, tables)
+            total = sum(1 for _ in enumerate_irreducible(design, 4))
+            if total < 8:
+                continue
+            cap = total // 3
+            suite = run_suite(design, tables, metrics, cap=cap, on_cap="truncate")
+            violations, tested, truncated = oracle_suite(
+                design, tables, metrics, cap=cap, on_cap="truncate"
+            )
+            assert suite.truncated and truncated
+            assert suite.sequences_tested == tested == cap
+            assert as_bytes(suite.violations) == as_bytes(violations)
+            first = set(w.points for w in itertools.islice(enumerate_irreducible(design, 4), cap))
+            assert all(v.sequence in first for v in suite.violations)
+            with pytest.raises(CapExceeded, match=f"more than {cap} irreducible"):
+                run_suite(design, tables, metrics, cap=cap)
+            exact = run_suite(design, tables, metrics, cap=total)
+            assert exact.sequences_tested == total and not exact.truncated
+            checked += 1
+
+    def test_max_len_3_tests_nothing(self):
+        design, tables = pr_box()
+        suite = run_suite(design, tables, [OrderDistance(index_order_spec(tables))], max_len=3)
+        assert suite.sequences_tested == 0
+        assert suite.violations == ()
+        assert not suite.truncated
+
+
+def perturbed(rng, tables):
+    """Move mass between two cells of one random table: its sum stays 1,
+    some of its marginals change."""
+    tables = list(tables)
+    k = rng.randrange(len(tables))
+    t = tables[k]
+    outcomes = [o for o, p in t.probs.items() if p > 0]
+    src = rng.choice(outcomes)
+    dst = rng.choice([o for o in t.probs if o != src])
+    delta = t.probs[src] / rng.choice([2, 3, 7])
+    cells = dict(t.probs)
+    cells[src] -= delta
+    cells[dst] += delta
+    tables[k] = TreatmentTable(t.design, t.treatment, cells, axes=t.axes)
+    return tables
+
+
+def floated(tables):
+    return [
+        TreatmentTable(t.design, t.treatment, {o: float(p) for o, p in t.probs.items()}, axes=t.axes)
+        for t in tables
+    ]
+
+
+class TestMarginalSelectivityReference:
+    """The integer-scaled check against the all-Fraction scan it replaced."""
+
+    @staticmethod
+    def assert_same(design, tables):
+        got = check_marginal_selectivity(design, tables)
+        want = reference_marginal_selectivity(design, tables)
+        assert got.passed == want.passed
+        assert got.max_discrepancy == want.max_discrepancy
+        assert type(got.max_discrepancy) is type(want.max_discrepancy)
+        assert got.witness == want.witness
+        assert got.classes == want.classes
+        assert json.dumps(got.as_json()) == json.dumps(want.as_json())
+        return got
+
+    def test_coupled_and_perturbed_systems(self):
+        rng = random.Random("msel")
+        verdicts = set()
+        for _ in range(12):
+            design, tables = random_coupled_system(
+                rng, n_inputs=rng.choice([2, 3]), restrict_phi=rng.random() < 0.5
+            )
+            verdicts.add(self.assert_same(design, tables).passed)
+            verdicts.add(self.assert_same(design, perturbed(rng, tables)).passed)
+            self.assert_same(design, floated(tables))
+            self.assert_same(design, floated(perturbed(rng, tables)))
+        assert verdicts == {True, False}
+
+    def test_independent_tables_with_mixed_denominators(self):
+        # every table its own random joint and denominator: most classes
+        # differ, and ties between equal discrepancies must break alike
+        rng = random.Random("msel-mixed")
+        for regime in ("rational", "float"):
+            for _ in range(6):
+                design, tables = random_full_system(rng, regime)
+                report = self.assert_same(design, tables)
+                assert not report.passed
+
+    def test_equal_marginals_over_different_denominators(self):
+        # the same margins written over 4ths and 8ths in different tables
+        design = binary_design()
+        quarter = {("0", "0"): F(1, 4), ("0", "1"): F(1, 4), ("1", "0"): F(1, 4), ("1", "1"): F(1, 4)}
+        eighths = {("0", "0"): F(3, 8), ("0", "1"): F(1, 8), ("1", "0"): F(1, 8), ("1", "1"): F(3, 8)}
+        tables = [
+            TreatmentTable(design, t, cells, axes=[("0", "1"), ("0", "1")])
+            for t, cells in zip(design.iter_treatments(), (quarter, eighths, eighths, quarter))
+        ]
+        report = self.assert_same(design, tables)
+        assert report.passed
+        assert report.max_discrepancy == 0
+
+    def test_agreeing_members_skip_the_fraction_scan(self, monkeypatch):
+        # members whose scaled ints agree, over whatever denominators, are
+        # never summed in Fractions
+        import ordist.selectivity
+
+        calls = []
+        monkeypatch.setattr(ordist.selectivity, "marginalize", lambda *a: calls.append(a))
+        rng = random.Random("msel-skip")
+        dens = set()
+        for _ in range(6):
+            design, tables = random_coupled_system(rng, n_inputs=rng.choice([2, 3]))
+            assert check_marginal_selectivity(design, tables).passed
+            dens.update(max(p.denominator for p in t.probs.values()) for t in tables)
+        assert calls == []
+        assert len(dens) > 1
 
 
 class TestRealizableIrreducibleEquivalence:
