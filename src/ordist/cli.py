@@ -52,6 +52,13 @@ def _sequence_length(text: str) -> int:
     return value
 
 
+def _count_bound(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordist",
@@ -103,13 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-len", type=_sequence_length, default=6, help="sequence length cap"
     )
     p_check.add_argument(
-        "--cap", type=int, default=1_000_000, help="sequence count bound"
+        "--cap", type=_count_bound, default=1_000_000, help="irreducible-sequence bound"
     )
 
     p_jdc = sub.add_parser("jdc", help="joint-distribution feasibility")
     common(p_jdc)
     p_jdc.add_argument(
-        "--cap", type=int, default=1_000_000, help="hidden-space size cap"
+        "--cap", type=_count_bound, default=1_000_000, help="hidden-space size cap"
     )
 
     p_demo = sub.add_parser("demo-normal", help="bivariate-normal counterexample")

@@ -334,7 +334,18 @@ def _num_to_doc(p):
     return str(p) if isinstance(p, Fraction) else p
 
 
+def _decimal_text(value):
+    # a label read as a JSON decimal (an outcome such as 0.5) prints as
+    # its decimal text
+    if isinstance(value, Decimal):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def dumps_report(report: Mapping) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline.
     Identical inputs and configuration produce byte-identical output."""
-    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return (
+        json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, default=_decimal_text)
+        + "\n"
+    )

@@ -16,6 +16,20 @@ extra pair lying inside one treatment splits the chain into two shorter
 realizable ones.  For full factorial designs the irreducible sequences are
 exactly the alternating tetrads x, y, s, t over two distinct inputs.
 
+Irreducibility is decided by pairs.  An index subset lying inside a
+treatment has every pair of it inside that treatment too, and the pairs
+irreducibility allows (the adjacent pairs and the closing pair) form an
+l-cycle, which for l >= 4 holds no triangle.  So a sequence of length
+l >= 4 is irreducible exactly when its endpoints differ and no other pair
+of its points shares a treatment; for l = 3 every pair is allowed and only
+the triple is checked.  A repeated point shares a treatment with itself,
+so repeats need no special case.  On a restricted design the suite walks
+the sequences depth first and extends a prefix only by a point that
+shares no treatment with an earlier point two or more places back (the
+first point excepted when it closes the sequence), so it reaches the
+irreducible sequences without visiting the far more numerous reducible
+ones.
+
 All d-values are taken from the witnessing treatments' bivariate
 marginals; under marginal selectivity (checked separately) they do not
 depend on which witness covers a pair.
@@ -154,33 +168,61 @@ class _Covers:
         return self.of(frozenset((x, y)))
 
 
-def _realizable_points(
-    design: Design, max_len: int, cap: int, covers: _Covers
-) -> Iterator[tuple[InputPoint, ...]]:
-    """The depth-first walk behind :func:`enumerate_realizable`: the point
-    tuples of all treatment-realizable sequences, in its order, without
-    their covers.  Raises CapExceeded past `cap` yields."""
+def _may_follow(
+    prefix: Sequence[InputPoint],
+    y: InputPoint,
+    length: int,
+    near: Mapping[InputPoint, frozenset],
+    covers: _Covers,
+) -> bool:
+    """Whether y, at index j = len(prefix) of a sequence of `length`, keeps
+    an irreducible-so-far prefix irreducible.  ``near[y]`` is the set of
+    points that lie in a common treatment with y.
+
+    y must share no treatment with an earlier point at index i, j - i >= 2,
+    except the first point when y closes the sequence; a closing y must
+    differ from the first point, and for length 3 the triple must lie in
+    no treatment."""
+    j = len(prefix)
+    closing = j == length - 1
+    if not near[y].isdisjoint(prefix[1 if closing else 0 : j - 1]):
+        return False
+    if closing:
+        return y != prefix[0] and (length != 3 or covers.of(frozenset((*prefix, y))) is None)
+    return True
+
+
+def _walk(design: Design, max_len: int, cap: int, irreducible: bool) -> Iterator[SequenceWitness]:
+    """The one depth-first walk over treatment-realizable sequences of
+    length 3..max_len, shortest first, lexicographic within each length.
+    With `irreducible` a prefix is extended only by a point that
+    :func:`_may_follow` it, so only irreducible sequences are reached.
+    Raises CapExceeded past `cap` yields."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
+    kind = "irreducible" if irreducible else "realizable"
+    covers = _Covers(design)
     pts = [p for p in design.points() if covers.pair(p, p) is not None]
-    adj = {x: [y for y in pts if covers.pair(x, y) is not None] for x in pts}
+    near = {x: frozenset(y for y in pts if covers.pair(x, y) is not None) for x in pts}
+    adj = {x: [y for y in pts if y in near[x]] for x in pts}
     count = 0
     for length in range(3, max_len + 1):
         stack: list[InputPoint] = []
 
-        def walk() -> Iterator[tuple[InputPoint, ...]]:
+        def walk() -> Iterator[SequenceWitness]:
             nonlocal count
-            if len(stack) == length:
-                if covers.pair(stack[0], stack[-1]) is not None:
+            for y in adj[stack[-1]]:
+                if irreducible and not _may_follow(stack, y, length, near, covers):
+                    continue
+                if len(stack) < length - 1:
+                    stack.append(y)
+                    yield from walk()
+                    stack.pop()
+                elif stack[0] in near[y]:
                     count += 1
                     if count > cap:
-                        raise CapExceeded(f"more than {cap} realizable sequences")
-                    yield tuple(stack)
-                return
-            for y in adj[stack[-1]]:
-                stack.append(y)
-                yield from walk()
-                stack.pop()
+                        raise CapExceeded(f"more than {cap} {kind} sequences")
+                    yield _witness((*stack, y), covers)
 
         for x in pts:
             stack.append(x)
@@ -200,57 +242,48 @@ def enumerate_realizable(
     """All treatment-realizable sequences of length 3..max_len, shortest
     first, lexicographic within each length (design input order, declared
     value order).  Raises CapExceeded past `cap` yields."""
-    covers = _Covers(design)
-    for points in _realizable_points(design, max_len, cap, covers):
-        yield _witness(points, covers)
+    return _walk(design, max_len, cap, irreducible=False)
 
 
 def is_irreducible(points: Sequence[InputPoint], design: Design, _covers: Optional[_Covers] = None) -> bool:
     """True when the only index subsequences of size > 1 lying inside some
     treatment are the closing pair {first, last} and the adjacent pairs,
-    and the endpoints differ.  Checked exhaustively over index subsets."""
+    and the endpoints differ.
+
+    Decided by pairs: a subset inside a treatment has all its pairs
+    inside it, and the allowed pairs form an l-cycle, which for l >= 4
+    holds no triangle, so for l >= 4 a covered subset of size >= 3 always
+    has a covered pair that is not allowed.  For l = 3 every pair is
+    allowed and only the triple is checked."""
     covers = _covers or _Covers(design)
+    distinct = set(points)
+    near = {
+        p: frozenset(q for q in distinct if covers.pair(p, q) is not None) for p in distinct
+    }
     l = len(points)
-    if points[0] == points[-1]:
-        return False
-    allowed = {frozenset((0, l - 1))}
-    for i in range(1, l):
-        allowed.add(frozenset((i - 1, i)))
-    indices = range(l)
-    for size in range(2, l + 1):
-        for combo in itertools.combinations(indices, size):
-            s = frozenset(combo)
-            if s in allowed:
-                continue
-            pset = frozenset(points[i] for i in combo)
-            if covers.of(pset) is not None:
-                return False
-    return True
+    return points[0] != points[-1] and all(
+        _may_follow(points[:j], points[j], l, near, covers) for j in range(1, l)
+    )
 
 
 def enumerate_irreducible(
     design: Design, max_len: int = 6, cap: int = MAX_SEQUENCES
 ) -> Iterator[SequenceWitness]:
     """Irreducible treatment-realizable sequences, same order as
-    :func:`enumerate_realizable`.
+    :func:`enumerate_realizable`.  Raises CapExceeded past `cap`
+    irreducible sequences.
 
     Full factorial designs skip straight to the alternating tetrads over
-    two distinct inputs, the only irreducible shape they admit.
+    two distinct inputs, the only irreducible shape they admit.  Other
+    designs are walked depth first, extending only prefixes that can
+    still become irreducible.
     """
     if design.is_full:
         if max_len < 4:
             return
         yield from _full_design_tetrads(design, cap)
         return
-    covers = _Covers(design)
-    count = 0
-    # covers are built only for the few sequences that pass the filter
-    for points in _realizable_points(design, max_len, cap, covers):
-        if is_irreducible(points, design, covers):
-            count += 1
-            if count > cap:
-                raise CapExceeded(f"more than {cap} irreducible sequences")
-            yield _witness(points, covers)
+    yield from _walk(design, max_len, cap, irreducible=True)
 
 
 def _tetrad_indices(design: Design) -> Iterator[tuple[int, int, int, int]]:

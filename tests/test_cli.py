@@ -237,6 +237,10 @@ SAMPLE_GOLDENS = {
     "pr_full.json": (
         ("check_pr_full", ("check", *PR_FULL_METRICS), 2),
     ),
+    # 11 of pr_full.json's 27 treatments: the restricted-design walk
+    "pr_restricted.json": (
+        ("check_pr_restricted", ("check", *PR_FULL_METRICS), 2),
+    ),
 }
 
 
@@ -340,6 +344,14 @@ class TestUsageErrors:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["check", "jdc"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_input_error(self, capsys, command, cap):
+        # a cap of 0 would test nothing and exit 0
+        code, _, err = run(capsys, command, str(SAMPLES / "prbox.json"), "--cap", cap)
+        assert code == 1
+        assert "--cap: must be at least 1" in err
+
     def test_missing_argument_is_input_error(self, capsys):
         code = main(["check"])
         capsys.readouterr()
@@ -385,6 +397,25 @@ class TestMalformedSystem:
         code, _, err = run(capsys, command, str(file))
         assert code == 1
         assert err.startswith("error:")
+
+
+    def test_decimal_outcome_label_prints_as_text(self, capsys, tmp_path):
+        # an outcome label written as a JSON decimal is read as a Decimal;
+        # the report prints it as its text instead of failing to encode it
+        doc = {
+            "inputs": [{"name": "1", "values": ["x", "x'"]}, {"name": "2", "values": ["y", "y'"]}],
+            "treatments": [["x", "y"], ["x'", "y'"]],
+            "tables": [
+                {"treatment": ["x", "y"], "probs": [{"outcome": ["0", "1"], "p": "1/4"},
+                                                    {"outcome": [0.5, "1"], "p": "3/4"}]},
+                {"treatment": ["x'", "y'"], "probs": [{"outcome": ["0", "0"], "p": "1"}]},
+            ],
+        }
+        file = tmp_path / "decimal.json"
+        file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "jdc", str(file), "--json")
+        assert code == 0
+        assert ["0.5", "0", "1", "0"] in [w["assignment"] for w in json.loads(out)["witness"]]
 
 
 class TestNonSelectiveJdc:

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +27,10 @@ from ordist import (
     run_suite,
     transform_outputs,
 )
+from irreducible_reference import subset_scan_irreducible
 from msel_reference import reference_marginal_selectivity
 from ordist.arith import EPS_TEST
+from ordist.fileio import load_system
 from randsys import (
     binary_design,
     canonical_order_specs,
@@ -41,6 +44,8 @@ from randsys import (
 )
 
 P = InputPoint
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def index_order_spec(tables):
@@ -736,5 +741,141 @@ class TestIrreducibleOracle:
                 mine = is_irreducible(w.points, design)
                 oracle = treatment_centric_irreducible(w.points, design)
                 assert mine == oracle, w.points
+                assert mine == subset_scan_irreducible(w.points, design), w.points
                 irreducible_count += mine
         assert total > 100 and irreducible_count > 0
+
+
+def random_restricted_design(rng):
+    """2-4 inputs of 1-3 values each, keeping 30-80% of the treatments."""
+    names = [str(k + 1) for k in range(rng.randint(2, 4))]
+    values = {name: [f"w{k}" for k in range(rng.randint(1, 3))] for name in names}
+    full = list(Design(names, values).iter_treatments())
+    keep = max(1, round(len(full) * rng.uniform(0.3, 0.8)))
+    chosen = sorted(rng.sample(range(len(full)), keep))
+    return Design(names, values, [full[i] for i in chosen])
+
+
+# Random restricted designs of up to 4 inputs rarely hold an irreducible
+# sequence longer than 4, so two designs are built around one: a hexagon
+# x0 y0 x1 y1 x2 y2 over two inputs and a pentagon a0 b0 c0 a1 b1 over
+# three, each pair of it in one treatment and no chord in any.
+CYCLE_DESIGNS = (
+    Design(
+        ["1", "2"],
+        {"1": ["x0", "x1", "x2"], "2": ["y0", "y1", "y2"]},
+        [("x0", "y0"), ("x1", "y0"), ("x1", "y1"), ("x2", "y1"), ("x2", "y2"), ("x0", "y2")],
+    ),
+    Design(
+        ["1", "2", "3"],
+        {"1": ["a0", "a1", "a2"], "2": ["b0", "b1", "b2"], "3": ["c0", "c1", "c2"]},
+        [("a0", "b0", "c1"), ("a2", "b0", "c0"), ("a1", "b2", "c0"), ("a1", "b1", "c1"), ("a0", "b1", "c2")],
+    ),
+)
+
+
+def realizable_sample(rng, count, cap=3_000):
+    """`count` random restricted designs with max_len drawn from 3-6 and
+    their realizable sequences, then the cycle designs at max_len 6.  A
+    random design with more than `cap` sequences at the drawn max_len is
+    walked at the longest length that stays under."""
+    sample = [(d, 6, list(enumerate_realizable(d, 6))) for d in CYCLE_DESIGNS]
+    while len(sample) < len(CYCLE_DESIGNS) + count:
+        design = random_restricted_design(rng)
+        for max_len in range(rng.randint(3, 6), 2, -1):
+            try:
+                realizable = list(enumerate_realizable(design, max_len, cap=cap))
+            except CapExceeded:
+                continue
+            sample.append((design, max_len, realizable))
+            break
+    return sample
+
+
+class TestPrunedWalk:
+    """The pruned irreducible walk and the pair rule against the
+    exhaustive subset scan."""
+
+    def test_walk_matches_filtered_realizable(self):
+        rng = random.Random("pruned-walk")
+        lengths = set()
+        inputs = set()
+        found = 0
+        for design, max_len, realizable in realizable_sample(rng, 120):
+            expected = [w for w in realizable if subset_scan_irreducible(w.points, design)]
+            # same points, same covers, same order
+            assert list(enumerate_irreducible(design, max_len)) == expected
+            lengths.update(len(w) for w in expected)
+            inputs.add(len(design.inputs))
+            found += len(expected)
+        assert lengths == {3, 4, 5, 6} and inputs == {2, 3, 4} and found > 1_000
+
+    def test_pair_rule_matches_both_oracles(self):
+        rng = random.Random("pair-rule")
+        verdicts = set()
+        for design, _, realizable in realizable_sample(rng, 60):
+            for w in realizable:
+                mine = is_irreducible(w.points, design)
+                assert mine == subset_scan_irreducible(w.points, design), w.points
+                assert mine == treatment_centric_irreducible(w.points, design), w.points
+                verdicts.add((len(w), len(set(w.points)) < len(w), mine))
+        # irreducible sequences of every length, and repeated points in
+        # sequences of every length, which are never irreducible
+        assert {(l, False, True) for l in (3, 4, 5, 6)} <= verdicts
+        assert {(l, True, False) for l in (3, 4, 5, 6)} <= verdicts
+
+    def test_triangles_and_repeats(self):
+        # the design of test_triangle_irreducible_on_restricted_design, and
+        # the same with the triangle's triple added as a treatment
+        values = {"1": ["a", "a'"], "2": ["b", "b'"], "3": ["c", "c'"]}
+        triangle = Design(
+            ["1", "2", "3"], values, [("a", "b", "c'"), ("a", "b'", "c"), ("a'", "b", "c")]
+        )
+        closed = Design(["1", "2", "3"], values, [*triangle.treatments, ("a", "b", "c")])
+        a, b, c = P("1", "a"), P("2", "b"), P("3", "c")
+        ap, bp = P("1", "a'"), P("2", "b'")
+        cases = [
+            (triangle, (a, b, c), True),  # every pair covered, the triple not
+            (closed, (a, b, c), False),  # the triple lies in one treatment
+            (triangle, (a, a, b), False),  # an adjacent repeat covers the triple
+            (triangle, (a, b, a), False),  # equal endpoints
+            (triangle, (a, bp, a, b), False),  # a repeat two apart
+            (triangle, (a, bp, c, b), False),  # only (0, 2) covered off the cycle
+            (triangle, (ap, b, a, c), False),  # only (1, 3) covered off the cycle
+        ]
+        for design, seq, verdict in cases:
+            assert is_irreducible(seq, design) is verdict, seq
+            assert subset_scan_irreducible(seq, design) is verdict, seq
+            assert treatment_centric_irreducible(seq, design) is verdict, seq
+
+
+class TestRestrictedCap:
+    def test_cap_bounds_irreducible_sequences(self):
+        # more realizable sequences than the cap, fewer irreducible ones:
+        # the suite completes and finds the oracle's violations
+        loaded = load_system(SAMPLES / "pr_restricted.json")
+        design, tables = loaded.design, loaded.tables
+        metrics = [OrderDistance(OrderSpec({"0": 1, "1": 2}))]
+        realizable = list(enumerate_realizable(design, 6))
+        irreducible = [w for w in realizable if subset_scan_irreducible(w.points, design)]
+        cap = 1_000
+        assert len(irreducible) <= cap < len(realizable)
+        expected = [
+            report
+            for w in irreducible
+            for metric in metrics
+            if (report := chain_test(metric, w, tables)).violated
+        ]
+        suite = run_suite(design, tables, metrics, cap=cap, on_cap="truncate")
+        assert not suite.truncated
+        assert suite.sequences_tested == len(irreducible)
+        assert expected and as_bytes(suite.violations) == as_bytes(expected)
+
+        below = len(irreducible) - 1
+        truncated = run_suite(design, tables, metrics, cap=below, on_cap="truncate")
+        assert truncated.truncated and truncated.sequences_tested == below
+        with pytest.raises(CapExceeded, match=f"more than {below} irreducible sequences"):
+            run_suite(design, tables, metrics, cap=below)
+        with pytest.raises(CapExceeded, match=f"more than {below} irreducible sequences"):
+            list(enumerate_irreducible(design, 6, cap=below))
+        assert list(enumerate_irreducible(design, 6, cap=len(irreducible))) == irreducible
