@@ -10,6 +10,7 @@ explicit tolerance.  A system is expected to live entirely in one regime;
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Union
@@ -104,14 +105,12 @@ def parse_number(raw, mode: str = "auto") -> Num:
     raise TypeError(f"cannot parse {type(raw).__name__} as a number")
 
 
-def unify_regime(values: list) -> tuple[list, str]:
-    """Force a list of parsed numbers into a single regime.
-
-    If any entry is a float the whole list is coerced to floats.
-    """
-    if all(is_exact(v) for v in values):
-        return values, RATIONAL
-    return [float(v) for v in values], FLOAT
+def over_lcm(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:
+    """Exact values as ints over the lcm of their denominators: (ints, den)
+    with ints[i] / den == values[i] and den > 0."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def close(a: Num, b: Num, eps: float) -> bool:

@@ -174,7 +174,6 @@ def cmd_check(args) -> int:
         return EXIT_INPUT
     sj = suite.as_json()
     report.update(
-        marginal_selectivity=msel.as_json(),
         violations=sj["violations"],
         sequences_tested=sj["sequences_tested"],
         metrics=sj["metrics"],
@@ -207,10 +206,7 @@ def cmd_jdc(args) -> int:
     try:
         problem = build_jdc(loaded.design, loaded.tables, cap=args.cap)
         verdict = jdc_feasible(problem, eps_lp=args.tol_lp)
-    except HiddenSpaceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalInstability as exc:
+    except (HiddenSpaceTooLarge, NumericalInstability) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report.update(verdict.as_json())

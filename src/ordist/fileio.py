@@ -45,7 +45,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Mapping
 
-from .arith import FLOAT, RATIONAL, parse_number, unify_regime
+from .arith import FLOAT, RATIONAL, parse_number, regime_of
 from .errors import SystemFormatError
 from .metrics import (
     BoundedOf,
@@ -74,16 +74,22 @@ class LoadedSystem:
     regime: str
 
 
+def _reject_constant(name: str):
+    # Python's json module reads these non-JSON literals as floats
+    raise SystemFormatError(f"not valid JSON: {name} is not a JSON number")
+
+
 def _read_json(source) -> dict:
     if isinstance(source, Mapping):
         return dict(source)
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
     try:
-        return json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
+        else:
+            text = source.read()
+        return json.loads(text, parse_float=Decimal, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError on reading, or nesting too deep
         raise SystemFormatError(f"not valid JSON: {exc}") from exc
 
 
@@ -155,7 +161,7 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
         raw_tables.append((treatment, probs))
 
     if arithmetic == "auto":
-        _, regime = unify_regime(numbers)
+        regime = regime_of(numbers)
     else:
         regime = RATIONAL if arithmetic == RATIONAL else FLOAT
     if regime == FLOAT:

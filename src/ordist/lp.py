@@ -53,7 +53,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .arith import Num, is_exact
+from .arith import Num, is_exact, over_lcm
 from .errors import NumericalInstability
 
 
@@ -64,13 +64,6 @@ class FeasibilityResult:
     certificate: Optional[list]
     objective: Num
     iterations: int
-
-
-def _integer_row(values) -> tuple[list[int], int]:
-    """Ints and one positive denominator with ints[j] / den == values[j]."""
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = lcm(*[v.denominator for v in vals])
-    return [v.numerator * (den // v.denominator) for v in vals], den
 
 
 def _subtract(row: list, f, nz: list) -> None:
@@ -103,7 +96,8 @@ def _exact_tableau(rows, rhs, n: int, m: int):
     phase-1 cost row with its denominator."""
     T, den, signs = [], [], []
     for i in range(m):
-        ints, d = _integer_row([*rows[i], rhs[i]])
+        row = (*rows[i], rhs[i])
+        ints, d = over_lcm(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row)
         sign = -1 if ints[-1] < 0 else 1
         if sign < 0:
             ints = [-v for v in ints]

@@ -177,7 +177,7 @@ class PDistance(Metric):
     p: Union[int, float, Fraction] = 1
 
     def __post_init__(self):
-        if self.p != math.inf and self.p < 1:
+        if self.p != math.inf and not self.p >= 1:
             raise InvalidP(f"p must be >= 1 or infinity, got {self.p!r}")
 
     def evaluate(self, m: BivariateMarginal) -> Num:

@@ -17,6 +17,7 @@ so evaluation is safe to run in parallel across tables.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,17 +170,6 @@ class OutcomeSpace:
     """
 
     values: Mapping[InputPoint, tuple]
-
-    @classmethod
-    def per_input(cls, design: Design, values: Mapping[str, Sequence]) -> "OutcomeSpace":
-        out = {}
-        for name in design.inputs:
-            vs = tuple(values[name])
-            if not vs:
-                raise SystemFormatError(f"empty outcome set for input {name!r}")
-            for w in design.values[name]:
-                out[InputPoint(name, w)] = vs
-        return cls(out)
 
     @classmethod
     def from_tables(cls, design: Design, tables: Iterable["TreatmentTable"]) -> "OutcomeSpace":
@@ -406,7 +396,7 @@ class ValidationReport:
 
 def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: float = EPS_SUM) -> ValidationReport:
     """Check tables against the design: one table per treatment, probabilities
-    nonnegative and summing to one (exactly in the rational regime), and
+    finite, nonnegative and summing to one (exactly in the rational regime), and
     outcome value sets consistent across tables sharing an input point.
 
     A design of more than MAX_EXPLICIT_TREATMENTS treatments is not
@@ -446,6 +436,15 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
                     ValidationIssue(
                         "NegativeProbability",
                         f"negative probability {p} at {outcome!r} in treatment {t.treatment!r}",
+                        t.treatment,
+                    )
+                )
+                break
+            if not (is_exact(p) or math.isfinite(p)):
+                issues.append(
+                    ValidationIssue(
+                        "NonFiniteProbability",
+                        f"non-finite probability {p} at {outcome!r} in treatment {t.treatment!r}",
                         t.treatment,
                     )
                 )

@@ -34,26 +34,28 @@ All d-values are taken from the witnessing treatments' bivariate
 marginals; under marginal selectivity (checked separately) they do not
 depend on which witness covers a pair.
 
-On a full design the suite decides each tetrad in integers.  Per metric,
-the distance of every ordered pair of points that some tetrad uses is
-evaluated once; when all of them are exact they are scaled by the lcm of
-their denominators to plain ints, so a tetrad is screened by the sign of
-d(x,y) + d(y,x') + d(x',y') - d(x,y') over ints (otherwise over the raw
-values, with the float tolerance).  Only a flagged tetrad goes through
-:func:`_chain_residual`, the one kernel that produces every reported lhs,
-rhs term and residual and decides ``violated``.  The marginal-selectivity
-check likewise compares class members over integer-scaled tables and
-computes Fraction discrepancies only for members that differ.
+Both design kinds decide chains on one distance table per metric: the
+distance of every ordered pair of points a tested sequence can use (the
+tetrad pairs of a full design, else every covered pair of distinct
+points), evaluated once and, when all are exact, scaled by the lcm of
+their denominators to plain ints.  A chain is then decided by the sign of
+an int residual (otherwise over the raw values, with the float
+tolerance): a full design's tetrads by the unrolled sum
+d(x,y) + d(y,x') + d(x',y') - d(x,y'), a restricted design's walked
+sequences by :func:`_chain_residual`.  Only a flagged chain is rerun over
+the raw values, which give the reported numbers.  The marginal-selectivity
+check likewise compares and measures class members in integer-scaled
+tables.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .arith import EPS_TEST, RATIONAL, Num, is_exact, num_to_json
+from .arith import EPS_TEST, RATIONAL, Num, is_exact, num_to_json, over_lcm
 from .errors import CapExceeded, SystemFormatError
 from .metrics import Metric
 from .probspace import (
@@ -63,7 +65,6 @@ from .probspace import (
     TreatmentTable,
     bivariate,
     diagonal_coupling,
-    marginalize,
     _sum_down,
 )
 
@@ -245,7 +246,7 @@ def enumerate_realizable(
     return _walk(design, max_len, cap, irreducible=False)
 
 
-def is_irreducible(points: Sequence[InputPoint], design: Design, _covers: Optional[_Covers] = None) -> bool:
+def is_irreducible(points: Sequence[InputPoint], design: Design) -> bool:
     """True when the only index subsequences of size > 1 lying inside some
     treatment are the closing pair {first, last} and the adjacent pairs,
     and the endpoints differ.
@@ -255,7 +256,7 @@ def is_irreducible(points: Sequence[InputPoint], design: Design, _covers: Option
     holds no triangle, so for l >= 4 a covered subset of size >= 3 always
     has a covered pair that is not allowed.  For l = 3 every pair is
     allowed and only the triple is checked."""
-    covers = _covers or _Covers(design)
+    covers = _Covers(design)
     distinct = set(points)
     near = {
         p: frozenset(q for q in distinct if covers.pair(p, q) is not None) for p in distinct
@@ -348,9 +349,10 @@ def _chain_residual(
 
     lhs is ``dist`` over the closing pair inside covers[0]; rhs term i is
     ``dist`` over the adjacent pair (points[i-1], points[i]) inside
-    covers[i].  Returns (lhs, rhs_terms, residual, violated), where a
-    negative residual, or one below -eps_test in float mode, is a
-    violation."""
+    covers[i].  The points are whatever ``dist`` takes: input points, or
+    indices into a distance table.  Returns (lhs, rhs_terms, residual,
+    violated), where a negative residual, or one below -eps_test in float
+    mode, is a violation."""
     lhs = dist(points[0], points[-1], covers[0])
     rhs = tuple(dist(points[i - 1], points[i], covers[i]) for i in range(1, len(points)))
     residual = sum(rhs) - lhs
@@ -375,18 +377,18 @@ def chain_test(
     def dist(x: InputPoint, y: InputPoint, cover: tuple) -> Num:
         return metric.evaluate(_cover_marginal(by_t, x, y, cover))
 
-    lhs, rhs, residual, violated = _chain_residual(
-        witness.points, witness.covers, dist, eps_test
-    )
-    return ChainReport(
-        sequence=witness.points,
-        metric=metric.describe(),
-        lhs=lhs,
-        rhs_terms=rhs,
-        residual=residual,
-        violated=violated,
-        covers=witness.covers,
-    )
+    return _chain_report(metric, witness, dist, eps_test)
+
+
+def _chain_report(
+    metric: Metric,
+    witness: SequenceWitness,
+    dist: Callable[[InputPoint, InputPoint, tuple], Num],
+    eps_test: float,
+) -> ChainReport:
+    """:func:`_chain_residual` of one sequence, as a report."""
+    values = _chain_residual(witness.points, witness.covers, dist, eps_test)
+    return ChainReport(witness.points, metric.describe(), *values, witness.covers)
 
 
 def _distance_screen(
@@ -397,8 +399,8 @@ def _distance_screen(
     covers: _Covers,
     eps_test: float,
 ) -> tuple[list[list], Num, Callable[[InputPoint, InputPoint, tuple], Num]]:
-    """One metric's distances over the point-index `pairs`, set up for the
-    tetrad scan of :func:`_scan_tetrads`.
+    """One metric's distances over the point-index `pairs`: the table
+    every chain of :func:`run_suite` is decided on.
 
     Returns (D, lim, dist).  D[i][j] is the distance of (pts[i], pts[j])
     inside its cover.  When every distance is exact, D holds them scaled
@@ -416,8 +418,7 @@ def _distance_screen(
     values = list(raw.values())
     D: list[list] = [[None] * len(pts) for _ in pts]
     if all(map(is_exact, values)):
-        scale = math.lcm(*(v.denominator for v in values))
-        values = [v.numerator * (scale // v.denominator) for v in values]
+        values, _ = over_lcm(values)
         lim = 0
     elif any(map(is_exact, values)):
         lim = max(0, -eps_test)
@@ -461,11 +462,9 @@ def _scan_tetrads(
         for metric, D, lim, dist in screens:
             if D[a][b] + D[b][c] + D[c][d] - D[a][d] < lim:
                 w = _witness((pts[a], pts[b], pts[c], pts[d]), covers)
-                lhs, rhs, residual, violated = _chain_residual(w.points, w.covers, dist, eps_test)
-                if violated:
-                    violations.append(
-                        ChainReport(w.points, metric.describe(), lhs, rhs, residual, True, w.covers)
-                    )
+                report = _chain_report(metric, w, dist, eps_test)
+                if report.violated:
+                    violations.append(report)
     return tested, next(walk, None) is not None
 
 
@@ -482,43 +481,39 @@ def run_suite(
 
     Assumes a validated, marginally selective system; distances are then
     witness-independent, so they are computed once per (metric, ordered
-    point pair).  A full design's tetrads are screened in integers (see
-    :func:`_scan_tetrads`); other designs' sequences are enumerated and
-    each goes through :func:`_chain_residual`.  ``on_cap="truncate"``
-    turns CapExceeded into a truncated report instead of an exception.
+    point pair) by :func:`_distance_screen`.  A full design's tetrads are
+    screened on that table (see :func:`_scan_tetrads`); other designs'
+    irreducible sequences are walked and each is decided by
+    :func:`_chain_residual` over it.  ``on_cap="truncate"`` turns
+    CapExceeded into a truncated report instead of an exception.
     """
     by_t = _tables_by_treatment(tables)
     metrics = list(metrics)
     violations: list[ChainReport] = []
     tested = 0
     truncated = False
-
-    def cached(metric: Metric) -> Callable[[InputPoint, InputPoint, tuple], Num]:
-        cache: dict = {}
-
-        def dist(x: InputPoint, y: InputPoint, cover: tuple) -> Num:
-            try:
-                return cache[x, y]
-            except KeyError:
-                d = cache[x, y] = metric.evaluate(_cover_marginal(by_t, x, y, cover))
-                return d
-
-        return dist
-
     try:
         if not design.is_full:
-            dists = [(metric, cached(metric)) for metric in metrics]
+            pts = design.points()
+            covers = _Covers(design)
+            index = {p: i for i, p in enumerate(pts)}
+            pairs = [
+                (i, j)
+                for i, x in enumerate(pts)
+                for j, y in enumerate(pts)
+                if i != j and covers.pair(x, y) is not None
+            ]
+            screens = [
+                (metric, *_distance_screen(metric, pts, pairs, by_t, covers, eps_test))
+                for metric in metrics
+            ]
             for w in enumerate_irreducible(design, max_len, cap):
                 tested += 1
-                for metric, dist in dists:
-                    # a report is built only for a violation: most chains hold
-                    lhs, rhs, residual, violated = _chain_residual(
-                        w.points, w.covers, dist, eps_test
-                    )
-                    if violated:
-                        violations.append(
-                            ChainReport(w.points, metric.describe(), lhs, rhs, residual, True, w.covers)
-                        )
+                seq = [index[p] for p in w.points]
+                for metric, D, _, dist in screens:
+                    # decided on the table; the raw values only for a report
+                    if _chain_residual(seq, w.covers, lambda i, j, cover: D[i][j], eps_test)[3]:
+                        violations.append(_chain_report(metric, w, dist, eps_test))
         elif max_len >= 4:
             tested, more = _scan_tetrads(design, by_t, metrics, cap, eps_test, violations)
             if more:
@@ -533,13 +528,6 @@ def run_suite(
         metrics=tuple(m.describe() for m in metrics),
         truncated=truncated,
     )
-
-
-def _scaled_cells(table: TreatmentTable) -> tuple[dict, int]:
-    """An exact table's cells as ints over the lcm of their denominators,
-    with that denominator."""
-    den = math.lcm(*(p.denominator for p in table.probs.values()))
-    return {o: p.numerator * (den // p.denominator) for o, p in table.probs.items()}, den
 
 
 def _same_over(m1: Mapping, den1: int, m2: Mapping, den2: int) -> bool:
@@ -561,13 +549,20 @@ def check_marginal_selectivity(
     member: in the rational regime over ints, each table scaled once by
     its lcm denominator and two denominators cross-multiplied; otherwise
     over the tables' own numbers.  Only a member that differs is scanned
-    outcome by outcome in the tables' own numbers, which is where the
-    discrepancies and the witness come from."""
+    outcome by outcome, which is where the discrepancies and the witness
+    come from: |a*den - b*ref_den| / (ref_den*den) over the same ints, a
+    Fraction in the rational regime."""
     tables = list(tables)
     exact = all(t.regime() == RATIONAL for t in tables)
     # (table, cells, denominator): an exact table's cells as ints over
     # their lcm denominator, a float table's own cells over 1
-    members = [(t, *_scaled_cells(t)) if exact else (t, t.probs, 1) for t in tables]
+    members = []
+    for t in tables:
+        if exact:
+            ints, den = over_lcm(t.probs.values())
+            members.append((t, dict(zip(t.probs, ints)), den))
+        else:
+            members.append((t, t.probs, 1))
     worst: Num = 0
     witness = None
     classes = []
@@ -583,24 +578,18 @@ def check_marginal_selectivity(
                 if len(group) < 2:
                     continue
                 ref, ref_cells, ref_den = group[0]
-                ref_s = _sum_down(ref_cells, keep)
-                ref_m = None if exact else ref_s
+                ref_m = _sum_down(ref_cells, keep)
                 class_worst: Num = 0
                 for other, cells, den in group[1:]:
                     m = _sum_down(cells, keep)
-                    if _same_over(ref_s, ref_den, m, den):
+                    if _same_over(ref_m, ref_den, m, den):
                         continue
-                    if exact:
-                        # discrepancies are reported in the tables' fractions
-                        if ref_m is None:
-                            ref_m = marginalize(ref, names)
-                        m = marginalize(other, names)
                     # deterministic scan order so tied witnesses are stable
                     outcomes = list(ref_m) + [k for k in m if k not in ref_m]
                     for outcome in outcomes:
-                        a = ref_m.get(outcome, 0)
-                        b = m.get(outcome, 0)
-                        diff = abs(a - b)
+                        diff = abs(ref_m.get(outcome, 0) * den - m.get(outcome, 0) * ref_den)
+                        if exact:
+                            diff = Fraction(diff, ref_den * den)
                         if diff > class_worst:
                             class_worst = diff
                         if diff > worst:

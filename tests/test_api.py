@@ -1,4 +1,8 @@
+import json
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +66,27 @@ def test_submodules_stay_package_attributes():
     assert callable(ordist.lp.verify_certificate)
     assert callable(ordist.selectivity.enumerate_irreducible)
     assert callable(ordist.selectivity.is_irreducible)
+
+
+# run without site, so that only what ordist imports is loaded beyond the
+# interpreter's own start-up modules
+IMPORT_ALL = """
+import importlib, json, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import ordist
+for info in pkgutil.iter_modules(ordist.__path__):
+    if info.name != "__main__":  # runs the command line
+        importlib.import_module("ordist." + info.name)
+print(json.dumps(sorted({name.partition(".")[0] for name in sys.modules})))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    src = str(Path(ordist.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_ALL, src],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    loaded = set(json.loads(out))
+    assert {"ordist", "fractions"} <= loaded
+    assert loaded - {"ordist"} <= set(sys.stdlib_module_names) | {"__main__"}

@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -9,9 +10,9 @@ from ordist.arith import (
     close,
     exact_fraction,
     num_to_json,
+    over_lcm,
     parse_number,
     regime_of,
-    unify_regime,
 )
 
 
@@ -57,15 +58,20 @@ class TestRegimes:
         assert regime_of([F(1, 2), 3]) == "rational"
         assert regime_of([F(1, 2), 0.5]) == "float"
 
-    def test_unify_regime_coerces_all(self):
-        values, regime = unify_regime([F(1, 2), 0.25])
-        assert regime == "float"
-        assert values == [0.5, 0.25]
-
     def test_close_exact_vs_tolerant(self):
         assert close(F(1, 3), F(1, 3), 0.0)
         assert not close(F(1, 3), F(1, 3) + F(1, 10**12), 0.0)
         assert close(0.1 + 0.2, 0.3, 1e-9)
+
+
+class TestOverLcm:
+    @given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_ints_over_the_lcm_denominator(self, values):
+        ints, den = over_lcm(values)
+        assert all(type(v) is int for v in ints)
+        assert [F(v, den) for v in ints] == values
+        assert den == math.lcm(*(F(v).denominator for v in values))
 
 
 class TestJsonNumbers:

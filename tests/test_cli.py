@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -73,10 +74,35 @@ class TestCheck:
             '{"kind":"order","rank":[1]}',
             '{"kind":"expected_ground","values":["0","1"],"ground":[[0]]}',
             '{"kind":"p","p":"1/0"}',
+            '{"kind":"p","p":NaN}',
+            '{"kind":"p","p":Infinity}',
+            '{"kind":"p","p":-Infinity}',
         ],
     )
     def test_malformed_metric_is_input_error(self, capsys, config):
         code, _, err = run(capsys, "check", str(SAMPLES / "product.json"), "--metric", config)
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_metric_undefined_on_an_untested_pair_is_input_error(self, capsys, tmp_path):
+        # a restricted design holding no irreducible sequence: every covered
+        # pair's distance is still evaluated before the walk, as on a full
+        # design, so a metric with no rank for "1" is an input error
+        doc = {
+            "inputs": [{"name": "1", "values": ["x", "x'"]}, {"name": "2", "values": ["y", "y'"]}],
+            "treatments": [["x", "y"], ["x'", "y'"]],
+            "tables": [
+                {"treatment": ["x", "y"], "probs": [{"outcome": ["0", "0"], "p": "1/2"},
+                                                    {"outcome": ["1", "1"], "p": "1/2"}]},
+                {"treatment": ["x'", "y'"], "probs": [{"outcome": ["0", "1"], "p": "1/2"},
+                                                      {"outcome": ["1", "0"], "p": "1/2"}]},
+            ],
+        }
+        path = tmp_path / "untested.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0 and json.loads(out)["sequences_tested"] == 0
+        code, _, err = run(capsys, "check", str(path), "--metric", '{"kind":"order","rank":{"0":1}}')
         assert code == 1
         assert err.startswith("error:")
 
@@ -379,6 +405,11 @@ class TestMalformedSystem:
             (("treatments",), [["0"], 5]),
             (("tables", 0, "probs", 0, "p"), "1/0"),
             (("tables", 0, "probs", 0, "p"), [1]),
+            # json.dumps writes these as the non-JSON literals NaN,
+            # Infinity and -Infinity
+            (("tables", 0, "probs", 0, "p"), math.nan),
+            (("tables", 0, "probs", 0, "p"), math.inf),
+            (("tables", 0, "probs", 0, "p"), -math.inf),
         ],
     )
     def test_malformed_system_is_input_error(self, capsys, tmp_path, command, path, value):
@@ -398,6 +429,22 @@ class TestMalformedSystem:
         assert code == 1
         assert err.startswith("error:")
 
+
+    @pytest.mark.parametrize("command", ["check", "jdc"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"inputs": "\u00ff"}'.encode("latin-1"),  # not UTF-8
+            b"[" * 100_000 + b"]" * 100_000,  # deeper than the parser recurses
+        ],
+        ids=["latin-1", "deep"],
+    )
+    def test_unreadable_json_is_input_error(self, capsys, tmp_path, command, content):
+        file = tmp_path / "unreadable.json"
+        file.write_bytes(content)
+        code, _, err = run(capsys, command, str(file))
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_decimal_outcome_label_prints_as_text(self, capsys, tmp_path):
         # an outcome label written as a JSON decimal is read as a Decimal;

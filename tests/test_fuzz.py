@@ -10,6 +10,7 @@ code 1 comes with a message.
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,7 @@ METRICS = [
 REPLACEMENTS = [
     None, True, 0, -1, 7, 1.5, -0.25, 1e308, "", "x", "1/0", "-3/4", "3/-4",
     "nan", "inf", "1e400", "0.5.5", "99999999999999999999/3", [], [None], {}, {"kind": 1},
+    math.nan,  # written by json.dumps as the non-JSON literal NaN
 ]
 
 

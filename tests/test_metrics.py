@@ -161,6 +161,8 @@ class TestPDistance:
     def test_invalid_p(self):
         with pytest.raises(InvalidP):
             PDistance(EMBED01, F(1, 2))
+        with pytest.raises(InvalidP):
+            PDistance(EMBED01, math.nan)
 
     def test_essential_sup_ignores_zero_mass(self):
         m = matrix(("0", "1"), ("0", "1"), [[F(1), F(0)], [F(0), F(0)]])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -127,6 +128,18 @@ class TestValidateSystem:
         tables[1] = TreatmentTable(design, ("x", "y'"), bad, axes=[("0", "1"), ("0", "1")])
         report = validate_system(design, tables)
         assert any(i.code == "NegativeProbability" for i in report.issues)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_probability_reported(self, value):
+        # a NaN cell fails no comparison, so only this check catches it
+        design = binary_design()
+        tables = symbolic_tables(design)
+        cells = {o: float(p) for o, p in tables[1].probs.items()}
+        cells[("0", "0")] = value
+        tables[1] = TreatmentTable(design, ("x", "y'"), cells, axes=tables[1].axes)
+        report = validate_system(design, tables)
+        assert not report.ok
+        assert any(i.code == "NonFiniteProbability" for i in report.issues)
 
     def test_value_set_mismatch_reported(self):
         design = binary_design()

@@ -427,27 +427,39 @@ def as_bytes(reports):
     return json.dumps([r.as_json() for r in reports]).encode()
 
 
+def restricted_copy(rng, design, tables):
+    """The same system on a random 40-90% of its treatments."""
+    count = max(2, round(len(tables) * rng.uniform(0.4, 0.9)))
+    kept = [tables[k] for k in sorted(rng.sample(range(len(tables)), count))]
+    sub = Design(design.inputs, design.values, [t.treatment for t in kept])
+    return sub, [TreatmentTable(sub, t.treatment, t.probs, axes=t.axes) for t in kept]
+
+
 class TestSuiteAgreement:
-    """The full-design suite's integer screen against the plain oracle."""
+    """The suite's distance table against the plain oracle."""
 
     @pytest.mark.parametrize("regime", ["rational", "float"])
     @pytest.mark.parametrize("eps_test", [EPS_TEST, 0.05])
     def test_random_full_designs(self, regime, eps_test):
         # a wide tolerance separates the float test (below -eps_test) from
-        # the exact one (below 0) that residuals of exact terms still get
+        # the exact one (below 0) that residuals of exact terms still get;
+        # each full design is also tested on a subset of its treatments
         rng = random.Random(f"suite-{regime}")
-        found = 0
+        subsets = random.Random(f"suite-restricted-{regime}")
+        found = {True: 0, False: 0}
         for _ in range(10):
-            design, tables = random_full_system(rng, regime)
-            metrics = suite_metrics(rng, tables)
-            suite = run_suite(design, tables, metrics, eps_test=eps_test)
-            violations, tested, _ = oracle_suite(design, tables, metrics, eps_test=eps_test)
-            assert suite.sequences_tested == tested
-            assert not suite.truncated
-            assert as_bytes(suite.violations) == as_bytes(violations)
-            assert [v.covers for v in suite.violations] == [v.covers for v in violations]
-            found += len(violations)
-        assert found > 0  # the sample must exercise the reporting branch
+            full = random_full_system(rng, regime)
+            metrics = suite_metrics(rng, full[1])
+            for design, tables in (full, restricted_copy(subsets, *full)):
+                suite = run_suite(design, tables, metrics, eps_test=eps_test)
+                violations, tested, _ = oracle_suite(design, tables, metrics, eps_test=eps_test)
+                assert suite.sequences_tested == tested
+                assert not suite.truncated
+                assert as_bytes(suite.violations) == as_bytes(violations)
+                assert [v.covers for v in suite.violations] == [v.covers for v in violations]
+                found[design.is_full] += len(violations)
+        # the sample must exercise the reporting branch on both design kinds
+        assert found[True] > 0 and found[False] > 0
 
     def test_every_metric_kind_violates(self):
         rng = random.Random("suite-kinds")
@@ -565,22 +577,6 @@ class TestMarginalSelectivityReference:
         report = self.assert_same(design, tables)
         assert report.passed
         assert report.max_discrepancy == 0
-
-    def test_agreeing_members_skip_the_fraction_scan(self, monkeypatch):
-        # members whose scaled ints agree, over whatever denominators, are
-        # never summed in Fractions
-        import ordist.selectivity
-
-        calls = []
-        monkeypatch.setattr(ordist.selectivity, "marginalize", lambda *a: calls.append(a))
-        rng = random.Random("msel-skip")
-        dens = set()
-        for _ in range(6):
-            design, tables = random_coupled_system(rng, n_inputs=rng.choice([2, 3]))
-            assert check_marginal_selectivity(design, tables).passed
-            dens.update(max(p.denominator for p in t.probs.values()) for t in tables)
-        assert calls == []
-        assert len(dens) > 1
 
 
 class TestRealizableIrreducibleEquivalence:
