@@ -38,6 +38,7 @@ raises SystemFormatError.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Mapping
 
-from .arith import FLOAT, RATIONAL, parse_number, regime_of
+from .arith import FLOAT, RATIONAL, digit_limit, parse_number, parse_ratio
 from .errors import SystemFormatError
 from .metrics import (
     BoundedOf,
@@ -138,65 +139,82 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
             for w in values[name]:
                 declared[InputPoint(name, w)] = vals
 
+    # each table's cells as (numerator, denominator) ints or floats
     raw_tables = []
-    numbers = []
+    exact = arithmetic != FLOAT
     for tspec in tables_spec:
         try:
             treatment = tuple(tspec["treatment"])
             probs_spec = tspec["probs"]
         except (KeyError, TypeError):
             raise SystemFormatError(f"bad table entry {tspec!r}") from None
-        probs = {}
+        cells = {}
         for cell in probs_spec:
             try:
                 outcome = tuple(cell["outcome"])
                 raw = cell["p"]
             except (KeyError, TypeError):
                 raise SystemFormatError(f"bad probability entry {cell!r}") from None
-            if outcome in probs:
+            if outcome in cells:
                 raise SystemFormatError(f"outcome {outcome!r} listed twice")
-            value = parse_number(raw, arithmetic)
-            probs[outcome] = value
-            numbers.append(value)
-        raw_tables.append((treatment, probs))
-
-    if arithmetic == "auto":
-        regime = regime_of(numbers)
-    else:
-        regime = RATIONAL if arithmetic == RATIONAL else FLOAT
-    if regime == FLOAT:
-        raw_tables = [
-            (t, {o: float(p) for o, p in probs.items()}) for t, probs in raw_tables
-        ]
+            value = parse_ratio(raw, arithmetic)
+            if isinstance(value, float):
+                exact = False
+            cells[outcome] = value
+        raw_tables.append((treatment, cells))
+    regime = RATIONAL if exact else FLOAT
 
     # canonical outcome axes per input point: declared order wins, else
     # first appearance in file order
+    n = len(design.inputs)
     axes: dict[InputPoint, list] = {pt: list(vs) for pt, vs in declared.items()}
-    for treatment, probs in raw_tables:
-        for outcome in probs:
-            if len(outcome) != len(design.inputs):
+    for treatment, cells in raw_tables:
+        if not cells:
+            continue
+        for outcome in cells:
+            if len(outcome) != n:
                 raise SystemFormatError(f"outcome {outcome!r} has wrong arity")
-            for pos, v in enumerate(outcome):
-                pt = InputPoint(design.inputs[pos], treatment[pos])
-                axis = axes.setdefault(pt, [])
-                if v not in axis:
-                    if pt in declared:
-                        raise SystemFormatError(
-                            f"outcome value {v!r} not among declared outcomes of {pt}"
-                        )
-                    axis.append(v)
+        points = [InputPoint(design.inputs[pos], treatment[pos]) for pos in range(n)]
+        for pt, column in zip(points, zip(*cells)):
+            axis = axes.setdefault(pt, [])
+            new = [v for v in dict.fromkeys(column) if v not in axis]
+            if new and pt in declared:
+                raise SystemFormatError(
+                    f"outcome value {new[0]!r} not among declared outcomes of {pt}"
+                )
+            axis.extend(new)
 
+    shared = {pt: tuple(axis) for pt, axis in axes.items()}
     tables = []
-    for treatment, probs in raw_tables:
+    for treatment, cells in raw_tables:
         table_axes = []
         for pos, name in enumerate(design.inputs):
             pt = InputPoint(name, treatment[pos])
-            axis = axes.get(pt)
-            if not axis:
+            if not shared.get(pt):
                 raise SystemFormatError(f"no outcomes known for point {pt}")
-            table_axes.append(tuple(axis))
-        tables.append(TreatmentTable(design, treatment, probs, axes=table_axes))
+            table_axes.append(shared[pt])
+        if regime == RATIONAL:
+            tables.append(_exact_table(design, treatment, table_axes, cells))
+        else:
+            probs = {o: v if isinstance(v, float) else v[0] / v[1] for o, v in cells.items()}
+            tables.append(TreatmentTable(design, treatment, probs, axes=table_axes))
     return LoadedSystem(design=design, tables=tables, regime=regime)
+
+
+def _exact_table(design: Design, treatment, axes, cells) -> TreatmentTable:
+    """A table of (numerator, denominator) cells, scaled to ints over the
+    lcm of the denominators; unlisted outcome vectors are zero."""
+    den = math.lcm(*(d for _, d in cells.values()))
+    scaled = {outcome: n * (den // d) for outcome, (n, d) in cells.items()}
+    ints = [scaled.pop(outcome, 0) for outcome in itertools.product(*axes)]
+    # every int of the table and their sum must stay printable
+    top = max(den, max(ints), -min(ints))
+    limit = digit_limit()
+    if (top.bit_length() + len(ints).bit_length() + 1) * math.log10(2) >= limit:
+        raise SystemFormatError(
+            f"probabilities in treatment {treatment!r} need more than {limit} digits"
+        )
+    return TreatmentTable.from_ints(design, treatment, axes, ints, den)
 
 
 def default_order_metric(design: Design, tables) -> Metric:

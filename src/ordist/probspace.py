@@ -8,14 +8,27 @@ lazily.  For each allowable treatment the system holds a
 :class:`TreatmentTable`: the joint distribution of the outputs observed
 under that treatment, one output per input.
 
+An exact table holds its cells as ints over one per-table denominator
+(:meth:`TreatmentTable.scaled`), dense in the row-major order of its
+outcome axes.  The loader builds it that way straight from the file's
+literals; a table built in code from a mapping of exact values scales
+them on first use.  Validation decides its sums and signs in these ints,
+and :func:`marginalize` and :func:`bivariate` sum them and divide once,
+so only a marginal is made of ``Fraction`` values.  ``probs``, the
+mapping of outcome vectors to probabilities, is a view of ``Fraction``
+values derived on first access and cached; a table built from a mapping
+keeps that mapping as its view, and a float table holds only that.
+
 Outcome values are opaque labels.  Any numeric meaning is introduced
-downstream through rank assignments or explicit embeddings.  All values are
-immutable after construction and every operation here is a pure function,
-so evaluation is safe to run in parallel across tables.
+downstream through rank assignments or explicit embeddings.  Tables are
+not changed after construction (the cached views are derived from
+immutable cells) and every operation here is a pure function, so
+evaluation is safe to run in parallel across tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -23,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .arith import EPS_SUM, Num, is_exact, regime_of
+from .arith import EPS_SUM, RATIONAL, Num, is_exact, over_lcm, regime_of
 from .errors import SameInput, SystemFormatError, UnknownInput
 
 MAX_EXPLICIT_TREATMENTS = 100_000
@@ -180,9 +193,8 @@ class OutcomeSpace:
             for pos, name in enumerate(design.inputs):
                 pt = InputPoint(name, t.treatment[pos])
                 axis = t.axes[pos]
-                if pt not in out:
-                    out[pt] = axis
-                elif set(out[pt]) != set(axis):
+                first = out.setdefault(pt, axis)
+                if first is not axis and set(first) != set(axis):
                     raise SystemFormatError(
                         f"outcome sets for point {pt} disagree across tables"
                     )
@@ -200,13 +212,50 @@ class TreatmentTable:
 
     ``probs`` maps full outcome vectors (one value per input, in design
     order) to probabilities.  Missing vectors are filled with zero so the
-    table is dense over the product of its axes.  Numeric validity (sums,
-    signs) is checked by :func:`validate_system`, not at construction.
+    table is dense over the product of its axes.  An exact table keeps its
+    cells as ints over one denominator (:meth:`scaled`); ``probs`` is then
+    derived from them on first access.  Numeric validity (sums, signs) is
+    checked by :func:`validate_system`, not at construction.
     """
 
-    __slots__ = ("design", "treatment", "axes", "probs")
+    __slots__ = ("design", "treatment", "axes", "_regime", "_ints", "_den", "_probs")
 
     def __init__(self, design: Design, treatment, probs: Mapping[tuple, Num], axes=None):
+        probs = {tuple(k): v for k, v in probs.items()}
+        self._set_shape(design, treatment, axes, probs)
+        zero = 0.0 if any(isinstance(v, float) for v in probs.values()) else Fraction(0)
+        dense = {}
+        for outcome in itertools.product(*self.axes):
+            dense[outcome] = probs.pop(outcome, zero)
+        if probs:
+            bad = next(iter(probs))
+            raise SystemFormatError(f"outcome {bad!r} outside the declared axes")
+        self._probs = dense
+        self._regime = regime_of(dense.values())
+        self._ints = None
+        self._den = None
+
+    @classmethod
+    def from_ints(cls, design: Design, treatment, axes, ints: Sequence[int], den: int) -> "TreatmentTable":
+        """An exact table from its cells as ints over ``den``: ints[k] / den
+        is the probability of the k-th outcome vector in the row-major
+        order of ``axes``."""
+        table = cls.__new__(cls)
+        table._set_shape(design, treatment, axes, ())
+        ints = list(ints)
+        if len(ints) != math.prod(map(len, table.axes)):
+            raise SystemFormatError("one cell per outcome vector required")
+        if den <= 0:
+            raise SystemFormatError("the denominator must be positive")
+        table._probs = None
+        table._regime = RATIONAL
+        table._ints = ints
+        table._den = den
+        return table
+
+    def _set_shape(self, design: Design, treatment, axes, outcomes) -> None:
+        """Set design, treatment and axes, inferring the axes from the
+        outcome vectors when none are given."""
         self.design = design
         self.treatment = tuple(treatment)
         if len(self.treatment) != len(design.inputs):
@@ -216,10 +265,9 @@ class TreatmentTable:
                 raise SystemFormatError(
                     f"treatment value {w!r} not allowed for input {name!r}"
                 )
-        probs = {tuple(k): v for k, v in probs.items()}
         if axes is None:
             seen: list[list] = [[] for _ in design.inputs]
-            for outcome in probs:
+            for outcome in outcomes:
                 if len(outcome) != len(design.inputs):
                     raise SystemFormatError(f"outcome {outcome!r} has wrong arity")
                 for pos, v in enumerate(outcome):
@@ -235,15 +283,25 @@ class TreatmentTable:
                 raise SystemFormatError("empty outcome axis")
             if len(set(a)) != len(a):
                 raise SystemFormatError("duplicate outcome values on one axis")
-        zero = 0.0 if any(isinstance(v, float) for v in probs.values()) else Fraction(0)
-        dense = {}
-        for outcome in itertools.product(*axes):
-            dense[outcome] = probs.pop(outcome, zero)
-        if probs:
-            bad = next(iter(probs))
-            raise SystemFormatError(f"outcome {bad!r} outside the declared axes")
         self.axes = axes
-        self.probs = dense
+
+    @property
+    def probs(self) -> Mapping[tuple, Num]:
+        if self._probs is None:
+            den = self._den
+            self._probs = dict(
+                zip(itertools.product(*self.axes), [Fraction(n, den) for n in self._ints])
+            )
+        return self._probs
+
+    def scaled(self) -> tuple[list[int], int]:
+        """An exact table's cells as (ints, den): ints[k] / den is the k-th
+        probability in ``probs`` order."""
+        if self._regime != RATIONAL:
+            raise ValueError("a float table has no integer cells")
+        if self._ints is None:
+            self._ints, self._den = over_lcm(self._probs.values())
+        return self._ints, self._den
 
     def axis(self, name: str) -> tuple:
         return self.axes[self.design.index(name)]
@@ -252,6 +310,9 @@ class TreatmentTable:
         return self.probs[tuple(outcome)]
 
     def total(self) -> Num:
+        if self._regime == RATIONAL:
+            ints, den = self.scaled()
+            return Fraction(sum(ints), den)
         return sum(self.probs.values())
 
     def univariate(self, name: str) -> dict:
@@ -262,7 +323,7 @@ class TreatmentTable:
         return InputPoint(name, self.treatment[self.design.index(name)])
 
     def regime(self) -> str:
-        return regime_of(self.probs.values())
+        return self._regime
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,6 +455,40 @@ class ValidationReport:
         return out
 
 
+_ZERO = Fraction(0)
+
+
+def _negative(t: TreatmentTable, outcome: tuple, p: Num) -> ValidationIssue:
+    return ValidationIssue(
+        "NegativeProbability",
+        f"negative probability {p} at {outcome!r} in treatment {t.treatment!r}",
+        t.treatment,
+    )
+
+
+def _sum_not_one(t: TreatmentTable, delta: Num) -> ValidationIssue:
+    sign = "+" if delta >= 0 else ""
+    return ValidationIssue(
+        "SumNotOne",
+        f"probabilities in treatment {t.treatment!r} sum to 1{sign}{delta}",
+        t.treatment,
+    )
+
+
+def _check_exact_table(t: TreatmentTable, issues: list, sum_errors: dict) -> None:
+    """Signs and sum of an exact table, decided on its ints; a Fraction is
+    made only for a nonzero sum error or an issue message."""
+    ints, den = t.scaled()
+    if min(ints) < 0:
+        k = next(k for k, n in enumerate(ints) if n < 0)
+        outcome = next(itertools.islice(itertools.product(*t.axes), k, None))
+        issues.append(_negative(t, outcome, Fraction(ints[k], den)))
+    excess = sum(ints) - den
+    sum_errors[t.treatment] = Fraction(excess, den) if excess else _ZERO
+    if excess:
+        issues.append(_sum_not_one(t, sum_errors[t.treatment]))
+
+
 def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: float = EPS_SUM) -> ValidationReport:
     """Check tables against the design: one table per treatment, probabilities
     finite, nonnegative and summing to one (exactly in the rational regime), and
@@ -430,15 +525,12 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
 
     exact = all(t.regime() == "rational" for t in tables)
     for t in tables:
+        if t.regime() == RATIONAL:
+            _check_exact_table(t, issues, sum_errors)
+            continue
         for outcome, p in t.probs.items():
             if p < 0:
-                issues.append(
-                    ValidationIssue(
-                        "NegativeProbability",
-                        f"negative probability {p} at {outcome!r} in treatment {t.treatment!r}",
-                        t.treatment,
-                    )
-                )
+                issues.append(_negative(t, outcome, p))
                 break
             if not (is_exact(p) or math.isfinite(p)):
                 issues.append(
@@ -449,28 +541,20 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
                     )
                 )
                 break
-        total = t.total()
-        delta = total - 1
+        delta = t.total() - 1
         sum_errors[t.treatment] = delta
         bad = delta != 0 if is_exact(delta) else abs(delta) > eps_sum
         if bad:
-            sign = "+" if delta >= 0 else ""
-            issues.append(
-                ValidationIssue(
-                    "SumNotOne",
-                    f"probabilities in treatment {t.treatment!r} sum to 1{sign}{delta}",
-                    t.treatment,
-                )
-            )
+            issues.append(_sum_not_one(t, delta))
 
     # outcome-set consistency per input point across tables
     seen_axes: dict[InputPoint, tuple] = {}
     for t in tables:
         for pos, name in enumerate(design.inputs):
             pt = InputPoint(name, t.treatment[pos])
-            if pt not in seen_axes:
-                seen_axes[pt] = t.axes[pos]
-            elif set(seen_axes[pt]) != set(t.axes[pos]):
+            axis = t.axes[pos]
+            first = seen_axes.setdefault(pt, axis)
+            if first is not axis and set(first) != set(axis):
                 issues.append(
                     ValidationIssue(
                         "ValueSetMismatch",
@@ -491,30 +575,56 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
 def marginalize(table: TreatmentTable, subset: Iterable[str]) -> dict:
     """Sum the table down to the outputs of `subset` (kept in design order).
 
-    Keys of the result are outcome vectors over the subset; marginalizing
-    over all inputs returns a dict equal to the full table.
+    Keys of the result are outcome vectors over the subset, or bare values
+    when the subset is one input; marginalizing over all inputs returns a
+    dict equal to the full table.
     """
     names = set(subset)
     for name in names:
         if name not in table.design._index:
             raise UnknownInput(f"unknown input {name!r}")
-    keep = [i for i, name in enumerate(table.design.inputs) if name in names]
-    return _sum_down(table.probs, keep)
+    keep = tuple(i for i, name in enumerate(table.design.inputs) if name in names)
+    return _keyed([table.axes[i] for i in keep], _marginal_sums(table, keep))
 
 
-def _sum_down(cells: Mapping[tuple, Num], keep: Sequence[int]) -> dict:
-    """Sum cells keyed by outcome vectors down to the positions `keep`.
-    Keys of the result are the kept values: a tuple, or the bare value when
-    one position is kept."""
-    at = operator.itemgetter(*keep) if keep else lambda outcome: ()
-    out: dict = {}
-    for outcome, p in cells.items():
-        key = at(outcome)
-        if key in out:
-            out[key] = out[key] + p
-        else:
-            out[key] = p
-    return out
+def _keyed(axes: Sequence[tuple], sums: list) -> dict:
+    """Sums in row-major order over `axes`, keyed by their outcome
+    vectors, or by bare values when there is one axis."""
+    keys = itertools.product(*axes)
+    if len(axes) == 1:
+        keys = (key for key, in keys)
+    return dict(zip(keys, sums))
+
+
+@functools.lru_cache(maxsize=256)
+def _summands(sizes: tuple, keep: tuple) -> tuple:
+    """For cells dense in the row-major order of axes of `sizes`: one getter
+    per vector of kept values, in row-major order over `keep`, returning
+    the cells summing to it in ascending order."""
+    groups: dict[tuple, list] = {}
+    for k, digits in enumerate(itertools.product(*map(range, sizes))):
+        groups.setdefault(tuple(digits[i] for i in keep), []).append(k)
+    return tuple(
+        operator.itemgetter(*g) if len(g) > 1 else (lambda cells, k=g[0]: (cells[k],))
+        for _, g in sorted(groups.items())
+    )
+
+
+def _sums(cells: Sequence, sizes: tuple, keep: tuple) -> list:
+    """Dense `cells` summed down to the positions `keep`, in row-major
+    order over the kept axes; each sum adds its cells left to right."""
+    add = operator.add
+    return [functools.reduce(add, get(cells)) for get in _summands(sizes, keep)]
+
+
+def _marginal_sums(table: TreatmentTable, keep: tuple) -> list:
+    """The marginal over the positions `keep` in row-major order; an exact
+    table's is summed in its ints and divided once."""
+    sizes = tuple(map(len, table.axes))
+    if table.regime() == RATIONAL:
+        ints, den = table.scaled()
+        return [Fraction(n, den) for n in _sums(ints, sizes, keep)]
+    return _sums(list(table.probs.values()), sizes, keep)
 
 
 def bivariate(table: TreatmentTable, first: str, second: str) -> BivariateMarginal:
@@ -526,11 +636,12 @@ def bivariate(table: TreatmentTable, first: str, second: str) -> BivariateMargin
     if first == second:
         raise SameInput(f"bivariate marginal needs two distinct inputs, got {first!r} twice")
     i, j = table.design.index(first), table.design.index(second)
-    pair = marginalize(table, (first, second))
-    rows, cols = table.axes[i], table.axes[j]
-    if i < j:
-        get = lambda a, b: pair[(a, b)]
-    else:
-        get = lambda a, b: pair[(b, a)]
-    probs = tuple(tuple(get(a, b) for b in cols) for a in rows)
-    return BivariateMarginal(rows, cols, probs, table.point(first), table.point(second))
+    lo, hi = min(i, j), max(i, j)
+    sums = _marginal_sums(table, (lo, hi))
+    width = len(table.axes[hi])
+    probs = tuple(tuple(sums[r : r + width]) for r in range(0, len(sums), width))
+    if i > j:
+        probs = tuple(zip(*probs))
+    return BivariateMarginal(
+        table.axes[i], table.axes[j], probs, table.point(first), table.point(second)
+    )

@@ -65,7 +65,8 @@ from .probspace import (
     TreatmentTable,
     bivariate,
     diagonal_coupling,
-    _sum_down,
+    _keyed,
+    _sums,
 )
 
 MAX_SEQUENCES = 1_000_000
@@ -530,9 +531,11 @@ def run_suite(
     )
 
 
-def _same_over(m1: Mapping, den1: int, m2: Mapping, den2: int) -> bool:
-    """True when m1/den1 and m2/den2 agree outcome by outcome."""
-    return all(m1.get(k, 0) * den2 == m2.get(k, 0) * den1 for k in m1.keys() | m2.keys())
+def _same_over(m1: list, den1: int, m2: list, den2: int) -> bool:
+    """True when m1/den1 and m2/den2 agree entry by entry."""
+    if den1 == den2:
+        return m1 == m2
+    return [a * den2 for a in m1] == [b * den1 for b in m2]
 
 
 def check_marginal_selectivity(
@@ -545,49 +548,49 @@ def check_marginal_selectivity(
     same marginal over those outputs.  Exact comparison in the rational
     regime, entrywise |diff| <= eps otherwise.
 
-    Each class member is first compared whole with the class's first
-    member: in the rational regime over ints, each table scaled once by
-    its lcm denominator and two denominators cross-multiplied; otherwise
-    over the tables' own numbers.  Only a member that differs is scanned
-    outcome by outcome, which is where the discrepancies and the witness
-    come from: |a*den - b*ref_den| / (ref_den*den) over the same ints, a
-    Fraction in the rational regime."""
+    Each class member's marginal is first compared whole with the class's
+    first member's: in the rational regime over the tables' ints
+    (:meth:`TreatmentTable.scaled`), two denominators cross-multiplied;
+    otherwise over the tables' own numbers.  Only a member that differs is
+    scanned outcome by outcome, which is where the discrepancies and the
+    witness come from: |a*den - b*ref_den| / (ref_den*den) over the same
+    ints, a Fraction in the rational regime."""
     tables = list(tables)
     exact = all(t.regime() == RATIONAL for t in tables)
-    # (table, cells, denominator): an exact table's cells as ints over
-    # their lcm denominator, a float table's own cells over 1
+    # (table, cells, denominator, axis sizes): an exact table's ints over
+    # their denominator, else its own cells over 1, dense in probs order
     members = []
     for t in tables:
-        if exact:
-            ints, den = over_lcm(t.probs.values())
-            members.append((t, dict(zip(t.probs, ints)), den))
-        else:
-            members.append((t, t.probs, 1))
+        cells, den = t.scaled() if exact else (list(t.probs.values()), 1)
+        members.append((t, cells, den, tuple(map(len, t.axes))))
     worst: Num = 0
     witness = None
     classes = []
     subset_sizes = [1] + ([2] if len(design.inputs) >= 2 else [])
     for size in subset_sizes:
         for names in itertools.combinations(design.inputs, size):
-            keep = [design.index(n) for n in names]
+            keep = tuple(design.index(n) for n in names)
             groups: dict[tuple, list] = {}
             for member in members:
-                key = tuple(member[0].treatment[i] for i in keep)
+                key = tuple(map(member[0].treatment.__getitem__, keep))
                 groups.setdefault(key, []).append(member)
             for key, group in groups.items():
                 if len(group) < 2:
                     continue
-                ref, ref_cells, ref_den = group[0]
-                ref_m = _sum_down(ref_cells, keep)
+                ref, ref_cells, ref_den, ref_sizes = group[0]
+                ref_axes = [ref.axes[i] for i in keep]
+                ref_m = _sums(ref_cells, ref_sizes, keep)
                 class_worst: Num = 0
-                for other, cells, den in group[1:]:
-                    m = _sum_down(cells, keep)
-                    if _same_over(ref_m, ref_den, m, den):
+                for other, cells, den, sizes in group[1:]:
+                    m = _sums(cells, sizes, keep)
+                    axes = [other.axes[i] for i in keep]
+                    if axes == ref_axes and _same_over(ref_m, ref_den, m, den):
                         continue
+                    ref_d, d = _keyed(ref_axes, ref_m), _keyed(axes, m)
                     # deterministic scan order so tied witnesses are stable
-                    outcomes = list(ref_m) + [k for k in m if k not in ref_m]
+                    outcomes = list(ref_d) + [k for k in d if k not in ref_d]
                     for outcome in outcomes:
-                        diff = abs(ref_m.get(outcome, 0) * den - m.get(outcome, 0) * ref_den)
+                        diff = abs(ref_d.get(outcome, 0) * den - d.get(outcome, 0) * ref_den)
                         if exact:
                             diff = Fraction(diff, ref_den * den)
                         if diff > class_worst:

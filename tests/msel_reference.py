@@ -2,11 +2,11 @@
 numbers.
 
 This is the straightforward scan that `ordist.selectivity` replaced with
-integer-scaled comparisons.  Every class member's marginal is summed from
-its cells and every outcome is compared, also when the two marginals are
-identical, which makes it slow but easy to read.  Tests compare the
-production check against it: same verdict, same worst discrepancy, same
-witness and the same per-class worst values.
+comparisons of marginals summed in the tables' ints.  Every class member's
+marginal is summed from its ``probs`` cells and every outcome is compared,
+also when the two marginals are identical, which makes it slow but easy to
+read.  Tests compare the production check against it: same verdict, same
+worst discrepancy, same witness and the same per-class worst values.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 
 from ordist.arith import EPS_TEST, Num, is_exact
-from ordist.probspace import marginalize
 from ordist.selectivity import MarginalSelectivityReport
+from table_reference import sum_down
 
 
 def reference_marginal_selectivity(design, tables, eps: float = EPS_TEST) -> MarginalSelectivityReport:
@@ -26,6 +26,7 @@ def reference_marginal_selectivity(design, tables, eps: float = EPS_TEST) -> Mar
     subset_sizes = [1] + ([2] if len(design.inputs) >= 2 else [])
     for size in subset_sizes:
         for names in itertools.combinations(design.inputs, size):
+            keep = [design.index(n) for n in names]
             groups: dict[tuple, list] = {}
             for t in tables:
                 key = tuple(design.value_of(t.treatment, n) for n in names)
@@ -34,10 +35,10 @@ def reference_marginal_selectivity(design, tables, eps: float = EPS_TEST) -> Mar
                 if len(group) < 2:
                     continue
                 ref = group[0]
-                ref_m = marginalize(ref, names)
+                ref_m = sum_down(ref.probs, keep)
                 class_worst: Num = 0
                 for other in group[1:]:
-                    m = marginalize(other, names)
+                    m = sum_down(other.probs, keep)
                     outcomes = list(ref_m) + [k for k in m if k not in ref_m]
                     for outcome in outcomes:
                         a = ref_m.get(outcome, 0)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,16 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(SAMPLES / "product.json"), "--metric", config)
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("p", ["1e10000000", '"1e10000000"', "1e5000", '"-1e5000"'])
+    def test_huge_metric_exponent_is_input_error(self, capsys, p):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "check", str(SAMPLES / "product.json"), "--metric", f'{{"kind":"p","p":{p}}}'
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert err.startswith("error:") and "digits" in err
 
     def test_metric_undefined_on_an_untested_pair_is_input_error(self, capsys, tmp_path):
         # a restricted design holding no irreducible sequence: every covered
@@ -267,6 +278,11 @@ SAMPLE_GOLDENS = {
     "pr_restricted.json": (
         ("check_pr_restricted", ("check", *PR_FULL_METRICS), 2),
     ),
+    # a table summing to 1 + 1/12, negative cells and a missing treatment:
+    # the validation messages
+    "invalid_exact.json": (
+        ("check_invalid_exact", ("check",), 1),
+    ),
 }
 
 
@@ -429,6 +445,36 @@ class TestMalformedSystem:
         assert code == 1
         assert err.startswith("error:")
 
+
+    @pytest.mark.parametrize("command", ["check", "jdc"])
+    @pytest.mark.parametrize(
+        "literals, arithmetic",
+        [
+            (["1e5000"], "auto"),
+            (['"1e5000"'], "auto"),
+            (["1e10000000"], "auto"),
+            (['"1e10000000"'], "float"),
+            (['"-1e-5000"'], "rational"),
+            # each within the digit limit, their sum not
+            (['"1e4000"', '"1e-4000"'], "rational"),
+        ],
+    )
+    def test_huge_exponent_is_input_error(self, capsys, tmp_path, command, literals, arithmetic):
+        # a value with more digits than the interpreter converts to text
+        # is rejected before its ints are built
+        doc = json.loads((SAMPLES / "product.json").read_text())
+        for k in range(len(literals)):
+            doc["tables"][0]["probs"][k]["p"] = f"HUGE{k}"
+        text = json.dumps(doc)
+        for k, literal in enumerate(literals):
+            text = text.replace(f'"HUGE{k}"', literal)
+        file = tmp_path / "huge.json"
+        file.write_text(text)
+        start = time.perf_counter()
+        code, _, err = run(capsys, command, str(file), "--arithmetic", arithmetic)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert err.startswith("error:") and "digits" in err
 
     @pytest.mark.parametrize("command", ["check", "jdc"])
     @pytest.mark.parametrize(
