@@ -148,9 +148,13 @@ def parse_number(raw, mode: str = "auto") -> Num:
 
 def over_lcm(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:
     """Exact values as ints over the lcm of their denominators: (ints, den)
-    with ints[i] / den == values[i] and den > 0."""
+    with ints[i] / den == values[i] and den > 0.  Any other value, a float
+    included, raises TypeError."""
     values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
+    try:
+        den = math.lcm(*(v.denominator for v in values))
+    except AttributeError:
+        raise TypeError("over_lcm takes ints and Fractions") from None
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

@@ -16,6 +16,7 @@ JSON report that --json prints verbatim.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .arith import EPS_LP, EPS_SUM, EPS_TEST, num_to_json
@@ -59,7 +60,9 @@ def _count_bound(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ordist",
         description="Distance and joint-distribution tests of selective influence.",
@@ -89,13 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="X",
             help="table normalization tolerance for float systems",
         )
-        p.add_argument(
-            "--tol-lp",
-            type=_positive_float,
-            default=EPS_LP,
-            metavar="X",
-            help="feasibility slack for float-mode LP solves",
-        )
 
     p_check = sub.add_parser("check", help="chain-inequality test suite")
     common(p_check)
@@ -117,6 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_jdc)
     p_jdc.add_argument(
         "--cap", type=_count_bound, default=1_000_000, help="hidden-space size cap"
+    )
+    p_jdc.add_argument(
+        "--tol-lp",
+        type=_positive_float,
+        default=EPS_LP,
+        metavar="X",
+        help="feasibility slack for float-mode LP solves",
     )
 
     p_demo = sub.add_parser("demo-normal", help="bivariate-normal counterexample")

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .arith import EPS_LP, EPS_TEST, Num, is_exact, num_to_json
+from .arith import EPS_LP, EPS_TEST, Num, num_to_json
 from .errors import (
     HiddenSpaceTooLarge,
     MarginalSelectivityViolated,
@@ -36,9 +36,9 @@ from .metrics import OrderSpec, OrderDistance
 from .probspace import Design, InputPoint, OutcomeSpace, TreatmentTable
 from .selectivity import (
     ChainReport,
-    _full_design_tetrads,
     chain_test,
     check_marginal_selectivity,
+    enumerate_irreducible,
 )
 
 MAX_HIDDEN_SPACE = 1_000_000
@@ -224,10 +224,7 @@ def witness_reproduces_tables(problem: JdcProblem, witness: Mapping[tuple, Num],
             key = tuple(assignment[k] for k in idx)
             acc[key] = acc.get(key, p * 0) + p
         for outcome, p in t.probs.items():
-            got = acc.get(outcome, 0)
-            diff = got - p
-            ok = diff == 0 if (is_exact(diff) and eps == 0) else abs(diff) <= eps
-            if not ok:
+            if not abs(acc.get(outcome, 0) - p) <= eps:
                 return False
     return True
 
@@ -338,9 +335,7 @@ def fine_inequalities(fs: FineSystem, eps: float = 0.0) -> FineReport:
     values = fine_expressions(fs)
     violations = []
     for k, e in enumerate(values, start=1):
-        lo = e >= -1 if (is_exact(e) and eps == 0) else e >= -1 - eps
-        hi = e <= 0 if (is_exact(e) and eps == 0) else e <= eps
-        if not (lo and hi):
+        if not -1 - eps <= e <= eps:
             violations.append(k)
     return FineReport(values, not violations, tuple(violations))
 
@@ -377,7 +372,7 @@ def d1_d2_chain_residuals(
     if not is_2x2_binary(design, tables):
         raise SystemFormatError("need a 2x2 factorial design with binary outputs")
     d1_spec, d2_spec = _binary_order_specs(design, tables)
-    witnesses = list(itertools.islice(_full_design_tetrads(design, 4), 4))
+    witnesses = list(itertools.islice(enumerate_irreducible(design, 4), 4))
     d1 = [chain_test(OrderDistance(d1_spec, "order:low-first"), w, tables, eps_test) for w in witnesses]
     d2 = [chain_test(OrderDistance(d2_spec, "order:second-reversed"), w, tables, eps_test) for w in witnesses]
     return d1, d2

@@ -96,8 +96,7 @@ def _exact_tableau(rows, rhs, n: int, m: int):
     phase-1 cost row with its denominator."""
     T, den, signs = [], [], []
     for i in range(m):
-        row = (*rows[i], rhs[i])
-        ints, d = over_lcm(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row)
+        ints, d = over_lcm((*rows[i], rhs[i]))
         sign = -1 if ints[-1] < 0 else 1
         if sign < 0:
             ints = [-v for v in ints]
@@ -257,9 +256,7 @@ def verify_solution(rows, rhs, x, eps: float = 0.0) -> bool:
     support = [(j, v) for j, v in enumerate(x) if v != 0]
     for row, target in zip(rows, rhs):
         total = sum(row[j] * v for j, v in support if row[j])
-        diff = total - target
-        ok = diff == 0 if (is_exact(diff) and eps == 0) else abs(diff) <= eps
-        if not ok:
+        if not abs(total - target) <= eps:
             return False
     return True
 
@@ -273,9 +270,4 @@ def verify_certificate(rows, rhs, y, eps: float = 0.0) -> bool:
         for j, a in enumerate(row):
             if a:
                 cols[j] += yi * a
-    for col in cols:
-        ok = col <= 0 if (is_exact(col) and eps == 0) else col <= eps
-        if not ok:
-            return False
-    dot = sum(yi * bi for yi, bi in zip(y, rhs))
-    return dot > 0 if (is_exact(dot) and eps == 0) else dot > eps
+    return all(col <= eps for col in cols) and sum(yi * bi for yi, bi in zip(y, rhs)) > eps

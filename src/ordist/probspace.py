@@ -60,7 +60,7 @@ class Design:
     MAX_EXPLICIT_TREATMENTS and are stored in the order given.
     """
 
-    __slots__ = ("inputs", "values", "treatments", "_index", "_sorted_treatments")
+    __slots__ = ("inputs", "values", "treatments", "_index", "_sorted_treatments", "_covers")
 
     def __init__(self, inputs, values, treatments=None):
         self.inputs = tuple(inputs)
@@ -105,6 +105,7 @@ class Design:
                 seen.add(t)
             self.treatments = ts
         self._sorted_treatments = None
+        self._covers: dict[frozenset, Optional[tuple]] = {}
 
     @property
     def is_full(self) -> bool:
@@ -148,17 +149,28 @@ class Design:
         """Lexicographically first allowable treatment containing the points.
 
         Returns None when no treatment contains them (in particular when two
-        points assign different values to one input).
+        points assign different values to one input).  The result depends
+        only on the set of points and is memoized per set; a point of an
+        unknown input raises UnknownInput wherever it sits.
         """
+        key = frozenset(points)
+        try:
+            return self._covers[key]
+        except KeyError:
+            pass
+        unknown = sorted(repr(p.input) for p in key if p.input not in self._index)
+        if unknown:
+            raise UnknownInput(f"unknown input {unknown[0]}")
+        self._covers[key] = found = self._first_cover(key)
+        return found
+
+    def _first_cover(self, points: frozenset) -> Optional[tuple]:
         assignment = {}
         for p in points:
-            if p.input not in self._index:
-                raise UnknownInput(f"unknown input {p.input!r}")
             if p.value not in self.values[p.input]:
                 return None
-            if assignment.get(p.input, p.value) != p.value:
+            if assignment.setdefault(p.input, p.value) != p.value:
                 return None
-            assignment[p.input] = p.value
         if self.is_full:
             return tuple(
                 assignment.get(name, self.values[name][0]) for name in self.inputs

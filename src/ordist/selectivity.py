@@ -24,28 +24,28 @@ l >= 4 is irreducible exactly when its endpoints differ and no other pair
 of its points shares a treatment; for l = 3 every pair is allowed and only
 the triple is checked.  A repeated point shares a treatment with itself,
 so repeats need no special case.  On a restricted design the suite walks
-the sequences depth first and extends a prefix only by a point that
-shares no treatment with an earlier point two or more places back (the
-first point excepted when it closes the sequence), so it reaches the
-irreducible sequences without visiting the far more numerous reducible
-ones.
+the sequences depth first, as tuples of point indices over the design's
+cover graph (for each point, the points it shares a treatment with), and
+extends a prefix only by a point that shares no treatment with an earlier
+point two or more places back (the first point excepted when it closes
+the sequence), so it reaches the irreducible sequences without visiting
+the far more numerous reducible ones.
 
 All d-values are taken from the witnessing treatments' bivariate
 marginals; under marginal selectivity (checked separately) they do not
 depend on which witness covers a pair.
 
-Both design kinds decide chains on one distance table per metric: the
-distance of every ordered pair of points a tested sequence can use (the
-tetrad pairs of a full design, else every covered pair of distinct
-points), evaluated once and, when all are exact, scaled by the lcm of
-their denominators to plain ints.  A chain is then decided by the sign of
-an int residual (otherwise over the raw values, with the float
-tolerance): a full design's tetrads by the unrolled sum
-d(x,y) + d(y,x') + d(x',y') - d(x,y'), a restricted design's walked
-sequences by :func:`_chain_residual`.  Only a flagged chain is rerun over
-the raw values, which give the reported numbers.  The marginal-selectivity
-check likewise compares and measures class members in integer-scaled
-tables.
+Both design kinds decide chains in one loop on one distance table per
+metric: the distance of every ordered pair of points a tested sequence
+can use (the tetrad pairs of a full design, else every covered pair of
+distinct points), evaluated once and, when all are exact, scaled by the
+lcm of their denominators to plain ints.  Each sequence, a full design's
+tetrad or a restricted design's walked sequence, is screened by its
+residual on that table (an int, or the raw values with the float
+tolerance).  Only a flagged chain gets its covering treatments and is
+rerun over the raw values by :func:`_chain_residual`, which decides it and
+gives the reported numbers.  The marginal-selectivity check likewise
+compares and measures class members in integer-scaled tables.
 """
 
 from __future__ import annotations
@@ -151,35 +151,27 @@ class SuiteReport:
         }
 
 
-class _Covers:
-    """Memoized treatment lookup for point sets (lexicographic witness)."""
-
-    def __init__(self, design: Design):
-        self.design = design
-        self._cache: dict[frozenset, Optional[tuple]] = {}
-
-    def of(self, points: frozenset) -> Optional[tuple]:
-        try:
-            return self._cache[points]
-        except KeyError:
-            t = self.design.cover(points)
-            self._cache[points] = t
-            return t
-
-    def pair(self, x: InputPoint, y: InputPoint) -> Optional[tuple]:
-        return self.of(frozenset((x, y)))
+def _cover_graph(design: Design) -> list[frozenset]:
+    """For each point of ``design.points()``, the indices of the points it
+    shares a treatment with (itself included when any treatment holds it)."""
+    pts = design.points()
+    return [
+        frozenset(j for j, y in enumerate(pts) if design.cover((x, y)) is not None) for x in pts
+    ]
 
 
 def _may_follow(
-    prefix: Sequence[InputPoint],
-    y: InputPoint,
+    prefix: Sequence[int],
+    y: int,
     length: int,
-    near: Mapping[InputPoint, frozenset],
-    covers: _Covers,
+    near: Sequence[frozenset],
+    pts: Sequence[InputPoint],
+    design: Design,
 ) -> bool:
-    """Whether y, at index j = len(prefix) of a sequence of `length`, keeps
-    an irreducible-so-far prefix irreducible.  ``near[y]`` is the set of
-    points that lie in a common treatment with y.
+    """Whether point index y, at index j = len(prefix) of a sequence of
+    `length`, keeps an irreducible-so-far prefix of point indices
+    irreducible.  ``near[y]`` is the set of indices whose points lie in a
+    common treatment with ``pts[y]``.
 
     y must share no treatment with an earlier point at index i, j - i >= 2,
     except the first point when y closes the sequence; a closing y must
@@ -190,52 +182,68 @@ def _may_follow(
     if not near[y].isdisjoint(prefix[1 if closing else 0 : j - 1]):
         return False
     if closing:
-        return y != prefix[0] and (length != 3 or covers.of(frozenset((*prefix, y))) is None)
+        triple = (pts[k] for k in (*prefix, y))
+        return y != prefix[0] and (length != 3 or design.cover(triple) is None)
     return True
 
 
-def _walk(design: Design, max_len: int, cap: int, irreducible: bool) -> Iterator[SequenceWitness]:
+def _walk(
+    design: Design, near: Sequence[frozenset], max_len: int, irreducible: bool
+) -> Iterator[tuple[int, ...]]:
     """The one depth-first walk over treatment-realizable sequences of
-    length 3..max_len, shortest first, lexicographic within each length.
-    With `irreducible` a prefix is extended only by a point that
-    :func:`_may_follow` it, so only irreducible sequences are reached.
-    Raises CapExceeded past `cap` yields."""
+    length 3..max_len on the cover graph `near` of :func:`_cover_graph`, as
+    tuples of indices into ``design.points()``: shortest first,
+    lexicographic within each length.  With `irreducible` a prefix is
+    extended only by a point that :func:`_may_follow` it, so only
+    irreducible sequences are reached."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    kind = "irreducible" if irreducible else "realizable"
-    covers = _Covers(design)
-    pts = [p for p in design.points() if covers.pair(p, p) is not None]
-    near = {x: frozenset(y for y in pts if covers.pair(x, y) is not None) for x in pts}
-    adj = {x: [y for y in pts if y in near[x]] for x in pts}
-    count = 0
+    pts = design.points()
+    adj = [sorted(js) for js in near]
     for length in range(3, max_len + 1):
-        stack: list[InputPoint] = []
+        stack: list[int] = []
 
-        def walk() -> Iterator[SequenceWitness]:
-            nonlocal count
+        def walk() -> Iterator[tuple[int, ...]]:
             for y in adj[stack[-1]]:
-                if irreducible and not _may_follow(stack, y, length, near, covers):
+                if irreducible and not _may_follow(stack, y, length, near, pts, design):
                     continue
                 if len(stack) < length - 1:
                     stack.append(y)
                     yield from walk()
                     stack.pop()
                 elif stack[0] in near[y]:
-                    count += 1
-                    if count > cap:
-                        raise CapExceeded(f"more than {cap} {kind} sequences")
-                    yield _witness((*stack, y), covers)
+                    yield (*stack, y)
 
-        for x in pts:
+        for x in range(len(pts)):
             stack.append(x)
             yield from walk()
             stack.pop()
 
 
-def _witness(points: tuple[InputPoint, ...], covers: _Covers) -> SequenceWitness:
+def _irreducible_indices(design: Design, max_len: int, near=None) -> Iterator[tuple[int, ...]]:
+    """The irreducible sequences as point-index tuples: a full design's
+    alternating tetrads (none below length 4), else the pruned walk over
+    the cover graph `near`, built here when not given."""
+    if design.is_full:
+        return _tetrad_indices(design) if max_len >= 4 else iter(())
+    return _walk(design, _cover_graph(design) if near is None else near, max_len, True)
+
+
+def _witness(points: tuple[InputPoint, ...], design: Design) -> SequenceWitness:
     """A realizable sequence with its closing cover, then its step covers."""
-    steps = tuple(covers.pair(points[i - 1], points[i]) for i in range(1, len(points)))
-    return SequenceWitness(points, (covers.pair(points[0], points[-1]), *steps))
+    steps = tuple(design.cover(points[i - 1 : i + 1]) for i in range(1, len(points)))
+    return SequenceWitness(points, (design.cover((points[0], points[-1])), *steps))
+
+
+def _witnesses(
+    design: Design, seqs: Iterator[tuple[int, ...]], cap: int, kind: str
+) -> Iterator[SequenceWitness]:
+    """Point-index sequences as witnesses; raises CapExceeded past `cap`."""
+    pts = design.points()
+    for count, seq in enumerate(seqs, 1):
+        if count > cap:
+            raise CapExceeded(f"more than {cap} {kind} sequences")
+        yield _witness(tuple(pts[k] for k in seq), design)
 
 
 def enumerate_realizable(
@@ -244,7 +252,8 @@ def enumerate_realizable(
     """All treatment-realizable sequences of length 3..max_len, shortest
     first, lexicographic within each length (design input order, declared
     value order).  Raises CapExceeded past `cap` yields."""
-    return _walk(design, max_len, cap, irreducible=False)
+    seqs = _walk(design, _cover_graph(design), max_len, irreducible=False)
+    return _witnesses(design, seqs, cap, "realizable")
 
 
 def is_irreducible(points: Sequence[InputPoint], design: Design) -> bool:
@@ -257,14 +266,16 @@ def is_irreducible(points: Sequence[InputPoint], design: Design) -> bool:
     holds no triangle, so for l >= 4 a covered subset of size >= 3 always
     has a covered pair that is not allowed.  For l = 3 every pair is
     allowed and only the triple is checked."""
-    covers = _Covers(design)
-    distinct = set(points)
-    near = {
-        p: frozenset(q for q in distinct if covers.pair(p, q) is not None) for p in distinct
-    }
-    l = len(points)
-    return points[0] != points[-1] and all(
-        _may_follow(points[:j], points[j], l, near, covers) for j in range(1, l)
+    distinct = list(dict.fromkeys(points))
+    index = {p: k for k, p in enumerate(distinct)}
+    near = [
+        frozenset(k for k, q in enumerate(distinct) if design.cover((p, q)) is not None)
+        for p in distinct
+    ]
+    seq = [index[p] for p in points]
+    l = len(seq)
+    return seq[0] != seq[-1] and all(
+        _may_follow(seq[:j], seq[j], l, near, distinct, design) for j in range(1, l)
     )
 
 
@@ -280,12 +291,7 @@ def enumerate_irreducible(
     designs are walked depth first, extending only prefixes that can
     still become irreducible.
     """
-    if design.is_full:
-        if max_len < 4:
-            return
-        yield from _full_design_tetrads(design, cap)
-        return
-    yield from _walk(design, max_len, cap, irreducible=True)
+    return _witnesses(design, _irreducible_indices(design, max_len), cap, "irreducible")
 
 
 def _tetrad_indices(design: Design) -> Iterator[tuple[int, int, int, int]]:
@@ -306,15 +312,6 @@ def _tetrad_indices(design: Design) -> Iterator[tuple[int, int, int, int]]:
             for c in xs:
                 for d in ys:
                     yield a, b, c, d
-
-
-def _full_design_tetrads(design: Design, cap: int) -> Iterator[SequenceWitness]:
-    pts = design.points()
-    covers = _Covers(design)
-    for count, (a, b, c, d) in enumerate(_tetrad_indices(design), 1):
-        if count > cap:
-            raise CapExceeded(f"more than {cap} irreducible sequences")
-        yield _witness((pts[a], pts[b], pts[c], pts[d]), covers)
 
 
 def _tables_by_treatment(tables: Iterable[TreatmentTable]) -> Mapping[tuple, TreatmentTable]:
@@ -350,10 +347,9 @@ def _chain_residual(
 
     lhs is ``dist`` over the closing pair inside covers[0]; rhs term i is
     ``dist`` over the adjacent pair (points[i-1], points[i]) inside
-    covers[i].  The points are whatever ``dist`` takes: input points, or
-    indices into a distance table.  Returns (lhs, rhs_terms, residual,
-    violated), where a negative residual, or one below -eps_test in float
-    mode, is a violation."""
+    covers[i].  Returns (lhs, rhs_terms, residual, violated), where a
+    negative residual, or one below -eps_test in float mode, is a
+    violation."""
     lhs = dist(points[0], points[-1], covers[0])
     rhs = tuple(dist(points[i - 1], points[i], covers[i]) for i in range(1, len(points)))
     residual = sum(rhs) - lhs
@@ -397,7 +393,7 @@ def _distance_screen(
     pts: Sequence[InputPoint],
     pairs: Sequence[tuple[int, int]],
     by_t: Mapping[tuple, TreatmentTable],
-    covers: _Covers,
+    design: Design,
     eps_test: float,
 ) -> tuple[list[list], Num, Callable[[InputPoint, InputPoint, tuple], Num]]:
     """One metric's distances over the point-index `pairs`: the table
@@ -415,7 +411,7 @@ def _distance_screen(
     raw = {}
     for i, j in pairs:
         x, y = pts[i], pts[j]
-        raw[x, y] = metric.evaluate(_cover_marginal(by_t, x, y, covers.pair(x, y)))
+        raw[x, y] = metric.evaluate(_cover_marginal(by_t, x, y, design.cover((x, y))))
     values = list(raw.values())
     D: list[list] = [[None] * len(pts) for _ in pts]
     if all(map(is_exact, values)):
@@ -430,45 +426,6 @@ def _distance_screen(
     return D, lim, lambda x, y, cover: raw[x, y]
 
 
-def _scan_tetrads(
-    design: Design,
-    by_t: Mapping[tuple, TreatmentTable],
-    metrics: Sequence[Metric],
-    cap: int,
-    eps_test: float,
-    violations: list,
-) -> tuple[int, bool]:
-    """Chain-test the first `cap` alternating tetrads of a full design under
-    every metric, appending one report per violation to `violations`,
-    tetrads in :func:`_tetrad_indices` order, metrics inner.
-
-    Each tetrad is screened on the distance matrices of
-    :func:`_distance_screen`; only a flagged one goes through
-    :func:`_chain_residual`, which decides it and supplies every reported
-    number.  Returns the number of tetrads tested and whether any remain
-    past `cap`."""
-    pts = design.points()
-    covers = _Covers(design)
-    # every tetrad pair joins points of two distinct inputs of >= 2 values
-    multi = [i for i, p in enumerate(pts) if len(design.values[p.input]) >= 2]
-    pairs = [(i, j) for i in multi for j in multi if pts[i].input != pts[j].input]
-    screens = [
-        (metric, *_distance_screen(metric, pts, pairs, by_t, covers, eps_test))
-        for metric in metrics
-    ]
-    walk = _tetrad_indices(design)
-    tested = 0
-    for a, b, c, d in itertools.islice(walk, max(cap, 0)):
-        tested += 1
-        for metric, D, lim, dist in screens:
-            if D[a][b] + D[b][c] + D[c][d] - D[a][d] < lim:
-                w = _witness((pts[a], pts[b], pts[c], pts[d]), covers)
-                report = _chain_report(metric, w, dist, eps_test)
-                if report.violated:
-                    violations.append(report)
-    return tested, next(walk, None) is not None
-
-
 def run_suite(
     design: Design,
     tables: Iterable[TreatmentTable],
@@ -478,51 +435,54 @@ def run_suite(
     eps_test: float = EPS_TEST,
     on_cap: str = "raise",
 ) -> SuiteReport:
-    """Chain-test every irreducible sequence under every metric.
+    """Chain-test the first `cap` irreducible sequences under every metric,
+    in :func:`enumerate_irreducible` order, metrics inner.
 
     Assumes a validated, marginally selective system; distances are then
     witness-independent, so they are computed once per (metric, ordered
-    point pair) by :func:`_distance_screen`.  A full design's tetrads are
-    screened on that table (see :func:`_scan_tetrads`); other designs'
-    irreducible sequences are walked and each is decided by
-    :func:`_chain_residual` over it.  ``on_cap="truncate"`` turns
-    CapExceeded into a truncated report instead of an exception.
+    point pair) by :func:`_distance_screen`, over the tetrad pairs of a
+    full design or the covered pairs of distinct points of another.  Each
+    sequence is screened on that table; only a flagged one gets its covers
+    and goes through :func:`_chain_residual`, which decides it and supplies
+    every reported number.  Past `cap` sequences CapExceeded is raised, or
+    with ``on_cap="truncate"`` the report is marked truncated.
     """
     by_t = _tables_by_treatment(tables)
     metrics = list(metrics)
+    pts = design.points()
+    near = None
+    full = design.is_full
+    if full:
+        # every tetrad pair joins points of two distinct inputs of >= 2
+        # values; below length 4 there is no tetrad, so no pair is needed
+        multi = [i for i, p in enumerate(pts) if len(design.values[p.input]) >= 2 and max_len >= 4]
+        pairs = [(i, j) for i in multi for j in multi if pts[i].input != pts[j].input]
+    else:
+        near = _cover_graph(design)
+        pairs = [(i, j) for i, js in enumerate(near) for j in sorted(js) if j != i]
+    screens = [
+        (metric, *_distance_screen(metric, pts, pairs, by_t, design, eps_test))
+        for metric in metrics
+    ]
+    seqs = _irreducible_indices(design, max_len, near)
     violations: list[ChainReport] = []
     tested = 0
-    truncated = False
-    try:
-        if not design.is_full:
-            pts = design.points()
-            covers = _Covers(design)
-            index = {p: i for i, p in enumerate(pts)}
-            pairs = [
-                (i, j)
-                for i, x in enumerate(pts)
-                for j, y in enumerate(pts)
-                if i != j and covers.pair(x, y) is not None
-            ]
-            screens = [
-                (metric, *_distance_screen(metric, pts, pairs, by_t, covers, eps_test))
-                for metric in metrics
-            ]
-            for w in enumerate_irreducible(design, max_len, cap):
-                tested += 1
-                seq = [index[p] for p in w.points]
-                for metric, D, _, dist in screens:
-                    # decided on the table; the raw values only for a report
-                    if _chain_residual(seq, w.covers, lambda i, j, cover: D[i][j], eps_test)[3]:
-                        violations.append(_chain_report(metric, w, dist, eps_test))
-        elif max_len >= 4:
-            tested, more = _scan_tetrads(design, by_t, metrics, cap, eps_test, violations)
-            if more:
-                raise CapExceeded(f"more than {cap} irreducible sequences")
-    except CapExceeded:
-        if on_cap != "truncate":
-            raise
-        truncated = True
+    for seq in itertools.islice(seqs, max(cap, 0)):
+        tested += 1
+        for metric, D, lim, dist in screens:
+            if full:  # a tetrad, unrolled: a full design has very many
+                a, b, c, d = seq
+                residual = D[a][b] + D[b][c] + D[c][d] - D[a][d]
+            else:
+                residual = sum(D[seq[k - 1]][seq[k]] for k in range(1, len(seq))) - D[seq[0]][seq[-1]]
+            if residual < lim:
+                w = _witness(tuple(pts[k] for k in seq), design)
+                report = _chain_report(metric, w, dist, eps_test)
+                if report.violated:
+                    violations.append(report)
+    truncated = next(seqs, None) is not None
+    if truncated and on_cap != "truncate":
+        raise CapExceeded(f"more than {cap} irreducible sequences")
     return SuiteReport(
         sequences_tested=tested,
         violations=tuple(violations),

@@ -73,6 +73,10 @@ class TestOverLcm:
         assert [F(v, den) for v in ints] == values
         assert den == math.lcm(*(F(v).denominator for v in values))
 
+    def test_float_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            over_lcm([F(1, 2), 0.5])
+
 
 class TestJsonNumbers:
     def test_fraction_to_string(self):

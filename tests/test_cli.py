@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ordist.cli import main
+from ordist.cli import _build_parser, main
 from ordist.jdc import FineSystem
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -408,6 +408,37 @@ class TestUsageErrors:
         code = main(["check", str(SAMPLES / "product.json"), "--tol-test", "0"])
         capsys.readouterr()
         assert code == 1
+
+    def test_lp_tolerance_is_a_jdc_option(self, capsys):
+        product = str(SAMPLES / "product.json")
+        code, _, err = run(capsys, "check", product, "--tol-lp", "1e-6")
+        assert code == 1
+        assert "--tol-lp" in err
+        assert run(capsys, "jdc", product, "--tol-lp", "1e-6")[0] == 0
+
+
+class TestParserReuse:
+    def test_in_process_calls_print_what_fresh_calls_print(self, capsys):
+        # the parser is built once per process; one call's options must
+        # not carry over into the next
+        import subprocess
+        import sys
+
+        prbox = str(SAMPLES / "prbox.json")
+        two_metrics = [
+            "check", prbox, "--json",
+            "--metric", '{"kind": "classification", "cells": [["0"], ["1"]]}',
+            "--metric", '{"kind": "p", "p": 1, "embed": {"0": 0, "1": 1}}',
+        ]
+        no_metric = ["check", prbox, "--json"]
+        for argv, metrics in ((two_metrics, 2), (no_metric, 1)):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "ordist", *argv], capture_output=True, text=True
+            )
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (fresh.returncode, fresh.stdout)
+            assert len(json.loads(out)["metrics"]) == metrics
+        assert _build_parser() is _build_parser()
 
 
 class TestMalformedSystem:

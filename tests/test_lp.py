@@ -30,6 +30,14 @@ def assert_matches_reference(rows, rhs, eps=0.0):
 
 
 class TestExactMode:
+    def test_float_input_is_a_type_error(self):
+        # exact mode takes ints and Fractions; a float is never converted
+        with pytest.raises(TypeError):
+            solve_equality_feasibility([[F(1), F(1)]], [0.5])
+        with pytest.raises(TypeError):
+            solve_equality_feasibility([[1.0, 1]], [F(1, 2)])
+        assert solve_equality_feasibility([[1, 1]], [F(1, 2)]).feasible
+
     def test_simple_feasible(self):
         rows = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
         rhs = [F(1), F(1)]

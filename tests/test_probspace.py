@@ -91,6 +91,26 @@ class TestDesign:
         d = binary_design()
         assert d.cover([InputPoint("1", "x"), InputPoint("1", "x'")]) is None
 
+    @pytest.mark.parametrize("treatments", [None, [("x'", "y"), ("x", "y'")]])
+    def test_cover_depends_only_on_the_point_set(self, treatments):
+        d = Design(["1", "2"], {"1": ["x", "x'"], "2": ["y", "y'"]}, treatments)
+        points = [InputPoint(n, w) for n in ("1", "2") for w in d.values[n]]
+        for p in points:
+            for q in points:
+                first = d.cover([p, q])
+                assert d.cover([q, p]) == first
+                assert d.cover([p, q]) == first
+                assert d.cover(iter([q, p, q])) == first
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_cover_unknown_input_wherever_it_sits(self, at):
+        # an unknown input raises even next to a point that no treatment holds
+        d = binary_design()
+        points = [InputPoint("1", "x"), InputPoint("2", "no such value")]
+        points.insert(at, InputPoint("3", "x"))
+        with pytest.raises(UnknownInput, match="'3'"):
+            d.cover(points)
+
 
 class TestValidateSystem:
     def test_well_formed_system_passes(self):

@@ -870,6 +870,13 @@ class TestRestrictedCap:
         below = len(irreducible) - 1
         truncated = run_suite(design, tables, metrics, cap=below, on_cap="truncate")
         assert truncated.truncated and truncated.sequences_tested == below
+        first = set(w.points for w in irreducible[:below])
+        kept = [report for report in expected if report.sequence in first]
+        assert as_bytes(truncated.violations) == as_bytes(kept)
+        nothing = run_suite(design, tables, metrics, cap=0, on_cap="truncate")
+        assert nothing.truncated and nothing.sequences_tested == 0 and not nothing.violations
+        with pytest.raises(CapExceeded, match="more than 0 irreducible sequences"):
+            run_suite(design, tables, metrics, cap=0)
         with pytest.raises(CapExceeded, match=f"more than {below} irreducible sequences"):
             run_suite(design, tables, metrics, cap=below)
         with pytest.raises(CapExceeded, match=f"more than {below} irreducible sequences"):
