@@ -139,9 +139,11 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
             for w in values[name]:
                 declared[InputPoint(name, w)] = vals
 
-    # each table's cells as (numerator, denominator) ints or floats
+    # each table's cells as (numerator, denominator) ints or floats; a
+    # string literal is parsed once per document, as tables repeat them
     raw_tables = []
     exact = arithmetic != FLOAT
+    parsed: dict[str, object] = {}
     for tspec in tables_spec:
         try:
             treatment = tuple(tspec["treatment"])
@@ -157,7 +159,12 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
                 raise SystemFormatError(f"bad probability entry {cell!r}") from None
             if outcome in cells:
                 raise SystemFormatError(f"outcome {outcome!r} listed twice")
-            value = parse_ratio(raw, arithmetic)
+            if not isinstance(raw, str):
+                value = parse_ratio(raw, arithmetic)
+            elif raw in parsed:
+                value = parsed[raw]
+            else:
+                value = parsed[raw] = parse_ratio(raw, arithmetic)
             if isinstance(value, float):
                 exact = False
             cells[outcome] = value

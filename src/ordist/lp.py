@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -106,11 +107,15 @@ def _exact_tableau(rows, rhs, n: int, m: int):
         den.append(d)
         signs.append(sign)
     # reduced costs of the phase-1 cost (1 on artificials): minus the
-    # column sums; the last slot carries minus the phase-1 objective
+    # column sums, accumulated over each row's nonzero entries; the last
+    # slot carries minus the phase-1 objective
     cden = lcm(*den)
-    scale = [cden // d for d in den]
-    sums = [-sum(row[j] * s for row, s in zip(T, scale)) for j in (*range(n), n + m)]
-    cost = sums[:n] + [0] * m + sums[n:]
+    cost = [0] * (n + m + 1)
+    for row, d in zip(T, den):
+        s = cden // d
+        for j in compress(range(n), row):
+            cost[j] -= row[j] * s
+        cost[-1] -= row[-1] * s
     g = gcd(cden, *cost)
     return T, den, signs, [v // g for v in cost], cden // g
 

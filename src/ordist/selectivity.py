@@ -35,24 +35,32 @@ All d-values are taken from the witnessing treatments' bivariate
 marginals; under marginal selectivity (checked separately) they do not
 depend on which witness covers a pair.
 
-Both design kinds decide chains in one loop on one distance table per
-metric: the distance of every ordered pair of points a tested sequence
-can use (the tetrad pairs of a full design, else every covered pair of
-distinct points), evaluated once and, when all are exact, scaled by the
-lcm of their denominators to plain ints.  Each sequence, a full design's
-tetrad or a restricted design's walked sequence, is screened by its
-residual on that table (an int, or the raw values with the float
-tolerance).  Only a flagged chain gets its covering treatments and is
-rerun over the raw values by :func:`_chain_residual`, which decides it and
-gives the reported numbers.  The marginal-selectivity check likewise
-compares and measures class members in integer-scaled tables.
+Both design kinds decide chains on one distance table per metric: the
+distance of every ordered pair of points a tested sequence can use (the
+tetrad pairs of a full design, else every covered pair of distinct
+points), evaluated once and, when all are exact, scaled by the lcm of
+their denominators to plain ints.  A sequence is screened by its residual
+on that table (an int, or the raw values with the float tolerance).  A
+restricted design's walked sequences are each screened.  A full design's
+tetrads x, y, x', y' are counted in closed form, and on an int table only
+those with a negative residual are visited: the residual is
+f(y) + g(y'), f(y) = d(x, y) + d(y, x') and g(y') = d(x', y') - d(x, y'),
+so per triple x, y, x' the y' with g(y') < -f(y) are a prefix of the
+other input's points sorted by g, found by bisection.  On a raw-value
+table every tetrad is screened.  Only a flagged chain gets its covering
+treatments and is rerun over the raw values by :func:`_chain_residual`,
+which decides it and gives the reported numbers.  The
+marginal-selectivity check likewise compares and measures class members
+in integer-scaled tables.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arith import EPS_TEST, RATIONAL, Num, is_exact, num_to_json, over_lcm
@@ -220,15 +228,6 @@ def _walk(
             stack.pop()
 
 
-def _irreducible_indices(design: Design, max_len: int, near=None) -> Iterator[tuple[int, ...]]:
-    """The irreducible sequences as point-index tuples: a full design's
-    alternating tetrads (none below length 4), else the pruned walk over
-    the cover graph `near`, built here when not given."""
-    if design.is_full:
-        return _tetrad_indices(design) if max_len >= 4 else iter(())
-    return _walk(design, _cover_graph(design) if near is None else near, max_len, True)
-
-
 def _witness(points: tuple[InputPoint, ...], design: Design) -> SequenceWitness:
     """A realizable sequence with its closing cover, then its step covers."""
     steps = tuple(design.cover(points[i - 1 : i + 1]) for i in range(1, len(points)))
@@ -291,7 +290,11 @@ def enumerate_irreducible(
     designs are walked depth first, extending only prefixes that can
     still become irreducible.
     """
-    return _witnesses(design, _irreducible_indices(design, max_len), cap, "irreducible")
+    if design.is_full:
+        seqs = _tetrad_indices(design) if max_len >= 4 else iter(())
+    else:
+        seqs = _walk(design, _cover_graph(design), max_len, True)
+    return _witnesses(design, seqs, cap, "irreducible")
 
 
 def _tetrad_indices(design: Design) -> Iterator[tuple[int, int, int, int]]:
@@ -395,15 +398,15 @@ def _distance_screen(
     by_t: Mapping[tuple, TreatmentTable],
     design: Design,
     eps_test: float,
-) -> tuple[list[list], Num, Callable[[InputPoint, InputPoint, tuple], Num]]:
+) -> tuple[list[list], Num, Callable[[InputPoint, InputPoint, tuple], Num], bool]:
     """One metric's distances over the point-index `pairs`: the table
     every chain of :func:`run_suite` is decided on.
 
-    Returns (D, lim, dist).  D[i][j] is the distance of (pts[i], pts[j])
-    inside its cover.  When every distance is exact, D holds them scaled
-    once by the lcm of their denominators, so a residual is a plain int
-    whose sign is the exact residual's, and lim is 0.  Otherwise D holds
-    the raw values, a residual is computed exactly as in
+    Returns (D, lim, dist, ints).  D[i][j] is the distance of (pts[i],
+    pts[j]) inside its cover.  When every distance is exact, D holds them
+    scaled once by the lcm of their denominators, so a residual is a plain
+    int whose sign is the exact residual's, lim is 0 and ints is True.
+    Otherwise D holds the raw values, a residual is computed exactly as in
     :func:`_chain_residual`, and a residual below lim is one that may be
     violated: below -eps_test when every distance is a float, below
     max(0, -eps_test) when exact and float distances mix.  ``dist`` serves
@@ -414,7 +417,8 @@ def _distance_screen(
         raw[x, y] = metric.evaluate(_cover_marginal(by_t, x, y, design.cover((x, y))))
     values = list(raw.values())
     D: list[list] = [[None] * len(pts) for _ in pts]
-    if all(map(is_exact, values)):
+    ints = all(map(is_exact, values))
+    if ints:
         values, _ = over_lcm(values)
         lim = 0
     elif any(map(is_exact, values)):
@@ -423,7 +427,95 @@ def _distance_screen(
         lim = -eps_test
     for (i, j), v in zip(pairs, values):
         D[i][j] = v
-    return D, lim, lambda x, y, cover: raw[x, y]
+    return D, lim, lambda x, y, cover: raw[x, y], ints
+
+
+def _tetrad_total(design: Design) -> int:
+    """How many tetrads :func:`_tetrad_indices` yields: a(a-1)b(b-1) over
+    the ordered pairs of distinct inputs with a and b values."""
+    s = [len(design.values[name]) * (len(design.values[name]) - 1) for name in design.inputs]
+    return sum(s) ** 2 - sum(v * v for v in s)
+
+
+def _tetrad_candidates(
+    design: Design, tables: Sequence[tuple[list[list], bool]], cap: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Among the first `cap` tetrads of :func:`_tetrad_indices`, those that
+    may be flagged on distance table k, as (a, b, c, d, k) in tetrad order,
+    k inner.  `tables` holds (D, ints) per metric, as from
+    :func:`_distance_screen`.
+
+    Fix x, x' (indices a, c) of one input and another input Y.  The
+    residual of the tetrad x, y, x', y' is f(y) + g(y'), with
+    f(y) = D[x][y] + D[y][x'] and g(y') = D[x'][y'] - D[x][y'].  On an int
+    table Y's points are sorted by g once per (x, x', Y), and for each y
+    the y' with g(y') < -f(y), the only ones whose residual is negative,
+    are the prefix found by bisection.  For each (x, y), an int table on
+    which no x' has min g < -f(y) is skipped whole.  On a table of raw values every y' is a candidate: float addition is
+    not associative, so f + g can round differently from the residual's
+    left-to-right sum.  The tetrads of one triple are consecutive, so the
+    cap cuts inside at most one triple."""
+    pts = design.points()
+    of_input = {
+        name: [i for i, p in enumerate(pts) if p.input == name] for name in design.inputs
+    }
+    seen = 0  # tetrads before the current triple
+    for a, x in enumerate(pts):
+        if seen >= cap:
+            return
+        xs = [c for c in of_input[x.input] if c != a]
+        if not xs:
+            continue
+        others = [n for n in design.inputs if n != x.input and len(of_input[n]) >= 2]
+        # per int table, per input Y: for each x' in xs, Y's points sorted
+        # by g with their g values; and each x''s least g
+        by_g = []
+        for D, ints in tables:
+            per_input = {}
+            for name in others if ints else ():
+                lists = []
+                for c in xs:
+                    g = {d: D[c][d] - D[a][d] for d in of_input[name]}
+                    order = sorted(g, key=g.__getitem__)
+                    lists.append(([g[d] for d in order], order))
+                per_input[name] = lists, [gs[0] for gs, _ in lists]
+            by_g.append(per_input)
+        for b, y in enumerate(pts):
+            if y.input not in others:
+                continue
+            ys = [d for d in of_input[y.input] if d != b]
+            # (k, -D[x][y], D[y], lists) of the tables that may flag a
+            # tetrad x, y, ...; lists is None on a raw-value table
+            live = []
+            for k, (D, ints) in enumerate(tables):
+                if not ints:
+                    live.append((k, None, None, None))
+                    continue
+                lists, least = by_g[k][y.input]
+                Db, fa = D[b], -D[a][b]
+                if min(map(add, map(Db.__getitem__, xs), least)) < fa:
+                    live.append((k, fa, Db, lists))
+            if not live:
+                seen += len(xs) * len(ys)
+                continue
+            for i, c in enumerate(xs):
+                if seen >= cap:
+                    return
+                # with fewer than len(ys) tetrads left, keep the y' before ys[left]
+                left = cap - seen
+                stop = ys[left] if left < len(ys) else len(pts)
+                seen += len(ys)
+                hits = []
+                for k, fa, Db, lists in live:
+                    if lists is None:
+                        hits.extend((d, k) for d in ys if d < stop)
+                    else:
+                        gs, order = lists[i]
+                        prefix = order[: bisect_left(gs, fa - Db[c])]
+                        hits.extend((d, k) for d in prefix if d != b and d < stop)
+                hits.sort()
+                for d, k in hits:
+                    yield a, b, c, d, k
 
 
 def run_suite(
@@ -441,16 +533,19 @@ def run_suite(
     Assumes a validated, marginally selective system; distances are then
     witness-independent, so they are computed once per (metric, ordered
     point pair) by :func:`_distance_screen`, over the tetrad pairs of a
-    full design or the covered pairs of distinct points of another.  Each
-    sequence is screened on that table; only a flagged one gets its covers
-    and goes through :func:`_chain_residual`, which decides it and supplies
-    every reported number.  Past `cap` sequences CapExceeded is raised, or
-    with ``on_cap="truncate"`` the report is marked truncated.
+    full design or the covered pairs of distinct points of another.  A
+    restricted design's walked sequences are each screened on that table.
+    A full design's tetrads are counted in closed form and screened per
+    triple x, y, x' by :func:`_tetrad_candidates`: on an int table only
+    the y' whose residual is negative reach the residual, on a raw-value
+    table every y' does.  Only a flagged chain gets its covers and goes
+    through :func:`_chain_residual`, which decides it and supplies every
+    reported number.  Past `cap` sequences CapExceeded is raised, or with
+    ``on_cap="truncate"`` the report is marked truncated.
     """
     by_t = _tables_by_treatment(tables)
     metrics = list(metrics)
     pts = design.points()
-    near = None
     full = design.is_full
     if full:
         # every tetrad pair joins points of two distinct inputs of >= 2
@@ -464,23 +559,36 @@ def run_suite(
         (metric, *_distance_screen(metric, pts, pairs, by_t, design, eps_test))
         for metric in metrics
     ]
-    seqs = _irreducible_indices(design, max_len, near)
     violations: list[ChainReport] = []
-    tested = 0
-    for seq in itertools.islice(seqs, max(cap, 0)):
-        tested += 1
-        for metric, D, lim, dist in screens:
-            if full:  # a tetrad, unrolled: a full design has very many
-                a, b, c, d = seq
-                residual = D[a][b] + D[b][c] + D[c][d] - D[a][d]
-            else:
-                residual = sum(D[seq[k - 1]][seq[k]] for k in range(1, len(seq))) - D[seq[0]][seq[-1]]
-            if residual < lim:
-                w = _witness(tuple(pts[k] for k in seq), design)
-                report = _chain_report(metric, w, dist, eps_test)
-                if report.violated:
-                    violations.append(report)
-    truncated = next(seqs, None) is not None
+
+    def decide(seq: tuple[int, ...], k: int) -> None:
+        metric, D, lim, dist, _ = screens[k]
+        if full:  # a tetrad, unrolled: a raw-value table screens every one
+            a, b, c, d = seq
+            residual = D[a][b] + D[b][c] + D[c][d] - D[a][d]
+        else:
+            residual = sum(D[seq[i - 1]][seq[i]] for i in range(1, len(seq))) - D[seq[0]][seq[-1]]
+        if residual < lim:
+            w = _witness(tuple(pts[i] for i in seq), design)
+            report = _chain_report(metric, w, dist, eps_test)
+            if report.violated:
+                violations.append(report)
+
+    if full:
+        total = _tetrad_total(design) if max_len >= 4 else 0
+        tested = min(total, max(cap, 0))
+        truncated = total > tested
+        candidates = _tetrad_candidates(design, [(D, ints) for _, D, _, _, ints in screens], tested)
+        for a, b, c, d, k in candidates:
+            decide((a, b, c, d), k)
+    else:
+        seqs = _walk(design, near, max_len, True)
+        tested = 0
+        for seq in itertools.islice(seqs, max(cap, 0)):
+            tested += 1
+            for k in range(len(screens)):
+                decide(seq, k)
+        truncated = next(seqs, None) is not None
     if truncated and on_cap != "truncate":
         raise CapExceeded(f"more than {cap} irreducible sequences")
     return SuiteReport(

@@ -7,6 +7,7 @@ import pytest
 
 from ordist import (
     SystemFormatError,
+    arith,
     default_order_metric,
     dumps_report,
     load_metric,
@@ -112,6 +113,47 @@ class TestLoadSystem:
             load_system({"inputs": []})
         with pytest.raises(SystemFormatError):
             load_system({"inputs": [{"name": "1", "values": ["x"]}]})
+
+
+def two_table_doc(first, second):
+    """minimal_doc with a second treatment; each list holds its table's
+    four cell literals in outcome order."""
+    doc = minimal_doc()
+    doc["treatments"] = [["x", "y"], ["x'", "y"]]
+    probs = [dict(cell) for cell in doc["tables"][0]["probs"]]
+    doc["tables"].append({"treatment": ["x'", "y"], "probs": probs})
+    for table, literals in zip(doc["tables"], (first, second)):
+        for cell, p in zip(table["probs"], literals):
+            cell["p"] = p
+    return doc
+
+
+class TestLiteralsParsedOnce:
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The string literals arith._text_ratio is called on, in order."""
+        calls = []
+        real = arith._text_ratio
+
+        def counting(text, mode):
+            calls.append(text)
+            return real(text, mode)
+
+        monkeypatch.setattr(arith, "_text_ratio", counting)
+        return calls
+
+    def test_each_distinct_literal_once(self, parsed):
+        doc = two_table_doc(["1/4", "0.25", "1/4", "1/4"], ["0.25", "1/8", "3/8", "1/4"])
+        loaded = load_system(doc)
+        assert parsed == ["1/4", "0.25", "1/8", "3/8"]
+        assert [t.prob(("1", "0")) for t in loaded.tables] == [F(1, 4), F(3, 8)]
+
+    def test_repeated_malformed_literal_raises_its_message_once(self, parsed):
+        doc = two_table_doc(["1/4", "oops", "1/4", "1/4"], ["oops", "1/x", "oops", "1/4"])
+        with pytest.raises(SystemFormatError) as caught:
+            load_system(doc)
+        assert str(caught.value) == "bad system file: not a number: 'oops'"
+        assert parsed == ["1/4", "oops"]
 
 
 class TestLoadMetric:

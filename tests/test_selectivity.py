@@ -31,6 +31,7 @@ from irreducible_reference import subset_scan_irreducible
 from msel_reference import reference_marginal_selectivity
 from ordist.arith import EPS_TEST
 from ordist.fileio import load_system
+from ordist.selectivity import _tetrad_candidates, _tetrad_indices, _tetrad_total
 from randsys import (
     binary_design,
     canonical_order_specs,
@@ -882,3 +883,144 @@ class TestRestrictedCap:
         with pytest.raises(CapExceeded, match=f"more than {below} irreducible sequences"):
             list(enumerate_irreducible(design, 6, cap=below))
         assert list(enumerate_irreducible(design, 6, cap=len(irreducible))) == irreducible
+
+
+def unrolled(D, tetrad):
+    a, b, c, d = tetrad
+    return D[a][b] + D[b][c] + D[c][d] - D[a][d]
+
+
+def random_distance_tables(rng, design, count):
+    """`count` int distance tables over the cross-input pairs of points of
+    inputs with two or more values (None elsewhere, as _distance_screen
+    leaves them), each with some tetrads tied at residual exactly 0."""
+    pts = design.points()
+    multi = [len(design.values[p.input]) >= 2 for p in pts]
+    tetrads = list(_tetrad_indices(design))
+    tables = []
+    for _ in range(count):
+        D = [
+            [rng.randint(-2, 3) if multi[i] and multi[j] and p.input != q.input else None
+             for j, q in enumerate(pts)]
+            for i, p in enumerate(pts)
+        ]
+        # residual 0: g(y') == -f(y), the tie the bisection must leave out
+        for a, b, c, d in rng.sample(tetrads, min(len(tetrads), 6)):
+            D[a][d] = D[a][b] + D[b][c] + D[c][d]
+        tables.append(D)
+    return tables
+
+
+def random_tetrad_design(rng):
+    """A full design over 2-4 inputs of 1-4 values, at least two inputs
+    with two or more."""
+    names = [str(k + 1) for k in range(rng.randint(2, 4))]
+    sizes = [rng.randint(1, 4) for _ in names]
+    sizes[0], sizes[-1] = max(sizes[0], 2), max(sizes[-1], 2)
+    rng.shuffle(sizes)
+    return Design(names, {n: [f"w{k}" for k in range(s)] for n, s in zip(names, sizes)})
+
+
+class TestTetradScreen:
+    """_tetrad_candidates against _tetrad_indices plus the unrolled residual."""
+
+    def expected(self, design, tables, cap):
+        return [
+            (*t, k)
+            for t in itertools.islice(_tetrad_indices(design), cap)
+            for k, (D, ints) in enumerate(tables)
+            if not ints or unrolled(D, t) < 0
+        ]
+
+    def test_int_tables_yield_exactly_the_negative_tetrads(self):
+        rng = random.Random("tetrad-screen")
+        ties = 0
+        for _ in range(40):
+            design = random_tetrad_design(rng)
+            tables = [(D, True) for D in random_distance_tables(rng, design, rng.randint(1, 3))]
+            total = _tetrad_total(design)
+            assert total == sum(1 for _ in _tetrad_indices(design))
+            got = list(_tetrad_candidates(design, tables, total))
+            assert got == self.expected(design, tables, total)
+            ties += sum(unrolled(D, t) == 0 for t in _tetrad_indices(design) for D, _ in tables)
+        assert ties > 0
+
+    def test_raw_value_tables_keep_every_tetrad(self):
+        # a raw-value table between two int tables: every tetrad is its
+        # candidate, and the candidates of all three come in (y', table) order
+        rng = random.Random("tetrad-screen-raw")
+        for _ in range(10):
+            design = random_tetrad_design(rng)
+            first, floats, last = random_distance_tables(rng, design, 3)
+            floats = [[v if v is None else v + 0.5 for v in row] for row in floats]
+            tables = [(first, True), (floats, False), (last, True)]
+            total = _tetrad_total(design)
+            got = list(_tetrad_candidates(design, tables, total))
+            assert got == self.expected(design, tables, total)
+            assert sum(1 for *_, k in got if k == 1) == total
+
+    def test_cap_cuts_inside_a_triple(self):
+        rng = random.Random("tetrad-screen-cap")
+        for _ in range(10):
+            design = random_tetrad_design(rng)
+            D, floats = random_distance_tables(rng, design, 2)
+            tables = [(D, True), (floats, False)]
+            total = _tetrad_total(design)
+            caps = {0, 1, total - 1, total, total + 1, rng.randrange(total + 1)}
+            for cap in sorted(caps):
+                got = list(_tetrad_candidates(design, tables, cap))
+                assert got == self.expected(design, tables, cap), cap
+
+    def test_exact_and_power_metrics_interleave_by_tetrad(self):
+        # an exact order-distance and its 9/10 power (floats, exact 0):
+        # each tetrad's reports come together, the exact metric's first,
+        # and within one triple x, y, x' the y' go in design order
+        rng = random.Random("tetrad-screen-power")
+        for _ in range(20):
+            design, tables = random_full_system(rng, "rational")
+            order = OrderDistance(random_order_spec(rng, tables))
+            metrics = [order, PowerOf(order, F(9, 10))]
+            suite = run_suite(design, tables, metrics)
+            violations, tested, _ = oracle_suite(design, tables, metrics)
+            assert suite.sequences_tested == tested
+            assert as_bytes(suite.violations) == as_bytes(violations)
+            seqs = [v.sequence for v in suite.violations]
+            both = [s for s, t in zip(seqs, seqs[1:]) if s == t]
+            triples = [s[:3] for s in dict.fromkeys(seqs)]
+            if both and len(triples) > len(set(triples)):
+                break
+        else:
+            pytest.fail("no sample with a tetrad violated under both metrics")
+        pairs = [v for v in suite.violations if seqs.count(v.sequence) == 2]
+        assert [v.metric for v in pairs] == ["order", "(order)^9/10"] * (len(pairs) // 2)
+
+    def test_every_cap_on_a_three_input_design(self):
+        rng = random.Random("tetrad-screen-every-cap")
+        names = ["1", "2", "3"]
+        design = Design(names, {"1": ["w0", "w1"], "2": ["w0", "w1", "w2"], "3": ["w0", "w1"]})
+        outcomes = list(itertools.product("01", repeat=3))
+        tables = [
+            TreatmentTable(design, t, dict(zip(outcomes, random_dist(rng, 8, 12))),
+                           axes=[("0", "1")] * 3)
+            for t in design.iter_treatments()
+        ]
+        metrics = [
+            OrderDistance(random_order_spec(rng, tables)),
+            ClassificationDistance(cells=(("0",), ("1",))),
+        ]
+        total = _tetrad_total(design)
+        assert total == 56
+        for cap in range(total + 2):
+            suite = run_suite(design, tables, metrics, cap=cap, on_cap="truncate")
+            violations, tested, truncated = oracle_suite(
+                design, tables, metrics, cap=cap, on_cap="truncate"
+            )
+            assert suite.sequences_tested == tested == min(cap, total)
+            assert suite.truncated is truncated is (cap < total)
+            assert as_bytes(suite.violations) == as_bytes(violations)
+            if cap < total:
+                with pytest.raises(CapExceeded, match=f"more than {cap} irreducible"):
+                    run_suite(design, tables, metrics, cap=cap)
+            else:
+                assert run_suite(design, tables, metrics, cap=cap).truncated is False
+        assert violations
