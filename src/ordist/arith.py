@@ -170,5 +170,5 @@ def num_to_json(x: Num):
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, int) and not isinstance(x, bool):
-        return str(Fraction(x))
+        return str(x)
     return x

@@ -65,9 +65,10 @@ class BinormalSystem:
         )
         if len(pts) < 3:
             raise ValueError("a chain needs at least three points")
-        lhs, rhs, residual, violated = _chain_residual(
-            pts, (None,) * len(pts), lambda x, y, _: self.order_distance(x, y), eps_test
-        )
+        d = self.order_distance
+        lhs = d(pts[0], pts[-1])
+        rhs = tuple(d(x, y) for x, y in zip(pts, pts[1:]))
+        lhs, rhs, residual, violated = _chain_residual(lhs, rhs, eps_test)
         return ChainReport(
             sequence=pts,
             metric="order:sign",

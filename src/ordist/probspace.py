@@ -629,6 +629,28 @@ def _sums(cells: Sequence, sizes: tuple, keep: tuple) -> list:
     return [functools.reduce(add, get(cells)) for get in _summands(sizes, keep)]
 
 
+#: how many map objects :func:`_column_sums` nests at most, which bounds the
+#: depth of the C calls that pull one sum through them
+_NEST = 64
+
+
+def _column_sums(columns: Sequence[tuple], sizes: tuple, keep: tuple) -> list[tuple]:
+    """:func:`_sums` of several tables of one layout at once.  ``columns``
+    holds one tuple per cell, of that cell's value in each table (the
+    tables' cells transposed); returns one tuple per vector of kept values,
+    of each table's sum.  Each sum adds its cells left to right, as
+    :func:`_sums` does, so float sums come out bit for bit the same."""
+    stack = functools.partial(map, operator.add)
+    out = []
+    for get in _summands(sizes, keep):
+        cols = get(columns)
+        acc = cols[0]
+        for k in range(1, len(cols), _NEST):
+            acc = tuple(functools.reduce(stack, cols[k : k + _NEST], acc))
+        out.append(acc)
+    return out
+
+
 def _marginal_sums(table: TreatmentTable, keep: tuple) -> list:
     """The marginal over the positions `keep` in row-major order; an exact
     table's is summed in its ints and divided once."""

@@ -38,30 +38,37 @@ depend on which witness covers a pair.
 Both design kinds decide chains on one distance table per metric: the
 distance of every ordered pair of points a tested sequence can use (the
 tetrad pairs of a full design, else every covered pair of distinct
-points), evaluated once and, when all are exact, scaled by the lcm of
-their denominators to plain ints.  A sequence is screened by its residual
-on that table (an int, or the raw values with the float tolerance).  A
-restricted design's walked sequences are each screened.  A full design's
-tetrads x, y, x', y' are counted in closed form, and on an int table only
-those with a negative residual are visited: the residual is
-f(y) + g(y'), f(y) = d(x, y) + d(y, x') and g(y') = d(x', y') - d(x, y'),
-so per triple x, y, x' the y' with g(y') < -f(y) are a prefix of the
-other input's points sorted by g, found by bisection.  On a raw-value
-table every tetrad is screened.  Only a flagged chain gets its covering
-treatments and is rerun over the raw values by :func:`_chain_residual`,
-which decides it and gives the reported numbers.  The
-marginal-selectivity check likewise compares and measures class members
-in integer-scaled tables.
+points), evaluated once on the pair's joint inside its cover and, when all
+are exact, scaled by the lcm of their denominators to plain ints.  A
+sequence is screened by its residual on that table (an int, or the raw
+values with the float tolerance).  A restricted design's walked sequences
+are each screened.  A full design's tetrads x, y, x', y' are counted in
+closed form, and only those whose residual may be below the limit are
+visited: the residual is f(y) + g(y'), f(y) = d(x, y) + d(y, x') and
+g(y') = d(x', y') - d(x, y'), so per triple x, y, x' the y' with
+g(y') < -f(y) are a prefix of the other input's points sorted by g, found
+by bisection.  On an int table that prefix is exact; on a raw-value table
+it is taken over the values as floats, with a slack that covers the
+rounding.  A flagged chain is reported from the tables the screen built
+beside the distances: the raw values, the covering treatments, and the
+int residual over the lcm denominator, or on a raw-value table the
+residual :func:`_chain_residual` adds over the raw values.  The
+marginal-selectivity check sums the marginals of all tables of one cell
+layout together, column by column over their integer-scaled cells, and
+compares each class of tables in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from operator import add, eq, itemgetter, lt, mul, sub
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arith import EPS_TEST, RATIONAL, Num, is_exact, num_to_json, over_lcm
 from .errors import CapExceeded, SystemFormatError
@@ -73,8 +80,8 @@ from .probspace import (
     TreatmentTable,
     bivariate,
     diagonal_coupling,
+    _column_sums,
     _keyed,
-    _sums,
 )
 
 MAX_SEQUENCES = 1_000_000
@@ -341,21 +348,14 @@ def _cover_marginal(
 
 
 def _chain_residual(
-    points: Sequence[InputPoint],
-    covers: Sequence,
-    dist: Callable[[InputPoint, InputPoint, tuple], Num],
-    eps_test: float,
+    lhs: Num, rhs: tuple[Num, ...], eps_test: float
 ) -> tuple[Num, tuple[Num, ...], Num, bool]:
-    """The chain inequality for one sequence, as plain values.
-
-    lhs is ``dist`` over the closing pair inside covers[0]; rhs term i is
-    ``dist`` over the adjacent pair (points[i-1], points[i]) inside
-    covers[i].  Returns (lhs, rhs_terms, residual, violated), where a
-    negative residual, or one below -eps_test in float mode, is a
-    violation."""
-    lhs = dist(points[0], points[-1], covers[0])
-    rhs = tuple(dist(points[i - 1], points[i], covers[i]) for i in range(1, len(points)))
-    residual = sum(rhs) - lhs
+    """The chain inequality for one sequence, as plain values: lhs is the
+    distance over its closing pair, rhs the distances over its adjacent
+    pairs in order.  Returns (lhs, rhs, residual, violated), where the
+    residual adds rhs left to right and subtracts lhs, and a negative
+    residual, or one below -eps_test in float mode, is a violation."""
+    residual = functools.reduce(add, rhs, 0) - lhs
     violated = residual < 0 if is_exact(residual) else residual < -eps_test
     return lhs, rhs, residual, violated
 
@@ -373,61 +373,109 @@ def chain_test(
     that step's cover.  A repeated point contributes its diagonal coupling
     (distance zero for any p.q.-metric)."""
     by_t = _tables_by_treatment(tables)
+    points, covers = witness.points, witness.covers
 
-    def dist(x: InputPoint, y: InputPoint, cover: tuple) -> Num:
-        return metric.evaluate(_cover_marginal(by_t, x, y, cover))
+    def dist(k: int, x: InputPoint, y: InputPoint) -> Num:
+        return metric.evaluate(_cover_marginal(by_t, x, y, covers[k]))
 
-    return _chain_report(metric, witness, dist, eps_test)
-
-
-def _chain_report(
-    metric: Metric,
-    witness: SequenceWitness,
-    dist: Callable[[InputPoint, InputPoint, tuple], Num],
-    eps_test: float,
-) -> ChainReport:
-    """:func:`_chain_residual` of one sequence, as a report."""
-    values = _chain_residual(witness.points, witness.covers, dist, eps_test)
-    return ChainReport(witness.points, metric.describe(), *values, witness.covers)
+    lhs = dist(0, points[0], points[-1])
+    rhs = tuple(dist(i, points[i - 1], points[i]) for i in range(1, len(points)))
+    return ChainReport(points, metric.describe(), *_chain_residual(lhs, rhs, eps_test), covers)
 
 
 def _distance_screen(
-    metric: Metric,
+    metrics: Sequence[Metric],
     pts: Sequence[InputPoint],
     pairs: Sequence[tuple[int, int]],
     by_t: Mapping[tuple, TreatmentTable],
     design: Design,
     eps_test: float,
-) -> tuple[list[list], Num, Callable[[InputPoint, InputPoint, tuple], Num], bool]:
-    """One metric's distances over the point-index `pairs`: the table
-    every chain of :func:`run_suite` is decided on.
+) -> tuple[list[list], list[tuple[list[list], list[list], Num, Optional[int]]]]:
+    """Every metric's distances over the point-index `pairs`: the tables
+    every chain of :func:`run_suite` is decided and reported on.
 
-    Returns (D, lim, dist, ints).  D[i][j] is the distance of (pts[i],
-    pts[j]) inside its cover.  When every distance is exact, D holds them
-    scaled once by the lcm of their denominators, so a residual is a plain
-    int whose sign is the exact residual's, lim is 0 and ints is True.
-    Otherwise D holds the raw values, a residual is computed exactly as in
+    Each pair's joint is built once, inside its cover, and every metric is
+    evaluated on it.  Returns (C, screens): C[i][j] is the cover of
+    (pts[i], pts[j]), and screens holds (D, R, lim, den) per metric.
+    R[i][j] is the metric's value on that pair.  When every value is
+    exact, D holds them as ints over the lcm den of their denominators, so
+    a residual on D is a plain int whose sign is the exact residual's, and
+    lim is 0.  Otherwise D is R, den is None, a residual is computed as in
     :func:`_chain_residual`, and a residual below lim is one that may be
-    violated: below -eps_test when every distance is a float, below
-    max(0, -eps_test) when exact and float distances mix.  ``dist`` serves
-    the raw values to :func:`_chain_residual`."""
-    raw = {}
-    for i, j in pairs:
-        x, y = pts[i], pts[j]
-        raw[x, y] = metric.evaluate(_cover_marginal(by_t, x, y, design.cover((x, y))))
-    values = list(raw.values())
-    D: list[list] = [[None] * len(pts) for _ in pts]
-    ints = all(map(is_exact, values))
-    if ints:
-        values, _ = over_lcm(values)
-        lim = 0
-    elif any(map(is_exact, values)):
-        lim = max(0, -eps_test)
-    else:
-        lim = -eps_test
-    for (i, j), v in zip(pairs, values):
-        D[i][j] = v
-    return D, lim, lambda x, y, cover: raw[x, y], ints
+    violated: below -eps_test when every value is a float, below
+    max(0, -eps_test) when exact and float values mix."""
+    n = len(pts)
+
+    def table(values: Iterable) -> list[list]:
+        T: list[list] = [[None] * n for _ in range(n)]
+        for (i, j), v in zip(pairs, values):
+            T[i][j] = v
+        return T
+
+    covers = [design.cover((pts[i], pts[j])) for i, j in pairs] if metrics else []
+    marginals = [
+        _cover_marginal(by_t, pts[i], pts[j], cover) for (i, j), cover in zip(pairs, covers)
+    ]
+    screens = []
+    for metric in metrics:
+        raw = list(map(metric.evaluate, marginals))
+        R = table(raw)
+        if all(map(is_exact, raw)):
+            ints, den = over_lcm(raw)
+            screens.append((table(ints), R, 0, den))
+        else:
+            lim = max(0, -eps_test) if any(map(is_exact, raw)) else -eps_test
+            screens.append((R, R, lim, None))
+    return table(covers), screens
+
+
+#: the slack of a float view, relative to max|value| + |lim|
+_SLACK = 2.0**-40
+
+
+def _candidate_view(
+    D: list[list], lim: Num, den: Optional[int], pairs: Sequence[tuple[int, int]]
+) -> tuple[list[list], Num]:
+    """The table G and bound B that :func:`_tetrad_candidates` screens one
+    metric's screen (D, lim, den) of :func:`_distance_screen` on.
+
+    An int table is its own view, with bound 0.  A raw-value table is
+    viewed as floats, G = float(D), with B = lim + slack,
+    slack = 2^-40 (M + L) + 2^-1022, M = max|G| and L = |lim|.  Then every
+    tetrad whose residual on D, added left to right, is below lim is a
+    candidate.  Proof: let u = 2^-53.  Rounding to nearest moves a result
+    by at most u of its size, plus 2^-1075 when an exact value converts
+    to a subnormal float; float addition of a subnormal sum is exact.  The
+    residual r1 + r2 + r3 - r4 rounds at most 7 times: 3 float operations,
+    and 4 conversions of an exact value or an exact partial sum to float,
+    each of a quantity of size at most 4M(1 + 2u).  The screen rounds the
+    4 conversions into G, g = G[x'][y'] - G[x][y'] once, the threshold
+    (B - G[x][y]) - G[y][x'] twice, and B itself once, each of a quantity
+    of size at most 2M + 2L + slack.  Writing the real residual both ways,
+    g minus the threshold equals the computed residual minus lim minus
+    slack, up to all these errors, which sum to less than
+    64u (M + L) + 2^-1071, far below the slack.  So a residual below lim
+    puts g below the threshold.
+
+    A table with a non-finite value, or a value too large for a float, or
+    so large that 8 (M + L) overflows, is viewed as zeros with bound
+    +inf: every y' is then a candidate."""
+    if den is not None:
+        return D, 0
+    n = len(D)
+    try:
+        floats = [float(D[i][j]) for i, j in pairs]
+        M = max(map(abs, floats), default=0.0)
+        L = abs(lim)
+        finite = all(map(math.isfinite, floats)) and math.isfinite(8 * (M + L))
+    except OverflowError:
+        finite = False
+    if not finite:
+        return [[0] * n for _ in range(n)], math.inf
+    G: list[list] = [[None] * n for _ in range(n)]
+    for (i, j), v in zip(pairs, floats):
+        G[i][j] = v
+    return G, lim + (_SLACK * (M + L) + sys.float_info.min)
 
 
 def _tetrad_total(design: Design) -> int:
@@ -438,23 +486,24 @@ def _tetrad_total(design: Design) -> int:
 
 
 def _tetrad_candidates(
-    design: Design, tables: Sequence[tuple[list[list], bool]], cap: int
+    design: Design, tables: Sequence[tuple[list[list], Num]], cap: int
 ) -> Iterator[tuple[int, int, int, int, int]]:
     """Among the first `cap` tetrads of :func:`_tetrad_indices`, those that
-    may be flagged on distance table k, as (a, b, c, d, k) in tetrad order,
-    k inner.  `tables` holds (D, ints) per metric, as from
-    :func:`_distance_screen`.
+    may be flagged on table k, as (a, b, c, d, k) in tetrad order, k inner.
+    `tables` holds a view (G, B) per metric, as from
+    :func:`_candidate_view`.
 
     Fix x, x' (indices a, c) of one input and another input Y.  The
     residual of the tetrad x, y, x', y' is f(y) + g(y'), with
-    f(y) = D[x][y] + D[y][x'] and g(y') = D[x'][y'] - D[x][y'].  On an int
-    table Y's points are sorted by g once per (x, x', Y), and for each y
-    the y' with g(y') < -f(y), the only ones whose residual is negative,
-    are the prefix found by bisection.  For each (x, y), an int table on
-    which no x' has min g < -f(y) is skipped whole.  On a table of raw values every y' is a candidate: float addition is
-    not associative, so f + g can round differently from the residual's
-    left-to-right sum.  The tetrads of one triple are consecutive, so the
-    cap cuts inside at most one triple."""
+    f(y) = G[x][y] + G[y][x'] and g(y') = G[x'][y'] - G[x][y'].  Y's points
+    are sorted by g once per (x, x', Y), and for each y the candidates are
+    the y' with g(y') < (B - G[x][y]) - G[y][x'], that is g < -f(y) + B: a
+    prefix found by bisection.  For each (x, y), a table on which no x'
+    has its least g below that threshold is skipped whole.  On an int
+    table B is 0 and the candidates are exactly the tetrads whose residual
+    is negative; on a float view B covers the rounding.  The tetrads of
+    one triple are consecutive, so the cap cuts inside at most one
+    triple."""
     pts = design.points()
     of_input = {
         name: [i for i, p in enumerate(pts) if p.input == name] for name in design.inputs
@@ -467,15 +516,15 @@ def _tetrad_candidates(
         if not xs:
             continue
         others = [n for n in design.inputs if n != x.input and len(of_input[n]) >= 2]
-        # per int table, per input Y: for each x' in xs, Y's points sorted
-        # by g with their g values; and each x''s least g
+        # per table, per input Y: for each x' in xs, Y's points sorted by g
+        # with their g values; and each x''s least g
         by_g = []
-        for D, ints in tables:
+        for G, _ in tables:
             per_input = {}
-            for name in others if ints else ():
+            for name in others:
                 lists = []
                 for c in xs:
-                    g = {d: D[c][d] - D[a][d] for d in of_input[name]}
+                    g = {d: G[c][d] - G[a][d] for d in of_input[name]}
                     order = sorted(g, key=g.__getitem__)
                     lists.append(([g[d] for d in order], order))
                 per_input[name] = lists, [gs[0] for gs, _ in lists]
@@ -484,17 +533,15 @@ def _tetrad_candidates(
             if y.input not in others:
                 continue
             ys = [d for d in of_input[y.input] if d != b]
-            # (k, -D[x][y], D[y], lists) of the tables that may flag a
-            # tetrad x, y, ...; lists is None on a raw-value table
+            # (k, the threshold per x' in xs, lists) of the tables that may
+            # flag a tetrad x, y, ...
             live = []
-            for k, (D, ints) in enumerate(tables):
-                if not ints:
-                    live.append((k, None, None, None))
-                    continue
+            for k, (G, B) in enumerate(tables):
                 lists, least = by_g[k][y.input]
-                Db, fa = D[b], -D[a][b]
-                if min(map(add, map(Db.__getitem__, xs), least)) < fa:
-                    live.append((k, fa, Db, lists))
+                Gb = G[b]
+                limits = list(map(sub, itertools.repeat(B - G[a][b]), map(Gb.__getitem__, xs)))
+                if any(map(lt, least, limits)):
+                    live.append((k, limits, lists))
             if not live:
                 seen += len(xs) * len(ys)
                 continue
@@ -506,16 +553,18 @@ def _tetrad_candidates(
                 stop = ys[left] if left < len(ys) else len(pts)
                 seen += len(ys)
                 hits = []
-                for k, fa, Db, lists in live:
-                    if lists is None:
-                        hits.extend((d, k) for d in ys if d < stop)
-                    else:
-                        gs, order = lists[i]
-                        prefix = order[: bisect_left(gs, fa - Db[c])]
-                        hits.extend((d, k) for d in prefix if d != b and d < stop)
+                for k, limits, lists in live:
+                    gs, order = lists[i]
+                    prefix = order[: bisect_left(gs, limits[i])]
+                    hits.extend((d, k) for d in prefix if d != b and d < stop)
                 hits.sort()
                 for d, k in hits:
                     yield a, b, c, d, k
+
+
+def _adjacent(T: list[list], seq: Sequence[int]) -> Iterator:
+    """T[i][j] over the adjacent index pairs (i, j) of `seq`, in order."""
+    return map(list.__getitem__, map(T.__getitem__, seq), seq[1:])
 
 
 def run_suite(
@@ -536,15 +585,19 @@ def run_suite(
     full design or the covered pairs of distinct points of another.  A
     restricted design's walked sequences are each screened on that table.
     A full design's tetrads are counted in closed form and screened per
-    triple x, y, x' by :func:`_tetrad_candidates`: on an int table only
-    the y' whose residual is negative reach the residual, on a raw-value
-    table every y' does.  Only a flagged chain gets its covers and goes
-    through :func:`_chain_residual`, which decides it and supplies every
-    reported number.  Past `cap` sequences CapExceeded is raised, or with
-    ``on_cap="truncate"`` the report is marked truncated.
+    triple x, y, x' by :func:`_tetrad_candidates`, which passes on only
+    the y' whose residual may be below the limit: exactly the negative
+    ones on an int table, a few more on a raw-value table.  A flagged
+    chain is reported from the screen's tables: its distances from R, its
+    covers from C.  On an int table its residual is the int residual over
+    den, violated for certain; on a raw-value table
+    :func:`_chain_residual` decides it over R.  Past `cap` sequences
+    CapExceeded is raised, or with ``on_cap="truncate"`` the report is
+    marked truncated.
     """
     by_t = _tables_by_treatment(tables)
     metrics = list(metrics)
+    names = [m.describe() for m in metrics]
     pts = design.points()
     full = design.is_full
     if full:
@@ -555,31 +608,42 @@ def run_suite(
     else:
         near = _cover_graph(design)
         pairs = [(i, j) for i, js in enumerate(near) for j in sorted(js) if j != i]
-    screens = [
-        (metric, *_distance_screen(metric, pts, pairs, by_t, design, eps_test))
-        for metric in metrics
-    ]
+    C, screens = _distance_screen(metrics, pts, pairs, by_t, design, eps_test)
     violations: list[ChainReport] = []
 
     def decide(seq: tuple[int, ...], k: int) -> None:
-        metric, D, lim, dist, _ = screens[k]
-        if full:  # a tetrad, unrolled: a raw-value table screens every one
+        D, R, lim, den = screens[k]
+        first, last = seq[0], seq[-1]
+        if full:  # a tetrad, unrolled
             a, b, c, d = seq
             residual = D[a][b] + D[b][c] + D[c][d] - D[a][d]
         else:
-            residual = sum(D[seq[i - 1]][seq[i]] for i in range(1, len(seq))) - D[seq[0]][seq[-1]]
-        if residual < lim:
-            w = _witness(tuple(pts[i] for i in seq), design)
-            report = _chain_report(metric, w, dist, eps_test)
-            if report.violated:
-                violations.append(report)
+            # ints add exactly in any order, floats left to right as in
+            # _chain_residual
+            terms = _adjacent(D, seq)
+            steps = sum(terms) if den is not None else functools.reduce(add, terms, 0)
+            residual = steps - D[first][last]
+        if not residual < lim:
+            return
+        lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
+        if den is None:
+            _, _, residual, violated = _chain_residual(lhs, rhs, eps_test)
+            if not violated:
+                return
+        else:
+            residual = Fraction(residual, den)
+            if residual.denominator == 1 and not any(isinstance(v, Fraction) for v in (lhs, *rhs)):
+                residual = residual.numerator  # ints add up to an int
+        covers = (C[first][last], *_adjacent(C, seq))
+        point_seq = tuple(map(pts.__getitem__, seq))
+        violations.append(ChainReport(point_seq, names[k], lhs, rhs, residual, True, covers))
 
     if full:
         total = _tetrad_total(design) if max_len >= 4 else 0
         tested = min(total, max(cap, 0))
         truncated = total > tested
-        candidates = _tetrad_candidates(design, [(D, ints) for _, D, _, _, ints in screens], tested)
-        for a, b, c, d, k in candidates:
+        views = [_candidate_view(D, lim, den, pairs) for D, _, lim, den in screens]
+        for a, b, c, d, k in _tetrad_candidates(design, views, tested):
             decide((a, b, c, d), k)
     else:
         seqs = _walk(design, near, max_len, True)
@@ -594,16 +658,22 @@ def run_suite(
     return SuiteReport(
         sequences_tested=tested,
         violations=tuple(violations),
-        metrics=tuple(m.describe() for m in metrics),
+        metrics=tuple(names),
         truncated=truncated,
     )
 
 
-def _same_over(m1: list, den1: int, m2: list, den2: int) -> bool:
-    """True when m1/den1 and m2/den2 agree entry by entry."""
-    if den1 == den2:
-        return m1 == m2
-    return [a * den2 for a in m1] == [b * den1 for b in m2]
+def _agree(marginals: Sequence[tuple], dens: Sequence[int]) -> bool:
+    """Whether every table's marginal, in ints over its denominator in
+    `dens`, equals the first table's: a*ref_den == ref*den throughout,
+    cross-multiplied in one pass over all tables."""
+    if dens.count(dens[0]) == len(dens):
+        return marginals.count(marginals[0]) == len(marginals)
+    ref, ref_den = marginals[0], dens[0]
+    rep, flat = itertools.repeat, itertools.chain.from_iterable
+    lhs = map(mul, flat(marginals[1:]), rep(ref_den))
+    rhs = flat(map(map, rep(mul), rep(ref), map(rep, dens[1:])))
+    return all(map(eq, lhs, rhs))
 
 
 def check_marginal_selectivity(
@@ -616,21 +686,33 @@ def check_marginal_selectivity(
     same marginal over those outputs.  Exact comparison in the rational
     regime, entrywise |diff| <= eps otherwise.
 
-    Each class member's marginal is first compared whole with the class's
-    first member's: in the rational regime over the tables' ints
-    (:meth:`TreatmentTable.scaled`), two denominators cross-multiplied;
-    otherwise over the tables' own numbers.  Only a member that differs is
-    scanned outcome by outcome, which is where the discrepancies and the
-    witness come from: |a*den - b*ref_den| / (ref_den*den) over the same
-    ints, a Fraction in the rational regime."""
+    Every table's marginals are summed together with those of the other
+    tables of its cell layout (the same axes), one input subset at a time,
+    column by column over the tables' cells transposed
+    (:func:`~ordist.probspace._column_sums`): in the rational regime over
+    the tables' ints (:meth:`TreatmentTable.scaled`), otherwise over the
+    tables' own numbers, added left to right either way.  A class whose
+    members share one layout and whose marginals all equal the first
+    member's, two denominators cross-multiplied, passes with discrepancy
+    0.  Any other class is scanned outcome by outcome, member by member,
+    which is where the discrepancies and the witness come from:
+    |a*den - b*ref_den| / (ref_den*den) over the same ints, a Fraction in
+    the rational regime.  An equal member scans to 0 and moves nothing."""
     tables = list(tables)
     exact = all(t.regime() == RATIONAL for t in tables)
-    # (table, cells, denominator, axis sizes): an exact table's ints over
-    # their denominator, else its own cells over 1, dense in probs order
-    members = []
-    for t in tables:
-        cells, den = t.scaled() if exact else (list(t.probs.values()), 1)
-        members.append((t, cells, den, tuple(map(len, t.axes))))
+    # per table: an exact table's ints over their denominator, else its own
+    # cells over 1, dense in probs order; per layout (axes), the positions
+    # of its tables and their cells transposed, one tuple per cell
+    cells, dens = [], []
+    layouts: dict[tuple, list[int]] = {}
+    for p, t in enumerate(tables):
+        c, den = t.scaled() if exact else (list(t.probs.values()), 1)
+        cells.append(c)
+        dens.append(den)
+        layouts.setdefault(t.axes, []).append(p)
+    columns = {axes: list(zip(*map(cells.__getitem__, ps))) for axes, ps in layouts.items()}
+    layout_of = [t.axes for t in tables]
+    treatments = [t.treatment for t in tables]
     worst: Num = 0
     witness = None
     classes = []
@@ -638,23 +720,33 @@ def check_marginal_selectivity(
     for size in subset_sizes:
         for names in itertools.combinations(design.inputs, size):
             keep = tuple(design.index(n) for n in names)
-            groups: dict[tuple, list] = {}
-            for member in members:
-                key = tuple(map(member[0].treatment.__getitem__, keep))
-                groups.setdefault(key, []).append(member)
-            for key, group in groups.items():
+            # position -> that table's marginal over keep, a tuple
+            marginal: dict[int, tuple] = {}
+            for axes, ps in layouts.items():
+                sums = _column_sums(columns[axes], tuple(map(len, axes)), keep)
+                marginal.update(zip(ps, zip(*sums)))
+            # the values at keep -> the positions of the tables assigning them
+            # (a bare value when keep holds one input)
+            groups: dict = {}
+            for p, values in enumerate(map(itemgetter(*keep), treatments)):
+                groups.setdefault(values, []).append(p)
+            for values, group in groups.items():
                 if len(group) < 2:
                     continue
-                ref, ref_cells, ref_den, ref_sizes = group[0]
-                ref_axes = [ref.axes[i] for i in keep]
-                ref_m = _sums(ref_cells, ref_sizes, keep)
+                key = values if size > 1 else (values,)
+                pick = itemgetter(*group)
+                tabs, group_dens, marginals, group_layouts = (
+                    pick(tables), pick(dens), pick(marginal), pick(layout_of)
+                )
+                shared = group_layouts.count(group_layouts[0]) == len(group_layouts)
+                if shared and _agree(marginals, group_dens):
+                    classes.append((names, key, 0))
+                    continue
+                ref, ref_den = tabs[0], group_dens[0]
+                ref_d = _keyed([ref.axes[i] for i in keep], marginals[0])
                 class_worst: Num = 0
-                for other, cells, den, sizes in group[1:]:
-                    m = _sums(cells, sizes, keep)
-                    axes = [other.axes[i] for i in keep]
-                    if axes == ref_axes and _same_over(ref_m, ref_den, m, den):
-                        continue
-                    ref_d, d = _keyed(ref_axes, ref_m), _keyed(axes, m)
+                for other, den, m in zip(tabs[1:], group_dens[1:], marginals[1:]):
+                    d = _keyed([other.axes[i] for i in keep], m)
                     # deterministic scan order so tied witnesses are stable
                     outcomes = list(ref_d) + [k for k in d if k not in ref_d]
                     for outcome in outcomes:

@@ -83,6 +83,13 @@ class TestJsonNumbers:
         assert num_to_json(F(1, 2)) == "1/2"
         assert num_to_json(F(3)) == "3"
         assert num_to_json(2) == "2"
+        assert num_to_json(-7) == "-7"
+        assert num_to_json(0) == "0"
+        assert num_to_json(10**40) == str(F(10**40)) == "1" + "0" * 40
+
+    def test_bool_passthrough(self):
+        assert num_to_json(True) is True
+        assert num_to_json(False) is False
 
     def test_float_passthrough(self):
         assert num_to_json(0.25) == 0.25

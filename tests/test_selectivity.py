@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -31,7 +32,12 @@ from irreducible_reference import subset_scan_irreducible
 from msel_reference import reference_marginal_selectivity
 from ordist.arith import EPS_TEST
 from ordist.fileio import load_system
-from ordist.selectivity import _tetrad_candidates, _tetrad_indices, _tetrad_total
+from ordist.selectivity import (
+    _candidate_view,
+    _tetrad_candidates,
+    _tetrad_indices,
+    _tetrad_total,
+)
 from randsys import (
     binary_design,
     canonical_order_specs,
@@ -504,6 +510,54 @@ class TestSuiteAgreement:
         assert not suite.truncated
 
 
+class IntegralOf(Metric):
+    """A metric's exact values times `scale`, the integral ones as ints, so
+    that a chain's terms can be all ints, all Fractions or a mix."""
+
+    def __init__(self, base, scale):
+        self.base, self.scale = base, scale
+
+    def evaluate(self, m):
+        v = self.base.evaluate(m) * self.scale
+        return v.numerator if v.denominator == 1 else v
+
+    def describe(self):
+        return f"integral-{self.scale}"
+
+
+class TestReportsFromTables:
+    """A violation reported from the screen's int tables equals chain_test
+    on its witness, field by field and type by type."""
+
+    def test_int_tables_match_chain_test(self):
+        rng = random.Random("reports-from-tables")
+        kinds = set()
+        for _ in range(10):
+            full = random_full_system(rng, "rational")
+            base = OrderDistance(random_order_spec(rng, full[1]))
+            metrics = [
+                base,
+                ClassificationDistance(cells=(("0",), ("1", "2"))),
+                IntegralOf(base, 1),
+                IntegralOf(base, 840),  # every table denominator divides 840
+            ]
+            by_name = {m.describe(): m for m in metrics}
+            for design, tables in (full, restricted_copy(rng, *full)):
+                suite = run_suite(design, tables, metrics)
+                for v in suite.violations:
+                    witness = SequenceWitness(v.sequence, v.covers)
+                    want = chain_test(by_name[v.metric], witness, tables)
+                    assert v.violated is want.violated is True
+                    assert v.sequence == want.sequence and v.metric == want.metric
+                    assert v.covers == want.covers
+                    got_values = (v.lhs, *v.rhs_terms, v.residual)
+                    want_values = (want.lhs, *want.rhs_terms, want.residual)
+                    assert got_values == want_values
+                    assert list(map(type, got_values)) == list(map(type, want_values))
+                    kinds.add((design.is_full, type(v.residual)))
+        assert kinds == {(True, F), (False, F), (True, int), (False, int)}
+
+
 def perturbed(rng, tables):
     """Move mass between two cells of one random table: its sum stays 1,
     some of its marginals change."""
@@ -578,6 +632,76 @@ class TestMarginalSelectivityReference:
         report = self.assert_same(design, tables)
         assert report.passed
         assert report.max_discrepancy == 0
+
+
+    def test_layouts_differ_at_a_non_kept_input(self):
+        # the tables under y' have a third outcome for input 2: input 1's
+        # classes mix two layouts and are scanned, and still agree
+        design = binary_design()
+        x_y, x_y2, x2_y, x2_y2 = design.iter_treatments()
+        two, three = [("0", "1"), ("0", "1")], [("0", "1"), ("0", "1", "2")]
+        cells = {
+            x_y: ({("0", "0"): F(1, 4), ("0", "1"): F(1, 4), ("1", "0"): F(1, 4),
+                   ("1", "1"): F(1, 4)}, two),
+            x_y2: ({("0", "0"): F(1, 4), ("0", "2"): F(1, 4), ("1", "1"): F(1, 2)}, three),
+            x2_y: ({("0", "0"): F(1, 6), ("0", "1"): F(1, 6), ("1", "0"): F(1, 3),
+                    ("1", "1"): F(1, 3)}, two),
+            x2_y2: ({("0", "1"): F(1, 3), ("1", "0"): F(1, 4), ("1", "1"): F(1, 6),
+                     ("1", "2"): F(1, 4)}, three),
+        }
+        tables = [TreatmentTable(design, t, c, axes=a) for t, (c, a) in cells.items()]
+        report = self.assert_same(design, tables)
+        assert report.passed and len(report.classes) == 4
+        self.assert_same(design, floated(tables))
+        rng = random.Random("msel-layouts")
+        for _ in range(6):
+            assert not self.assert_same(design, perturbed(rng, tables)).passed
+
+    def test_agreeing_class_over_mixed_denominators(self):
+        # three tables over 4ths, 6ths and 10ths with one margin for input 1
+        design = Design(["1", "2"], {"1": ["x"], "2": ["y", "y'", "y''"]})
+        joints = (
+            (F(1, 4), F(1, 4), F(1, 4), F(1, 4)),
+            (F(1, 3), F(1, 6), F(1, 6), F(1, 3)),
+            (F(1, 10), F(4, 10), F(3, 10), F(2, 10)),
+        )
+        outcomes = list(itertools.product("01", repeat=2))
+        tables = [
+            TreatmentTable(design, t, dict(zip(outcomes, joint)), axes=[("0", "1")] * 2)
+            for t, joint in zip(design.iter_treatments(), joints)
+        ]
+        assert len({t.scaled()[1] for t in tables}) == 3
+        report = self.assert_same(design, tables)
+        assert report.passed and report.classes == ((("1",), ("x",), 0),)
+
+    def test_two_member_classes(self):
+        # two values per input: every class of a full design has two members
+        rng = random.Random("msel-pairs")
+        verdicts = set()
+        for _ in range(10):
+            design, tables = random_coupled_system(rng, max_input_values=2, restrict_phi=False)
+            for variant in (tables, perturbed(rng, tables)):
+                verdicts.add(self.assert_same(design, variant).passed)
+                self.assert_same(design, floated(variant))
+        assert verdicts == {True, False}
+
+    def test_float_sums_add_left_to_right(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit;
+        # a compensated sum would round both to 0.6
+        design = Design(["1", "2"], {"1": ["x"], "2": ["y", "y'"]})
+        axes = [("0", "1"), ("a", "b", "c")]
+        outcomes = list(itertools.product(*axes))
+        first, second = design.iter_treatments()
+        tables = [
+            TreatmentTable(design, first, dict(zip(outcomes, (0.1, 0.2, 0.3, 0.2, 0.1, 0.1))),
+                           axes=axes),
+            TreatmentTable(design, second, dict(zip(outcomes, (0.3, 0.2, 0.1, 0.1, 0.1, 0.2))),
+                           axes=axes),
+        ]
+        report = self.assert_same(design, tables)
+        assert report.passed
+        assert report.max_discrepancy == (0.1 + 0.2) + 0.3 - 0.6 > 0
+        assert report.witness["outcome"] == ["0"]
 
 
 class TestRealizableIrreducibleEquivalence:
@@ -921,15 +1045,66 @@ def random_tetrad_design(rng):
     return Design(names, {n: [f"w{k}" for k in range(s)] for n, s in zip(names, sizes)})
 
 
+def tetrad_pairs(design):
+    """The point-index pairs run_suite evaluates on a full design."""
+    pts = design.points()
+    multi = [i for i, p in enumerate(pts) if len(design.values[p.input]) >= 2]
+    return [(i, j) for i in multi for j in multi if pts[i].input != pts[j].input]
+
+
+def candidate_sets(design, tables, cap):
+    """_tetrad_candidates per table index, as sets of tetrads."""
+    got = [set() for _ in tables]
+    for *t, k in _tetrad_candidates(design, tables, cap):
+        got[k].add(tuple(t))
+    return got
+
+
+def tie_tables(rng, design):
+    """Raw-value distance tables whose left-to-right tetrad residuals sit on
+    or next to a limit, in float and mixed Fraction/float values."""
+    pairs = tetrad_pairs(design)
+    tetrads = list(_tetrad_indices(design))
+    n = len(design.points())
+
+    def table(draw):
+        D = [[None] * n for _ in range(n)]
+        for i, j in pairs:
+            D[i][j] = draw()
+        return D
+
+    scales = {
+        "unit": lambda: rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, 0.6, 1 / 3]),
+        "huge": lambda: rng.choice([1e300, 3e299, 7.5e298]) * rng.random(),
+        "tiny": lambda: rng.choice([1e-300, 5e-324, 2.5e-310, 1e-308]) * rng.randint(0, 9),
+        "mixed": lambda: rng.choice([F(1, 10), F(1, 3), 0.1, 0.2, F(3, 10), 0.3, F(0), 0.5]),
+    }
+    out = []
+    for name, draw in scales.items():
+        D = table(draw)
+        # closing distances that put a residual at the limit, and one ulp
+        # to either side of it
+        for a, b, c, d in rng.sample(tetrads, min(len(tetrads), 8)):
+            target = D[a][b] + D[b][c] + D[c][d] - rng.choice([0.0, -1e-9, -0.05])
+            if isinstance(target, F):
+                target = float(target)
+            D[a][d] = rng.choice([target, math.nextafter(target, math.inf),
+                                  math.nextafter(target, -math.inf)])
+        out.append((name, D))
+    return out
+
+
 class TestTetradScreen:
     """_tetrad_candidates against _tetrad_indices plus the unrolled residual."""
 
     def expected(self, design, tables, cap):
+        # on an int view (bound 0) and on the every-y' view (zeros, bound
+        # inf) the candidates are exactly the tetrads below the bound
         return [
             (*t, k)
             for t in itertools.islice(_tetrad_indices(design), cap)
-            for k, (D, ints) in enumerate(tables)
-            if not ints or unrolled(D, t) < 0
+            for k, (G, bound) in enumerate(tables)
+            if unrolled(G, t) < bound
         ]
 
     def test_int_tables_yield_exactly_the_negative_tetrads(self):
@@ -937,7 +1112,7 @@ class TestTetradScreen:
         ties = 0
         for _ in range(40):
             design = random_tetrad_design(rng)
-            tables = [(D, True) for D in random_distance_tables(rng, design, rng.randint(1, 3))]
+            tables = [(D, 0) for D in random_distance_tables(rng, design, rng.randint(1, 3))]
             total = _tetrad_total(design)
             assert total == sum(1 for _ in _tetrad_indices(design))
             got = list(_tetrad_candidates(design, tables, total))
@@ -945,15 +1120,43 @@ class TestTetradScreen:
             ties += sum(unrolled(D, t) == 0 for t in _tetrad_indices(design) for D, _ in tables)
         assert ties > 0
 
-    def test_raw_value_tables_keep_every_tetrad(self):
-        # a raw-value table between two int tables: every tetrad is its
-        # candidate, and the candidates of all three come in (y', table) order
-        rng = random.Random("tetrad-screen-raw")
-        for _ in range(10):
+    @pytest.mark.parametrize("eps_test", [0.0, 1e-9, 0.05])
+    def test_raw_value_candidates_cover_every_tetrad_below_the_limit(self, eps_test):
+        # every tetrad whose residual, added left to right over the raw
+        # values, is below the limit is a candidate; the screen still
+        # drops most of the others
+        rng = random.Random(f"tetrad-screen-raw-{eps_test}")
+        near, pruned = 0, 0
+        for _ in range(12):
             design = random_tetrad_design(rng)
-            first, floats, last = random_distance_tables(rng, design, 3)
-            floats = [[v if v is None else v + 0.5 for v in row] for row in floats]
-            tables = [(first, True), (floats, False), (last, True)]
+            pairs = tetrad_pairs(design)
+            total = _tetrad_total(design)
+            for name, D in tie_tables(rng, design):
+                values = [D[i][j] for i, j in pairs]
+                exact = any(isinstance(v, F) for v in values)
+                lim = max(0, -eps_test) if exact else -eps_test
+                view = _candidate_view(D, lim, None, pairs)
+                assert view[1] < math.inf, name
+                (got,) = candidate_sets(design, [view], total)
+                below = {t for t in _tetrad_indices(design) if unrolled(D, t) < lim}
+                assert below <= got, name
+                near += sum(abs(unrolled(D, t) - lim) <= 1e-15 * max(map(abs, values))
+                            for t in _tetrad_indices(design))
+                pruned += len(got) < total
+        assert near > 0 and pruned > 0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, F(10) ** 400])
+    def test_non_finite_tables_keep_every_tetrad(self, bad):
+        rng = random.Random("tetrad-screen-bad")
+        for _ in range(5):
+            design = random_tetrad_design(rng)
+            pairs = tetrad_pairs(design)
+            (_, D), *_ = tie_tables(rng, design)
+            i, j = rng.choice(pairs)
+            D[i][j] = bad
+            ints = random_distance_tables(rng, design, 1)[0]
+            tables = [(ints, 0), _candidate_view(D, -1e-9, None, pairs)]
+            assert tables[1][1] == math.inf
             total = _tetrad_total(design)
             got = list(_tetrad_candidates(design, tables, total))
             assert got == self.expected(design, tables, total)
@@ -963,8 +1166,11 @@ class TestTetradScreen:
         rng = random.Random("tetrad-screen-cap")
         for _ in range(10):
             design = random_tetrad_design(rng)
-            D, floats = random_distance_tables(rng, design, 2)
-            tables = [(D, True), (floats, False)]
+            D, other = random_distance_tables(rng, design, 2)
+            pairs = tetrad_pairs(design)
+            i, j = rng.choice(pairs)
+            other[i][j] = math.nan  # a table that keeps every tetrad
+            tables = [(D, 0), _candidate_view(other, -1e-9, None, pairs)]
             total = _tetrad_total(design)
             caps = {0, 1, total - 1, total, total + 1, rng.randrange(total + 1)}
             for cap in sorted(caps):

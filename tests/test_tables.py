@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from ordist import Design, TreatmentTable, dump_system, load_system, validate_system
 from ordist.arith import digit_limit, parse_number, parse_ratio
 from ordist.errors import SystemFormatError
-from ordist.probspace import bivariate, marginalize
+from ordist.probspace import _column_sums, _sums, bivariate, marginalize
 from ordist.selectivity import check_marginal_selectivity
 
 from msel_reference import reference_marginal_selectivity
@@ -289,6 +289,20 @@ def test_float_marginals_add_in_cell_order(design, tables):
             for keep in itertools.combinations(range(len(design.inputs)), k):
                 names = [design.inputs[i] for i in keep]
                 assert marginalize(floats, names) == sum_down(floats.probs, keep)
+
+
+def test_column_sums_add_like_sums():
+    # several tables' cells transposed and summed at once, with sums of up
+    # to 270 cells (more than one nesting block), equal _sums bit for bit
+    rng = random.Random("column-sums")
+    sizes = (2, 3, 45)
+    for draw in (lambda: rng.random() / 7, lambda: rng.randint(-10**12, 10**12)):
+        tables = [[draw() for _ in range(math.prod(sizes))] for _ in range(4)]
+        columns = list(zip(*tables))
+        for k in range(len(sizes) + 1):
+            for keep in itertools.combinations(range(len(sizes)), k):
+                want = [_sums(cells, sizes, keep) for cells in tables]
+                assert _column_sums(columns, sizes, keep) == list(zip(*want)), keep
 
 
 class TestTableViews:
