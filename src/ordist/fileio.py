@@ -19,6 +19,15 @@ the tables.  Arithmetic mode "auto" keeps every probability exact when
 all of them are integer ratios or short decimals, otherwise the whole
 system is float.
 
+The loader reads a document in three passes: literals, axes, tables.  It
+parses each distinct string literal once.  Tables that list the same
+outcome vectors in the same order share one cell order, and tables whose
+points have the same outcome axes share one layout.  A layout's
+outcome -> position map, its axis checks and its axes tuple are made once,
+and every table of the layout holds that tuple.  Each table then costs
+one pass over its cells, straight into its dense ints.  Only a malformed
+document is read again cell by cell, to name its first fault.
+
 Metric configuration schema::
 
     {"kind": "order" | "classification" | "p" | "entropy" | "frechet"
@@ -41,10 +50,12 @@ import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .arith import FLOAT, RATIONAL, digit_limit, parse_number, parse_ratio
 from .errors import SystemFormatError
@@ -106,6 +117,9 @@ def load_system(source, arithmetic: str = "auto") -> LoadedSystem:
 
 
 def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
+    """The loader's three passes (see the module docstring).  Where a
+    pass meets a fault it gives way to a table-by-table, cell-by-cell
+    read, which raises the first fault in file order."""
     try:
         inputs_spec = doc["inputs"]
         tables_spec = doc["tables"]
@@ -134,55 +148,206 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
         if name not in values:
             raise SystemFormatError(f"outcomes given for unknown input {name!r}")
         if "value" in entry:
-            declared[InputPoint(name, entry["value"])] = vals
+            value = entry["value"]
+            if value not in design.values[name]:
+                raise SystemFormatError(
+                    f"outcomes given for unknown value {value!r} of input {name!r}"
+                )
+            declared[InputPoint(name, value)] = vals
         else:
             for w in values[name]:
                 declared[InputPoint(name, w)] = vals
 
-    # each table's cells as (numerator, denominator) ints or floats; a
-    # string literal is parsed once per document, as tables repeat them
-    raw_tables = []
-    exact = arithmetic != FLOAT
-    parsed: dict[str, object] = {}
+    # literals: each table's treatment, cell order and values, a value
+    # being a (numerator, denominator) pair or a float
+    literals = _Literals(arithmetic)
+    parse = literals.__getitem__
+    orders = _CellOrders()
+    table_treatments, table_orders, table_cells = [], [], []
     for tspec in tables_spec:
         try:
             treatment = tuple(tspec["treatment"])
             probs_spec = tspec["probs"]
         except (KeyError, TypeError):
             raise SystemFormatError(f"bad table entry {tspec!r}") from None
-        cells = {}
-        for cell in probs_spec:
-            try:
-                outcome = tuple(cell["outcome"])
-                raw = cell["p"]
-            except (KeyError, TypeError):
-                raise SystemFormatError(f"bad probability entry {cell!r}") from None
-            if outcome in cells:
-                raise SystemFormatError(f"outcome {outcome!r} listed twice")
-            if not isinstance(raw, str):
-                value = parse_ratio(raw, arithmetic)
-            elif raw in parsed:
-                value = parsed[raw]
-            else:
-                value = parsed[raw] = parse_ratio(raw, arithmetic)
-            if isinstance(value, float):
-                exact = False
-            cells[outcome] = value
-        raw_tables.append((treatment, cells))
-    regime = RATIONAL if exact else FLOAT
+        try:
+            outcomes = tuple(map(tuple, map(_OUTCOME, probs_spec)))
+            order = orders[outcomes]
+            cells = list(map(parse, map(_P, probs_spec))) if order.distinct else None
+        except (KeyError, TypeError):
+            cells = None
+        if cells is None:
+            outcomes, cells = _cells_in_file_order(probs_spec, literals)
+            order = orders[outcomes]
+        if not order.plain:
+            # labels that compare equal may print differently (1, 1.0,
+            # true): such a table keeps its own labels
+            order = _CellOrder(outcomes)
+        table_treatments.append(treatment)
+        table_orders.append(order)
+        table_cells.append(cells)
+    regime = FLOAT if arithmetic == FLOAT or literals.floats else RATIONAL
 
-    # canonical outcome axes per input point: declared order wins, else
-    # first appearance in file order
-    n = len(design.inputs)
-    axes: dict[InputPoint, list] = {pt: list(vs) for pt, vs in declared.items()}
-    for treatment, cells in raw_tables:
-        if not cells:
+    # axes: declared order wins, else first appearance in file order
+    axes = _axes(design, declared, table_treatments, table_orders)
+    if axes is None:
+        axes = _axes_in_file_order(design, declared, table_treatments, table_orders)
+
+    # tables: one layout per distinct tuple of axes.  A table of c cells
+    # has ints of at most (c + 1) * bits bits, so a layout checks its
+    # tables' digits only if that bound may reach the limit.
+    limit = digit_limit()
+    top_bits = (max(map(len, table_cells), default=0) + 1) * literals.bits
+    layouts = _Layouts(design, axes, top_bits, limit)
+    new_table = TreatmentTable._from_parts
+    tables = []
+    for treatment, order, cells, layout in zip(
+        table_treatments, table_orders, table_cells, layouts.of(table_treatments)
+    ):
+        if layout is None or not layout.sound:
+            tables.append(_table_in_file_order(design, axes, treatment, order, cells, regime))
             continue
-        for outcome in cells:
+        gather = layout.gather(order)
+        if regime == RATIONAL:
+            den = math.lcm(*map(_DEN, cells))
+            ints = [num * (den // d) for num, d in cells]
+            if gather is not None:
+                ints.append(0)
+                ints = list(map(ints.__getitem__, gather))
+            if layout.wide:
+                _check_digits(treatment, max(den, max(ints), -min(ints)), len(ints), limit)
+            tables.append(new_table(design, treatment, layout.axes, RATIONAL, ints, den, None))
+        else:
+            probs = [v if isinstance(v, float) else v[0] / v[1] for v in cells]
+            # a table without cells is all exact zeros, as TreatmentTable makes it
+            probs.append(0.0 if cells else Fraction(0))
+            dense = probs[:-1] if gather is None else list(map(probs.__getitem__, gather))
+            probs = dict(zip(layout.outcomes, dense))
+            tables.append(new_table(
+                design, treatment, layout.axes, FLOAT if cells else RATIONAL, None, None, probs
+            ))
+    return LoadedSystem(design=design, tables=tables, regime=regime)
+
+
+_OUTCOME = operator.itemgetter("outcome")
+_P = operator.itemgetter("p")
+_DEN = operator.itemgetter(1)
+
+
+class _Literals(dict):
+    """A document's probability literals by their raw JSON value: each
+    distinct string is parsed once, any other literal on every lookup.
+    ``floats`` records whether a literal read as a float, ``bits`` the
+    largest bit length of an exact literal's numerator or denominator."""
+
+    def __init__(self, mode: str):
+        super().__init__()
+        self.mode = mode
+        self.floats = False
+        self.bits = 1
+
+    def __missing__(self, raw):
+        value = parse_ratio(raw, self.mode)
+        if isinstance(value, float):
+            self.floats = True
+        else:
+            self.bits = max(self.bits, value[0].bit_length(), value[1].bit_length())
+        if isinstance(raw, str):
+            self[raw] = value
+        return value
+
+
+class _CellOrder:
+    """The outcome vectors of a table's cells, in the order listed, which
+    tables listing the same vectors share; ``columns`` holds, per input,
+    its distinct values in order of appearance."""
+
+    __slots__ = ("outcomes", "distinct", "plain", "columns")
+
+    def __init__(self, outcomes: tuple):
+        self.outcomes = outcomes
+        self.distinct = len(set(outcomes)) == len(outcomes)
+        self.plain = all(type(v) is str for o in outcomes for v in o)
+        self.columns = None
+
+
+class _CellOrders(dict):
+    """The cell orders of one document, by their outcome vectors."""
+
+    def __missing__(self, outcomes):
+        order = self[outcomes] = _CellOrder(outcomes)
+        return order
+
+
+def _cells_in_file_order(probs_spec, literals: _Literals):
+    """A table's outcome vectors and values read cell by cell, so that its
+    first malformed cell, repeated outcome or bad literal raises."""
+    outcomes = []
+    seen = set()
+    cells = []
+    for cell in probs_spec:
+        try:
+            outcome = tuple(cell["outcome"])
+            raw = cell["p"]
+        except (KeyError, TypeError):
+            raise SystemFormatError(f"bad probability entry {cell!r}") from None
+        if outcome in seen:
+            raise SystemFormatError(f"outcome {outcome!r} listed twice")
+        seen.add(outcome)
+        outcomes.append(outcome)
+        cells.append(literals[raw] if isinstance(raw, str) else literals.__missing__(raw))
+    return tuple(outcomes), cells
+
+
+def _axes(design: Design, declared: Mapping, treatments, orders) -> Optional[dict]:
+    """Each input point's outcome values, declared or in order of first
+    appearance; None on any fault, which _axes_in_file_order then names."""
+    n = len(design.inputs)
+    listed = [(treatment, order) for treatment, order in zip(treatments, orders) if order.outcomes]
+    for order in {order for _, order in listed}:
+        if order.columns is None:
+            if any(len(outcome) != n for outcome in order.outcomes):
+                return None
+            order.columns = tuple(tuple(dict.fromkeys(c)) for c in zip(*order.outcomes))
+    axes = {pt: list(vs) for pt, vs in declared.items()}
+    listed_treatments = [treatment for treatment, _ in listed]
+    columns = [order.columns for _, order in listed]
+    try:
+        for pos, name in enumerate(design.inputs):
+            at = operator.itemgetter(pos)
+            values = list(map(at, listed_treatments))
+            # nothing to add when every point of this input that a table
+            # lists is declared with every value any column holds
+            points = [InputPoint(name, w) for w in set(values)]
+            held = set().union(*set(map(at, columns)))
+            if all(pt in declared and held.issubset(declared[pt]) for pt in points):
+                continue
+            # one (value, column) pair per distinct pair, in file order
+            for value, column in dict.fromkeys(zip(values, map(at, columns))):
+                pt = InputPoint(name, value)
+                axis = axes.setdefault(pt, [])
+                new = [v for v in column if v not in axis]
+                if new:
+                    if pt in declared:
+                        return None
+                    axis.extend(new)
+    except (IndexError, TypeError):
+        return None
+    return axes
+
+
+def _axes_in_file_order(design: Design, declared: Mapping, treatments, orders) -> dict:
+    """_axes table by table and cell by cell, raising the first fault."""
+    n = len(design.inputs)
+    axes = {pt: list(vs) for pt, vs in declared.items()}
+    for treatment, order in zip(treatments, orders):
+        if not order.outcomes:
+            continue
+        for outcome in order.outcomes:
             if len(outcome) != n:
                 raise SystemFormatError(f"outcome {outcome!r} has wrong arity")
         points = [InputPoint(design.inputs[pos], treatment[pos]) for pos in range(n)]
-        for pt, column in zip(points, zip(*cells)):
+        for pt, column in zip(points, zip(*order.outcomes)):
             axis = axes.setdefault(pt, [])
             new = [v for v in dict.fromkeys(column) if v not in axis]
             if new and pt in declared:
@@ -190,38 +355,129 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
                     f"outcome value {new[0]!r} not among declared outcomes of {pt}"
                 )
             axis.extend(new)
+    return axes
 
-    shared = {pt: tuple(axis) for pt, axis in axes.items()}
-    tables = []
-    for treatment, cells in raw_tables:
-        table_axes = []
-        for pos, name in enumerate(design.inputs):
-            pt = InputPoint(name, treatment[pos])
-            if not shared.get(pt):
-                raise SystemFormatError(f"no outcomes known for point {pt}")
-            table_axes.append(shared[pt])
-        if regime == RATIONAL:
-            tables.append(_exact_table(design, treatment, table_axes, cells))
+
+class _Layout:
+    """The axes of one or more tables, with what their tables share: the
+    outcome vectors in row-major order and, per cell order, where each
+    listed cell goes."""
+
+    __slots__ = ("axes", "sound", "wide", "outcomes", "index", "gathers")
+
+    def __init__(self, axes: tuple, top_bits: int, limit: int):
+        self.axes = axes
+        self.sound = all(len(set(axis)) == len(axis) for axis in axes)
+        self.outcomes = list(itertools.product(*axes))
+        # whether a table with ints of top_bits bits may be too wide to print
+        self.wide = _too_wide(top_bits, len(self.outcomes), limit)
+        self.index = dict(zip(self.outcomes, itertools.count()))
+        self.gathers: dict[_CellOrder, Optional[list]] = {}
+
+    def gather(self, order: _CellOrder) -> Optional[list]:
+        """Per outcome vector in row-major order, the index of the cell of
+        ``order`` that lists it, or len(order.outcomes) when none does;
+        None when ``order`` lists every vector in row-major order."""
+        try:
+            return self.gathers[order]
+        except KeyError:
+            pass
+        listed = list(map(self.index.__getitem__, order.outcomes))
+        if listed == list(range(len(self.outcomes))):
+            gather = None
         else:
-            probs = {o: v if isinstance(v, float) else v[0] / v[1] for o, v in cells.items()}
-            tables.append(TreatmentTable(design, treatment, probs, axes=table_axes))
-    return LoadedSystem(design=design, tables=tables, regime=regime)
+            gather = [len(listed)] * len(self.outcomes)
+            for k, position in enumerate(listed):
+                gather[position] = k
+        self.gathers[order] = gather
+        return gather
 
 
-def _exact_table(design: Design, treatment, axes, cells) -> TreatmentTable:
-    """A table of (numerator, denominator) cells, scaled to ints over the
-    lcm of the denominators; unlisted outcome vectors are zero."""
-    den = math.lcm(*(d for _, d in cells.values()))
-    scaled = {outcome: n * (den // d) for outcome, (n, d) in cells.items()}
-    ints = [scaled.pop(outcome, 0) for outcome in itertools.product(*axes)]
-    # every int of the table and their sum must stay printable
-    top = max(den, max(ints), -min(ints))
-    limit = digit_limit()
-    if (top.bit_length() + len(ints).bit_length() + 1) * math.log10(2) >= limit:
+class _Layouts(dict):
+    """A document's layouts by the ids of their axes.  ``ids`` maps, per
+    input, each allowed value whose point has outcomes to its axis id;
+    points with equal axes that print alike share one axis tuple."""
+
+    def __init__(self, design: Design, axes: Mapping, top_bits: int, limit: int):
+        super().__init__()
+        self.top_bits = top_bits
+        self.limit = limit
+        self.ids: list[dict] = [{} for _ in design.inputs]
+        self.axes: list[tuple] = []
+        known: dict[tuple, int] = {}
+        for pt, axis in axes.items():
+            axis = tuple(axis)
+            if not axis or pt.value not in design.values[pt.input]:
+                continue
+            key = (axis, tuple(map(repr, axis)))
+            try:
+                if key not in known:
+                    known[key] = len(self.axes)
+                    self.axes.append(axis)
+            except TypeError:
+                # an unhashable declared value: tables at this point take
+                # the slow path, which names the fault
+                continue
+            self.ids[design.index(pt.input)][pt.value] = known[key]
+
+    def __missing__(self, ids: tuple) -> _Layout:
+        axes = tuple(map(self.axes.__getitem__, ids))
+        layout = self[ids] = _Layout(axes, self.top_bits, self.limit)
+        return layout
+
+    def of(self, treatments: list) -> list:
+        """Each treatment's layout, or None where the treatment has the
+        wrong arity, an unknown value or a point without outcomes."""
+        try:
+            if set(map(len, treatments)) <= {len(self.ids)}:
+                # per input, the axis id of each treatment's value
+                columns = [
+                    map(ids.__getitem__, map(operator.itemgetter(pos), treatments))
+                    for pos, ids in enumerate(self.ids)
+                ]
+                return list(map(self.__getitem__, zip(*columns)))
+        except (KeyError, TypeError):
+            pass
+        return list(map(self._of_one, treatments))
+
+    def _of_one(self, treatment: tuple) -> Optional[_Layout]:
+        if len(treatment) != len(self.ids):
+            return None
+        try:
+            return self[tuple(map(dict.__getitem__, self.ids, treatment))]
+        except (KeyError, TypeError):
+            return None
+
+
+def _too_wide(top_bits: int, cells: int, limit: int) -> bool:
+    # every int of a table and their sum must stay printable
+    return (top_bits + cells.bit_length() + 1) * math.log10(2) >= limit
+
+
+def _check_digits(treatment, top: int, cells: int, limit: int) -> None:
+    if _too_wide(top.bit_length(), cells, limit):
         raise SystemFormatError(
             f"probabilities in treatment {treatment!r} need more than {limit} digits"
         )
-    return TreatmentTable.from_ints(design, treatment, axes, ints, den)
+
+
+def _table_in_file_order(design: Design, axes: Mapping, treatment, order, cells, regime):
+    """One table built point by point and cell by cell, for a table whose
+    layout is not known sound; raises the table's first fault."""
+    table_axes = []
+    for pos, name in enumerate(design.inputs):
+        pt = InputPoint(name, treatment[pos])
+        if not axes.get(pt):
+            raise SystemFormatError(f"no outcomes known for point {pt}")
+        table_axes.append(tuple(axes[pt]))
+    if regime == RATIONAL:
+        den = math.lcm(*(d for _, d in cells))
+        scaled = {o: n * (den // d) for o, (n, d) in zip(order.outcomes, cells)}
+        ints = [scaled.pop(outcome, 0) for outcome in itertools.product(*table_axes)]
+        _check_digits(treatment, max(den, max(ints), -min(ints)), len(ints), digit_limit())
+        return TreatmentTable.from_ints(design, treatment, table_axes, ints, den)
+    probs = {o: v if isinstance(v, float) else v[0] / v[1] for o, v in zip(order.outcomes, cells)}
+    return TreatmentTable(design, treatment, probs, axes=table_axes)
 
 
 def default_order_metric(design: Design, tables) -> Metric:
@@ -360,8 +616,6 @@ def dump_system(design: Design, tables) -> dict:
 
 
 def _num_to_doc(p):
-    from fractions import Fraction
-
     return str(p) if isinstance(p, Fraction) else p
 
 

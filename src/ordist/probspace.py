@@ -252,17 +252,30 @@ class TreatmentTable:
         """An exact table from its cells as ints over ``den``: ints[k] / den
         is the probability of the k-th outcome vector in the row-major
         order of ``axes``."""
-        table = cls.__new__(cls)
-        table._set_shape(design, treatment, axes, ())
+        shape = cls.__new__(cls)
+        shape._set_shape(design, treatment, axes, ())
         ints = list(ints)
-        if len(ints) != math.prod(map(len, table.axes)):
+        if len(ints) != math.prod(map(len, shape.axes)):
             raise SystemFormatError("one cell per outcome vector required")
         if den <= 0:
             raise SystemFormatError("the denominator must be positive")
-        table._probs = None
-        table._regime = RATIONAL
+        return cls._from_parts(design, shape.treatment, shape.axes, RATIONAL, ints=ints, den=den)
+
+    @classmethod
+    def _from_parts(cls, design: Design, treatment: tuple, axes: tuple, regime: str,
+                    ints=None, den=None, probs=None) -> "TreatmentTable":
+        """A table from parts already checked as ``_set_shape`` and
+        ``from_ints`` check them; ``axes`` is kept as given, so tables of
+        one layout can share it.  An exact table gives ``ints`` and
+        ``den``, a float table its dense ``probs``."""
+        table = cls.__new__(cls)
+        table.design = design
+        table.treatment = treatment
+        table.axes = axes
+        table._regime = regime
         table._ints = ints
         table._den = den
+        table._probs = probs
         return table
 
     def _set_shape(self, design: Design, treatment, axes, outcomes) -> None:

@@ -478,6 +478,19 @@ class TestMalformedSystem:
 
 
     @pytest.mark.parametrize("command", ["check", "jdc"])
+    def test_outcomes_for_unknown_value_is_input_error(self, capsys, tmp_path, command):
+        # a per-point declaration for a value input 1 does not have
+        doc = json.loads((SAMPLES / "product.json").read_text())
+        doc["outcomes"].insert(0, {"input": "1", "value": "X", "values": ["1", "0"]})
+        file = tmp_path / "unknown_value.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(file), "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "unknown value 'X' of input '1'" in err
+
+    @pytest.mark.parametrize("command", ["check", "jdc"])
     @pytest.mark.parametrize(
         "literals, arithmetic",
         [

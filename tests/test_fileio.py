@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from fractions import Fraction as F
@@ -5,10 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from load_reference import assert_loads_alike, load_both
+from randsys import random_2x2_system, random_coupled_system, system_from_joint
+
 from ordist import (
     SystemFormatError,
     arith,
     default_order_metric,
+    dump_system,
     dumps_report,
     load_metric,
     load_system,
@@ -259,3 +264,153 @@ class TestRoundTrip:
                 back = by_t[t.treatment]
                 assert back.axes == t.axes
                 assert back.probs == t.probs
+
+
+def _literal(rng, p: F, style: str):
+    """p written as a ratio string, a decimal string, a JSON number, or (in
+    the "float" style, sometimes) a float with more places than auto mode
+    keeps exact."""
+    terminating = 10**9 % p.denominator == 0
+    form = rng.choice(["ratio", "decimal", "number"]) if style == "mixed" else style
+    if form == "decimal" and terminating:
+        return str(float(p))
+    if form == "number" and terminating:
+        return float(p)
+    if form == "float" and rng.random() < 0.5:
+        return float(p) + 1e-12
+    return f"{p.numerator}/{p.denominator}"
+
+
+def _shuffled_doc(rng) -> str:
+    """A random system as JSON text: zero cells mostly omitted, cells and
+    tables shuffled, outcomes declared per point (in shuffled orders), per
+    input or not at all, literals in one of several styles.  One document
+    in ten lists a cell twice."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        design, tables = random_coupled_system(
+            rng, n_inputs=rng.choice([2, 3]), max_input_values=3,
+            restrict_phi=rng.random() < 0.5,
+        )
+    elif kind == 1:
+        design, tables = random_2x2_system(rng)
+    else:
+        design, tables, _ = system_from_joint(
+            rng, n_inputs=rng.choice([2, 3]), out_size=rng.choice([2, 3])
+        )
+    doc = dump_system(design, tables)
+    declare = rng.choice(["point", "input", "none"])
+    if declare == "none":
+        del doc["outcomes"]
+    elif declare == "input":
+        union = {}
+        for entry in doc["outcomes"]:
+            union.setdefault(entry["input"], {}).update(dict.fromkeys(entry["values"]))
+        doc["outcomes"] = [{"input": name, "values": list(vs)} for name, vs in union.items()]
+    else:
+        for entry in doc["outcomes"]:
+            rng.shuffle(entry["values"])
+    style = rng.choice(["ratio", "decimal", "number", "mixed", "float"])
+    for spec, table in zip(doc["tables"], tables):
+        spec["probs"] = [
+            {"outcome": list(o), "p": _literal(rng, F(p), style)}
+            for o, p in table.probs.items()
+            if p != 0 or rng.random() < 0.2
+        ]
+        rng.shuffle(spec["probs"])
+    rng.shuffle(doc["tables"])
+    if rng.random() < 0.1:
+        # a fault: one table lists a cell twice
+        probs = rng.choice(doc["tables"])["probs"]
+        if probs:
+            probs.insert(rng.randrange(len(probs) + 1), dict(rng.choice(probs)))
+    return json.dumps(doc)
+
+
+class TestAgainstReference:
+    """The loader reads every document as tests/load_reference.py does."""
+
+    @pytest.mark.parametrize("arithmetic", ["auto", "rational", "float"])
+    def test_random_documents_load_alike(self, arithmetic):
+        import random
+
+        rng = random.Random(f"loader-{arithmetic}")
+        for _ in range(120):
+            assert_loads_alike(_shuffled_doc(rng), arithmetic)
+
+    def test_samples_load_alike(self):
+        for path in sorted(SAMPLES.glob("*.json")):
+            for arithmetic in ("auto", "rational", "float"):
+                assert_loads_alike(path.read_text(), arithmetic)
+
+    def test_labels_that_compare_equal_keep_their_text(self):
+        # 1, 1.0 and true compare equal, so these tables list equal cells;
+        # each point keeps the labels its own table prints
+        doc = {
+            "inputs": [{"name": "1", "values": ["x", "x'", "x''"]}, {"name": "2", "values": ["y"]}],
+            "tables": [
+                {"treatment": [w, "y"], "probs": [{"outcome": [one, "0"], "p": "1/2"},
+                                                  {"outcome": [0, "0"], "p": "1/2"}]}
+                for w, one in (("x", 1), ("x'", "ONE"), ("x''", True))
+            ],
+        }
+        text = json.dumps(doc).replace('"ONE"', "1.0")
+        assert_loads_alike(text)
+        loaded = load_system(io.StringIO(text))
+        assert [repr(t.axes[0]) for t in loaded.tables] == [
+            "(1, 0)", "(Decimal('1.0'), 0)", "(True, 0)"
+        ]
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "repeated_first", "repeated_later", "arity", "undeclared", "short_treatment",
+            "long_treatment", "unknown_treatment_value", "empty_axis", "repeated_axis_value",
+            "too_many_digits", "bad_literal_after_repeat",
+        ],
+    )
+    def test_faults_raise_the_reference_message(self, fault):
+        doc = two_table_doc(["1/4"] * 4, ["1/4"] * 4)
+        second = doc["tables"][1]
+        if fault == "repeated_first":
+            doc["tables"][0]["probs"].append(dict(doc["tables"][0]["probs"][0]))
+        elif fault == "repeated_later":
+            # the first table's cell order is sound, the second repeats it
+            # with one cell twice
+            second["probs"][3] = dict(second["probs"][1])
+        elif fault == "arity":
+            second["probs"][2]["outcome"] = ["1", "0", "1"]
+        elif fault == "undeclared":
+            doc["outcomes"] = [{"input": "1", "values": ["0", "1"]},
+                               {"input": "2", "values": ["0"]}]
+        elif fault == "short_treatment":
+            second["treatment"] = ["x'"]
+        elif fault == "long_treatment":
+            second["treatment"] = ["x'", "y", "z"]
+        elif fault == "unknown_treatment_value":
+            second["treatment"] = ["x", "q"]
+        elif fault == "empty_axis":
+            doc["outcomes"] = [{"input": "1", "value": "x'", "values": []}]
+            second["probs"] = []
+        elif fault == "repeated_axis_value":
+            doc["outcomes"] = [{"input": "2", "values": ["0", "1", "0"]}]
+        elif fault == "too_many_digits":
+            second["probs"][0]["p"] = "1/" + "7" * 2200
+            second["probs"][1]["p"] = "1/" + "9" * 2199
+        elif fault == "bad_literal_after_repeat":
+            second["probs"][1]["p"] = "oops"
+            second["probs"][3] = dict(second["probs"][0])
+        loaded, reference = load_both(json.dumps(doc))
+        assert isinstance(reference, SystemFormatError), reference
+        assert type(loaded) is type(reference)
+        assert str(loaded) == str(reference)
+
+    def test_outcomes_for_unknown_value_rejected(self):
+        doc = minimal_doc("1/4")
+        doc["outcomes"] = [{"input": "1", "value": "X", "values": ["0", "1"]}]
+        with pytest.raises(SystemFormatError, match="unknown value 'X' of input '1'"):
+            load_system(doc)
+
+    def test_tables_of_one_layout_share_their_axes(self):
+        loaded = load_system(SAMPLES / "product.json")
+        assert len({id(t.axes) for t in loaded.tables}) == 1

@@ -1,8 +1,8 @@
 """Fuzzing the system and metric loaders.
 
-Valid documents are mutated by dropping keys or list items, replacing
-values with values of other types or with other numbers, and corrupting
-numbers.  Each mutated
+Valid documents are mutated by dropping keys or list items, repeating
+list items, replacing values with values of other types or with other
+numbers, and corrupting numbers.  Each mutated
 document must either load or raise OrdistError, and ``ordist check|jdc``
 on it must end in an exit code, never in an uncaught exception; exit
 code 1 comes with a message.
@@ -11,12 +11,16 @@ code 1 comes with a message.
 import copy
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from load_reference import assert_loads_alike
+from randsys import random_coupled_system
 
+from ordist import dump_system
 from ordist.cli import main
 from ordist.errors import OrdistError
 from ordist.fileio import load_metric, load_system
@@ -60,6 +64,23 @@ METRICS = [
     },
 ]
 
+
+def _layouts_doc(seed: int) -> dict:
+    """A restricted random system whose points have 2 or 3 outcomes in
+    shuffled declared orders, zero cells omitted.  Its tables list their
+    cells in one order per size, so one cell order recurs under several
+    layouts."""
+    rng = random.Random(seed)
+    doc = dump_system(*random_coupled_system(rng, max_input_values=3))
+    for entry in doc["outcomes"]:
+        rng.shuffle(entry["values"])
+    return json.loads(json.dumps(doc))
+
+
+# the bases of the loader parity test: the fuzz bases and two documents
+# with several table layouts
+PARITY_SYSTEMS = SYSTEMS + [_layouts_doc(seed) for seed in (1, 2)]
+
 # replacement values of every JSON type, including numbers that parse badly
 REPLACEMENTS = [
     None, True, 0, -1, 7, 1.5, -0.25, 1e308, "", "x", "1/0", "-3/4", "3/-4",
@@ -89,9 +110,10 @@ def _corrupt_number(value):
 
 
 @st.composite
-def mutated(draw, bases):
+def mutated(draw, bases, most: int = 3):
+    """A copy of one of `bases` with 1 to `most` mutations."""
     doc = copy.deepcopy(draw(st.sampled_from(bases)))
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, most))):
         path = draw(st.sampled_from(list(_paths(doc))))
         if not path:
             doc = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
@@ -101,9 +123,12 @@ def mutated(draw, bases):
             parent = parent[key]
         key = path[-1]
         old = parent[key]
-        op = draw(st.sampled_from(["drop", "replace", "corrupt", "renumber"]))
+        op = draw(st.sampled_from(["drop", "replace", "corrupt", "renumber", "repeat"]))
         if op == "drop":
             del parent[key]
+        elif op == "repeat" and isinstance(parent, list):
+            # a list item twice, such as a table's cell
+            parent.insert(key, copy.deepcopy(old))
         elif op == "renumber":
             parent[key] = draw(st.sampled_from(NUMBERS))
         elif op == "corrupt" and isinstance(old, (int, float, str)) and not isinstance(old, bool):
@@ -162,6 +187,16 @@ class TestLoaderFuzz:
         assert code in (0, 1, 2)
         if code == 1:
             assert err.strip()
+
+    @FUZZ
+    @given(
+        doc=mutated(PARITY_SYSTEMS, most=1),
+        arithmetic=st.sampled_from(["auto", "rational", "float"]),
+    )
+    def test_single_fault_raises_the_reference_message(self, doc, arithmetic):
+        # the loader raises what tests/load_reference.py raises, or loads
+        # the same tables
+        assert_loads_alike(json.dumps(doc), arithmetic)
 
     @pytest.mark.parametrize("doc", METRICS)
     def test_base_metrics_load(self, doc):
