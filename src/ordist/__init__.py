@@ -33,7 +33,6 @@ from .errors import (
 )
 from .fileio import (
     LoadedSystem,
-    default_order_metric,
     dump_system,
     dumps_report,
     load_metric,
@@ -68,6 +67,7 @@ from .metrics import (
     PowerOf,
     SeparationDistance,
     SumOf,
+    default_order_metric,
     numeric_embedding,
     separation_distance,
     triangle_defect,
@@ -117,8 +117,8 @@ __all__ = [
     "SystemFormatError", "UnknownInput", "UnrankedValue",
     "ValueNotInPartition",
     # fileio
-    "LoadedSystem", "default_order_metric", "dump_system", "dumps_report",
-    "load_metric", "load_system",
+    "LoadedSystem", "dump_system", "dumps_report", "load_metric",
+    "load_system",
     # jdc
     "EquivalenceReport", "FineReport", "FineSystem", "JdcProblem",
     "JdcVerdict", "build_jdc", "d1_d2_chain_residuals",
@@ -128,7 +128,8 @@ __all__ = [
     "BoundedOf", "ClassificationDistance", "ConditionalEntropy",
     "ExpectedGround", "FrechetDistance", "MaxOf", "Metric", "MixtureOf",
     "OrderDistance", "OrderSpec", "PDistance", "PowerOf",
-    "SeparationDistance", "SumOf", "numeric_embedding",
+    "SeparationDistance", "SumOf", "default_order_metric",
+    "numeric_embedding",
     "separation_distance", "triangle_defect",
     # probspace
     "BivariateMarginal", "Design", "InputPoint", "JointDist",

@@ -48,15 +48,6 @@ def regime_of(values: Iterable[Num]) -> str:
     return RATIONAL if all(is_exact(v) for v in values) else FLOAT
 
 
-def exact_fraction(x) -> Fraction:
-    """Convert ints, floats, Decimals and strings to an exact Fraction.
-
-    Floats are converted through their shortest repr, so 0.1 becomes 1/10,
-    not the underlying binary value.
-    """
-    return parse_number(x, RATIONAL)
-
-
 def digit_limit() -> int:
     """The most decimal digits an exact value may have: the interpreter's
     int-string conversion limit, or its default when conversion is
@@ -156,13 +147,6 @@ def over_lcm(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:
     except AttributeError:
         raise TypeError("over_lcm takes ints and Fractions") from None
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def close(a: Num, b: Num, eps: float) -> bool:
-    """Equality, exact when both sides are exact, within eps otherwise."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(a - b) <= eps
 
 
 def num_to_json(x: Num):

@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes are never conflated: 0 = the method found nothing against the
 system, 1 = usage or input error, 2 = negative verdict (violations found
-or LP infeasible).  All human-readable output is derived from the same
-JSON report that --json prints verbatim.
+or LP infeasible).  :func:`main` is the one error boundary: an OrdistError
+or OSError from any step prints ``error: ...`` and exits 1.  Text output
+is derived from the same report dict that --json prints verbatim.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import functools
 import sys
 
 from .arith import EPS_LP, EPS_SUM, EPS_TEST, num_to_json
-from .errors import HiddenSpaceTooLarge, NumericalInstability, OrdistError
-from .fileio import default_order_metric, dumps_report, load_metric, load_system
+from .errors import OrdistError
+from .fileio import dumps_report, load_metric, load_system
 from .jdc import (
     FineSystem,
     build_jdc,
@@ -31,6 +32,7 @@ from .jdc import (
     jdc_feasible,
 )
 from .binormal import demo_chain_violation, rho_grid
+from .metrics import default_order_metric
 from .selectivity import check_marginal_selectivity, run_suite
 from .probspace import validate_system
 
@@ -132,33 +134,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_checked(args):
+def _load_valid(args):
+    """Load and validate the system: returns it with the report's first two
+    fields, or prints the invalid system's report and returns None."""
     loaded = load_system(args.system, args.arithmetic)
-    report = validate_system(loaded.design, loaded.tables, eps_sum=args.tol_sum)
-    return loaded, report
-
-
-def cmd_check(args) -> int:
-    try:
-        loaded, validation = _load_checked(args)
-    except (OrdistError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    validation = validate_system(loaded.design, loaded.tables, eps_sum=args.tol_sum)
     report = {"validation": validation.as_json(), "arithmetic": loaded.regime}
     if not validation.ok:
         print(dumps_report(report), end="")
         print("invalid system; see issues above", file=sys.stderr)
+        return None
+    return loaded, report
+
+
+def cmd_check(args) -> int:
+    checked = _load_valid(args)
+    if checked is None:
         return EXIT_INPUT
+    loaded, report = checked
     msel = check_marginal_selectivity(loaded.design, loaded.tables, args.tol_test)
     report["marginal_selectivity"] = msel.as_json()
-    if not msel.passed:
-        report["violations"] = []
-        report["sequences_tested"] = 0
-        _emit(report, args)
-        if not args.json:
-            print("marginal selectivity violated; no joint distribution exists")
-        return EXIT_VERDICT
-    try:
+    if msel.passed:
         if args.metric:
             metrics = [load_metric(m) for m in args.metric]
         else:
@@ -172,46 +168,34 @@ def cmd_check(args) -> int:
             eps_test=args.tol_test,
             on_cap="truncate",
         )
-    except (OrdistError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    sj = suite.as_json()
-    report.update(
-        violations=sj["violations"],
-        sequences_tested=sj["sequences_tested"],
-        metrics=sj["metrics"],
-        truncated=sj["truncated"],
+        report.update(suite.as_json())
+    else:
+        report.update(violations=[], sequences_tested=0)
+    _emit(report, args, _check_text)
+    return EXIT_VERDICT if report["violations"] or not msel.passed else EXIT_OK
+
+
+def _check_text(report: dict):
+    if not report["marginal_selectivity"]["passed"]:
+        yield "marginal selectivity violated; no joint distribution exists"
+        return
+    note = " (enumeration truncated)" if report["truncated"] else ""
+    yield (
+        f"{report['sequences_tested']} irreducible sequences x {len(report['metrics'])} "
+        f"metrics: {len(report['violations'])} violation(s){note}"
     )
-    _emit(report, args)
-    if not args.json:
-        note = " (enumeration truncated)" if suite.truncated else ""
-        print(
-            f"{suite.sequences_tested} irreducible sequences x {len(metrics)} metrics: "
-            f"{len(suite.violations)} violation(s){note}"
-        )
-        for v in suite.violations[:10]:
-            seq = " -> ".join(f"({p.input},{p.value})" for p in v.sequence)
-            print(f"  {v.metric}: {seq}  residual {num_to_json(v.residual)}")
-    return EXIT_VERDICT if suite.violations else EXIT_OK
+    for v in report["violations"][:10]:
+        seq = " -> ".join(f"({name},{value})" for name, value in v["sequence"])
+        yield f"  {v['metric']}: {seq}  residual {v['residual']}"
 
 
 def cmd_jdc(args) -> int:
-    try:
-        loaded, validation = _load_checked(args)
-    except (OrdistError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    checked = _load_valid(args)
+    if checked is None:
         return EXIT_INPUT
-    report = {"validation": validation.as_json(), "arithmetic": loaded.regime}
-    if not validation.ok:
-        print(dumps_report(report), end="")
-        print("invalid system; see issues above", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        problem = build_jdc(loaded.design, loaded.tables, cap=args.cap)
-        verdict = jdc_feasible(problem, eps_lp=args.tol_lp)
-    except (HiddenSpaceTooLarge, NumericalInstability) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    loaded, report = checked
+    problem = build_jdc(loaded.design, loaded.tables, cap=args.cap)
+    verdict = jdc_feasible(problem, eps_lp=args.tol_lp)
     report.update(verdict.as_json())
     report["variables"] = problem.n_vars
     report["constraints"] = len(problem.constraints)
@@ -227,17 +211,19 @@ def cmd_jdc(args) -> int:
             report["theorem4_max_discrepancy"] = num_to_json(eq.max_discrepancy)
         except OrdistError as exc:
             report["fine"] = {"error": str(exc)}
-    _emit(report, args)
-    if not args.json:
-        state = "feasible" if verdict.feasible else "infeasible"
-        print(
-            f"joint distribution over {problem.n_vars} assignments: {state} "
-            f"({len(problem.constraints)} constraints, {loaded.regime} arithmetic)"
-        )
-        fine = report["fine"]
-        if isinstance(fine, dict) and fine.get("violations"):
-            print(f"Bell-CHSH-Fine inequalities violated: {fine['violations']}")
+    _emit(report, args, _jdc_text)
     return EXIT_OK if verdict.feasible else EXIT_VERDICT
+
+
+def _jdc_text(report: dict):
+    state = "feasible" if report["feasible"] else "infeasible"
+    yield (
+        f"joint distribution over {report['variables']} assignments: {state} "
+        f"({report['constraints']} constraints, {report['arithmetic']} arithmetic)"
+    )
+    fine = report["fine"]
+    if isinstance(fine, dict) and fine.get("violations"):
+        yield f"Bell-CHSH-Fine inequalities violated: {fine['violations']}"
 
 
 def cmd_demo_normal(args) -> int:
@@ -263,9 +249,13 @@ def cmd_demo_normal(args) -> int:
     return EXIT_VERDICT if report.violated else EXIT_OK
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args, text) -> None:
+    """Print the report as JSON, or the lines ``text(report)`` derives from it."""
     if args.json:
         print(dumps_report(report), end="")
+    else:
+        for line in text(report):
+            print(line)
 
 
 def main(argv=None) -> int:
@@ -275,14 +265,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for verdicts here
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "jdc":
-        return cmd_jdc(args)
-    if args.command == "demo-normal":
-        return cmd_demo_normal(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_INPUT
+    commands = {"check": cmd_check, "jdc": cmd_jdc, "demo-normal": cmd_demo_normal}
+    try:
+        return commands[args.command](args)
+    except (OrdistError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -480,16 +480,6 @@ def _table_in_file_order(design: Design, axes: Mapping, treatment, order, cells,
     return TreatmentTable(design, treatment, probs, axes=table_axes)
 
 
-def default_order_metric(design: Design, tables) -> Metric:
-    """Order-distance ranking every point's outcomes by canonical order."""
-    outcomes = OutcomeSpace.from_tables(design, list(tables))
-    per_point = {
-        pt: {v: k + 1 for k, v in enumerate(axis)}
-        for pt, axis in outcomes.values.items()
-    }
-    return OrderDistance(OrderSpec({}, per_point), "order:index")
-
-
 def _parse_embed(spec):
     if spec in (None, "numeric"):
         return numeric_embedding

@@ -32,7 +32,7 @@ from .errors import (
     SystemFormatError,
 )
 from .lp import solve_equality_feasibility, verify_certificate, verify_solution
-from .metrics import OrderSpec, OrderDistance
+from .metrics import OrderDistance, OrderSpec, default_order_metric
 from .probspace import Design, InputPoint, OutcomeSpace, TreatmentTable
 from .selectivity import (
     ChainReport,
@@ -137,26 +137,27 @@ def build_jdc(
     for k in range(len(points) - 1, -1, -1):
         strides[k] = acc
         acc *= len(axes[k])
+    # each axis value's digit times its point's stride
+    place = [{v: strides[k] * d for d, v in enumerate(axis)} for k, axis in enumerate(axes)]
 
     constraints = []
     regime = "rational"
     for t in tables:
         if t.regime() == "float":
             regime = "float"
-        tr_points = [InputPoint(name, t.treatment[pos]) for pos, name in enumerate(design.inputs)]
-        tr_idx = [point_index[pt] for pt in tr_points]
-        for outcome in itertools.product(*t.axes):
-            # variable indices whose digits at the treatment's points match
-            digit = [axes[tr_idx[pos]].index(v) for pos, v in enumerate(outcome)]
-            base = sum(strides[tr_idx[pos]] * digit[pos] for pos in range(len(outcome)))
-            free = [k for k in range(len(points)) if k not in set(tr_idx)]
-            offsets = [0]
-            for k in free:
+        tr_idx = [point_index[InputPoint(name, w)] for name, w in zip(design.inputs, t.treatment)]
+        # the variables matching an outcome vector at the treatment's
+        # points: its base index plus every digit of the other points
+        offsets = [0]
+        for k in range(len(points)):
+            if k not in tr_idx:
                 offsets = [o + strides[k] * d for o in offsets for d in range(len(axes[k]))]
-            var_indices = tuple(sorted(base + o for o in offsets))
-            constraints.append(
-                JdcConstraint(t.treatment, outcome, var_indices, t.prob(outcome))
-            )
+        offsets.sort()
+        tr_place = [place[k] for k in tr_idx]
+        for outcome, p in t.probs.items():
+            base = sum(pl[v] for pl, v in zip(tr_place, outcome))
+            var_indices = tuple(base + o for o in offsets)
+            constraints.append(JdcConstraint(t.treatment, outcome, var_indices, p))
     return JdcProblem(
         design=design,
         points=points,
@@ -167,11 +168,7 @@ def build_jdc(
     )
 
 
-def jdc_feasible(
-    problem: JdcProblem,
-    eps_lp: float = EPS_LP,
-    max_iter: Optional[int] = None,
-) -> JdcVerdict:
+def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
     """Decide the problem; the verdict is self-checked before returning.
 
     Rational systems are solved exactly; float systems use tolerance
@@ -193,7 +190,7 @@ def jdc_feasible(
             row[k] = one
         rows.append(row)
         rhs.append(c.rhs if exact else float(c.rhs))
-    result = solve_equality_feasibility(rows, rhs, eps=0.0 if exact else eps_lp, max_iter=max_iter)
+    result = solve_equality_feasibility(rows, rhs, eps=0.0 if exact else eps_lp)
     if result.feasible:
         x = result.x
         ok = verify_solution(rows, rhs, x, eps=0.0 if exact else 10 * eps_lp)
@@ -343,17 +340,13 @@ def fine_inequalities(fs: FineSystem, eps: float = 0.0) -> FineReport:
 def _binary_order_specs(design: Design, tables) -> tuple[OrderSpec, OrderSpec]:
     """Rank maps for the two canonical binary order-distances: both axes by
     canonical value order, and with the second input's order reversed."""
-    outcomes = OutcomeSpace.from_tables(design, list(tables))
-    n1, n2 = design.inputs
-    per_point_low = {}
-    per_point_rev = {}
-    for pt, axis in outcomes.values.items():
-        per_point_low[pt] = {axis[0]: 1, axis[1]: 2}
-        if pt.input == n2:
-            per_point_rev[pt] = {axis[0]: 2, axis[1]: 1}
-        else:
-            per_point_rev[pt] = {axis[0]: 1, axis[1]: 2}
-    return OrderSpec({}, per_point_low), OrderSpec({}, per_point_rev)
+    low = default_order_metric(design, tables).order
+    second = design.inputs[1]
+    reversed_second = {
+        pt: {v: 3 - r for v, r in ranks.items()} if pt.input == second else ranks
+        for pt, ranks in low.per_point.items()
+    }
+    return low, OrderSpec({}, reversed_second)
 
 
 def d1_d2_chain_residuals(

@@ -20,6 +20,7 @@ PowerOf (q-th power, q <= 1), BoundedOf (d/(1+d)), MaxOf and SumOf
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .errors import (
     UnrankedValue,
     ValueNotInPartition,
 )
-from .probspace import BivariateMarginal, InputPoint, JointDist
+from .probspace import BivariateMarginal, Design, InputPoint, JointDist, OutcomeSpace
 
 #: support cutoff for the essential supremum in float mode
 EPS_SUPP = 1e-12
@@ -57,16 +58,26 @@ def as_embedding(embed: Embedding) -> Callable[[object], Num]:
 
 def numeric_embedding(value) -> Fraction:
     """Embed labels that are themselves numbers (or numeric strings)."""
+    if isinstance(value, str):
+        return _numeric_label(value)
     if isinstance(value, bool):
         raise MetricEvaluationError("bool label has no numeric meaning")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
         return value
+    return _label_value(value)
+
+
+def _label_value(value) -> Fraction:
     try:
         return Fraction(str(value))
     except ValueError:
         raise MetricEvaluationError(f"label {value!r} is not numeric") from None
+
+
+#: str labels recur in every table of a system: each is parsed once
+_numeric_label = functools.lru_cache(maxsize=4096)(_label_value)
 
 
 @dataclass(frozen=True)
@@ -124,18 +135,32 @@ class OrderDistance(Metric):
     name: str = "order"
 
     def evaluate(self, m: BivariateMarginal) -> Num:
-        total = None
-        for a, b, p in m.cells():
-            if p == 0:
-                continue
-            ra = self.order.rank_of(a, m.row_point)
-            rb = self.order.rank_of(b, m.col_point)
-            if ra < rb:
-                total = p if total is None else total + p
-        return total if total is not None else _zero_of(m)
+        return _mass_below(m, self.order.rank_of)
 
     def describe(self) -> str:
         return self.name
+
+
+def _mass_below(m: BivariateMarginal, rank_of) -> Num:
+    """Pr[A strictly below B] under ``rank_of(value, point)``; ranks are
+    looked up only for cells of positive mass."""
+    total = None
+    for a, b, p in m.cells():
+        if p == 0:
+            continue
+        if rank_of(a, m.row_point) < rank_of(b, m.col_point):
+            total = p if total is None else total + p
+    return total if total is not None else _zero_of(m)
+
+
+def default_order_metric(design: Design, tables) -> OrderDistance:
+    """Order-distance ranking every point's outcomes by canonical order."""
+    outcomes = OutcomeSpace.from_tables(design, list(tables))
+    per_point = {
+        pt: {v: k + 1 for k, v in enumerate(axis)}
+        for pt, axis in outcomes.values.items()
+    }
+    return OrderDistance(OrderSpec({}, per_point), "order:index")
 
 
 @dataclass(frozen=True)
@@ -155,13 +180,7 @@ class ClassificationDistance(Metric):
         raise ValueNotInPartition(f"value {value!r} is in no partition cell")
 
     def evaluate(self, m: BivariateMarginal) -> Num:
-        total = None
-        for a, b, p in m.cells():
-            if p == 0:
-                continue
-            if self._rank_of(a, m.row_point) < self._rank_of(b, m.col_point):
-                total = p if total is None else total + p
-        return total if total is not None else _zero_of(m)
+        return _mass_below(m, self._rank_of)
 
     def describe(self) -> str:
         return self.name

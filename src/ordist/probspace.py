@@ -185,6 +185,25 @@ class Design:
         return None
 
 
+_DISAGREE = "outcome sets for point {} disagree across tables"
+
+
+def _point_axes(design: Design, tables: Iterable["TreatmentTable"]):
+    """Each point's axis in the first table mentioning it, and the
+    (point, treatment) pairs of later tables whose axis for the point is
+    another set."""
+    first_axes: dict[InputPoint, tuple] = {}
+    mismatches = []
+    for t in tables:
+        for pos, name in enumerate(design.inputs):
+            pt = InputPoint(name, t.treatment[pos])
+            axis = t.axes[pos]
+            first = first_axes.setdefault(pt, axis)
+            if first is not axis and set(first) != set(axis):
+                mismatches.append((pt, t.treatment))
+    return first_axes, mismatches
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeSpace:
     """Outcome value sets per input point.
@@ -200,17 +219,10 @@ class OutcomeSpace:
     def from_tables(cls, design: Design, tables: Iterable["TreatmentTable"]) -> "OutcomeSpace":
         """Collect per-point axes from tables; axis order comes from the
         first table mentioning the point, later tables must agree as sets."""
-        out: dict[InputPoint, tuple] = {}
-        for t in tables:
-            for pos, name in enumerate(design.inputs):
-                pt = InputPoint(name, t.treatment[pos])
-                axis = t.axes[pos]
-                first = out.setdefault(pt, axis)
-                if first is not axis and set(first) != set(axis):
-                    raise SystemFormatError(
-                        f"outcome sets for point {pt} disagree across tables"
-                    )
-        return cls(out)
+        values, mismatches = _point_axes(design, tables)
+        if mismatches:
+            raise SystemFormatError(_DISAGREE.format(mismatches[0][0]))
+        return cls(values)
 
     def axis(self, point: InputPoint) -> tuple:
         try:
@@ -573,20 +585,8 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
             issues.append(_sum_not_one(t, delta))
 
     # outcome-set consistency per input point across tables
-    seen_axes: dict[InputPoint, tuple] = {}
-    for t in tables:
-        for pos, name in enumerate(design.inputs):
-            pt = InputPoint(name, t.treatment[pos])
-            axis = t.axes[pos]
-            first = seen_axes.setdefault(pt, axis)
-            if first is not axis and set(first) != set(axis):
-                issues.append(
-                    ValidationIssue(
-                        "ValueSetMismatch",
-                        f"outcome sets for point {pt} disagree across tables",
-                        t.treatment,
-                    )
-                )
+    for pt, treatment in _point_axes(design, tables)[1]:
+        issues.append(ValidationIssue("ValueSetMismatch", _DISAGREE.format(pt), treatment))
 
     return ValidationReport(
         ok=not issues,

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordist.arith import (
-    close,
-    exact_fraction,
     num_to_json,
     over_lcm,
     parse_number,
@@ -58,11 +56,6 @@ class TestRegimes:
         assert regime_of([F(1, 2), 3]) == "rational"
         assert regime_of([F(1, 2), 0.5]) == "float"
 
-    def test_close_exact_vs_tolerant(self):
-        assert close(F(1, 3), F(1, 3), 0.0)
-        assert not close(F(1, 3), F(1, 3) + F(1, 10**12), 0.0)
-        assert close(0.1 + 0.2, 0.3, 1e-9)
-
 
 class TestOverLcm:
     @given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)), max_size=8))
@@ -95,6 +88,6 @@ class TestJsonNumbers:
         assert num_to_json(0.25) == 0.25
 
     def test_exact_fraction_of_decimal_string(self):
-        assert exact_fraction("0.2") == F(1, 5)
+        assert parse_number("0.2", "rational") == F(1, 5)
         with pytest.raises(ValueError):
-            exact_fraction("zebra")
+            parse_number("zebra", "rational")

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from ordist import cli
 from ordist.cli import _build_parser, main
+from ordist.errors import SystemFormatError
 from ordist.jdc import FineSystem
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -196,6 +198,18 @@ class TestJdc:
         assert code == 1
         assert "cap" in err
 
+    def test_any_ordist_error_is_input_error(self, capsys, monkeypatch):
+        # one error boundary for every command: an OrdistError from any
+        # step ends in exit code 1 and a message, never a traceback
+        def fail(*args, **kwargs):
+            raise SystemFormatError("injected")
+
+        monkeypatch.setattr(cli, "jdc_feasible", fail)
+        code, out, err = run(capsys, "jdc", str(SAMPLES / "prbox.json"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestDemoNormal:
     def test_human_output(self, capsys):
@@ -246,6 +260,7 @@ MIXED = json.dumps(
 )
 
 TRANSFORM_METRICS = ("--metric", POWER_BOUNDED, "--metric", MIXED)
+FLOAT = ("--arithmetic", "float")
 
 # the low-first order-distance and its square root, on a 3x3 full design
 # with an embedded noisy PR box: violations under both, interleaved
@@ -261,6 +276,8 @@ SAMPLE_GOLDENS = {
         ("check_prbox", ("check",), 2),
         ("jdc_prbox", ("jdc",), 2),
         ("check_prbox_transforms", ("check", *TRANSFORM_METRICS), 2),
+        ("check_prbox_transforms_float", ("check", *FLOAT, *TRANSFORM_METRICS), 2),
+        ("jdc_prbox_float", ("jdc", *FLOAT), 2),
     ),
     "product.json": (
         ("check_product", ("check",), 0),
@@ -270,20 +287,38 @@ SAMPLE_GOLDENS = {
     "normal_sign.json": (
         ("check_normal_sign", ("check",), 2),
         ("jdc_normal_sign", ("jdc",), 2),
+        ("jdc_normal_sign_float", ("jdc", *FLOAT), 2),
     ),
     "pr_full.json": (
         ("check_pr_full", ("check", *PR_FULL_METRICS), 2),
+        ("check_pr_full_float", ("check", *FLOAT, *PR_FULL_METRICS), 2),
     ),
     # 11 of pr_full.json's 27 treatments: the restricted-design walk
     "pr_restricted.json": (
         ("check_pr_restricted", ("check", *PR_FULL_METRICS), 2),
+        ("check_pr_restricted_float", ("check", *FLOAT, *PR_FULL_METRICS), 2),
     ),
     # a table summing to 1 + 1/12, negative cells and a missing treatment:
     # the validation messages
     "invalid_exact.json": (
         ("check_invalid_exact", ("check",), 1),
+        ("check_invalid_exact_float", ("check", *FLOAT), 1),
     ),
 }
+
+INVALID = "invalid system; see issues above\n"
+
+# (golden file, (command, sample, *extra arguments), exit code, stderr);
+# each golden .txt file holds the exact output without --json
+TEXT_GOLDENS = (
+    ("text_check_prbox", ("check", "prbox.json"), 2, ""),
+    ("text_jdc_prbox", ("jdc", "prbox.json"), 2, ""),
+    ("text_check_product", ("check", "product.json"), 0, ""),
+    ("text_jdc_product", ("jdc", "product.json"), 0, ""),
+    # 15 violations, of which the first 10 are printed
+    ("text_check_pr_full", ("check", "pr_full.json", *PR_FULL_METRICS), 2, ""),
+    ("text_check_invalid_exact", ("check", "invalid_exact.json"), 1, INVALID),
+)
 
 
 def assert_golden(capsys, golden, argv, expected_code):
@@ -300,6 +335,13 @@ class TestDeterminism:
         for golden, (command, *extra), code in SAMPLE_GOLDENS[name]:
             argv = (command, str(SAMPLES / name), "--json", *extra)
             assert_golden(capsys, golden, argv, code)
+
+    @pytest.mark.parametrize("golden, argv, code, stderr", TEXT_GOLDENS, ids=[g[0] for g in TEXT_GOLDENS])
+    def test_byte_identical_text_output(self, capsys, golden, argv, code, stderr):
+        command, name, *extra = argv
+        result = run(capsys, command, str(SAMPLES / name), *extra)
+        expected = (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
+        assert result == (code, expected, stderr)
 
     def test_byte_identical_demo_report(self, capsys):
         assert_golden(capsys, "demo_normal", ("demo-normal", "--json"), 2)
