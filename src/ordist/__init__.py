@@ -77,13 +77,13 @@ from .probspace import (
     Design,
     InputPoint,
     JointDist,
-    OutcomeSpace,
     TreatmentTable,
     ValidationIssue,
     ValidationReport,
     bivariate,
     diagonal_coupling,
     marginalize,
+    point_axes,
     validate_system,
 )
 from .selectivity import (
@@ -133,9 +133,8 @@ __all__ = [
     "separation_distance", "triangle_defect",
     # probspace
     "BivariateMarginal", "Design", "InputPoint", "JointDist",
-    "OutcomeSpace", "TreatmentTable", "ValidationIssue",
-    "ValidationReport", "bivariate", "diagonal_coupling", "marginalize",
-    "validate_system",
+    "TreatmentTable", "ValidationIssue", "ValidationReport", "bivariate",
+    "diagonal_coupling", "marginalize", "point_axes", "validate_system",
     # selectivity
     "ChainReport", "MarginalSelectivityReport", "SequenceWitness",
     "SuiteReport", "chain_test", "check_marginal_selectivity",

@@ -48,6 +48,12 @@ def regime_of(values: Iterable[Num]) -> str:
     return RATIONAL if all(is_exact(v) for v in values) else FLOAT
 
 
+def zero_of(values: Iterable[Num]) -> Num:
+    """The zero of the values' regime: 0.0 if any value is a float, else
+    Fraction(0)."""
+    return 0.0 if any(isinstance(v, float) for v in values) else Fraction(0)
+
+
 def digit_limit() -> int:
     """The most decimal digits an exact value may have: the interpreter's
     int-string conversion limit, or its default when conversion is

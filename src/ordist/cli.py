@@ -232,21 +232,22 @@ def cmd_demo_normal(args) -> int:
     doc["rhs_total"] = num_to_json(sum(report.rhs_terms))
     if args.rho_grid:
         doc["rho_grid"] = [[rho, d] for rho, d in rho_grid()]
-    if args.json:
-        print(dumps_report(doc), end="")
-    else:
-        seq = " -> ".join(f"({p.input},{p.value:g})" for p in report.sequence)
-        print(f"sequence: {seq}")
-        print(
-            f"lhs {report.lhs:.6g} <= rhs {sum(report.rhs_terms):.6g} is false; "
-            f"residual {report.residual:.6g}"
-        )
-        print("selective influence of the two inputs is ruled out.")
-        if args.rho_grid:
-            print("rho        arccos(rho)/(2 pi)")
-            for rho, d in rho_grid():
-                print(f"{rho:+.2f}      {d:.6f}")
-    return EXIT_VERDICT if report.violated else EXIT_OK
+    _emit(doc, args, _demo_text)
+    return EXIT_VERDICT if doc["violated"] else EXIT_OK
+
+
+def _demo_text(doc: dict):
+    seq = " -> ".join(f"({name},{value:g})" for name, value in doc["sequence"])
+    yield f"sequence: {seq}"
+    yield (
+        f"lhs {doc['lhs']:.6g} <= rhs {doc['rhs_total']:.6g} is false; "
+        f"residual {doc['residual']:.6g}"
+    )
+    yield "selective influence of the two inputs is ruled out."
+    if "rho_grid" in doc:
+        yield "rho        arccos(rho)/(2 pi)"
+        for rho, d in doc["rho_grid"]:
+            yield f"{rho:+.2f}      {d:.6f}"
 
 
 def _emit(report: dict, args, text) -> None:

@@ -76,7 +76,7 @@ from .metrics import (
     SumOf,
     numeric_embedding,
 )
-from .probspace import Design, InputPoint, OutcomeSpace, TreatmentTable
+from .probspace import Design, InputPoint, TreatmentTable, point_axes
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,8 +586,7 @@ def dump_system(design: Design, tables) -> dict:
         "outcomes": [],
         "tables": [],
     }
-    outcomes = OutcomeSpace.from_tables(design, list(tables))
-    for pt, axis in outcomes.values.items():
+    for pt, axis in point_axes(design, tables).items():
         doc["outcomes"].append(
             {"input": pt.input, "value": pt.value, "values": list(axis)}
         )

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .lp import solve_equality_feasibility, verify_certificate, verify_solution
 from .metrics import OrderDistance, OrderSpec, default_order_metric
-from .probspace import Design, InputPoint, OutcomeSpace, TreatmentTable
+from .probspace import Design, InputPoint, TreatmentTable, point_axes
 from .selectivity import (
     ChainReport,
     chain_test,
@@ -44,6 +44,7 @@ from .selectivity import (
 MAX_HIDDEN_SPACE = 1_000_000
 #: dense tableau guard for the bundled simplex (rows x columns)
 MAX_TABLEAU_CELLS = 50_000_000
+_NOT_2X2 = "need a 2x2 factorial design with binary outputs"
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,15 +114,10 @@ def build_jdc(
     """Encode the joint-distribution feasibility problem for a validated,
     marginally selective system."""
     tables = list(tables)
-    outcomes = OutcomeSpace.from_tables(design, tables)
+    known = point_axes(design, tables)
     points = design.points()
-    axes = []
-    for pt in points:
-        if pt in outcomes.values:
-            axes.append(tuple(outcomes.values[pt]))
-        else:
-            # input point never used by any treatment: one dummy value
-            axes.append(("*",))
+    # input point never used by any treatment: one dummy value
+    axes = [tuple(known.get(pt, ("*",))) for pt in points]
     n_vars = 1
     for axis in axes:
         n_vars *= len(axis)
@@ -257,13 +253,8 @@ class FineSystem:
         eps: float = EPS_TEST,
     ) -> "FineSystem":
         tables = list(tables)
-        if len(design.inputs) != 2 or any(len(design.values[n]) != 2 for n in design.inputs):
-            raise SystemFormatError("need a 2x2 factorial design")
-        if design.treatment_count() != 4:
-            raise SystemFormatError("need all four treatments")
-        for t in tables:
-            if any(len(axis) != 2 for axis in t.axes):
-                raise SystemFormatError("need binary outputs everywhere")
+        if not is_2x2_binary(design, tables):
+            raise SystemFormatError(_NOT_2X2)
         msel = check_marginal_selectivity(design, tables, eps)
         if not msel.passed:
             raise MarginalSelectivityViolated(
@@ -273,14 +264,13 @@ class FineSystem:
         x, xp = design.values[n1]
         y, yp = design.values[n2]
         by_t = {t.treatment: t for t in tables}
-        outcomes = OutcomeSpace.from_tables(design, tables)
+        axes = point_axes(design, tables)
 
         def cell(treatment, i, j):
             # index 1 = first value of the point's canonical outcome axis
-            t = by_t[treatment]
-            a_axis = outcomes.axis(InputPoint(n1, treatment[0]))
-            b_axis = outcomes.axis(InputPoint(n2, treatment[1]))
-            return t.prob((a_axis[i - 1], b_axis[j - 1]))
+            a = axes[InputPoint(n1, treatment[0])][i - 1]
+            b = axes[InputPoint(n2, treatment[1])][j - 1]
+            return by_t[treatment].prob((a, b))
 
         cells = {
             "p": {(i, j): cell((x, y), i, j) for i in (1, 2) for j in (1, 2)},
@@ -363,7 +353,7 @@ def d1_d2_chain_residuals(
     """
     tables = list(tables)
     if not is_2x2_binary(design, tables):
-        raise SystemFormatError("need a 2x2 factorial design with binary outputs")
+        raise SystemFormatError(_NOT_2X2)
     d1_spec, d2_spec = _binary_order_specs(design, tables)
     witnesses = list(itertools.islice(enumerate_irreducible(design, 4), 4))
     d1 = [chain_test(OrderDistance(d1_spec, "order:low-first"), w, tables, eps_test) for w in witnesses]
@@ -416,11 +406,14 @@ def fine_chain_equivalence(
 
 
 def is_2x2_binary(design: Design, tables: Iterable[TreatmentTable]) -> bool:
+    """Whether the design is 2x2 factorial and the tables hold binary
+    outputs, one table per treatment."""
     tables = list(tables)
     return (
         len(design.inputs) == 2
         and all(len(design.values[n]) == 2 for n in design.inputs)
         and design.treatment_count() == 4
         and len(tables) == 4
+        and {t.treatment for t in tables} == set(design.iter_treatments())
         and all(len(axis) == 2 for t in tables for axis in t.axes)
     )

@@ -24,9 +24,10 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Mapping, Optional, Union
 
-from .arith import Num, is_exact
+from .arith import Num, is_exact, zero_of
 from .errors import (
     GroundAxiomViolation,
     InvalidExponent,
@@ -35,7 +36,7 @@ from .errors import (
     UnrankedValue,
     ValueNotInPartition,
 )
-from .probspace import BivariateMarginal, Design, InputPoint, JointDist, OutcomeSpace
+from .probspace import BivariateMarginal, Design, InputPoint, JointDist, point_axes
 
 #: support cutoff for the essential supremum in float mode
 EPS_SUPP = 1e-12
@@ -122,9 +123,6 @@ class Metric:
     def evaluate(self, m: BivariateMarginal) -> Num:
         raise NotImplementedError
 
-    def __call__(self, m: BivariateMarginal) -> Num:
-        return self.evaluate(m)
-
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -150,15 +148,14 @@ def _mass_below(m: BivariateMarginal, rank_of) -> Num:
             continue
         if rank_of(a, m.row_point) < rank_of(b, m.col_point):
             total = p if total is None else total + p
-    return total if total is not None else _zero_of(m)
+    return total if total is not None else zero_of(chain(*m.probs))
 
 
 def default_order_metric(design: Design, tables) -> OrderDistance:
     """Order-distance ranking every point's outcomes by canonical order."""
-    outcomes = OutcomeSpace.from_tables(design, list(tables))
     per_point = {
         pt: {v: k + 1 for k, v in enumerate(axis)}
-        for pt, axis in outcomes.values.items()
+        for pt, axis in point_axes(design, tables).items()
     }
     return OrderDistance(OrderSpec({}, per_point), "order:index")
 
@@ -208,7 +205,7 @@ class PDistance(Metric):
                     d = abs(f(a) - f(b))
                     if best is None or d > best:
                         best = d
-            return best if best is not None else _zero_of(m)
+            return best if best is not None else zero_of(chain(*m.probs))
         total = None
         for a, b, p in m.cells():
             if p == 0:
@@ -217,7 +214,7 @@ class PDistance(Metric):
             term = p * d if self.p == 1 else p * d ** self.p
             total = term if total is None else total + term
         if total is None:
-            return _zero_of(m)
+            return zero_of(chain(*m.probs))
         if self.p == 1 or total == 0:
             return total
         return float(total) ** (1.0 / float(self.p))
@@ -272,7 +269,7 @@ class FrechetDistance(Metric):
             d = abs(f(a) - f(b))
             term = p * d / (1 + d)
             total = term if total is None else total + term
-        return total if total is not None else _zero_of(m)
+        return total if total is not None else zero_of(chain(*m.probs))
 
     def describe(self) -> str:
         return "frechet"
@@ -303,7 +300,7 @@ class SeparationDistance(Metric):
                 if q != 0 and ea <= eu < eb:
                     term = p * q
                     total = term if total is None else total + term
-        return total if total is not None else _zero_of(m)
+        return total if total is not None else zero_of(chain(*m.probs))
 
     def describe(self) -> str:
         return "separation"
@@ -356,7 +353,7 @@ class ExpectedGround(Metric):
                     f"ground distance not defined on ({a!r},{b!r})"
                 ) from None
             total = term if total is None else total + term
-        return total if total is not None else _zero_of(m)
+        return total if total is not None else zero_of(chain(*m.probs))
 
     def describe(self) -> str:
         return "E[ground]"
@@ -444,19 +441,11 @@ class MixtureOf(Metric):
                 continue
             term = w * metric.evaluate(m)
             total = term if total is None else total + term
-        return total if total is not None else _zero_of(m)
+        return total if total is not None else zero_of(chain(*m.probs))
 
     def describe(self) -> str:
         inner = ",".join(c.describe() for c in self.components)
         return f"mixture({inner})"
-
-
-def _zero_of(m: BivariateMarginal) -> Num:
-    for row in m.probs:
-        for p in row:
-            if isinstance(p, float):
-                return 0.0
-    return Fraction(0)
 
 
 def separation_distance(trivariate: JointDist, embed: Embedding) -> Num:
@@ -472,10 +461,7 @@ def separation_distance(trivariate: JointDist, embed: Embedding) -> Num:
     for (a, u, b), p in trivariate.probs.items():
         if p != 0 and f(a) <= f(u) < f(b):
             total = p if total is None else total + p
-    if total is None:
-        vals = trivariate.probs.values()
-        return 0.0 if any(isinstance(p, float) for p in vals) else Fraction(0)
-    return total
+    return total if total is not None else zero_of(trivariate.probs.values())
 
 
 def triangle_defect(d_ax: Num, d_xb: Num, d_ab: Num) -> Num:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .arith import EPS_SUM, RATIONAL, Num, is_exact, over_lcm, regime_of
+from .arith import EPS_SUM, RATIONAL, Num, is_exact, over_lcm, regime_of, zero_of
 from .errors import SameInput, SystemFormatError, UnknownInput
 
 MAX_EXPLICIT_TREATMENTS = 100_000
@@ -204,31 +204,19 @@ def _point_axes(design: Design, tables: Iterable["TreatmentTable"]):
     return first_axes, mismatches
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeSpace:
-    """Outcome value sets per input point.
+def point_axes(design: Design, tables: Iterable["TreatmentTable"]) -> dict[InputPoint, tuple]:
+    """The outcome axis of every input point the tables mention, in the
+    order of the first table mentioning it; later tables must agree as
+    sets, and the first that does not raises SystemFormatError.
 
     Under marginal selectivity the value set of the output for input λ
     depends only on the input point (λ, w), so one axis per point suffices.
     The common case is one axis per input, shared by all of its points.
     """
-
-    values: Mapping[InputPoint, tuple]
-
-    @classmethod
-    def from_tables(cls, design: Design, tables: Iterable["TreatmentTable"]) -> "OutcomeSpace":
-        """Collect per-point axes from tables; axis order comes from the
-        first table mentioning the point, later tables must agree as sets."""
-        values, mismatches = _point_axes(design, tables)
-        if mismatches:
-            raise SystemFormatError(_DISAGREE.format(mismatches[0][0]))
-        return cls(values)
-
-    def axis(self, point: InputPoint) -> tuple:
-        try:
-            return self.values[point]
-        except KeyError:
-            raise SystemFormatError(f"no outcome set for point {point}") from None
+    axes, mismatches = _point_axes(design, tables)
+    if mismatches:
+        raise SystemFormatError(_DISAGREE.format(mismatches[0][0]))
+    return axes
 
 
 class TreatmentTable:
@@ -247,7 +235,7 @@ class TreatmentTable:
     def __init__(self, design: Design, treatment, probs: Mapping[tuple, Num], axes=None):
         probs = {tuple(k): v for k, v in probs.items()}
         self._set_shape(design, treatment, axes, probs)
-        zero = 0.0 if any(isinstance(v, float) for v in probs.values()) else Fraction(0)
+        zero = zero_of(probs.values())
         dense = {}
         for outcome in itertools.product(*self.axes):
             dense[outcome] = probs.pop(outcome, zero)
@@ -431,7 +419,7 @@ class JointDist:
             raise SameInput("need two distinct axes")
         pair = self.marginal((i, j)).probs
         rows, cols = self.axes[i], self.axes[j]
-        zero = Fraction(0) if regime_of(self.probs.values()) == "rational" else 0.0
+        zero = zero_of(self.probs.values())
         probs = tuple(
             tuple(pair.get((a, b), zero) for b in cols) for a in rows
         )
@@ -445,7 +433,7 @@ def diagonal_coupling(values: Sequence, dist: Mapping, point: Optional[InputPoin
     must evaluate to zero on it.
     """
     values = tuple(values)
-    zero = Fraction(0) if regime_of(dist.values()) == "rational" else 0.0
+    zero = zero_of(dist.values())
     probs = tuple(
         tuple(dist.get(a, zero) if a == b else zero for b in values) for a in values
     )

@@ -389,21 +389,18 @@ def _distance_screen(
     pairs: Sequence[tuple[int, int]],
     by_t: Mapping[tuple, TreatmentTable],
     design: Design,
-    eps_test: float,
-) -> tuple[list[list], list[tuple[list[list], list[list], Num, Optional[int]]]]:
+) -> tuple[list[list], list[tuple[list[list], list[list], Optional[int]]]]:
     """Every metric's distances over the point-index `pairs`: the tables
     every chain of :func:`run_suite` is decided and reported on.
 
     Each pair's joint is built once, inside its cover, and every metric is
     evaluated on it.  Returns (C, screens): C[i][j] is the cover of
-    (pts[i], pts[j]), and screens holds (D, R, lim, den) per metric.
-    R[i][j] is the metric's value on that pair.  When every value is
-    exact, D holds them as ints over the lcm den of their denominators, so
-    a residual on D is a plain int whose sign is the exact residual's, and
-    lim is 0.  Otherwise D is R, den is None, a residual is computed as in
-    :func:`_chain_residual`, and a residual below lim is one that may be
-    violated: below -eps_test when every value is a float, below
-    max(0, -eps_test) when exact and float values mix."""
+    (pts[i], pts[j]), and screens holds (D, R, den) per metric.  R[i][j]
+    is the metric's value on that pair.  When every value is exact, D
+    holds them as ints over the lcm den of their denominators, so a
+    residual on D is a plain int whose sign is the exact residual's.
+    Otherwise D is R, den is None, and :func:`_chain_residual` decides a
+    chain over R."""
     n = len(pts)
 
     def table(values: Iterable) -> list[list]:
@@ -422,10 +419,9 @@ def _distance_screen(
         R = table(raw)
         if all(map(is_exact, raw)):
             ints, den = over_lcm(raw)
-            screens.append((table(ints), R, 0, den))
+            screens.append((table(ints), R, den))
         else:
-            lim = max(0, -eps_test) if any(map(is_exact, raw)) else -eps_test
-            screens.append((R, R, lim, None))
+            screens.append((R, R, None))
     return table(covers), screens
 
 
@@ -434,28 +430,30 @@ _SLACK = 2.0**-40
 
 
 def _candidate_view(
-    D: list[list], lim: Num, den: Optional[int], pairs: Sequence[tuple[int, int]]
+    D: list[list], den: Optional[int], pairs: Sequence[tuple[int, int]], eps_test: float
 ) -> tuple[list[list], Num]:
     """The table G and bound B that :func:`_tetrad_candidates` screens one
-    metric's screen (D, lim, den) of :func:`_distance_screen` on.
+    metric's screen (D, R, den) of :func:`_distance_screen` on.
 
     An int table is its own view, with bound 0.  A raw-value table is
     viewed as floats, G = float(D), with B = lim + slack,
-    slack = 2^-40 (M + L) + 2^-1022, M = max|G| and L = |lim|.  Then every
-    tetrad whose residual on D, added left to right, is below lim is a
-    candidate.  Proof: let u = 2^-53.  Rounding to nearest moves a result
-    by at most u of its size, plus 2^-1075 when an exact value converts
-    to a subnormal float; float addition of a subnormal sum is exact.  The
-    residual r1 + r2 + r3 - r4 rounds at most 7 times: 3 float operations,
-    and 4 conversions of an exact value or an exact partial sum to float,
-    each of a quantity of size at most 4M(1 + 2u).  The screen rounds the
-    4 conversions into G, g = G[x'][y'] - G[x][y'] once, the threshold
-    (B - G[x][y]) - G[y][x'] twice, and B itself once, each of a quantity
-    of size at most 2M + 2L + slack.  Writing the real residual both ways,
-    g minus the threshold equals the computed residual minus lim minus
-    slack, up to all these errors, which sum to less than
-    64u (M + L) + 2^-1071, far below the slack.  So a residual below lim
-    puts g below the threshold.
+    slack = 2^-40 (M + L) + 2^-1022, M = max|G| and L = |lim|.  Every
+    residual that :func:`_chain_residual` flags on D is below lim:
+    -eps_test when every value is a float, max(0, -eps_test) when exact
+    and float values mix.  Then every tetrad whose residual on D, added
+    left to right, is below lim is a candidate.  Proof: let u = 2^-53.
+    Rounding to nearest moves a result by at most u of its size, plus
+    2^-1075 when an exact value converts to a subnormal float; float
+    addition of a subnormal sum is exact.  The residual r1 + r2 + r3 - r4
+    rounds at most 7 times: 3 float operations, and 4 conversions of an
+    exact value or an exact partial sum to float, each of a quantity of
+    size at most 4M(1 + 2u).  The screen rounds the 4 conversions into G,
+    g = G[x'][y'] - G[x][y'] once, the threshold (B - G[x][y]) - G[y][x']
+    twice, and B itself once, each of a quantity of size at most
+    2M + 2L + slack.  Writing the real residual both ways, g minus the
+    threshold equals the computed residual minus lim minus slack, up to
+    all these errors, which sum to less than 64u (M + L) + 2^-1071, far
+    below the slack.  So a residual below lim puts g below the threshold.
 
     A table with a non-finite value, or a value too large for a float, or
     so large that 8 (M + L) overflows, is viewed as zeros with bound
@@ -463,8 +461,10 @@ def _candidate_view(
     if den is not None:
         return D, 0
     n = len(D)
+    raw = [D[i][j] for i, j in pairs]
+    lim = max(0, -eps_test) if any(map(is_exact, raw)) else -eps_test
     try:
-        floats = [float(D[i][j]) for i, j in pairs]
+        floats = list(map(float, raw))
         M = max(map(abs, floats), default=0.0)
         L = abs(lim)
         finite = all(map(math.isfinite, floats)) and math.isfinite(8 * (M + L))
@@ -608,29 +608,22 @@ def run_suite(
     else:
         near = _cover_graph(design)
         pairs = [(i, j) for i, js in enumerate(near) for j in sorted(js) if j != i]
-    C, screens = _distance_screen(metrics, pts, pairs, by_t, design, eps_test)
+    C, screens = _distance_screen(metrics, pts, pairs, by_t, design)
     violations: list[ChainReport] = []
 
     def decide(seq: tuple[int, ...], k: int) -> None:
-        D, R, lim, den = screens[k]
+        D, R, den = screens[k]
         first, last = seq[0], seq[-1]
-        if full:  # a tetrad, unrolled
-            a, b, c, d = seq
-            residual = D[a][b] + D[b][c] + D[c][d] - D[a][d]
-        else:
-            # ints add exactly in any order, floats left to right as in
-            # _chain_residual
-            terms = _adjacent(D, seq)
-            steps = sum(terms) if den is not None else functools.reduce(add, terms, 0)
-            residual = steps - D[first][last]
-        if not residual < lim:
-            return
-        lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
         if den is None:
+            lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
             _, _, residual, violated = _chain_residual(lhs, rhs, eps_test)
             if not violated:
                 return
         else:
+            residual = sum(_adjacent(D, seq)) - D[first][last]
+            if not residual < 0:
+                return
+            lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
             residual = Fraction(residual, den)
             if residual.denominator == 1 and not any(isinstance(v, Fraction) for v in (lhs, *rhs)):
                 residual = residual.numerator  # ints add up to an int
@@ -642,7 +635,7 @@ def run_suite(
         total = _tetrad_total(design) if max_len >= 4 else 0
         tested = min(total, max(cap, 0))
         truncated = total > tested
-        views = [_candidate_view(D, lim, den, pairs) for D, _, lim, den in screens]
+        views = [_candidate_view(D, den, pairs, eps_test) for D, _, den in screens]
         for a, b, c, d, k in _tetrad_candidates(design, views, tested):
             decide((a, b, c, d), k)
     else:

@@ -1,0 +1,78 @@
+"""Hash the output of every CLI call in a benchmark batch.
+
+Run from anywhere in a checkout::
+
+    python3 tests/report_hashes.py --seed 1
+    python3 tests/report_hashes.py --seed 2 --workload check_full
+
+For each workload (all of them by default) the seed's batch of systems is
+generated by ``perfbench/workloads.py`` and written by
+``perfbench/systems.py`` into a temporary directory.  Every case of the
+batch is then run through ``ordist.cli.main`` in batch order, and one
+sha256 is printed per workload over each call's exit code, stdout and
+stderr.  The temporary directory's path is replaced by a fixed token
+before hashing, so the hashes depend only on the program and the seed:
+two checkouts print the same hashes exactly when every call behaves the
+same.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import ordist  # noqa: E402
+import ordist.cli  # noqa: E402
+from systems import write_system  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def call(argv: list[str]) -> tuple[object, str, str]:
+    """One CLI call: its exit code (the exception's name if it raised),
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code: object = ordist.cli.main(argv)
+        except Exception as exc:
+            code = type(exc).__name__
+    return code, out.getvalue(), err.getvalue()
+
+
+def batch_hash(workload: str, seed: int) -> str:
+    """sha256 over every call of the workload's batch at `seed`."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        written = set()
+        for case in WORKLOADS[workload](random.Random(seed)):
+            path = str(Path(tmp) / f"{case.system.name}.json")
+            if path not in written:
+                write_system(ordist, case.system, path)
+                written.add(path)
+            for part in call(case.argv(path)):
+                text = str(part).replace(tmp, "<dir>")
+                digest.update(f"{len(text)}:{text}".encode("utf-8"))
+    return digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
+    args = p.parse_args(argv)
+    for workload in args.workload or list(WORKLOADS):
+        print(f"{workload} {batch_hash(workload, args.seed)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

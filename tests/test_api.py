@@ -26,6 +26,7 @@ REMOVED = [
     "frechet_distance",
     "expected_ground",
     "pair_coverable",
+    "OutcomeSpace",
 ]
 
 # names the benchmark harness under perfbench/ looks up on the package

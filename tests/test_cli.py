@@ -346,6 +346,13 @@ class TestDeterminism:
     def test_byte_identical_demo_report(self, capsys):
         assert_golden(capsys, "demo_normal", ("demo-normal", "--json"), 2)
 
+    @pytest.mark.parametrize(
+        "golden, extra", [("text_demo_normal", ()), ("text_demo_normal_rho_grid", ("--rho-grid",))]
+    )
+    def test_byte_identical_demo_text(self, capsys, golden, extra):
+        expected = (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
+        assert run(capsys, "demo-normal", *extra) == (2, expected, "")
+
     def test_transform_goldens_name_every_op(self):
         names = json.loads((GOLDEN / "check_prbox_transforms.json").read_text())["metrics"]
         assert names == [

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from ordist import (
     FineSystem,
     MarginalSelectivityViolated,
     OrderDistance,
+    SystemFormatError,
     TreatmentTable,
     build_jdc,
     d1_d2_chain_residuals,
@@ -16,6 +18,7 @@ from ordist import (
     fine_inequalities,
     is_2x2_binary,
     jdc_feasible,
+    load_system,
     run_suite,
     witness_reproduces_tables,
 )
@@ -30,6 +33,8 @@ from randsys import (
     system_from_joint,
     table_2x2,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def brute_certificate_check(problem, certificate):
@@ -174,6 +179,15 @@ class TestFineInequalities:
         ]
         with pytest.raises(MarginalSelectivityViolated):
             FineSystem.from_tables(design, tables)
+
+    @pytest.mark.parametrize("pick", [(0, 1, 2), (0, 1, 2, 2)], ids=["three", "repeated"])
+    def test_missing_treatment_is_format_error(self, pick):
+        # three tables, or four with one treatment twice: no bare KeyError
+        loaded = load_system(SAMPLES / "prbox.json")
+        tables = [loaded.tables[k] for k in pick]
+        assert not is_2x2_binary(loaded.design, tables)
+        with pytest.raises(SystemFormatError, match="need a 2x2 factorial design with binary outputs"):
+            FineSystem.from_tables(loaded.design, tables)
 
 
 class TestChainResiduals:

@@ -1135,7 +1135,7 @@ class TestTetradScreen:
                 values = [D[i][j] for i, j in pairs]
                 exact = any(isinstance(v, F) for v in values)
                 lim = max(0, -eps_test) if exact else -eps_test
-                view = _candidate_view(D, lim, None, pairs)
+                view = _candidate_view(D, None, pairs, eps_test)
                 assert view[1] < math.inf, name
                 (got,) = candidate_sets(design, [view], total)
                 below = {t for t in _tetrad_indices(design) if unrolled(D, t) < lim}
@@ -1155,7 +1155,7 @@ class TestTetradScreen:
             i, j = rng.choice(pairs)
             D[i][j] = bad
             ints = random_distance_tables(rng, design, 1)[0]
-            tables = [(ints, 0), _candidate_view(D, -1e-9, None, pairs)]
+            tables = [(ints, 0), _candidate_view(D, None, pairs, 1e-9)]
             assert tables[1][1] == math.inf
             total = _tetrad_total(design)
             got = list(_tetrad_candidates(design, tables, total))
@@ -1170,7 +1170,7 @@ class TestTetradScreen:
             pairs = tetrad_pairs(design)
             i, j = rng.choice(pairs)
             other[i][j] = math.nan  # a table that keeps every tetrad
-            tables = [(D, 0), _candidate_view(other, -1e-9, None, pairs)]
+            tables = [(D, 0), _candidate_view(other, None, pairs, 1e-9)]
             total = _tetrad_total(design)
             caps = {0, 1, total - 1, total, total + 1, rng.randrange(total + 1)}
             for cap in sorted(caps):
