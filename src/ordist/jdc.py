@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .arith import EPS_LP, EPS_TEST, Num, num_to_json
+from .arith import EPS_LP, EPS_TEST, Num, num_to_json, zero_of
 from .errors import (
     HiddenSpaceTooLarge,
     MarginalSelectivityViolated,
@@ -164,8 +164,45 @@ def build_jdc(
     )
 
 
+def independent_rows(problem: JdcProblem) -> list[int]:
+    """Indices of a basis of the constraint rows: greedily, each row that
+    is not in the span of the rows kept before it.
+
+    Elimination runs modulo 2 on the rows' 0/1 patterns as bit sets.
+    Integer rows independent modulo 2 are independent over the rationals:
+    a rational dependency, scaled to coprime integers, stays nonzero
+    modulo 2.  For `build_jdc` rows the two ranks are also equal, so the
+    kept rows span every row.  A treatment's rows span the functions of
+    its points' outcomes, and over any field these have one basis: the
+    products of indicators [point k has value v] over subsets of its
+    points, v never the first value of k's axis.
+    """
+    pivots: dict[int, int] = {}
+    keep = []
+    for i, c in enumerate(problem.constraints):
+        r = 0
+        for k in c.var_indices:
+            r |= 1 << k
+        while r:
+            low = r & -r
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = r
+                keep.append(i)
+                break
+            r ^= p
+    return keep
+
+
 def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
     """Decide the problem; the verdict is self-checked before returning.
+
+    The simplex runs on the rows of `independent_rows`, which span all
+    rows.  A certificate for them, zero on the dropped rows, refutes every
+    row.  A solution of them is checked on every row; it fails a dropped
+    row only when that row's right-hand side disagrees with the kept rows
+    (a system that is not marginally selective) or a float solve drifted,
+    and then all rows are solved again.
 
     Rational systems are solved exactly; float systems use tolerance
     eps_lp and may raise NumericalInstability, in which case rerunning the
@@ -178,6 +215,7 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
         )
     exact = problem.regime == "rational"
     zero, one = (0, 1) if exact else (0.0, 1.0)
+    eps, eps_x = (0.0, 0.0) if exact else (eps_lp, 10 * eps_lp)
     rows = []
     rhs = []
     for c in problem.constraints:
@@ -186,18 +224,24 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
             row[k] = one
         rows.append(row)
         rhs.append(c.rhs if exact else float(c.rhs))
-    result = solve_equality_feasibility(rows, rhs, eps=0.0 if exact else eps_lp)
+    keep = independent_rows(problem)
+    result = solve_equality_feasibility([rows[i] for i in keep], [rhs[i] for i in keep], eps=eps)
+    ok = result.feasible and verify_solution(rows, rhs, result.x, eps=eps_x)
+    if result.feasible and not ok and len(keep) < m:
+        keep = range(m)
+        result = solve_equality_feasibility(rows, rhs, eps=eps)
+        ok = result.feasible and verify_solution(rows, rhs, result.x, eps=eps_x)
     if result.feasible:
-        x = result.x
-        ok = verify_solution(rows, rhs, x, eps=0.0 if exact else 10 * eps_lp)
         if not ok:
             raise NumericalInstability("witness failed verification; rerun with rational arithmetic")
         witness = {
-            problem.assignment(k): v for k, v in enumerate(x) if v != 0
+            problem.assignment(k): v for k, v in enumerate(result.x) if v != 0
         }
         return JdcVerdict(True, witness, None, problem.regime)
-    y = result.certificate
-    ok = verify_certificate(rows, rhs, y, eps=0.0 if exact else eps_lp)
+    y = [zero_of(result.certificate)] * m
+    for i, v in zip(keep, result.certificate):
+        y[i] = v
+    ok = verify_certificate(rows, rhs, y, eps=eps)
     if not ok:
         raise NumericalInstability("certificate failed verification; rerun with rational arithmetic")
     certificate = [

@@ -1,12 +1,28 @@
 """Equality-form LP feasibility: find x >= 0 with A x = b, or refute it.
 
-Phase-1 simplex with Bland's rule.  On exact rationals (the reference
-mode) Bland's rule excludes cycling, so the answer is a theorem: either a
-basic feasible point or a Farkas certificate y with yA <= 0 componentwise
-and y.b > 0, which no nonnegative solution can coexist with.  Float mode
-uses the same pivoting with an epsilon and a bounded iteration count and
-raises NumericalInstability when it cannot finish or cannot verify its own
-answer; rerunning in rational mode is the fix.
+Phase-1 simplex.  The answer is either a basic feasible point or a Farkas
+certificate y with yA <= 0 componentwise and y.b > 0, which no
+nonnegative solution can coexist with.  Float mode pivots alike with an
+epsilon and a bounded iteration count and raises NumericalInstability
+when it cannot finish or cannot verify its own answer; rerunning in
+rational mode is the fix.
+
+Pricing.  The entering column is the one with the most negative reduced
+cost, ties to the smaller column (Dantzig's rule).  A pivot is degenerate
+when its leaving row's right-hand side is 0: the point and the phase-1
+objective stay where they are.  After DEGENERATE_RUN degenerate pivots in
+a row the entering column is the first one with a negative reduced cost
+(Bland's rule), until a pivot is not degenerate; then Dantzig's rule
+returns.  The leaving row is always the smallest ratio b_i / a_ie over
+the rows with a_ie > 0, ties to the smaller basic variable.
+
+Termination in exact arithmetic.  A pivot that is not degenerate lowers
+the phase-1 objective, which a basis determines, so no basis recurs
+across one, and there are finitely many bases.  A run of degenerate
+pivots either ends within DEGENERATE_RUN pivots or goes on under Bland's
+rule, which cannot cycle (Bland 1977); so every run ends, in a pivot
+that is not degenerate or at an optimal basis.  Dantzig's rule alone can
+cycle.
 
 The tableau has the n columns of A, then m artificial columns (the
 starting identity basis), then the right-hand side; a row whose b_i is
@@ -26,18 +42,17 @@ Rows with a zero in column e are not touched.  The JDC matrices are 0/1
 and sparse, so most of the work a dense `Fraction` tableau spends on
 rewriting zeros, and on a gcd per cell, is never done.
 
-Bland's choices are the ones a dense rational tableau would make, because
-they depend only on signs and ratios that the integer rows give exactly:
-
-- entering column: the first one with a negative reduced cost.  The cost
-  row's denominator is positive, so that is the first negative numerator.
-- leaving row: the smallest b_i / a_ie over the rows with a_ie > 0, ties
-  to the smaller basic variable.  A row's denominator cancels in its own
-  ratio, so the ratio is R_i[-1] / R_i[e], compared by cross-multiplying.
+Every choice is the one a dense rational tableau would make, because it
+depends only on signs, orders and ratios that the integer rows give
+exactly.  The cost row's denominator is positive, so the most negative
+reduced cost is the smallest numerator, and the first negative one the
+first negative numerator.  A row's denominator cancels in its own ratio,
+so the ratio is R_i[-1] / R_i[e], compared by cross-multiplying; a pivot
+is degenerate when R_r[-1] is 0.
 
 The pivot sequence, the iteration count, the witness and the Farkas
-certificate are therefore those of the dense `Fraction` loop, which the
-tests keep as a reference (``tests/lp_reference.py``).
+certificate are therefore those of the dense `Fraction` loop with the same
+rule, which the tests keep as a reference (``tests/lp_reference.py``).
 
 Float mode keeps floats, normalises the pivot row by its pivot and
 applies the same sparse row update.
@@ -56,6 +71,13 @@ from typing import Optional, Sequence
 
 from .arith import Num, is_exact, over_lcm
 from .errors import NumericalInstability
+
+#: consecutive degenerate pivots after which the entering column is chosen
+#: by Bland's rule, until the next pivot that is not degenerate.  The
+#: longest run seen on JDC problems (the benchmark's systems and 3x3
+#: designs with binary outputs) is 20 pivots, so Bland's rule, which needs
+#: far more pivots there, stays a guard against cycling.
+DEGENERATE_RUN = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,13 +210,18 @@ def solve_equality_feasibility(
 
     if max_iter is None:
         max_iter = 50_000 if exact else 20_000
+    tol = 0 if exact else eps
     iterations = 0
+    degenerate = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            if cost[j] < neg:
-                enter = j
-                break
+        if degenerate < DEGENERATE_RUN:
+            # Dantzig: the most negative reduced cost, ties to the smaller
+            # column (index finds the first occurrence)
+            low = min(cost[:ncols], default=0)
+            enter = cost.index(low) if low < neg else -1
+        else:
+            # Bland: the first negative reduced cost
+            enter = next((j for j in range(ncols) if cost[j] < neg), -1)
         if enter < 0:
             break
         if exact:
@@ -203,6 +230,7 @@ def solve_equality_feasibility(
             leave = _float_leaving_row(T, basis, enter, eps)
         if leave < 0:
             raise NumericalInstability("phase-1 objective unbounded; numeric trouble")
+        degenerate = degenerate + 1 if T[leave][-1] <= tol else 0
         iterations += 1
         if iterations > max_iter:
             hint = "" if exact else "; rerun with rational arithmetic"
@@ -269,10 +297,12 @@ def verify_solution(rows, rhs, x, eps: float = 0.0) -> bool:
 def verify_certificate(rows, rhs, y, eps: float = 0.0) -> bool:
     """y refutes {x >= 0 : A x = b}: y.A <= 0 componentwise and y.b > 0."""
     n = len(rows[0]) if rows else 0
-    # column sums of y.A, accumulated row by row over the nonzero cells
+    # column sums of y.A, accumulated over the rows with a nonzero
+    # multiplier and their nonzero cells
     cols = [0] * n
     for yi, row in zip(y, rows):
-        for j, a in enumerate(row):
-            if a:
-                cols[j] += yi * a
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    cols[j] += yi * a
     return all(col <= eps for col in cols) and sum(yi * bi for yi, bi in zip(y, rhs)) > eps

@@ -1,22 +1,38 @@
 """Reference phase-1 simplex: a dense tableau of `Fraction`s (or floats).
 
-This is the straightforward Bland's-rule loop that `ordist.lp` replaced
-with integer rows.  Every cell is rewritten on every pivot, which makes it
-slow but easy to read.  Tests compare the production kernel against it:
+This is the straightforward loop that `ordist.lp` replaced with integer
+rows.  Every cell is rewritten on every pivot, which makes it slow but easy
+to read.  It prices as `ordist.lp` does: the most negative reduced cost
+enters, ties to the smaller column, and after `degenerate_run` consecutive
+degenerate pivots the first negative one enters (Bland's rule) until a
+pivot is not degenerate.  Tests compare the production kernel against it:
 same verdict, same witness, same certificate, same objective and the same
 number of pivots.
+
+With ``degenerate_run=0`` every pivot follows Bland's rule
+(`dense_bland_feasibility`), a second pivoting rule whose verdicts the
+tests compare with the kernel's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from ordist import lp
 from ordist.errors import NumericalInstability
 from ordist.lp import FeasibilityResult
 
 
 def dense_bland_feasibility(rows, rhs, eps: float = 0.0, max_iter=None) -> FeasibilityResult:
-    """Decide {x >= 0 : A x = b}.  eps=0 demands exact arithmetic."""
+    """Decide {x >= 0 : A x = b} by Bland's rule alone."""
+    return dense_feasibility(rows, rhs, eps, max_iter, degenerate_run=0)
+
+
+def dense_feasibility(rows, rhs, eps: float = 0.0, max_iter=None, degenerate_run=None) -> FeasibilityResult:
+    """Decide {x >= 0 : A x = b}.  eps=0 demands exact arithmetic.  The
+    fallback threshold defaults to the kernel's `lp.DEGENERATE_RUN`."""
+    if degenerate_run is None:
+        degenerate_run = lp.DEGENERATE_RUN
     m = len(rows)
     n = len(rows[0]) if m else 0
     exact = eps == 0
@@ -47,14 +63,16 @@ def dense_bland_feasibility(rows, rhs, eps: float = 0.0, max_iter=None) -> Feasi
     if max_iter is None:
         max_iter = 50_000 if exact else 20_000
     iterations = 0
+    degenerate = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < -eps:
-                enter = j
-                break
-        if enter < 0:
+        negative = [j for j in range(ncols) if obj[j] < -eps]
+        if not negative:
             break
+        if degenerate < degenerate_run:
+            # Dantzig; min keeps the first of equal costs
+            enter = min(negative, key=obj.__getitem__)
+        else:
+            enter = negative[0]
         leave = -1
         best = None
         for i in range(m):
@@ -66,6 +84,7 @@ def dense_bland_feasibility(rows, rhs, eps: float = 0.0, max_iter=None) -> Feasi
                     leave = i
         if leave < 0:
             raise NumericalInstability("phase-1 objective unbounded; numeric trouble")
+        degenerate = degenerate + 1 if b[leave] <= eps else 0
         iterations += 1
         if iterations > max_iter:
             hint = "" if exact else "; rerun with rational arithmetic"
@@ -101,3 +120,38 @@ def dense_bland_feasibility(rows, rhs, eps: float = 0.0, max_iter=None) -> Feasi
     # artificial i, flipped back to the original row orientation.
     y = [(one - obj[n + i]) * signs[i] for i in range(m)]
     return FeasibilityResult(False, None, y, objective, iterations)
+
+
+def jdc_rows(problem):
+    """Dense 0/1 rows and right-hand sides of every `build_jdc` constraint."""
+    rows = []
+    for c in problem.constraints:
+        row = [0] * problem.n_vars
+        for k in c.var_indices:
+            row[k] = 1
+        rows.append(row)
+    return rows, [c.rhs for c in problem.constraints]
+
+
+def exact_rank(rows) -> int:
+    """Rank over the rationals by `Fraction` elimination.  Each row, kept
+    as a dict of its nonzero entries, is reduced by the kept rows whose
+    first column is its own first column until it vanishes or leads at a
+    new column."""
+    leading = {}
+    for row in rows:
+        r = {j: Fraction(v) for j, v in enumerate(row) if v}
+        while r:
+            j = min(r)
+            b = leading.get(j)
+            if b is None:
+                leading[j] = r
+                break
+            f = r[j] / b[j]
+            for k, v in b.items():
+                w = r.get(k, 0) - f * v
+                if w:
+                    r[k] = w
+                else:
+                    r.pop(k, None)
+    return len(leading)

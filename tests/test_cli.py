@@ -1,14 +1,17 @@
 import json
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ordist import cli
+from lp_reference import jdc_rows
+from ordist import build_jdc, cli, load_system, witness_reproduces_tables
 from ordist.cli import _build_parser, main
 from ordist.errors import SystemFormatError
 from ordist.jdc import FineSystem
+from ordist.lp import verify_certificate
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -359,6 +362,36 @@ class TestDeterminism:
             "bounded((d^(1))^1/2)",
             "sum(max(mixture(order,classification),frechet),entropy(base=2))",
         ]
+
+
+# (sample, golden file, extra arguments) of every jdc --json golden
+JDC_GOLDENS = [
+    (name, golden, tuple(extra))
+    for name, entries in sorted(SAMPLE_GOLDENS.items())
+    for golden, (command, *extra), _ in entries
+    if command == "jdc"
+]
+
+
+@pytest.mark.parametrize("name, golden, extra", JDC_GOLDENS, ids=[g[1] for g in JDC_GOLDENS])
+def test_jdc_golden_verdict_verifies_on_all_rows(name, golden, extra):
+    # a golden pins one witness or certificate of several valid ones; each
+    # must prove its verdict on every build_jdc row of the sample
+    floats = "float" in extra
+    loaded = load_system(SAMPLES / name, "float" if floats else "auto")
+    problem = build_jdc(loaded.design, loaded.tables)
+    report = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+    num = float if floats else Fraction
+    if report["feasible"]:
+        witness = {tuple(e["assignment"]): num(e["p"]) for e in report["witness"]}
+        assert all(p >= 0 for p in witness.values())
+        assert witness_reproduces_tables(problem, witness, loaded.tables, eps=1e-8 if floats else 0.0)
+    else:
+        y = {(tuple(e["treatment"]), tuple(e["outcome"])): num(e["y"]) for e in report["certificate"]}
+        rows, rhs = jdc_rows(problem)
+        assert len(y) == len(rows)
+        ys = [y[c.treatment, c.outcome] for c in problem.constraints]
+        assert verify_certificate(rows, rhs, ys, eps=1e-9 if floats else 0.0)
 
 
 def f_to_float(value):

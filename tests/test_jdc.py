@@ -22,13 +22,17 @@ from ordist import (
     run_suite,
     witness_reproduces_tables,
 )
-from ordist.jdc import fine_expressions
+from ordist import jdc as jdc_mod
+from ordist.jdc import fine_expressions, independent_rows
+from ordist.lp import verify_certificate
+from lp_reference import exact_rank, jdc_rows
 from randsys import (
     binary_design,
     canonical_order_specs,
     pr_box,
     product_system,
     random_2x2_system,
+    random_coupled_system,
     sign_system,
     system_from_joint,
     table_2x2,
@@ -141,6 +145,74 @@ class TestJdcFeasible:
         t = TreatmentTable(design, ("x", "y"), cells, axes=[("0", "1"), ("0", "1")])
         verdict = jdc_feasible(build_jdc(design, [t]))
         assert verdict.feasible
+
+
+def non_selective_system(num):
+    """A 2x2 binary system whose first output has Pr[0] = 1/2 under (x', y)
+    and 3/4 under (x', y'): not marginally selective.  Summed over the
+    second output, the rows of both treatments give the same 0/1 row with
+    two different right-hand sides.  `num` makes the cells (Fraction or
+    float)."""
+    design = binary_design()
+    q = num(1, 4)
+    uniform = {(a, b): q for a in "01" for b in "01"}
+    skewed = {("0", "0"): num(3, 8), ("0", "1"): num(3, 8), ("1", "0"): num(1, 8), ("1", "1"): num(1, 8)}
+    tables = [
+        TreatmentTable(design, t, skewed if t == ("x'", "y'") else uniform, axes=[("0", "1"), ("0", "1")])
+        for t in design.iter_treatments()
+    ]
+    return design, tables
+
+
+class TestIndependentRows:
+    def test_rows_are_a_basis(self):
+        # full and restricted designs, 2-3 inputs and 2-3 outputs per point
+        rng = random.Random(31)
+        seen = set()  # (inputs, restricted design)
+        for k in range(24):
+            n_inputs = 2 + k % 2
+            if k % 3 == 2:
+                design, tables, _ = system_from_joint(rng, n_inputs=n_inputs, out_size=2 + k % 4 // 2)
+            else:
+                design, tables = random_coupled_system(
+                    rng,
+                    n_inputs=n_inputs,
+                    max_input_values=3 if n_inputs == 2 else 2,
+                    out_sizes=(2, 3) if n_inputs == 2 else (2, 2),
+                    restrict_phi=k % 3 == 0,
+                )
+            problem = build_jdc(design, tables)
+            rows, _ = jdc_rows(problem)
+            keep = independent_rows(problem)
+            assert keep == sorted(set(keep))
+            assert len(keep) == exact_rank(rows)
+            assert exact_rank([rows[i] for i in keep]) == len(keep)
+            seen.add((n_inputs, k % 3 == 0))
+        assert seen == {(2, True), (2, False), (3, True), (3, False)}
+
+    def test_pr_box_keeps_nine_of_sixteen_rows(self):
+        # the rank of a 2x2 binary system: 1 + 4 points + 4 treatments
+        design, tables = pr_box()
+        assert independent_rows(build_jdc(design, tables)) == [0, 1, 2, 3, 4, 6, 8, 9, 12]
+
+    @pytest.mark.parametrize("num", [F, lambda a, b: a / b], ids=["exact", "float"])
+    def test_non_selective_system_refuted_on_all_rows(self, monkeypatch, num):
+        # the kept rows admit a solution, which fails a dropped row; the
+        # rows are then solved again, and the certificate refutes them all
+        design, tables = non_selective_system(num)
+        problem = build_jdc(design, tables)
+        calls = []
+        solve = jdc_mod.solve_equality_feasibility
+        monkeypatch.setattr(
+            jdc_mod, "solve_equality_feasibility",
+            lambda rows, rhs, **kw: calls.append(len(rows)) or solve(rows, rhs, **kw),
+        )
+        verdict = jdc_feasible(problem)
+        assert calls == [9, 16]
+        assert not verdict.feasible
+        rows, rhs = jdc_rows(problem)
+        y = [v for _, _, v in verdict.certificate]
+        assert verify_certificate(rows, rhs, y, eps=1e-9 if problem.regime == "float" else 0.0)
 
 
 class TestFineInequalities:

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from lp_reference import dense_bland_feasibility
-from ordist import NumericalInstability, build_jdc
+from lp_reference import dense_bland_feasibility, dense_feasibility, jdc_rows
+from ordist import NumericalInstability, build_jdc, lp
 from ordist.lp import solve_equality_feasibility, verify_certificate, verify_solution
 from randsys import random_2x2_system, random_coupled_system, system_from_joint
 
@@ -18,15 +18,25 @@ def random_instance(rng, max_m=4, max_n=6, coefficient=lambda rng: F(rng.randint
 
 def assert_matches_reference(rows, rhs, eps=0.0):
     """The sparse kernel and the dense reference loop pivot alike: same
-    verdict, witness, certificate, objective and pivot count."""
+    verdict, witness, certificate, objective and pivot count.  Bland's rule
+    alone, a different pivot sequence, reaches the same verdict."""
     got = solve_equality_feasibility(rows, rhs, eps)
-    ref = dense_bland_feasibility(rows, rhs, eps)
+    ref = dense_feasibility(rows, rhs, eps)
     assert got.feasible == ref.feasible
     assert got.x == ref.x
     assert got.certificate == ref.certificate
     assert got.objective == ref.objective
     assert got.iterations == ref.iterations
+    assert dense_bland_feasibility(rows, rhs, eps).feasible == got.feasible
     return got
+
+
+def degenerate_instance(rng, m=8, n=14):
+    """Random 0/1 rows with most right-hand sides zero: ties in the ratio
+    test and many pivots that leave the objective where it is."""
+    rows = [[rng.choice((0, 0, 1)) for _ in range(n)] for _ in range(m)]
+    rhs = [F(rng.randint(1, 3), 4) if rng.random() < 0.25 else F(0) for _ in range(m)]
+    return rows, rhs
 
 
 class TestExactMode:
@@ -143,17 +153,35 @@ class TestReferenceAgreement:
                 )
             else:
                 design, tables, _ = system_from_joint(rng, n_inputs=3)
-            problem = build_jdc(design, tables)
-            rows = []
-            for c in problem.constraints:
-                row = [0] * problem.n_vars
-                for k in c.var_indices:
-                    row[k] = 1
-                rows.append(row)
-            rhs = [c.rhs for c in problem.constraints]
+            rows, rhs = jdc_rows(build_jdc(design, tables))
             verdicts.add(assert_matches_reference(rows, rhs).feasible)
         # explicit joints are sound; the other two kinds reach both verdicts
         assert verdicts == ({True} if kind == "joint-3" else {True, False})
+
+    @pytest.mark.parametrize("run", [0, 1, 2, 5])
+    def test_bland_fallback_pivots_like_the_reference(self, monkeypatch, run):
+        # a short degenerate run hands pricing to Bland's rule early and
+        # often; at 0 every pivot is Bland's.  The reference reads the
+        # patched threshold too.
+        monkeypatch.setattr(lp, "DEGENERATE_RUN", run)
+        rng = random.Random(23)
+        for _ in range(40):
+            assert_matches_reference(*degenerate_instance(rng))
+        for _ in range(4):
+            design, tables = random_coupled_system(rng, n_inputs=3, max_input_values=2, out_sizes=(2, 2))
+            assert_matches_reference(*jdc_rows(build_jdc(design, tables)))
+
+    def test_highly_degenerate_instance_terminates_verified(self, monkeypatch):
+        # 60 rows over 120 0/1 columns, 42 of them with right-hand side 0:
+        # ratios tie at almost every pivot, and one run of degenerate
+        # pivots is long enough to hand pricing to Bland's rule
+        rows, rhs = degenerate_instance(random.Random(25), m=60, n=120)
+        assert sum(b == 0 for b in rhs) == 42
+        res = assert_matches_reference(rows, rhs)
+        assert not res.feasible
+        assert verify_certificate(rows, rhs, res.certificate)
+        monkeypatch.setattr(lp, "DEGENERATE_RUN", 10**9)
+        assert solve_equality_feasibility(rows, rhs).iterations != res.iterations
 
 
 class TestFloatMode:
