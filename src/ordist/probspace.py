@@ -175,14 +175,58 @@ class Design:
             return tuple(
                 assignment.get(name, self.values[name][0]) for name in self.inputs
             )
-        if self._sorted_treatments is None:
-            self._sorted_treatments = sorted(
-                self.treatments, key=self._value_index_key
-            )
-        for t in self._sorted_treatments:
+        for t in self._cover_order():
             if all(t[self._index[n]] == w for n, w in assignment.items()):
                 return t
         return None
+
+    def _cover_order(self) -> list[tuple]:
+        """A restricted design's treatments in value-index order, the order
+        :meth:`cover` scans them in."""
+        if self._sorted_treatments is None:
+            self._sorted_treatments = sorted(self.treatments, key=self._value_index_key)
+        return self._sorted_treatments
+
+    def pair_covers(self) -> tuple[list[list], list[int]]:
+        """The cover of every ordered pair of points, self pairs included,
+        as (C, near) over indices into :meth:`points`: C[i][j] is
+        ``cover((pts[i], pts[j]))``, and near[i] is a bit mask whose bit j
+        is set when C[i][j] is not None.
+
+        A restricted design's treatments are passed once, in cover's
+        order, and each ordered pair of a treatment's points keeps the
+        first treatment seen: the first that contains both.  A full design's
+        cover of a pair is the pair's values with every other input at its
+        first value, as in :meth:`cover`."""
+        pts = self.points()
+        n = len(pts)
+        C: list[list] = [[None] * n for _ in range(n)]
+        near = [0] * n
+        if self.is_full:
+            first = {name: self.values[name][0] for name in self.inputs}
+            for i, p in enumerate(pts):
+                for j, q in enumerate(pts):
+                    if p.input != q.input or i == j:
+                        C[i][j] = tuple({**first, p.input: p.value, q.input: q.value}.values())
+                        near[i] |= 1 << j
+            return C, near
+        # per input position, the point index of each of its values
+        index = []
+        for name in self.inputs:
+            base = sum(map(len, index))
+            index.append({w: base + v for v, w in enumerate(self.values[name])})
+        for t in self._cover_order():
+            ks = list(map(dict.__getitem__, index, t))
+            mask = sum(1 << k for k in ks)
+            for i in ks:
+                new = mask & ~near[i]
+                if new:
+                    near[i] |= new
+                    row = C[i]
+                    for j in ks:
+                        if new >> j & 1:
+                            row[j] = t
+        return C, near
 
 
 _DISAGREE = "outcome sets for point {} disagree across tables"

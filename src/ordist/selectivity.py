@@ -23,13 +23,22 @@ l-cycle, which for l >= 4 holds no triangle.  So a sequence of length
 l >= 4 is irreducible exactly when its endpoints differ and no other pair
 of its points shares a treatment; for l = 3 every pair is allowed and only
 the triple is checked.  A repeated point shares a treatment with itself,
-so repeats need no special case.  On a restricted design the suite walks
-the sequences depth first, as tuples of point indices over the design's
-cover graph (for each point, the points it shares a treatment with), and
-extends a prefix only by a point that shares no treatment with an earlier
-point two or more places back (the first point excepted when it closes
-the sequence), so it reaches the irreducible sequences without visiting
-the far more numerous reducible ones.
+so repeats need no special case.
+
+On a restricted design the suite walks the sequences depth first, as
+tuples of point indices, on bit sets.  One pass over the treatments, in
+the order :meth:`Design.cover` scans them, gives each ordered pair of
+points its cover (the first treatment seen that holds both) and each
+point its near set as an int bit mask: the points it shares a treatment
+with (:meth:`Design.pair_covers`).  The walk keeps two running ORs of near
+masks, `blocked` over the points two or more places back and `rest`, the
+same without the first point.  A middle point is drawn from
+near[last] & ~blocked, a closing one from
+near[last] & near[first] & ~rest, without the first point itself; only a
+length-3 triple is looked up in the design.  The set bits are taken low
+to high, so the sequences come shortest first, lexicographic within each
+length.  The walk thus reaches the irreducible sequences without visiting
+the far more numerous reducible ones, and tests no candidate by itself.
 
 All d-values are taken from the witnessing treatments' bivariate
 marginals; under marginal selectivity (checked separately) they do not
@@ -38,7 +47,8 @@ depend on which witness covers a pair.
 Both design kinds decide chains on one distance table per metric: the
 distance of every ordered pair of points a tested sequence can use (the
 tetrad pairs of a full design, else every covered pair of distinct
-points), evaluated once on the pair's joint inside its cover and, when all
+points), evaluated once on the pair's joint inside its cover (from the
+one-pass table of :meth:`Design.pair_covers`) and, when all
 are exact, scaled by the lcm of their denominators to plain ints.  A
 sequence is screened by its residual on that table (an int, or the raw
 values with the float tolerance).  A restricted design's walked sequences
@@ -166,73 +176,61 @@ class SuiteReport:
         }
 
 
-def _cover_graph(design: Design) -> list[frozenset]:
-    """For each point of ``design.points()``, the indices of the points it
-    shares a treatment with (itself included when any treatment holds it)."""
-    pts = design.points()
-    return [
-        frozenset(j for j, y in enumerate(pts) if design.cover((x, y)) is not None) for x in pts
-    ]
-
-
-def _may_follow(
-    prefix: Sequence[int],
-    y: int,
-    length: int,
-    near: Sequence[frozenset],
-    pts: Sequence[InputPoint],
-    design: Design,
-) -> bool:
-    """Whether point index y, at index j = len(prefix) of a sequence of
-    `length`, keeps an irreducible-so-far prefix of point indices
-    irreducible.  ``near[y]`` is the set of indices whose points lie in a
-    common treatment with ``pts[y]``.
-
-    y must share no treatment with an earlier point at index i, j - i >= 2,
-    except the first point when y closes the sequence; a closing y must
-    differ from the first point, and for length 3 the triple must lie in
-    no treatment."""
-    j = len(prefix)
-    closing = j == length - 1
-    if not near[y].isdisjoint(prefix[1 if closing else 0 : j - 1]):
-        return False
-    if closing:
-        triple = (pts[k] for k in (*prefix, y))
-        return y != prefix[0] and (length != 3 or design.cover(triple) is None)
-    return True
-
-
 def _walk(
-    design: Design, near: Sequence[frozenset], max_len: int, irreducible: bool
+    design: Design, near: Sequence[int], max_len: int, irreducible: bool
 ) -> Iterator[tuple[int, ...]]:
     """The one depth-first walk over treatment-realizable sequences of
-    length 3..max_len on the cover graph `near` of :func:`_cover_graph`, as
-    tuples of indices into ``design.points()``: shortest first,
-    lexicographic within each length.  With `irreducible` a prefix is
-    extended only by a point that :func:`_may_follow` it, so only
-    irreducible sequences are reached."""
+    length 3..max_len, as tuples of indices into ``design.points()``:
+    shortest first, lexicographic within each length.  ``near`` holds each
+    point's near set as a bit mask, from :meth:`Design.pair_covers`.
+
+    A prefix x_1..x_j is extended by the points of near[x_j]; the closing
+    point must also lie in near[x_1].  With `irreducible` two running ORs
+    of near masks rule out the rest: `blocked` over x_1..x_{j-1} and `rest`
+    over x_2..x_{j-1}.  A middle point is drawn from near[x_j] & ~blocked,
+    a closing one from near[x_j] & near[x_1] & ~rest, without x_1, and for
+    length 3 the triple must lie in no treatment.  Without `irreducible`
+    both masks stay 0.  Candidates are taken low bit first."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     pts = design.points()
-    adj = [sorted(js) for js in near]
+
+    def extend(seq: list[int], length: int, blocked: int, rest: int) -> Iterator[tuple[int, ...]]:
+        # blocked and rest rule out the point after seq; for the point after
+        # that they take in near[last] too, rest only if last is not first
+        last = seq[-1]
+        mask = near[last] & ~blocked
+        if irreducible:
+            blocked |= near[last]
+            rest = rest | near[last] if len(seq) > 1 else 0
+        if len(seq) < length - 2:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                seq.append(low.bit_length() - 1)
+                yield from extend(seq, length, blocked, rest)
+                seq.pop()
+            return
+        # the next point y is the last middle one; then close on z
+        first = seq[0]
+        closing = near[first] & ~(rest | 1 << first) if irreducible else near[first]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            y = low.bit_length() - 1
+            ends = near[y] & closing
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                z = low.bit_length() - 1
+                if irreducible and length == 3:
+                    if design.cover((pts[first], pts[y], pts[z])) is not None:
+                        continue
+                yield (*seq, y, z)
+
     for length in range(3, max_len + 1):
-        stack: list[int] = []
-
-        def walk() -> Iterator[tuple[int, ...]]:
-            for y in adj[stack[-1]]:
-                if irreducible and not _may_follow(stack, y, length, near, pts, design):
-                    continue
-                if len(stack) < length - 1:
-                    stack.append(y)
-                    yield from walk()
-                    stack.pop()
-                elif stack[0] in near[y]:
-                    yield (*stack, y)
-
         for x in range(len(pts)):
-            stack.append(x)
-            yield from walk()
-            stack.pop()
+            yield from extend([x], length, 0, 0)
 
 
 def _witness(points: tuple[InputPoint, ...], design: Design) -> SequenceWitness:
@@ -258,7 +256,7 @@ def enumerate_realizable(
     """All treatment-realizable sequences of length 3..max_len, shortest
     first, lexicographic within each length (design input order, declared
     value order).  Raises CapExceeded past `cap` yields."""
-    seqs = _walk(design, _cover_graph(design), max_len, irreducible=False)
+    seqs = _walk(design, design.pair_covers()[1], max_len, irreducible=False)
     return _witnesses(design, seqs, cap, "realizable")
 
 
@@ -271,18 +269,28 @@ def is_irreducible(points: Sequence[InputPoint], design: Design) -> bool:
     inside it, and the allowed pairs form an l-cycle, which for l >= 4
     holds no triangle, so for l >= 4 a covered subset of size >= 3 always
     has a covered pair that is not allowed.  For l = 3 every pair is
-    allowed and only the triple is checked."""
+    allowed and only the triple is checked.  The pairs are tested with the
+    masks of :func:`_walk`: no point may lie in `blocked`, the near sets
+    of the points two or more places before it, except the closing point,
+    which may share a treatment with the first."""
     distinct = list(dict.fromkeys(points))
     index = {p: k for k, p in enumerate(distinct)}
     near = [
-        frozenset(k for k, q in enumerate(distinct) if design.cover((p, q)) is not None)
+        sum(1 << k for k, q in enumerate(distinct) if design.cover((p, q)) is not None)
         for p in distinct
     ]
     seq = [index[p] for p in points]
     l = len(seq)
-    return seq[0] != seq[-1] and all(
-        _may_follow(seq[:j], seq[j], l, near, distinct, design) for j in range(1, l)
-    )
+    if seq[0] == seq[-1]:
+        return False
+    blocked = rest = 0
+    for j in range(2, l):
+        blocked |= near[seq[j - 2]]
+        if j > 2:
+            rest |= near[seq[j - 2]]
+        if (rest if j == l - 1 else blocked) >> seq[j] & 1:
+            return False
+    return l != 3 or design.cover(points) is None
 
 
 def enumerate_irreducible(
@@ -300,7 +308,7 @@ def enumerate_irreducible(
     if design.is_full:
         seqs = _tetrad_indices(design) if max_len >= 4 else iter(())
     else:
-        seqs = _walk(design, _cover_graph(design), max_len, True)
+        seqs = _walk(design, design.pair_covers()[1], max_len, True)
     return _witnesses(design, seqs, cap, "irreducible")
 
 
@@ -388,19 +396,18 @@ def _distance_screen(
     pts: Sequence[InputPoint],
     pairs: Sequence[tuple[int, int]],
     by_t: Mapping[tuple, TreatmentTable],
-    design: Design,
-) -> tuple[list[list], list[tuple[list[list], list[list], Optional[int]]]]:
+    C: list[list],
+) -> list[tuple[list[list], list[list], Optional[int]]]:
     """Every metric's distances over the point-index `pairs`: the tables
     every chain of :func:`run_suite` is decided and reported on.
 
-    Each pair's joint is built once, inside its cover, and every metric is
-    evaluated on it.  Returns (C, screens): C[i][j] is the cover of
-    (pts[i], pts[j]), and screens holds (D, R, den) per metric.  R[i][j]
-    is the metric's value on that pair.  When every value is exact, D
-    holds them as ints over the lcm den of their denominators, so a
-    residual on D is a plain int whose sign is the exact residual's.
-    Otherwise D is R, den is None, and :func:`_chain_residual` decides a
-    chain over R."""
+    Each pair's joint is built once, inside its cover C[i][j] (from
+    :meth:`Design.pair_covers`), and every metric is evaluated on it.
+    Returns (D, R, den) per metric.  R[i][j] is the metric's value on that
+    pair.  When every value is exact, D holds them as ints over the lcm
+    den of their denominators, so a residual on D is a plain int whose
+    sign is the exact residual's.  Otherwise D is R, den is None, and
+    :func:`_chain_residual` decides a chain over R."""
     n = len(pts)
 
     def table(values: Iterable) -> list[list]:
@@ -409,10 +416,7 @@ def _distance_screen(
             T[i][j] = v
         return T
 
-    covers = [design.cover((pts[i], pts[j])) for i, j in pairs] if metrics else []
-    marginals = [
-        _cover_marginal(by_t, pts[i], pts[j], cover) for (i, j), cover in zip(pairs, covers)
-    ]
+    marginals = [_cover_marginal(by_t, pts[i], pts[j], C[i][j]) for i, j in pairs] if metrics else []
     screens = []
     for metric in metrics:
         raw = list(map(metric.evaluate, marginals))
@@ -422,7 +426,7 @@ def _distance_screen(
             screens.append((table(ints), R, den))
         else:
             screens.append((R, R, None))
-    return table(covers), screens
+    return screens
 
 
 #: the slack of a float view, relative to max|value| + |lim|
@@ -600,15 +604,15 @@ def run_suite(
     names = [m.describe() for m in metrics]
     pts = design.points()
     full = design.is_full
+    C, near = design.pair_covers()
     if full:
         # every tetrad pair joins points of two distinct inputs of >= 2
         # values; below length 4 there is no tetrad, so no pair is needed
         multi = [i for i, p in enumerate(pts) if len(design.values[p.input]) >= 2 and max_len >= 4]
         pairs = [(i, j) for i in multi for j in multi if pts[i].input != pts[j].input]
     else:
-        near = _cover_graph(design)
-        pairs = [(i, j) for i, js in enumerate(near) for j in sorted(js) if j != i]
-    C, screens = _distance_screen(metrics, pts, pairs, by_t, design)
+        pairs = [(i, j) for i, row in enumerate(C) for j, c in enumerate(row) if c is not None and j != i]
+    screens = _distance_screen(metrics, pts, pairs, by_t, C)
     violations: list[ChainReport] = []
 
     def decide(seq: tuple[int, ...], k: int) -> None:

@@ -4,6 +4,7 @@ Run from anywhere in a checkout::
 
     python3 tests/report_hashes.py --seed 1
     python3 tests/report_hashes.py --seed 2 --workload check_full
+    python3 tests/report_hashes.py --seed 1 --samples
 
 For each workload (all of them by default) the seed's batch of systems is
 generated by ``perfbench/workloads.py`` and written by
@@ -13,7 +14,10 @@ sha256 is printed per workload over each call's exit code, stdout and
 stderr.  The temporary directory's path is replaced by a fixed token
 before hashing, so the hashes depend only on the program and the seed:
 two checkouts print the same hashes exactly when every call behaves the
-same.  pytest does not collect this file.
+same.  With ``--samples`` one more line, ``samples``, hashes ``ordist
+check`` and ``ordist jdc``, each with and without ``--json``, on every
+``samples/*.json`` in name order, the samples directory's path likewise
+replaced.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -48,6 +52,14 @@ def call(argv: list[str]) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def add_call(digest, argv: list[str], directory: str) -> None:
+    """Feed one call's exit code, stdout and stderr to `digest`, with
+    `directory` replaced by a fixed token."""
+    for part in call(argv):
+        text = str(part).replace(directory, "<dir>")
+        digest.update(f"{len(text)}:{text}".encode("utf-8"))
+
+
 def batch_hash(workload: str, seed: int) -> str:
     """sha256 over every call of the workload's batch at `seed`."""
     digest = hashlib.sha256()
@@ -58,9 +70,18 @@ def batch_hash(workload: str, seed: int) -> str:
             if path not in written:
                 write_system(ordist, case.system, path)
                 written.add(path)
-            for part in call(case.argv(path)):
-                text = str(part).replace(tmp, "<dir>")
-                digest.update(f"{len(text)}:{text}".encode("utf-8"))
+            add_call(digest, case.argv(path), tmp)
+    return digest.hexdigest()
+
+
+def samples_hash() -> str:
+    """sha256 over `check` and `jdc`, text and JSON, on every sample."""
+    digest = hashlib.sha256()
+    samples = ROOT / "samples"
+    for path in sorted(samples.glob("*.json")):
+        for command in ("check", "jdc"):
+            for extra in ([], ["--json"]):
+                add_call(digest, [command, str(path), *extra], str(samples))
     return digest.hexdigest()
 
 
@@ -68,9 +89,12 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
+    p.add_argument("--samples", action="store_true", help="also hash the calls on samples/*.json")
     args = p.parse_args(argv)
     for workload in args.workload or list(WORKLOADS):
         print(f"{workload} {batch_hash(workload, args.seed)}")
+    if args.samples:
+        print(f"samples {samples_hash()}")
     return 0
 
 

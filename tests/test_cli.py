@@ -462,6 +462,54 @@ class TestLargerDesigns:
         assert report["fine"] is None  # not a 2x2 binary system
 
 
+def eight_cycle_doc():
+    """An 8-cycle design x0 y0 x1 y1 x2 y2 x3 y3 (4x4 values, 8 treatments)
+    with binary outputs, perfectly correlated on seven edges and perfectly
+    anticorrelated on the closing edge (x0, y3)."""
+    edges = [("x0", "y0"), ("x1", "y0"), ("x1", "y1"), ("x2", "y1"),
+             ("x2", "y2"), ("x3", "y2"), ("x3", "y3"), ("x0", "y3")]
+    same = [{"outcome": ["0", "0"], "p": "1/2"}, {"outcome": ["1", "1"], "p": "1/2"}]
+    flip = [{"outcome": ["0", "1"], "p": "1/2"}, {"outcome": ["1", "0"], "p": "1/2"}]
+    return {
+        "inputs": [
+            {"name": "1", "values": ["x0", "x1", "x2", "x3"]},
+            {"name": "2", "values": ["y0", "y1", "y2", "y3"]},
+        ],
+        "treatments": [list(e) for e in edges],
+        "outcomes": [{"input": n, "values": ["0", "1"]} for n in ("1", "2")],
+        "tables": [
+            {"treatment": list(e), "probs": flip if e == ("x0", "y3") else same} for e in edges
+        ],
+    }
+
+
+class TestLongCycle:
+    """The 8-cycle's only irreducible sequences are its 16 traversals."""
+
+    def test_check_at_max_len_8_finds_the_flipped_edge(self, capsys, tmp_path):
+        path = tmp_path / "cycle8.json"
+        path.write_text(json.dumps(eight_cycle_doc()))
+        code, out, _ = run(capsys, "check", str(path), "--max-len", "8", "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert report["marginal_selectivity"]["passed"] is True
+        assert report["sequences_tested"] == 16 and report["truncated"] is False
+        violations = report["violations"]
+        assert len(violations) == 2
+        for v in violations:
+            seq = v["sequence"]
+            assert len(seq) == 8
+            assert {tuple(seq[0]), tuple(seq[-1])} == {("1", "x0"), ("2", "y3")}
+            assert f_to_float(v["residual"]) < 0
+
+    def test_jdc_refutes(self, capsys, tmp_path):
+        path = tmp_path / "cycle8.json"
+        path.write_text(json.dumps(eight_cycle_doc()))
+        code, out, _ = run(capsys, "jdc", str(path), "--json")
+        assert code == 2
+        assert json.loads(out)["feasible"] is False
+
+
 class TestUsageErrors:
     def test_bad_flag_value_is_input_error(self, capsys):
         code = main(["check", str(SAMPLES / "product.json"), "--max-len", "2"])

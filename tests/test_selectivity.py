@@ -20,6 +20,7 @@ from ordist import (
     SequenceWitness,
     SystemFormatError,
     TreatmentTable,
+    UnknownInput,
     chain_test,
     check_marginal_selectivity,
     enumerate_irreducible,
@@ -28,7 +29,7 @@ from ordist import (
     run_suite,
     transform_outputs,
 )
-from irreducible_reference import subset_scan_irreducible
+from irreducible_reference import pair_rule_walk, subset_scan_irreducible
 from msel_reference import reference_marginal_selectivity
 from ordist.arith import EPS_TEST
 from ordist.fileio import load_system
@@ -37,6 +38,7 @@ from ordist.selectivity import (
     _tetrad_candidates,
     _tetrad_indices,
     _tetrad_total,
+    _walk,
 )
 from randsys import (
     binary_design,
@@ -968,6 +970,79 @@ class TestPrunedWalk:
             assert is_irreducible(seq, design) is verdict, seq
             assert subset_scan_irreducible(seq, design) is verdict, seq
             assert treatment_centric_irreducible(seq, design) is verdict, seq
+
+
+# An 8-cycle x0 y0 x1 y1 x2 y2 x3 y3 over two inputs of 4 values: its
+# chordless cycle is an irreducible sequence of length 8.
+EIGHT_CYCLE = Design(
+    ["1", "2"],
+    {"1": ["x0", "x1", "x2", "x3"], "2": ["y0", "y1", "y2", "y3"]},
+    [("x0", "y0"), ("x1", "y0"), ("x1", "y1"), ("x2", "y1"),
+     ("x2", "y2"), ("x3", "y2"), ("x3", "y3"), ("x0", "y3")],
+)
+
+
+def shuffled_design(rng, design):
+    """`design` with each input's values declared in a random order and its
+    treatments listed in another, so file order is not value-index order."""
+    values = {name: rng.sample(vs, len(vs)) for name, vs in design.values.items()}
+    treatments = rng.sample(design.treatments, len(design.treatments))
+    return Design(design.inputs, values, treatments)
+
+
+class TestMaskWalk:
+    """The bit-mask walk and the one-pass cover table against the per-pair
+    references they replaced."""
+
+    def test_walk_matches_pair_rule_walk(self):
+        # the first `cap` sequences of each walk: a realizable walk to length
+        # 8 is far longer, and both walks are shortest first
+        rng = random.Random("mask-walk")
+        cases = [(d, l) for d in (*CYCLE_DESIGNS, EIGHT_CYCLE) for l in range(3, 9)]
+        cases += [(random_restricted_design(rng), rng.randint(3, 8)) for _ in range(120)]
+        cap = 3_000
+        lengths = set()
+        inputs = set()
+        for design, max_len in cases:
+            near = design.pair_covers()[1]
+            for irreducible in (True, False):
+                mine = list(itertools.islice(_walk(design, near, max_len, irreducible), cap))
+                reference = pair_rule_walk(design, max_len, irreducible)
+                assert mine == list(itertools.islice(reference, cap)), (design.treatments, max_len)
+                if irreducible:
+                    lengths.update(map(len, mine))
+            inputs.add(len(design.inputs))
+        assert lengths == {3, 4, 5, 6, 8} and inputs == {2, 3, 4}
+
+    def test_pair_covers_match_cover(self):
+        rng = random.Random("pair-covers")
+        designs = [shuffled_design(rng, random_restricted_design(rng)) for _ in range(120)]
+        designs += [shuffled_design(rng, d) for d in (*CYCLE_DESIGNS, EIGHT_CYCLE)]
+        designs += [random_tetrad_design(rng) for _ in range(10)]
+        pairs = not_file_order = 0
+        for design in designs:
+            C, near = design.pair_covers()
+            pts = design.points()
+            for i, x in enumerate(pts):
+                for j, y in enumerate(pts):
+                    cover = design.cover((x, y))
+                    assert C[i][j] == cover, (design.treatments, x, y)
+                    assert near[i] >> j & 1 == (cover is not None)
+                    pairs += cover is not None
+                    if cover is not None and not design.is_full:
+                        holds = (t for t in design.treatments if t[design.index(x.input)] == x.value
+                                 and t[design.index(y.input)] == y.value)
+                        not_file_order += next(holds) != cover
+            assert all(mask >> len(pts) == 0 for mask in near)
+        # the table follows cover's value-index order, not the file's
+        assert pairs > 3_000 and not_file_order > 500
+
+    def test_is_irreducible_unknown_input(self):
+        x0, y0, x1 = P("1", "x0"), P("2", "y0"), P("1", "x1")
+        stranger = P("3", "x0")
+        for seq in [(stranger, x0, y0), (x0, stranger, y0, x1), (x0, y0, x1, stranger)]:
+            with pytest.raises(UnknownInput, match="'3'"):
+                is_irreducible(seq, CYCLE_DESIGNS[0])
 
 
 class TestRestrictedCap:
