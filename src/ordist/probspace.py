@@ -196,19 +196,18 @@ class Design:
         A restricted design's treatments are passed once, in cover's
         order, and each ordered pair of a treatment's points keeps the
         first treatment seen: the first that contains both.  A full design's
-        cover of a pair is the pair's values with every other input at its
-        first value, as in :meth:`cover`."""
+        covers are read from :meth:`cover`, once per unordered pair."""
         pts = self.points()
         n = len(pts)
         C: list[list] = [[None] * n for _ in range(n)]
         near = [0] * n
         if self.is_full:
-            first = {name: self.values[name][0] for name in self.inputs}
             for i, p in enumerate(pts):
-                for j, q in enumerate(pts):
-                    if p.input != q.input or i == j:
-                        C[i][j] = tuple({**first, p.input: p.value, q.input: q.value}.values())
+                for j in range(i, n):
+                    C[i][j] = C[j][i] = found = self.cover((p, pts[j]))
+                    if found is not None:
                         near[i] |= 1 << j
+                        near[j] |= 1 << i
             return C, near
         # per input position, the point index of each of its values
         index = []

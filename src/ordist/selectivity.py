@@ -269,28 +269,21 @@ def is_irreducible(points: Sequence[InputPoint], design: Design) -> bool:
     inside it, and the allowed pairs form an l-cycle, which for l >= 4
     holds no triangle, so for l >= 4 a covered subset of size >= 3 always
     has a covered pair that is not allowed.  For l = 3 every pair is
-    allowed and only the triple is checked.  The pairs are tested with the
-    masks of :func:`_walk`: no point may lie in `blocked`, the near sets
-    of the points two or more places before it, except the closing point,
-    which may share a treatment with the first."""
-    distinct = list(dict.fromkeys(points))
-    index = {p: k for k, p in enumerate(distinct)}
-    near = [
-        sum(1 << k for k, q in enumerate(distinct) if design.cover((p, q)) is not None)
-        for p in distinct
-    ]
-    seq = [index[p] for p in points]
-    l = len(seq)
-    if seq[0] == seq[-1]:
-        return False
-    blocked = rest = 0
-    for j in range(2, l):
-        blocked |= near[seq[j - 2]]
-        if j > 2:
-            rest |= near[seq[j - 2]]
-        if (rest if j == l - 1 else blocked) >> seq[j] & 1:
-            return False
-    return l != 3 or design.cover(points) is None
+    allowed and only the triple is checked.  :func:`_walk` applies the
+    same rule to prefixes, on bit masks."""
+    l = len(points)
+    if l == 3:
+        covered = design.cover(points) is not None
+    else:
+        # every point sits in a pair two places apart, and all pairs are
+        # looked up, so a point of an unknown input raises UnknownInput
+        covered = any([
+            design.cover((points[a], points[b])) is not None
+            for a in range(l)
+            for b in range(a + 2, l)
+            if (a, b) != (0, l - 1)
+        ])
+    return points[0] != points[-1] and not covered
 
 
 def enumerate_irreducible(

@@ -4,7 +4,7 @@ Run from anywhere in a checkout::
 
     python3 tests/report_hashes.py --seed 1
     python3 tests/report_hashes.py --seed 2 --workload check_full
-    python3 tests/report_hashes.py --seed 1 --samples
+    python3 tests/report_hashes.py --seed 1 --workload samples
 
 For each workload (all of them by default) the seed's batch of systems is
 generated by ``perfbench/workloads.py`` and written by
@@ -14,10 +14,11 @@ sha256 is printed per workload over each call's exit code, stdout and
 stderr.  The temporary directory's path is replaced by a fixed token
 before hashing, so the hashes depend only on the program and the seed:
 two checkouts print the same hashes exactly when every call behaves the
-same.  With ``--samples`` one more line, ``samples``, hashes ``ordist
-check`` and ``ordist jdc``, each with and without ``--json``, on every
-``samples/*.json`` in name order, the samples directory's path likewise
-replaced.  pytest does not collect this file.
+same.  One more choice, ``samples`` (also run by default, last), hashes
+``ordist check`` and ``ordist jdc``, each with and without ``--json``, on
+every ``samples/*.json`` in name order, the samples directory's path
+likewise replaced; it does not depend on the seed.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -88,13 +89,13 @@ def samples_hash() -> str:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
-    p.add_argument("--samples", action="store_true", help="also hash the calls on samples/*.json")
+    p.add_argument("--workload", action="append", choices=sorted([*WORKLOADS, "samples"]))
     args = p.parse_args(argv)
-    for workload in args.workload or list(WORKLOADS):
-        print(f"{workload} {batch_hash(workload, args.seed)}")
-    if args.samples:
-        print(f"samples {samples_hash()}")
+    for workload in args.workload or [*WORKLOADS, "samples"]:
+        if workload == "samples":
+            print(f"samples {samples_hash()}")
+        else:
+            print(f"{workload} {batch_hash(workload, args.seed)}")
     return 0
 
 
