@@ -15,9 +15,10 @@ stderr.  The temporary directory's path is replaced by a fixed token
 before hashing, so the hashes depend only on the program and the seed:
 two checkouts print the same hashes exactly when every call behaves the
 same.  One more choice, ``samples`` (also run by default, last), hashes
-``ordist check`` and ``ordist jdc``, each with and without ``--json``, on
-every ``samples/*.json`` in name order, the samples directory's path
-likewise replaced; it does not depend on the seed.  pytest does not
+``ordist check`` and ``ordist jdc``, then ``ordist check`` with the
+benchmark's ``EXTRA_METRICS`` (``perfbench/workloads.py``), each with and
+without ``--json``, on every ``samples/*.json`` in name order, the samples
+directory's path likewise replaced; it does not depend on the seed.  pytest does not
 collect this file.
 """
 
@@ -38,7 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import ordist  # noqa: E402
 import ordist.cli  # noqa: E402
 from systems import write_system  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import EXTRA_METRICS, WORKLOADS  # noqa: E402
 
 
 def call(argv: list[str]) -> tuple[object, str, str]:
@@ -76,13 +77,14 @@ def batch_hash(workload: str, seed: int) -> str:
 
 
 def samples_hash() -> str:
-    """sha256 over `check` and `jdc`, text and JSON, on every sample."""
+    """sha256 over `check`, `jdc` and `check` with EXTRA_METRICS, text and
+    JSON, on every sample."""
     digest = hashlib.sha256()
     samples = ROOT / "samples"
     for path in sorted(samples.glob("*.json")):
-        for command in ("check", "jdc"):
+        for command, *options in (["check"], ["jdc"], ["check", *EXTRA_METRICS]):
             for extra in ([], ["--json"]):
-                add_call(digest, [command, str(path), *extra], str(samples))
+                add_call(digest, [command, str(path), *options, *extra], str(samples))
     return digest.hexdigest()
 
 

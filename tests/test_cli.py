@@ -272,6 +272,36 @@ PR_FULL_METRICS = (
     "--metric", '{"kind":"order","rank":{"0":1,"1":2},"transform":[{"op":"power","q":"1/2"}]}',
 )
 
+# per-point orders on the restricted design: an order-distance whose ranks
+# reverse (1,a1), (2,b2) and (3,c0), and a classification distance whose
+# partitions reverse (1,a0) and (2,b1) and merge (3,c2) into one cell
+PER_POINT_METRICS = (
+    "--metric",
+    json.dumps(
+        {
+            "kind": "order",
+            "rank": {"0": 1, "1": 2},
+            "rank_per_point": [
+                {"input": "1", "value": "a1", "rank": {"0": 2, "1": 1}},
+                {"input": "2", "value": "b2", "rank": {"0": 2, "1": 1}},
+                {"input": "3", "value": "c0", "rank": {"0": 2, "1": 1}},
+            ],
+        }
+    ),
+    "--metric",
+    json.dumps(
+        {
+            "kind": "classification",
+            "cells": [["0"], ["1"]],
+            "cells_per_point": [
+                {"input": "1", "value": "a0", "cells": [["1"], ["0"]]},
+                {"input": "2", "value": "b1", "cells": [["1"], ["0"]]},
+                {"input": "3", "value": "c2", "cells": [["0", "1"]]},
+            ],
+        }
+    ),
+)
+
 # sample -> (golden file, (command, *extra arguments), exit code); each
 # golden file holds the exact --json output
 SAMPLE_GOLDENS = {
@@ -300,6 +330,8 @@ SAMPLE_GOLDENS = {
     "pr_restricted.json": (
         ("check_pr_restricted", ("check", *PR_FULL_METRICS), 2),
         ("check_pr_restricted_float", ("check", *FLOAT, *PR_FULL_METRICS), 2),
+        ("check_pr_restricted_per_point", ("check", *PER_POINT_METRICS), 2),
+        ("check_pr_restricted_per_point_float", ("check", *FLOAT, *PER_POINT_METRICS), 2),
     ),
     # a table summing to 1 + 1/12, negative cells and a missing treatment:
     # the validation messages
@@ -320,6 +352,8 @@ TEXT_GOLDENS = (
     ("text_jdc_product", ("jdc", "product.json"), 0, ""),
     # 15 violations, of which the first 10 are printed
     ("text_check_pr_full", ("check", "pr_full.json", *PR_FULL_METRICS), 2, ""),
+    # 12 violations under the per-point metrics, of which the first 10 are printed
+    ("text_check_pr_restricted_per_point", ("check", "pr_restricted.json", *PER_POINT_METRICS), 2, ""),
     ("text_check_invalid_exact", ("check", "invalid_exact.json"), 1, INVALID),
 )
 
