@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .arith import Num, is_exact, zero_of
 from .errors import (
@@ -127,28 +127,49 @@ class Metric:
         raise NotImplementedError
 
 
+class _RankedMetric(Metric):
+    """The order-distance family: Pr[A strictly below B] under integer
+    ranks of each point's outcomes, given by :meth:`rank_of`."""
+
+    def rank_of(self, value, point: Optional[InputPoint]) -> int:
+        raise NotImplementedError
+
+    def evaluate(self, m: BivariateMarginal) -> Num:
+        total = _mass_below(m.row_values, m.col_values, m.probs, self.rank_of, m.row_point, m.col_point)
+        return total if total is not None else zero_of(chain(*m.probs))
+
+
+def _mass_below(rows: Sequence, cols: Sequence, grid: Sequence[Sequence], rank_of,
+                row_point: Optional[InputPoint], col_point: Optional[InputPoint]):
+    """The order-distance family's one summing loop, over a grid of cells
+    of any number type: the sum of grid[i][j], left to right in row-major
+    order, over the cells whose row value rows[i] ranks strictly below its
+    column value cols[j] under ``rank_of(value, point)``; None when there
+    is no such cell.  Ranks are looked up only for cells of positive mass,
+    row value first, each value once: a lookup that raises is the first
+    that would raise in a lookup per cell.  :meth:`_RankedMetric.evaluate`
+    runs it on a marginal's values, the chain suite on an exact table's
+    int pair sums."""
+    total = None
+    for a, line in zip(rows, grid):
+        for b, p in zip(cols, line):
+            if p == 0:
+                continue
+            if rank_of(a, row_point) < rank_of(b, col_point):
+                total = p if total is None else total + p
+    return total
+
+
 @dataclass(frozen=True)
-class OrderDistance(Metric):
+class OrderDistance(_RankedMetric):
     order: OrderSpec
     name: str = "order"
 
-    def evaluate(self, m: BivariateMarginal) -> Num:
-        return _mass_below(m, self.order.rank_of)
+    def rank_of(self, value, point: Optional[InputPoint]) -> int:
+        return self.order.rank_of(value, point)
 
     def describe(self) -> str:
         return self.name
-
-
-def _mass_below(m: BivariateMarginal, rank_of) -> Num:
-    """Pr[A strictly below B] under ``rank_of(value, point)``; ranks are
-    looked up only for cells of positive mass."""
-    total = None
-    for a, b, p in m.cells():
-        if p == 0:
-            continue
-        if rank_of(a, m.row_point) < rank_of(b, m.col_point):
-            total = p if total is None else total + p
-    return total if total is not None else zero_of(chain(*m.probs))
 
 
 def default_order_metric(design: Design, tables) -> OrderDistance:
@@ -161,7 +182,7 @@ def default_order_metric(design: Design, tables) -> OrderDistance:
 
 
 @dataclass(frozen=True)
-class ClassificationDistance(Metric):
+class ClassificationDistance(_RankedMetric):
     """Order-distance whose ranks come from ordered partitions of the value
     sets: rank(a) = index of the cell containing a (1-based)."""
 
@@ -169,15 +190,12 @@ class ClassificationDistance(Metric):
     per_point: Mapping[InputPoint, tuple] = field(default_factory=dict)
     name: str = "classification"
 
-    def _rank_of(self, value, point) -> int:
+    def rank_of(self, value, point: Optional[InputPoint]) -> int:
         cells = self.per_point.get(point, self.cells) if point is not None else self.cells
         for k, cell in enumerate(cells, start=1):
             if value in cell:
                 return k
         raise ValueNotInPartition(f"value {value!r} is in no partition cell")
-
-    def evaluate(self, m: BivariateMarginal) -> Num:
-        return _mass_below(m, self._rank_of)
 
     def describe(self) -> str:
         return self.name

@@ -187,20 +187,26 @@ class Design:
             self._sorted_treatments = sorted(self.treatments, key=self._value_index_key)
         return self._sorted_treatments
 
-    def pair_covers(self) -> tuple[list[list], list[int]]:
+    def pair_covers(self) -> tuple[list[list], list[int], list[list[int]]]:
         """The cover of every ordered pair of points, self pairs included,
-        as (C, near) over indices into :meth:`points`: C[i][j] is
-        ``cover((pts[i], pts[j]))``, and near[i] is a bit mask whose bit j
-        is set when C[i][j] is not None.
+        as (C, near, third) over indices into :meth:`points`: C[i][j] is
+        ``cover((pts[i], pts[j]))``; near[i] is a bit mask whose bit j is
+        set when C[i][j] is not None; and third[i][j] is a bit mask whose
+        bit k is set when ``cover((pts[i], pts[j], pts[k]))`` is not None,
+        that is when some treatment holds all three points.
 
         A restricted design's treatments are passed once, in cover's
-        order, and each ordered pair of a treatment's points keeps the
-        first treatment seen: the first that contains both.  A full design's
-        covers are read from :meth:`cover`, once per unordered pair."""
+        order.  Each ordered pair of a treatment's points keeps the first
+        treatment seen, the first that contains both, and ORs the
+        treatment's points into its third mask.  A full design's covers
+        are read from :meth:`cover`, once per unordered pair; there a set
+        of points lies in a treatment when each pair of it does, so a
+        covered pair's third mask is near[i] & near[j]."""
         pts = self.points()
         n = len(pts)
         C: list[list] = [[None] * n for _ in range(n)]
         near = [0] * n
+        third = [[0] * n for _ in range(n)]
         if self.is_full:
             for i, p in enumerate(pts):
                 for j in range(i, n):
@@ -208,7 +214,12 @@ class Design:
                     if found is not None:
                         near[i] |= 1 << j
                         near[j] |= 1 << i
-            return C, near
+            for i in range(n):
+                row, masks = C[i], third[i]
+                for j in range(n):
+                    if row[j] is not None:
+                        masks[j] = near[i] & near[j]
+            return C, near, third
         # per input position, the point index of each of its values
         index = []
         for name in self.inputs:
@@ -218,6 +229,9 @@ class Design:
             ks = list(map(dict.__getitem__, index, t))
             mask = sum(1 << k for k in ks)
             for i in ks:
+                masks = third[i]
+                for j in ks:
+                    masks[j] |= mask
                 new = mask & ~near[i]
                 if new:
                     near[i] |= new
@@ -225,7 +239,7 @@ class Design:
                     for j in ks:
                         if new >> j & 1:
                             row[j] = t
-        return C, near
+        return C, near, third
 
 
 _DISAGREE = "outcome sets for point {} disagree across tables"
@@ -705,21 +719,34 @@ def _marginal_sums(table: TreatmentTable, keep: tuple) -> list:
     return _sums(list(table.probs.values()), sizes, keep)
 
 
+def _pair_grid(table: TreatmentTable, i: int, j: int, cells: Sequence) -> tuple:
+    """`cells`, dense in the table's row-major order, summed down to the
+    input positions i != j as a grid: one row per value of axes[i], one
+    column per value of axes[j].  Each sum adds its cells left to right."""
+    lo, hi = min(i, j), max(i, j)
+    sums = _sums(cells, tuple(map(len, table.axes)), (lo, hi))
+    width = len(table.axes[hi])
+    grid = tuple(tuple(sums[r : r + width]) for r in range(0, len(sums), width))
+    return tuple(zip(*grid)) if i > j else grid
+
+
 def bivariate(table: TreatmentTable, first: str, second: str) -> BivariateMarginal:
     """Ordered-pair marginal of the outputs for two distinct inputs.
 
     The argument order is preserved; swapping the inputs transposes the
-    matrix, which matters because the distances are asymmetric.
+    matrix, which matters because the distances are asymmetric.  An exact
+    table's pair sums are taken in its ints and divided once.
     """
     if first == second:
         raise SameInput(f"bivariate marginal needs two distinct inputs, got {first!r} twice")
     i, j = table.design.index(first), table.design.index(second)
-    lo, hi = min(i, j), max(i, j)
-    sums = _marginal_sums(table, (lo, hi))
-    width = len(table.axes[hi])
-    probs = tuple(tuple(sums[r : r + width]) for r in range(0, len(sums), width))
-    if i > j:
-        probs = tuple(zip(*probs))
+    if table.regime() == RATIONAL:
+        ints, den = table.scaled()
+        probs = tuple(
+            tuple(Fraction(n, den) for n in row) for row in _pair_grid(table, i, j, ints)
+        )
+    else:
+        probs = _pair_grid(table, i, j, list(table.probs.values()))
     return BivariateMarginal(
         table.axes[i], table.axes[j], probs, table.point(first), table.point(second)
     )

@@ -28,17 +28,19 @@ so repeats need no special case.
 On a restricted design the suite walks the sequences depth first, as
 tuples of point indices, on bit sets.  One pass over the treatments, in
 the order :meth:`Design.cover` scans them, gives each ordered pair of
-points its cover (the first treatment seen that holds both) and each
-point its near set as an int bit mask: the points it shares a treatment
-with (:meth:`Design.pair_covers`).  The walk keeps two running ORs of near
+points its cover (the first treatment seen that holds both), each point
+its near set as an int bit mask (the points it shares a treatment with),
+and each pair its third mask (the points sharing a treatment with both;
+:meth:`Design.pair_covers`).  The walk keeps two running ORs of near
 masks, `blocked` over the points two or more places back and `rest`, the
 same without the first point.  A middle point is drawn from
 near[last] & ~blocked, a closing one from
-near[last] & near[first] & ~rest, without the first point itself; only a
-length-3 triple is looked up in the design.  The set bits are taken low
-to high, so the sequences come shortest first, lexicographic within each
+near[last] & near[first] & ~rest, without the first point itself and, at
+length 3, without the pair's third mask.  The set bits are taken low to
+high, so the sequences come shortest first, lexicographic within each
 length.  The walk thus reaches the irreducible sequences without visiting
-the far more numerous reducible ones, and tests no candidate by itself.
+the far more numerous reducible ones, tests no candidate by itself and
+looks nothing up in the design.
 
 All d-values are taken from the witnessing treatments' bivariate
 marginals; under marginal selectivity (checked separately) they do not
@@ -49,7 +51,10 @@ distance of every ordered pair of points a tested sequence can use (the
 tetrad pairs of a full design, else every covered pair of distinct
 points), evaluated once on the pair's joint inside its cover (from the
 one-pass table of :meth:`Design.pair_covers`) and, when all
-are exact, scaled by the lcm of their denominators to plain ints.  A
+are exact, scaled by the lcm of their denominators to plain ints.  An
+order-distance or classification distance on exact tables is summed
+straight from the covering table's ints, with no marginal and no
+``Fraction`` made; every other metric is evaluated on the marginal.  A
 sequence is screened by its residual on that table (an int, or the raw
 values with the float tolerance).  A restricted design's walked sequences
 are each screened.  A full design's tetrads x, y, x', y' are counted in
@@ -60,7 +65,8 @@ g(y') < -f(y) are a prefix of the other input's points sorted by g, found
 by bisection.  On an int table that prefix is exact; on a raw-value table
 it is taken over the values as floats, with a slack that covers the
 rounding.  A flagged chain is reported from the tables the screen built
-beside the distances: the raw values, the covering treatments, and the
+beside the distances: the raw values (an int-summed distance's as its
+ints over the lcm denominator), the covering treatments, and the
 int residual over the lcm denominator, or on a raw-value table the
 residual :func:`_chain_residual` adds over the raw values.  The
 marginal-selectivity check sums the marginals of all tables of one cell
@@ -82,7 +88,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arith import EPS_TEST, RATIONAL, Num, is_exact, num_to_json, over_lcm
 from .errors import CapExceeded, SystemFormatError
-from .metrics import Metric
+from .metrics import Metric, _mass_below, _RankedMetric
 from .probspace import (
     BivariateMarginal,
     Design,
@@ -92,6 +98,7 @@ from .probspace import (
     diagonal_coupling,
     _column_sums,
     _keyed,
+    _pair_grid,
 )
 
 MAX_SEQUENCES = 1_000_000
@@ -177,23 +184,24 @@ class SuiteReport:
 
 
 def _walk(
-    design: Design, near: Sequence[int], max_len: int, irreducible: bool
+    near: Sequence[int], third: Sequence[Sequence[int]], max_len: int, irreducible: bool
 ) -> Iterator[tuple[int, ...]]:
     """The one depth-first walk over treatment-realizable sequences of
-    length 3..max_len, as tuples of indices into ``design.points()``:
-    shortest first, lexicographic within each length.  ``near`` holds each
-    point's near set as a bit mask, from :meth:`Design.pair_covers`.
+    length 3..max_len, as tuples of point indices: shortest first,
+    lexicographic within each length.  ``near`` holds each point's near
+    set and ``third`` each pair's third points as bit masks, from
+    :meth:`Design.pair_covers`.
 
     A prefix x_1..x_j is extended by the points of near[x_j]; the closing
     point must also lie in near[x_1].  With `irreducible` two running ORs
     of near masks rule out the rest: `blocked` over x_1..x_{j-1} and `rest`
     over x_2..x_{j-1}.  A middle point is drawn from near[x_j] & ~blocked,
     a closing one from near[x_j] & near[x_1] & ~rest, without x_1, and for
-    length 3 the triple must lie in no treatment.  Without `irreducible`
-    both masks stay 0.  Candidates are taken low bit first."""
+    length 3 also without third[x_1][x_2], so that the triple lies in no
+    treatment.  Without `irreducible` these masks stay 0.  Candidates are
+    taken low bit first."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    pts = design.points()
 
     def extend(seq: list[int], length: int, blocked: int, rest: int) -> Iterator[tuple[int, ...]]:
         # blocked and rest rule out the point after seq; for the point after
@@ -214,22 +222,21 @@ def _walk(
         # the next point y is the last middle one; then close on z
         first = seq[0]
         closing = near[first] & ~(rest | 1 << first) if irreducible else near[first]
+        covered = third[first] if irreducible and length == 3 else None
         while mask:
             low = mask & -mask
             mask ^= low
             y = low.bit_length() - 1
             ends = near[y] & closing
+            if covered is not None:
+                ends &= ~covered[y]
             while ends:
                 low = ends & -ends
                 ends ^= low
-                z = low.bit_length() - 1
-                if irreducible and length == 3:
-                    if design.cover((pts[first], pts[y], pts[z])) is not None:
-                        continue
-                yield (*seq, y, z)
+                yield (*seq, y, low.bit_length() - 1)
 
     for length in range(3, max_len + 1):
-        for x in range(len(pts)):
+        for x in range(len(near)):
             yield from extend([x], length, 0, 0)
 
 
@@ -256,7 +263,8 @@ def enumerate_realizable(
     """All treatment-realizable sequences of length 3..max_len, shortest
     first, lexicographic within each length (design input order, declared
     value order).  Raises CapExceeded past `cap` yields."""
-    seqs = _walk(design, design.pair_covers()[1], max_len, irreducible=False)
+    _, near, third = design.pair_covers()
+    seqs = _walk(near, third, max_len, irreducible=False)
     return _witnesses(design, seqs, cap, "realizable")
 
 
@@ -301,7 +309,8 @@ def enumerate_irreducible(
     if design.is_full:
         seqs = _tetrad_indices(design) if max_len >= 4 else iter(())
     else:
-        seqs = _walk(design, design.pair_covers()[1], max_len, True)
+        _, near, third = design.pair_covers()
+        seqs = _walk(near, third, max_len, True)
     return _witnesses(design, seqs, cap, "irreducible")
 
 
@@ -337,15 +346,18 @@ def _pair_marginal(table: TreatmentTable, x: InputPoint, y: InputPoint) -> Bivar
     return bivariate(table, x.input, y.input)
 
 
+def _cover_table(by_t: Mapping[tuple, TreatmentTable], cover: tuple) -> TreatmentTable:
+    try:
+        return by_t[cover]
+    except KeyError:
+        raise SystemFormatError(f"no table for covering treatment {cover!r}") from None
+
+
 def _cover_marginal(
     by_t: Mapping[tuple, TreatmentTable], x: InputPoint, y: InputPoint, cover: tuple
 ) -> BivariateMarginal:
     """Joint of the outputs at x and y inside the covering treatment."""
-    try:
-        table = by_t[cover]
-    except KeyError:
-        raise SystemFormatError(f"no table for covering treatment {cover!r}") from None
-    return _pair_marginal(table, x, y)
+    return _pair_marginal(_cover_table(by_t, cover), x, y)
 
 
 def _chain_residual(
@@ -390,17 +402,27 @@ def _distance_screen(
     pairs: Sequence[tuple[int, int]],
     by_t: Mapping[tuple, TreatmentTable],
     C: list[list],
-) -> list[tuple[list[list], list[list], Optional[int]]]:
+) -> list[tuple[list[list], Optional[list[list]], Optional[int]]]:
     """Every metric's distances over the point-index `pairs`: the tables
-    every chain of :func:`run_suite` is decided and reported on.
+    every chain of :func:`run_suite` is decided and reported on.  Each
+    pair's distance is taken inside its cover C[i][j] (from
+    :meth:`Design.pair_covers`).  Returns (D, R, den) per metric, where
+    R[i][j] is the value ``metric.evaluate`` gives on that pair's joint.
+    When every value is exact, D holds them as ints over the lcm den of
+    their denominators, so a residual on D is a plain int whose sign is
+    the exact residual's.  Otherwise D is R, den is None, and
+    :func:`_chain_residual` decides a chain over R.
 
-    Each pair's joint is built once, inside its cover C[i][j] (from
-    :meth:`Design.pair_covers`), and every metric is evaluated on it.
-    Returns (D, R, den) per metric.  R[i][j] is the metric's value on that
-    pair.  When every value is exact, D holds them as ints over the lcm
-    den of their denominators, so a residual on D is a plain int whose
-    sign is the exact residual's.  Otherwise D is R, den is None, and
-    :func:`_chain_residual` decides a chain over R."""
+    An order-distance family metric on exact tables never leaves ints:
+    :func:`~ordist.metrics._mass_below` sums each covering table's int
+    pair sums (the ints :func:`~ordist.probspace.bivariate` would divide)
+    to an int over that table's denominator, each is reduced by its gcd
+    with the denominator, and D and den follow by the lcm as
+    :func:`~ordist.arith.over_lcm` gives them on the values.  R is then
+    None, to be read as the Fractions D[i][j] / den, which are the values
+    ``evaluate`` returns.  Any other metric, and every metric when a
+    covering table is a float table, is evaluated on the pairs'
+    marginals, each built once."""
     n = len(pts)
 
     def table(values: Iterable) -> list[list]:
@@ -409,9 +431,29 @@ def _distance_screen(
             T[i][j] = v
         return T
 
-    marginals = [_cover_marginal(by_t, pts[i], pts[j], C[i][j]) for i, j in pairs] if metrics else []
+    covering = [_cover_table(by_t, C[i][j]) for i, j in pairs] if metrics else []
+    exact = all(t.regime() == RATIONAL for t in covering)
+    grids = marginals = None
     screens = []
     for metric in metrics:
+        if exact and type(metric).evaluate is _RankedMetric.evaluate:
+            if grids is None:
+                grids = []
+                for (i, j), t in zip(pairs, covering):
+                    a, b = t.design.index(pts[i].input), t.design.index(pts[j].input)
+                    ints, t_den = t.scaled()
+                    grids.append((t.axes[a], t.axes[b], _pair_grid(t, a, b, ints), t_den))
+            nums, dens = [], []
+            for (i, j), (rows, cols, grid, t_den) in zip(pairs, grids):
+                total = _mass_below(rows, cols, grid, metric.rank_of, pts[i], pts[j]) or 0
+                g = math.gcd(total, t_den)
+                nums.append(total // g)
+                dens.append(t_den // g)
+            den = math.lcm(*dens)
+            screens.append((table(map(mul, nums, map(den.__floordiv__, dens))), None, den))
+            continue
+        if marginals is None:
+            marginals = [_pair_marginal(t, pts[i], pts[j]) for (i, j), t in zip(pairs, covering)]
         raw = list(map(metric.evaluate, marginals))
         R = table(raw)
         if all(map(is_exact, raw)):
@@ -585,8 +627,9 @@ def run_suite(
     triple x, y, x' by :func:`_tetrad_candidates`, which passes on only
     the y' whose residual may be below the limit: exactly the negative
     ones on an int table, a few more on a raw-value table.  A flagged
-    chain is reported from the screen's tables: its distances from R, its
-    covers from C.  On an int table its residual is the int residual over
+    chain is reported from the screen's tables: its distances from R
+    (made from D over den on a metric's first report when the screen
+    summed it in ints), its covers from C.  On an int table its residual is the int residual over
     den, violated for certain; on a raw-value table
     :func:`_chain_residual` decides it over R.  Past `cap` sequences
     CapExceeded is raised, or with ``on_cap="truncate"`` the report is
@@ -597,7 +640,7 @@ def run_suite(
     names = [m.describe() for m in metrics]
     pts = design.points()
     full = design.is_full
-    C, near = design.pair_covers()
+    C, near, third = design.pair_covers()
     if full:
         # every tetrad pair joins points of two distinct inputs of >= 2
         # values; below length 4 there is no tetrad, so no pair is needed
@@ -620,6 +663,10 @@ def run_suite(
             residual = sum(_adjacent(D, seq)) - D[first][last]
             if not residual < 0:
                 return
+            if R is None:
+                # an int-summed order distance's values, made on its first report
+                R = [[None if v is None else Fraction(v, den) for v in row] for row in D]
+                screens[k] = D, R, den
             lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
             residual = Fraction(residual, den)
             if residual.denominator == 1 and not any(isinstance(v, Fraction) for v in (lhs, *rhs)):
@@ -636,7 +683,7 @@ def run_suite(
         for a, b, c, d, k in _tetrad_candidates(design, views, tested):
             decide((a, b, c, d), k)
     else:
-        seqs = _walk(design, near, max_len, True)
+        seqs = _walk(near, third, max_len, True)
         tested = 0
         for seq in itertools.islice(seqs, max(cap, 0)):
             tested += 1

@@ -21,8 +21,12 @@ from ordist import (
     SystemFormatError,
     TreatmentTable,
     UnknownInput,
+    UnrankedValue,
+    ValueNotInPartition,
+    bivariate,
     chain_test,
     check_marginal_selectivity,
+    default_order_metric,
     enumerate_irreducible,
     enumerate_realizable,
     is_irreducible,
@@ -31,10 +35,12 @@ from ordist import (
 )
 from irreducible_reference import pair_rule_walk, subset_scan_irreducible
 from msel_reference import reference_marginal_selectivity
-from ordist.arith import EPS_TEST
-from ordist.fileio import load_system
+from ordist.arith import EPS_TEST, over_lcm
+from ordist.cli import main
+from ordist.fileio import load_metric, load_system
 from ordist.selectivity import (
     _candidate_view,
+    _distance_screen,
     _tetrad_candidates,
     _tetrad_indices,
     _tetrad_total,
@@ -560,6 +566,174 @@ class TestReportsFromTables:
         assert kinds == {(True, F), (False, F), (True, int), (False, int)}
 
 
+class Wrapped(Metric):
+    """A metric that defines only evaluate and describe, as a plugin would:
+    the suite evaluates it on marginals whatever it wraps."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def evaluate(self, m):
+        return self.base.evaluate(m)
+
+    def describe(self):
+        return self.base.describe()
+
+
+def flipped(rng, spec):
+    """`spec` with each point's ranks reversed with probability 1/2."""
+    return OrderSpec({}, {
+        pt: {v: max(ranks.values()) + 1 - r for v, r in ranks.items()} if rng.random() < 0.5 else ranks
+        for pt, ranks in spec.per_point.items()
+    })
+
+
+def random_partitions(rng, tables):
+    """Per point, its axis shuffled and cut into 1 to len(axis) ordered cells."""
+    per_point = {}
+    for t in tables:
+        for pos, name in enumerate(t.design.inputs):
+            pt = P(name, t.treatment[pos])
+            if pt not in per_point:
+                axis = rng.sample(t.axes[pos], len(t.axes[pos]))
+                cuts = sorted(rng.sample(range(1, len(axis)), rng.randint(0, len(axis) - 1)))
+                bounds = [0, *cuts, len(axis)]
+                per_point[pt] = tuple(tuple(axis[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return per_point
+
+
+def kernel_metrics(rng, design, tables):
+    """The order-distance family as the suite meets it: the index order,
+    random per-point ranks with ties, the index order with random points
+    reversed, and per-point partitions."""
+    index = default_order_metric(design, tables)
+    return [
+        index,
+        OrderDistance(random_order_spec(rng, tables), "random-ranks"),
+        OrderDistance(flipped(rng, index.order), "flips"),
+        ClassificationDistance(per_point=random_partitions(rng, tables)),
+    ]
+
+
+def kernel_systems(rng, count):
+    """Random exact systems, full and restricted: independent tables with
+    their own denominators, and marginally selective coupled ones."""
+    systems = []
+    for _ in range(count):
+        full = random_full_system(rng, "rational")
+        systems += [full, restricted_copy(rng, *full)]
+        systems.append(random_coupled_system(rng, rng.choice([2, 3]), restrict_phi=rng.random() < 0.7))
+    return systems
+
+
+def suite_pairs(design, C):
+    """The point-index pairs run_suite screens at the default max_len."""
+    pts = design.points()
+    if design.is_full:
+        multi = [i for i, p in enumerate(pts) if len(design.values[p.input]) >= 2]
+        return [(i, j) for i in multi for j in multi if pts[i].input != pts[j].input]
+    return [(i, j) for i, row in enumerate(C) for j, c in enumerate(row) if c is not None and j != i]
+
+
+class TestIntKernel:
+    """Order distances summed in a table's ints against evaluate on the
+    marginals, and the reports both paths give."""
+
+    def test_screen_matches_evaluate_on_marginals(self):
+        rng = random.Random("int-kernel")
+        kinds = set()
+        for design, tables in kernel_systems(rng, 8):
+            metrics = kernel_metrics(rng, design, tables)
+            pts = design.points()
+            C = design.pair_covers()[0]
+            pairs = suite_pairs(design, C)
+            by_t = {t.treatment: t for t in tables}
+            for metric, (D, R, den) in zip(metrics, _distance_screen(metrics, pts, pairs, by_t, C)):
+                raw = [metric.evaluate(bivariate(by_t[C[i][j]], pts[i].input, pts[j].input))
+                       for i, j in pairs]
+                ints, want_den = over_lcm(raw)
+                assert R is None
+                assert den == want_den
+                assert [D[i][j] for i, j in pairs] == ints
+                # the values a report reads, D over den, in value and type
+                assert [F(D[i][j], den) for i, j in pairs] == raw
+                assert all(type(v) is F for v in raw)
+                assert all(D[i][j] is None for i in range(len(pts)) for j in range(len(pts))
+                           if (i, j) not in set(pairs))
+                kinds.add((design.is_full, min(raw, default=1) == 0))
+        assert kinds == {(True, True), (False, True), (True, False), (False, False)}
+
+    def test_wrapped_metrics_report_alike(self):
+        # the wrappers take the marginal path: same violations, same
+        # values and types, same covers; float tables take it either way
+        rng = random.Random("int-kernel-reports")
+        found = {True: 0, False: 0}
+        for design, tables in kernel_systems(rng, 6):
+            metrics = kernel_metrics(rng, design, tables)
+            for tabs in (tables, floated(tables)):
+                mine = run_suite(design, tabs, metrics)
+                wrapped = run_suite(design, tabs, [Wrapped(m) for m in metrics])
+                assert as_bytes(mine.violations) == as_bytes(wrapped.violations)
+                assert mine.sequences_tested == wrapped.sequences_tested
+                for v, w in zip(mine.violations, wrapped.violations):
+                    assert v.covers == w.covers
+                    got, want = (v.lhs, *v.rhs_terms, v.residual), (w.lhs, *w.rhs_terms, w.residual)
+                    assert got == want and list(map(type, got)) == list(map(type, want))
+                found[design.is_full] += len(mine.violations)
+        assert found[True] > 0 and found[False] > 0
+
+
+def with_dead_value(path, tmp_path):
+    """The system at `path` with one more outcome value, "2", on every
+    point's axis, of zero mass in every table."""
+    doc = json.loads(path.read_text())
+    for entry in doc["outcomes"]:
+        entry["values"].append("2")
+    out = tmp_path / f"dead-{path.name}"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+# a rank map and a partition that leave out outcome "1", which has mass
+ORDER_WITHOUT_1 = '{"kind": "order", "rank": {"0": 1}}'
+CELLS_WITHOUT_1 = '{"kind": "classification", "cells": [["0"]]}'
+
+
+class TestErrorParity:
+    """A value without a rank or partition cell raises the same error on
+    the int path as chain_test on the marginals, and only if it has mass."""
+
+    @pytest.mark.parametrize("sample", ["pr_restricted.json", "pr_full.json"])
+    @pytest.mark.parametrize("config, error", [(ORDER_WITHOUT_1, UnrankedValue),
+                                               (CELLS_WITHOUT_1, ValueNotInPartition)])
+    def test_missing_value_with_mass(self, capsys, sample, config, error):
+        loaded = load_system(SAMPLES / sample)
+        metric = load_metric(config)
+        with pytest.raises(error) as suite_error:
+            run_suite(loaded.design, loaded.tables, [metric])
+        witness = next(enumerate_irreducible(loaded.design))
+        with pytest.raises(error) as chain_error:
+            chain_test(metric, witness, loaded.tables)
+        assert str(suite_error.value) == str(chain_error.value)
+        assert main(["check", str(SAMPLES / sample), "--metric", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {chain_error.value}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("sample", ["pr_restricted.json", "pr_full.json"])
+    def test_missing_value_without_mass(self, capsys, tmp_path, sample):
+        path = with_dead_value(SAMPLES / sample, tmp_path)
+        loaded = load_system(path)
+        ranked = ['{"kind": "order", "rank": {"0": 1, "1": 2, "2": 3}}',
+                  '{"kind": "classification", "cells": [["0"], ["1", "2"]]}']
+        unranked = ['{"kind": "order", "rank": {"0": 1, "1": 2}}',
+                    '{"kind": "classification", "cells": [["0"], ["1"]]}']
+        want = run_suite(loaded.design, loaded.tables, list(map(load_metric, ranked)))
+        got = run_suite(loaded.design, loaded.tables, list(map(load_metric, unranked)))
+        assert got.violations and as_bytes(got.violations) == as_bytes(want.violations)
+        assert main(["check", str(path), "--metric", unranked[0], "--metric", unranked[1]]) == 2
+        assert capsys.readouterr().err == ""
+
+
 def perturbed(rng, tables):
     """Move mass between two cells of one random table: its sum stays 1,
     some of its marginals change."""
@@ -1004,9 +1178,9 @@ class TestMaskWalk:
         lengths = set()
         inputs = set()
         for design, max_len in cases:
-            near = design.pair_covers()[1]
+            _, near, third = design.pair_covers()
             for irreducible in (True, False):
-                mine = list(itertools.islice(_walk(design, near, max_len, irreducible), cap))
+                mine = list(itertools.islice(_walk(near, third, max_len, irreducible), cap))
                 reference = pair_rule_walk(design, max_len, irreducible)
                 assert mine == list(itertools.islice(reference, cap)), (design.treatments, max_len)
                 if irreducible:
@@ -1021,7 +1195,7 @@ class TestMaskWalk:
         designs += [random_tetrad_design(rng) for _ in range(10)]
         pairs = not_file_order = 0
         for design in designs:
-            C, near = design.pair_covers()
+            C, near, _ = design.pair_covers()
             pts = design.points()
             for i, x in enumerate(pts):
                 for j, y in enumerate(pts):
@@ -1036,6 +1210,39 @@ class TestMaskWalk:
             assert all(mask >> len(pts) == 0 for mask in near)
         # the table follows cover's value-index order, not the file's
         assert pairs > 3_000 and not_file_order > 500
+
+    def test_third_masks_match_cover(self):
+        rng = random.Random("third-masks")
+        designs = [shuffled_design(rng, random_restricted_design(rng)) for _ in range(120)]
+        designs += [*CYCLE_DESIGNS, EIGHT_CYCLE]
+        designs += [random_tetrad_design(rng) for _ in range(4)]
+        covered = 0
+        for design in designs:
+            _, _, third = design.pair_covers()
+            pts = design.points()
+            for i, j, k in itertools.product(range(len(pts)), repeat=3):
+                cover = design.cover((pts[i], pts[j], pts[k]))
+                assert (third[i][j] >> k & 1) == (cover is not None), (design.treatments, i, j, k)
+                covered += cover is not None
+            assert all(mask >> len(pts) == 0 for row in third for mask in row)
+        assert covered > 5_000
+
+    def test_suite_asks_no_cover(self, monkeypatch):
+        loaded = load_system(SAMPLES / "pr_restricted.json")
+        calls = []
+        cover = Design.cover
+
+        def counted(self, points):
+            calls.append(points)
+            return cover(self, points)
+
+        monkeypatch.setattr(Design, "cover", counted)
+        suite = run_suite(loaded.design, loaded.tables, [default_order_metric(loaded.design, loaded.tables)])
+        assert suite.sequences_tested == 190 and suite.violations
+        assert calls == []
+        # the counter counts: the witnesses of enumerate_irreducible ask cover
+        next(enumerate_irreducible(loaded.design))
+        assert calls
 
     def test_is_irreducible_unknown_input(self):
         x0, y0, x1 = P("1", "x0"), P("2", "y0"), P("1", "x1")
