@@ -146,10 +146,8 @@ def _mass_below(rows: Sequence, cols: Sequence, grid: Sequence[Sequence], rank_o
     order, over the cells whose row value rows[i] ranks strictly below its
     column value cols[j] under ``rank_of(value, point)``; None when there
     is no such cell.  Ranks are looked up only for cells of positive mass,
-    row value first, each value once: a lookup that raises is the first
-    that would raise in a lookup per cell.  :meth:`_RankedMetric.evaluate`
-    runs it on a marginal's values, the chain suite on an exact table's
-    int pair sums."""
+    row value first.  :meth:`_RankedMetric.evaluate` runs it on a
+    marginal's values, the chain suite on an exact table's int pair sums."""
     total = None
     for a, line in zip(rows, grid):
         for b, p in zip(cols, line):

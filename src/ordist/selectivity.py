@@ -629,9 +629,9 @@ def run_suite(
     ones on an int table, a few more on a raw-value table.  A flagged
     chain is reported from the screen's tables: its distances from R
     (made from D over den on a metric's first report when the screen
-    summed it in ints), its covers from C.  On an int table its residual is the int residual over
-    den, violated for certain; on a raw-value table
-    :func:`_chain_residual` decides it over R.  Past `cap` sequences
+    summed it in ints), its covers from C.  On an int table its residual
+    is the int residual over den, violated for certain; on a raw-value
+    table :func:`_chain_residual` decides it over R.  Past `cap` sequences
     CapExceeded is raised, or with ``on_cap="truncate"`` the report is
     marked truncated.
     """

@@ -18,8 +18,11 @@ same.  One more choice, ``samples`` (also run by default, last), hashes
 ``ordist check`` and ``ordist jdc``, then ``ordist check`` with the
 benchmark's ``EXTRA_METRICS`` (``perfbench/workloads.py``), each with and
 without ``--json``, on every ``samples/*.json`` in name order, the samples
-directory's path likewise replaced; it does not depend on the seed.  pytest does not
-collect this file.
+directory's path likewise replaced; it does not depend on the seed.
+The default order-distance and the extra classification distance are
+summed in a table's ints and the extra transformed p-distance on its
+marginals, so the choice covers both paths of the chain suite.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
