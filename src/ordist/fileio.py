@@ -41,7 +41,8 @@ Each transform step wraps the metric built so far in one of the metric
 classes: "power" in PowerOf, "bounded" in BoundedOf, "max" in MaxOf,
 "sum" in SumOf and "mixture" in MixtureOf, whose weights cover the
 wrapped metric first, then "others" in order.  A malformed configuration
-raises SystemFormatError.
+raises SystemFormatError; nothing is coerced: a rank is a JSON integer or
+a string of one, and cells, values, ground rows and weights are lists.
 """
 
 from __future__ import annotations
@@ -488,12 +489,33 @@ def _parse_embed(spec):
     raise SystemFormatError(f"bad embedding spec {spec!r}")
 
 
+def _rank(value) -> int:
+    """A rank: a JSON integer or a string int() reads; a bool or a
+    fraction is a ValueError, not rounded."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"rank {value!r} is not an integer")
+
+
+def _list(value, what: str) -> tuple:
+    """A JSON list as a tuple; a string, which tuple() would split into
+    characters, or any other value is a ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, not {value!r}")
+    return tuple(value)
+
+
+def _cells(value) -> tuple:
+    """An ordered partition: a list of cells, each a list of values."""
+    return tuple(_list(c, "a cell") for c in _list(value, "cells"))
+
+
 def _parse_per_point_ranks(entries) -> dict:
     out = {}
     for entry in entries:
         try:
             pt = InputPoint(entry["input"], entry["value"])
-            ranks = {k: int(v) for k, v in entry["rank"].items()}
+            ranks = {k: _rank(v) for k, v in entry["rank"].items()}
         except (KeyError, TypeError, ValueError):
             raise SystemFormatError(f"bad per-point rank entry {entry!r}") from None
         out[pt] = ranks
@@ -521,16 +543,14 @@ def _metric_from_config(doc: Mapping) -> Metric:
     except KeyError:
         raise SystemFormatError("metric config needs a 'kind'") from None
     if kind == "order":
-        rank = {k: int(v) for k, v in doc.get("rank", {}).items()}
+        rank = {k: _rank(v) for k, v in doc.get("rank", {}).items()}
         per_point = _parse_per_point_ranks(doc.get("rank_per_point", []))
         base: Metric = OrderDistance(OrderSpec(rank, per_point))
     elif kind == "classification":
-        cells = tuple(tuple(c) for c in doc.get("cells", []))
         per_point = {}
         for entry in doc.get("cells_per_point", []):
-            pt = InputPoint(entry["input"], entry["value"])
-            per_point[pt] = tuple(tuple(c) for c in entry["cells"])
-        base = ClassificationDistance(cells, per_point)
+            per_point[InputPoint(entry["input"], entry["value"])] = _cells(entry["cells"])
+        base = ClassificationDistance(_cells(doc.get("cells", [])), per_point)
     elif kind == "p":
         p_spec = doc.get("p", 1)
         p = math.inf if p_spec in ("inf", "infinity") else parse_number(p_spec, "auto")
@@ -543,8 +563,8 @@ def _metric_from_config(doc: Mapping) -> Metric:
         u = {k: parse_number(v, "auto") for k, v in doc["u"].items()}
         base = SeparationDistance(u, _parse_embed(doc.get("embed")))
     elif kind == "expected_ground":
-        vals = tuple(doc["values"])
-        matrix = doc["ground"]
+        vals = _list(doc["values"], "values")
+        matrix = [_list(row, "a ground row") for row in _list(doc["ground"], "ground")]
         ground = {
             (a, b): parse_number(matrix[i][j], "auto")
             for i, a in enumerate(vals)
@@ -566,7 +586,7 @@ def _metric_from_config(doc: Mapping) -> Metric:
             base = SumOf(base, _metric_from_config(step["other"]))
         elif op == "mixture":
             others = tuple(_metric_from_config(o) for o in step["others"])
-            weights = tuple(parse_number(w, "auto") for w in step["weights"])
+            weights = tuple(parse_number(w, "auto") for w in _list(step["weights"], "weights"))
             base = MixtureOf((base, *others), weights)
         else:
             raise SystemFormatError(f"unknown transform op {op!r}")

@@ -15,7 +15,7 @@ inequalities -1 <= e_k <= 0.  Each right-hand inequality is equivalent to
 a chain inequality of the order-distance ranking first outcome values
 low on both sides; each left-hand inequality to a chain of the
 order-distance with the second input's ranking reversed.  Both routes are
-implemented and testable against each other.
+implemented and testable against each other (chains on `check`'s kernel).
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from .metrics import OrderDistance, OrderSpec, default_order_metric
 from .probspace import Design, InputPoint, TreatmentTable, point_axes
 from .selectivity import (
     ChainReport,
-    chain_test,
+    _chain_report,
+    _distance_screen,
+    _tetrad_indices,
     check_marginal_selectivity,
-    enumerate_irreducible,
 )
 
 MAX_HIDDEN_SPACE = 1_000_000
@@ -287,7 +288,6 @@ class FineSystem:
     a1p: Num
     b1: Num
     b1p: Num
-    cells: Mapping[str, Mapping[tuple, Num]]
 
     @classmethod
     def from_tables(
@@ -316,23 +316,18 @@ class FineSystem:
             b = axes[InputPoint(n2, treatment[1])][j - 1]
             return by_t[treatment].prob((a, b))
 
-        cells = {
-            "p": {(i, j): cell((x, y), i, j) for i in (1, 2) for j in (1, 2)},
-            "q": {(i, j): cell((x, yp), i, j) for i in (1, 2) for j in (1, 2)},
-            "r": {(i, j): cell((xp, y), i, j) for i in (1, 2) for j in (1, 2)},
-            "s": {(i, j): cell((xp, yp), i, j) for i in (1, 2) for j in (1, 2)},
-        }
-        p, q, r, s = cells["p"], cells["q"], cells["r"], cells["s"]
+        p11, p12, p21 = cell((x, y), 1, 1), cell((x, y), 1, 2), cell((x, y), 2, 1)
+        q11, q21 = cell((x, yp), 1, 1), cell((x, yp), 2, 1)
+        r11, r12 = cell((xp, y), 1, 1), cell((xp, y), 1, 2)
         return cls(
-            p11=p[(1, 1)],
-            q11=q[(1, 1)],
-            r11=r[(1, 1)],
-            s11=s[(1, 1)],
-            a1=p[(1, 1)] + p[(1, 2)],
-            a1p=r[(1, 1)] + r[(1, 2)],
-            b1=p[(1, 1)] + p[(2, 1)],
-            b1p=q[(1, 1)] + q[(2, 1)],
-            cells=cells,
+            p11=p11,
+            q11=q11,
+            r11=r11,
+            s11=cell((xp, yp), 1, 1),
+            a1=p11 + p12,
+            a1p=r11 + r12,
+            b1=p11 + p21,
+            b1p=q11 + q21,
         )
 
 
@@ -392,16 +387,24 @@ def d1_d2_chain_residuals(
 
     First four: order-distance with both outputs ranked by declared value
     order, over the first four alternating tetrads of the full design, with
-    closings (x, y'), (x, y), (x', y'), (x', y).  Second four: the same tetrads under the order-distance with
-    the second output's ranking reversed.
+    closings (x, y'), (x, y), (x', y'), (x', y).  Second four: the same
+    tetrads under the order-distance with the second output's ranking
+    reversed.  Each is reported, flagged or not, as the chain suite would.
     """
     tables = list(tables)
     if not is_2x2_binary(design, tables):
         raise SystemFormatError(_NOT_2X2)
     d1_spec, d2_spec = _binary_order_specs(design, tables)
-    witnesses = list(itertools.islice(enumerate_irreducible(design, 4), 4))
-    d1 = [chain_test(OrderDistance(d1_spec, "order:low-first"), w, tables, eps_test) for w in witnesses]
-    d2 = [chain_test(OrderDistance(d2_spec, "order:second-reversed"), w, tables, eps_test) for w in witnesses]
+    metrics = [OrderDistance(d1_spec, "order:low-first"), OrderDistance(d2_spec, "order:second-reversed")]
+    pts = design.points()
+    C = design.pair_covers()[0]
+    pairs = [(i, j) for i, p in enumerate(pts) for j, q in enumerate(pts) if p.input != q.input]
+    screens = _distance_screen(metrics, pts, pairs, {t.treatment: t for t in tables}, C)
+    tetrads = list(itertools.islice(_tetrad_indices(design), 4))
+    d1, d2 = (
+        [_chain_report(screens, k, seq, pts, C, m.describe(), eps_test, every=True) for seq in tetrads]
+        for k, m in enumerate(metrics)
+    )
     return d1, d2
 
 
@@ -434,7 +437,6 @@ def fine_chain_equivalence(
     each upper Fine inequality is the negated first-family residual, each
     lower one is the second-family residual shifted by 1.  Exact rational
     systems must come out at zero discrepancy."""
-    tables = list(tables)
     e = fine_expressions(fs)
     d1, d2 = d1_d2_chain_residuals(design, tables)
     disc = []

@@ -64,14 +64,14 @@ g(y') = d(x', y') - d(x, y'), so per triple x, y, x' the y' with
 g(y') < -f(y) are a prefix of the other input's points sorted by g, found
 by bisection.  On an int table that prefix is exact; on a raw-value table
 it is taken over the values as floats, with a slack that covers the
-rounding.  A flagged chain is reported from the tables the screen built
-beside the distances: the raw values (an int-summed distance's as its
-ints over the lcm denominator), the covering treatments, and the
-int residual over the lcm denominator, or on a raw-value table the
-residual :func:`_chain_residual` adds over the raw values.  The
-marginal-selectivity check sums the marginals of all tables of one cell
-layout together, column by column over their integer-scaled cells, and
-compares each class of tables in one pass.
+rounding.  A flagged chain, like each Bell-CHSH-Fine chain of ``jdc``, is
+reported from the tables the screen built beside the distances: the raw
+values (an int-summed distance's as its ints over the lcm denominator),
+the pairs' covers, and the int residual over the lcm denominator, or on a
+raw-value table the residual :func:`_chain_residual` adds over the raw
+values.  The marginal-selectivity check sums the marginals of all tables
+of one cell layout together, column by column over their integer-scaled
+cells, and compares each class of tables in one pass.
 """
 
 from __future__ import annotations
@@ -240,21 +240,25 @@ def _walk(
             yield from extend([x], length, 0, 0)
 
 
-def _witness(points: tuple[InputPoint, ...], design: Design) -> SequenceWitness:
-    """A realizable sequence with its closing cover, then its step covers."""
-    steps = tuple(design.cover(points[i - 1 : i + 1]) for i in range(1, len(points)))
-    return SequenceWitness(points, (design.cover((points[0], points[-1])), *steps))
+def _adjacent(T: list[list], seq: Sequence[int]) -> Iterator:
+    """T[i][j] over the adjacent index pairs (i, j) of `seq`, in order."""
+    return map(list.__getitem__, map(T.__getitem__, seq), seq[1:])
+
+
+def _covers(C: list[list], seq: Sequence[int]) -> tuple:
+    """`seq`'s closing cover, then its step covers, from the cover table C."""
+    return (C[seq[0]][seq[-1]], *_adjacent(C, seq))
 
 
 def _witnesses(
-    design: Design, seqs: Iterator[tuple[int, ...]], cap: int, kind: str
+    design: Design, C: list[list], seqs: Iterator[tuple[int, ...]], cap: int, kind: str
 ) -> Iterator[SequenceWitness]:
-    """Point-index sequences as witnesses; raises CapExceeded past `cap`."""
+    """Point-index sequences as witnesses, covers from C; CapExceeded past `cap`."""
     pts = design.points()
     for count, seq in enumerate(seqs, 1):
         if count > cap:
             raise CapExceeded(f"more than {cap} {kind} sequences")
-        yield _witness(tuple(pts[k] for k in seq), design)
+        yield SequenceWitness(tuple(map(pts.__getitem__, seq)), _covers(C, seq))
 
 
 def enumerate_realizable(
@@ -262,10 +266,10 @@ def enumerate_realizable(
 ) -> Iterator[SequenceWitness]:
     """All treatment-realizable sequences of length 3..max_len, shortest
     first, lexicographic within each length (design input order, declared
-    value order).  Raises CapExceeded past `cap` yields."""
-    _, near, third = design.pair_covers()
-    seqs = _walk(near, third, max_len, irreducible=False)
-    return _witnesses(design, seqs, cap, "realizable")
+    value order), covers from :meth:`Design.pair_covers`' table C.  Raises
+    CapExceeded past `cap` yields."""
+    C, near, third = design.pair_covers()
+    return _witnesses(design, C, _walk(near, third, max_len, False), cap, "realizable")
 
 
 def is_irreducible(points: Sequence[InputPoint], design: Design) -> bool:
@@ -298,20 +302,20 @@ def enumerate_irreducible(
     design: Design, max_len: int = 6, cap: int = MAX_SEQUENCES
 ) -> Iterator[SequenceWitness]:
     """Irreducible treatment-realizable sequences, same order as
-    :func:`enumerate_realizable`.  Raises CapExceeded past `cap`
-    irreducible sequences.
+    :func:`enumerate_realizable`, covers likewise from the cover table.
+    Raises CapExceeded past `cap` irreducible sequences.
 
     Full factorial designs skip straight to the alternating tetrads over
     two distinct inputs, the only irreducible shape they admit.  Other
     designs are walked depth first, extending only prefixes that can
     still become irreducible.
     """
+    C, near, third = design.pair_covers()
     if design.is_full:
         seqs = _tetrad_indices(design) if max_len >= 4 else iter(())
     else:
-        _, near, third = design.pair_covers()
         seqs = _walk(near, third, max_len, True)
-    return _witnesses(design, seqs, cap, "irreducible")
+    return _witnesses(design, C, seqs, cap, "irreducible")
 
 
 def _tetrad_indices(design: Design) -> Iterator[tuple[int, int, int, int]]:
@@ -353,13 +357,6 @@ def _cover_table(by_t: Mapping[tuple, TreatmentTable], cover: tuple) -> Treatmen
         raise SystemFormatError(f"no table for covering treatment {cover!r}") from None
 
 
-def _cover_marginal(
-    by_t: Mapping[tuple, TreatmentTable], x: InputPoint, y: InputPoint, cover: tuple
-) -> BivariateMarginal:
-    """Joint of the outputs at x and y inside the covering treatment."""
-    return _pair_marginal(_cover_table(by_t, cover), x, y)
-
-
 def _chain_residual(
     lhs: Num, rhs: tuple[Num, ...], eps_test: float
 ) -> tuple[Num, tuple[Num, ...], Num, bool]:
@@ -389,7 +386,7 @@ def chain_test(
     points, covers = witness.points, witness.covers
 
     def dist(k: int, x: InputPoint, y: InputPoint) -> Num:
-        return metric.evaluate(_cover_marginal(by_t, x, y, covers[k]))
+        return metric.evaluate(_pair_marginal(_cover_table(by_t, covers[k]), x, y))
 
     lhs = dist(0, points[0], points[-1])
     rhs = tuple(dist(i, points[i - 1], points[i]) for i in range(1, len(points)))
@@ -601,9 +598,31 @@ def _tetrad_candidates(
                     yield a, b, c, d, k
 
 
-def _adjacent(T: list[list], seq: Sequence[int]) -> Iterator:
-    """T[i][j] over the adjacent index pairs (i, j) of `seq`, in order."""
-    return map(list.__getitem__, map(T.__getitem__, seq), seq[1:])
+def _chain_report(screens: list, k: int, seq: tuple[int, ...], pts: Sequence[InputPoint],
+                  C: list[list], name: str, eps_test: float, every: bool = False) -> Optional[ChainReport]:
+    """The chain over index sequence `seq` on screen k, (D, R, den) of
+    :func:`_distance_screen`, covers from C; None if not flagged, unless
+    `every`.  An int table's residual is D's over den, and R is made from
+    D over den on the first report; a raw-value table decides over R."""
+    D, R, den = screens[k]
+    first, last = seq[0], seq[-1]
+    if den is None:
+        lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
+        _, _, residual, violated = _chain_residual(lhs, rhs, eps_test)
+    else:
+        residual = sum(_adjacent(D, seq)) - D[first][last]
+        violated = residual < 0
+    if not (violated or every):
+        return None
+    if den is not None:
+        if R is None:
+            R = [[None if v is None else Fraction(v, den) for v in row] for row in D]
+            screens[k] = D, R, den
+        lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
+        residual = Fraction(residual, den)
+        if residual.denominator == 1 and not any(isinstance(v, Fraction) for v in (lhs, *rhs)):
+            residual = residual.numerator  # ints add up to an int
+    return ChainReport(tuple(map(pts.__getitem__, seq)), name, lhs, rhs, residual, violated, _covers(C, seq))
 
 
 def run_suite(
@@ -626,12 +645,9 @@ def run_suite(
     A full design's tetrads are counted in closed form and screened per
     triple x, y, x' by :func:`_tetrad_candidates`, which passes on only
     the y' whose residual may be below the limit: exactly the negative
-    ones on an int table, a few more on a raw-value table.  A flagged
-    chain is reported from the screen's tables: its distances from R
-    (made from D over den on a metric's first report when the screen
-    summed it in ints), its covers from C.  On an int table its residual
-    is the int residual over den, violated for certain; on a raw-value
-    table :func:`_chain_residual` decides it over R.  Past `cap` sequences
+    ones on an int table, a few more on a raw-value table.  Each screened
+    chain is decided, and a flagged one reported, by
+    :func:`_chain_report` from the screen's tables.  Past `cap` sequences
     CapExceeded is raised, or with ``on_cap="truncate"`` the report is
     marked truncated.
     """
@@ -652,28 +668,9 @@ def run_suite(
     violations: list[ChainReport] = []
 
     def decide(seq: tuple[int, ...], k: int) -> None:
-        D, R, den = screens[k]
-        first, last = seq[0], seq[-1]
-        if den is None:
-            lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
-            _, _, residual, violated = _chain_residual(lhs, rhs, eps_test)
-            if not violated:
-                return
-        else:
-            residual = sum(_adjacent(D, seq)) - D[first][last]
-            if not residual < 0:
-                return
-            if R is None:
-                # an int-summed order distance's values, made on its first report
-                R = [[None if v is None else Fraction(v, den) for v in row] for row in D]
-                screens[k] = D, R, den
-            lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
-            residual = Fraction(residual, den)
-            if residual.denominator == 1 and not any(isinstance(v, Fraction) for v in (lhs, *rhs)):
-                residual = residual.numerator  # ints add up to an int
-        covers = (C[first][last], *_adjacent(C, seq))
-        point_seq = tuple(map(pts.__getitem__, seq))
-        violations.append(ChainReport(point_seq, names[k], lhs, rhs, residual, True, covers))
+        report = _chain_report(screens, k, seq, pts, C, names[k], eps_test)
+        if report is not None:
+            violations.append(report)
 
     if full:
         total = _tetrad_total(design) if max_len >= 4 else 0

@@ -90,6 +90,31 @@ class TestCheck:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ('{"kind":"order","rank":{"0":2.7,"1":1}}', "Decimal('2.7')"),
+            ('{"kind":"order","rank":{"0":true,"1":2}}', "rank True"),
+            ('{"kind":"order","rank_per_point":[{"input":"1","value":"x","rank":{"0":1.5,"1":2}}]}',
+             "Decimal('1.5')"),
+            ('{"kind":"classification","cells":"01"}', "'01'"),
+            ('{"kind":"classification","cells":[["0"],"1"]}', "a cell must be a list, not '1'"),
+            ('{"kind":"expected_ground","values":"01","ground":[[0,1],[1,0]]}', "'01'"),
+        ],
+    )
+    def test_coerced_metric_config_is_input_error(self, capsys, config, named):
+        # these ran before as rank 2, rank 1 and the cells ("0",), ("1",)
+        code, out, err = run(capsys, "check", str(SAMPLES / "prbox.json"), "--metric", config)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad ") and named in err
+
+    @pytest.mark.parametrize(
+        "config", ['{"kind":"order","rank":{"0":"1","1":2}}', '{"kind":"classification","cells":[["0"],["1"]]}']
+    )
+    def test_integer_ranks_and_cell_lists_still_run(self, capsys, config):
+        code, _, err = run(capsys, "check", str(SAMPLES / "prbox.json"), "--metric", config)
+        assert code == 2 and err == ""
+
     @pytest.mark.parametrize("p", ["1e10000000", '"1e10000000"', "1e5000", '"-1e5000"'])
     def test_huge_metric_exponent_is_input_error(self, capsys, p):
         start = time.perf_counter()

@@ -222,6 +222,49 @@ class TestLoadMetric:
         with pytest.raises(SystemFormatError):
             load_metric({"kind": "wasserstein"})
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ('{"kind":"order","rank":{"0":2.7,"1":1}}', "rank Decimal('2.7') is not an integer"),
+            ('{"kind":"order","rank":{"0":2.0,"1":1}}', "rank Decimal('2.0') is not an integer"),
+            ('{"kind":"order","rank":{"0":true,"1":2}}', "rank True is not an integer"),
+            ('{"kind":"order","rank":{"0":"2.5","1":1}}', "'2.5'"),
+            ('{"kind":"order","rank_per_point":[{"input":"1","value":"x","rank":{"0":1.5}}]}',
+             "bad per-point rank entry"),
+            ('{"kind":"order","rank_per_point":[{"input":"1","value":"x","rank":{"0":false}}]}',
+             "bad per-point rank entry"),
+            ('{"kind":"classification","cells":"01"}', "cells must be a list, not '01'"),
+            ('{"kind":"classification","cells":[["0"],"12"]}', "a cell must be a list, not '12'"),
+            ('{"kind":"classification","cells_per_point":[{"input":"1","value":"x","cells":"01"}]}',
+             "cells must be a list, not '01'"),
+            ('{"kind":"expected_ground","values":"01","ground":[[0,1],[1,0]]}',
+             "values must be a list, not '01'"),
+            ('{"kind":"expected_ground","values":["0","1"],"ground":["01","10"]}',
+             "a ground row must be a list, not '01'"),
+            ('{"kind":"order","transform":[{"op":"mixture","others":[{"kind":"order"}],"weights":"11"}]}',
+             "weights must be a list, not '11'"),
+        ],
+    )
+    def test_coercion_is_rejected(self, config, named):
+        # no rounding of a rank, no bool as a rank, no string split into cells
+        with pytest.raises(SystemFormatError) as caught:
+            load_metric(config)
+        assert named in str(caught.value)
+
+    def test_integer_ranks_and_lists_still_load(self):
+        from ordist import InputPoint
+
+        metric = load_metric('{"kind":"order","rank":{"0":"2","1":1},'
+                             '"rank_per_point":[{"input":"1","value":"x","rank":{"0":" 3 ","1":1}}]}')
+        assert metric.order.rank == {"0": 2, "1": 1}
+        assert metric.order.per_point[InputPoint("1", "x")] == {"0": 3, "1": 1}
+        metric = load_metric({"kind": "classification", "cells": (["0"], ("1", "2")),
+                              "cells_per_point": [{"input": "1", "value": "x", "cells": [["1"], ["0"]]}]})
+        assert metric.cells == (("0",), ("1", "2"))
+        assert metric.per_point[InputPoint("1", "x")] == (("1",), ("0",))
+        metric = load_metric('{"kind":"expected_ground","values":["0","1"],"ground":[["0","1"],["1","0"]]}')
+        assert metric.values == ("0", "1")
+
     def test_default_metric_ranks_by_declared_order(self):
         loaded = load_system(SAMPLES / "prbox.json")
         metric = default_order_metric(loaded.design, loaded.tables)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ordist import (
+    ChainReport,
     Design,
     HiddenSpaceTooLarge,
     FineSystem,
@@ -13,7 +16,9 @@ from ordist import (
     SystemFormatError,
     TreatmentTable,
     build_jdc,
+    chain_test,
     d1_d2_chain_residuals,
+    enumerate_irreducible,
     fine_chain_equivalence,
     fine_inequalities,
     is_2x2_binary,
@@ -23,6 +28,8 @@ from ordist import (
     witness_reproduces_tables,
 )
 from ordist import jdc as jdc_mod
+from ordist import selectivity
+from ordist.cli import main
 from ordist.jdc import fine_expressions, independent_rows
 from ordist.lp import verify_certificate
 from lp_reference import exact_rank, jdc_rows
@@ -288,6 +295,85 @@ class TestChainResiduals:
         assert d1[2].violated
         report = fine_inequalities(FineSystem.from_tables(design, tables))
         assert (3 in report.violations) == d1[2].violated
+
+
+def chain_test_route(design, tables):
+    """The eight canonical chains as `jdc` once reported them: the first
+    four witnesses of enumerate_irreducible, each decided by chain_test."""
+    witnesses = list(itertools.islice(enumerate_irreducible(design, 4), 4))
+    specs = zip(jdc_mod._binary_order_specs(design, tables), ("order:low-first", "order:second-reversed"))
+    return tuple([chain_test(OrderDistance(spec, name), w, tables) for w in witnesses] for spec, name in specs)
+
+
+def assert_same(got, want, where=()):
+    """Equal and of the same type, element by element inside tuples."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(got, tuple):
+        assert len(got) == len(want), (where, got, want)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, (*where, k))
+    else:
+        assert got == want, (where, got, want)
+
+
+def assert_reports_match_chain_test(design, tables):
+    got, want = d1_d2_chain_residuals(design, tables), chain_test_route(design, tables)
+    assert len(got[0]) == len(got[1]) == 4
+    for family, (mine, theirs) in enumerate(zip(got, want)):
+        for k, (a, b) in enumerate(zip(mine, theirs)):
+            for field in dataclasses.fields(ChainReport):
+                assert_same(getattr(a, field.name), getattr(b, field.name), (family, k, field.name))
+
+
+def as_float(tables, pick=lambda t: True):
+    return [
+        TreatmentTable(t.design, t.treatment, {o: float(p) for o, p in t.probs.items()}, axes=t.axes)
+        if pick(t) else t
+        for t in tables
+    ]
+
+
+class TestChainKernel:
+    """d1_d2_chain_residuals reports on the chain suite's kernel exactly
+    what chain_test reports over enumerate_irreducible's witnesses."""
+
+    def test_random_systems(self):
+        rng = random.Random("fine-kernel")
+        violated = unviolated = 0
+        for n in range(90):
+            if n % 3 == 0:
+                design, tables = random_2x2_system(rng)
+            elif n % 3 == 1:
+                design, tables, _ = system_from_joint(rng, 2, 2, 2)
+            else:
+                design, tables = random_coupled_system(rng, max_input_values=2, out_sizes=(2, 2), restrict_phi=False)
+            first = tables[0].treatment
+            # exact, float, and one float table among exact ones
+            for variant in (tables, as_float(tables), as_float(tables, lambda t: t.treatment == first)):
+                assert_reports_match_chain_test(design, variant)
+                for r in itertools.chain(*d1_d2_chain_residuals(design, variant)):
+                    violated += r.violated
+                    unviolated += not r.violated
+        assert violated > 20 and unviolated > 1_000
+
+    @pytest.mark.parametrize("name", ["prbox", "normal_sign", "product"])
+    @pytest.mark.parametrize("arithmetic", ["auto", "float"])
+    def test_samples(self, name, arithmetic):
+        loaded = load_system(SAMPLES / f"{name}.json", arithmetic)
+        assert_reports_match_chain_test(loaded.design, loaded.tables)
+
+    def test_jdc_makes_no_chain_test_call(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return chain_test(*args, **kwargs)
+
+        monkeypatch.setattr(selectivity, "chain_test", counted)
+        monkeypatch.setattr(jdc_mod, "chain_test", counted, raising=False)
+        assert main(["jdc", str(SAMPLES / "prbox.json"), "--json"]) == 2
+        assert '"theorem4_max_discrepancy": "0"' in capsys.readouterr().out
+        assert calls == []
 
 
 class TestFineChainEquivalence:

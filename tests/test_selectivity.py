@@ -1240,9 +1240,30 @@ class TestMaskWalk:
         suite = run_suite(loaded.design, loaded.tables, [default_order_metric(loaded.design, loaded.tables)])
         assert suite.sequences_tested == 190 and suite.violations
         assert calls == []
-        # the counter counts: the witnesses of enumerate_irreducible ask cover
-        next(enumerate_irreducible(loaded.design))
-        assert calls
+        # nor do the witnesses of enumerate_irreducible, which read the table
+        witnesses = list(enumerate_irreducible(loaded.design))
+        assert len(witnesses) == 190 and calls == []
+        # the counter counts: is_irreducible asks cover
+        assert is_irreducible(witnesses[0].points, loaded.design) and calls
+
+    def test_witness_covers_match_cover(self):
+        # each witness's closing cover, then its step covers, as cover gives
+        # them, repeated points (realizable walks) and full designs included
+        rng = random.Random("witness-covers")
+        designs = [shuffled_design(rng, random_restricted_design(rng)) for _ in range(60)]
+        designs += [*CYCLE_DESIGNS, EIGHT_CYCLE]
+        designs += [random_tetrad_design(rng) for _ in range(6)]
+        seen = {"repeated": 0, "full": 0, "irreducible": 0}
+        for design in designs:
+            for irreducible, walk in ((False, enumerate_realizable), (True, enumerate_irreducible)):
+                for w in itertools.islice(walk(design, 6), 1_500):
+                    p = w.points
+                    steps = [design.cover((p[i - 1], p[i])) for i in range(1, len(p))]
+                    assert w.covers == (design.cover((p[0], p[-1])), *steps), (design.treatments, p)
+                    seen["repeated"] += len(set(p)) < len(p)
+                    seen["full"] += design.is_full
+                    seen["irreducible"] += irreducible
+        assert min(seen.values()) > 1_000, seen
 
     def test_is_irreducible_unknown_input(self):
         x0, y0, x1 = P("1", "x0"), P("2", "y0"), P("1", "x1")
