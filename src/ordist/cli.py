@@ -185,8 +185,11 @@ def _check_text(report: dict):
         f"metrics: {len(report['violations'])} violation(s){note}"
     )
     for v in report["violations"][:10]:
-        seq = " -> ".join(f"({name},{value})" for name, value in v["sequence"])
-        yield f"  {v['metric']}: {seq}  residual {v['residual']}"
+        yield f"  {v['metric']}: {_sequence_text(v)}  residual {v['residual']}"
+
+
+def _sequence_text(chain: dict) -> str:
+    return " -> ".join(f"({name},{value})" for name, value in chain["sequence"])
 
 
 def cmd_jdc(args) -> int:
@@ -203,11 +206,11 @@ def cmd_jdc(args) -> int:
     report["theorem4_max_discrepancy"] = None
     if is_2x2_binary(loaded.design, loaded.tables):
         try:
-            fs = FineSystem.from_tables(loaded.design, loaded.tables, args.tol_test)
+            fs = FineSystem.from_tables(loaded.design, loaded.tables, args.tol_test, problem.axes)
             report["fine"] = fine_inequalities(
                 fs, 0.0 if loaded.regime == "rational" else args.tol_test
             ).as_json()
-            eq = fine_chain_equivalence(fs, loaded.design, loaded.tables)
+            eq = fine_chain_equivalence(fs, loaded.design, loaded.tables, problem.axes)
             report["theorem4_max_discrepancy"] = num_to_json(eq.max_discrepancy)
         except OrdistError as exc:
             report["fine"] = {"error": str(exc)}
@@ -221,6 +224,12 @@ def _jdc_text(report: dict):
         f"joint distribution over {report['variables']} assignments: {state} "
         f"({report['constraints']} constraints, {report['arithmetic']} arithmetic)"
     )
+    chain = report["certificate_chain"]
+    if chain is not None:
+        yield (
+            f"refuted by the chain {_sequence_text(chain)} under {chain['metric']}, "
+            f"residual {chain['residual']}"
+        )
     fine = report["fine"]
     if isinstance(fine, dict) and fine.get("violations"):
         yield f"Bell-CHSH-Fine inequalities violated: {fine['violations']}"

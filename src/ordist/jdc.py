@@ -9,6 +9,16 @@ outcomes to all input points, one equality per (treatment, outcome
 vector).  The solver returns either a witness Q (re-checked against every
 table before being reported) or a Farkas certificate (also re-checked).
 
+On exact systems a violated chain of the order-distance refutes without
+the simplex.  The distance d(x, y) of a pair inside its covering
+treatment t is the sum of t's rows whose outcome puts x strictly below y,
+so a chain's residual, sum of the step distances minus the closing one,
+is a linear form in the rows.  Every variable is one assignment, and
+under one assignment "strictly below" is a total preorder, so the
+indicators obey the triangle inequality.  Minus the chain's coefficient
+vector is therefore a Farkas certificate: y.A <= 0, and y.b = -residual,
+positive when the chain is violated.
+
 For the ubiquitous 2x2 factorial design with binary outputs the same
 decision is available in closed form: the eight Bell-CHSH-Fine
 inequalities -1 <= e_k <= 0.  Each right-hand inequality is equivalent to
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from .arith import EPS_LP, EPS_TEST, Num, num_to_json, zero_of
@@ -32,7 +43,7 @@ from .errors import (
     SystemFormatError,
 )
 from .lp import solve_equality_feasibility, verify_certificate, verify_solution
-from .metrics import OrderDistance, OrderSpec, default_order_metric
+from .metrics import OrderDistance, OrderSpec, index_order_metric
 from .probspace import Design, InputPoint, TreatmentTable, point_axes
 from .selectivity import (
     ChainReport,
@@ -40,6 +51,7 @@ from .selectivity import (
     _distance_screen,
     _tetrad_indices,
     check_marginal_selectivity,
+    run_suite,
 )
 
 MAX_HIDDEN_SPACE = 1_000_000
@@ -63,7 +75,8 @@ class JdcProblem:
     Variables: one per assignment of an outcome value to every input point
     (mixed-radix order over `points`).  Constraints: for each treatment and
     each outcome vector, the consistent assignments must carry exactly the
-    observed probability.
+    observed probability.  `tables` are the tables the constraints were
+    read from, and `axes` their :func:`point_axes`.
     """
 
     design: Design
@@ -72,6 +85,8 @@ class JdcProblem:
     n_vars: int
     constraints: tuple[JdcConstraint, ...]
     regime: str
+    tables: tuple[TreatmentTable, ...]
+    axes: Mapping[InputPoint, tuple]
 
     def assignment(self, index: int) -> tuple:
         out = []
@@ -83,13 +98,22 @@ class JdcProblem:
 
 @dataclass(frozen=True, eq=False)
 class JdcVerdict:
+    """`chain` is the violated chain the certificate was derived from, or
+    None when the simplex decided."""
+
     feasible: bool
     witness: Optional[dict]
     certificate: Optional[list]
     regime: str
+    chain: Optional[ChainReport] = None
 
     def as_json(self):
-        out = {"feasible": self.feasible, "witness": None, "certificate": None}
+        out = {
+            "feasible": self.feasible,
+            "witness": None,
+            "certificate": None,
+            "certificate_chain": None if self.chain is None else self.chain.as_json(),
+        }
         if self.witness is not None:
             out["witness"] = [
                 {"assignment": list(k), "p": num_to_json(v)}
@@ -162,6 +186,8 @@ def build_jdc(
         n_vars=n_vars,
         constraints=tuple(constraints),
         regime=regime,
+        tables=tuple(tables),
+        axes=known,
     )
 
 
@@ -195,8 +221,51 @@ def independent_rows(problem: JdcProblem) -> list[int]:
     return keep
 
 
+def _chain_certificate(problem: JdcProblem) -> Optional[tuple[ChainReport, list[int]]]:
+    """The most violated chain of the index order-distance over the
+    problem's tables, and the Farkas certificate it gives, one multiplier
+    per constraint row in order; None when no chain is violated, or when
+    a treatment of the design has no table to cover a pair.
+
+    The chains are :func:`run_suite`'s at length 4 at most: a full
+    design's tetrads, a restricted design's sequences of length 3 and 4.
+    Of equal residuals the first in suite order is taken.  Row (t, o)
+    gets -1 for each step of the chain covered by t whose outcome o puts
+    the step's first point strictly below its second, and +1 when the
+    closing pair is covered by t and o puts its first point below its
+    last.  Then y.b = -residual."""
+    design, tables = problem.design, problem.tables
+    if not {t.treatment for t in tables} >= set(design.iter_treatments()):
+        return None
+    metric = index_order_metric(problem.axes)
+    suite = run_suite(design, tables, [metric], max_len=4, on_cap="truncate")
+    if not suite.violations:
+        return None
+    chain = min(suite.violations, key=attrgetter("residual"))
+    seq, covers = chain.sequence, chain.covers
+    # (cover, first point, second point, coefficient) of the closing pair,
+    # then of each step
+    terms = [(covers[0], seq[0], seq[-1], 1)]
+    terms += [(covers[k], seq[k - 1], seq[k], -1) for k in range(1, len(seq))]
+    rank, place = metric.rank_of, design.index
+    y = [
+        sum(
+            coef for t, a, b, coef in terms
+            if t == c.treatment
+            and rank(c.outcome[place(a.input)], a) < rank(c.outcome[place(b.input)], b)
+        )
+        for c in problem.constraints
+    ]
+    return chain, y
+
+
 def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
     """Decide the problem; the verdict is self-checked before returning.
+
+    An exact problem is first screened for a violated chain
+    (:func:`_chain_certificate`).  When one is found and its certificate
+    verifies on every row, the system is refuted by it, and the verdict
+    names the chain.  Otherwise the simplex decides.
 
     The simplex runs on the rows of `independent_rows`, which span all
     rows.  A certificate for them, zero on the dropped rows, refutes every
@@ -225,6 +294,11 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
             row[k] = one
         rows.append(row)
         rhs.append(c.rhs if exact else float(c.rhs))
+    if exact:
+        found = _chain_certificate(problem)
+        if found is not None and verify_certificate(rows, rhs, found[1]):
+            chain, y = found
+            return JdcVerdict(False, None, _certificate(problem, y), problem.regime, chain)
     keep = independent_rows(problem)
     result = solve_equality_feasibility([rows[i] for i in keep], [rhs[i] for i in keep], eps=eps)
     ok = result.feasible and verify_solution(rows, rhs, result.x, eps=eps_x)
@@ -245,10 +319,12 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
     ok = verify_certificate(rows, rhs, y, eps=eps)
     if not ok:
         raise NumericalInstability("certificate failed verification; rerun with rational arithmetic")
-    certificate = [
-        (c.treatment, c.outcome, y[i]) for i, c in enumerate(problem.constraints)
-    ]
-    return JdcVerdict(False, None, certificate, problem.regime)
+    return JdcVerdict(False, None, _certificate(problem, y), problem.regime)
+
+
+def _certificate(problem: JdcProblem, y: list) -> list:
+    """The multipliers y as (treatment, outcome, y) per constraint row."""
+    return [(c.treatment, c.outcome, v) for c, v in zip(problem.constraints, y)]
 
 
 def witness_reproduces_tables(problem: JdcProblem, witness: Mapping[tuple, Num], tables, eps: float = 0.0) -> bool:
@@ -278,6 +354,11 @@ class FineSystem:
 
     a1 / a1p: Pr[first output = first value] under x / x'.
     b1 / b1p: Pr[second output = first value] under y / y'.
+
+    Here and in :func:`d1_d2_chain_residuals` and
+    :func:`fine_chain_equivalence`, a caller that has found the system
+    2x2 binary (:func:`is_2x2_binary`) passes the tables'
+    :func:`point_axes` as `axes`, and neither is derived again.
     """
 
     p11: Num
@@ -295,10 +376,11 @@ class FineSystem:
         design: Design,
         tables: Iterable[TreatmentTable],
         eps: float = EPS_TEST,
+        axes: Optional[Mapping[InputPoint, tuple]] = None,
     ) -> "FineSystem":
         tables = list(tables)
-        if not is_2x2_binary(design, tables):
-            raise SystemFormatError(_NOT_2X2)
+        if axes is None:
+            axes = _axes_2x2(design, tables)
         msel = check_marginal_selectivity(design, tables, eps)
         if not msel.passed:
             raise MarginalSelectivityViolated(
@@ -308,7 +390,6 @@ class FineSystem:
         x, xp = design.values[n1]
         y, yp = design.values[n2]
         by_t = {t.treatment: t for t in tables}
-        axes = point_axes(design, tables)
 
         def cell(treatment, i, j):
             # index 1 = first value of the point's canonical outcome axis
@@ -366,10 +447,17 @@ def fine_inequalities(fs: FineSystem, eps: float = 0.0) -> FineReport:
     return FineReport(values, not violations, tuple(violations))
 
 
-def _binary_order_specs(design: Design, tables) -> tuple[OrderSpec, OrderSpec]:
+def _axes_2x2(design: Design, tables: list[TreatmentTable]) -> dict[InputPoint, tuple]:
+    """The tables' point axes, once the system is found 2x2 binary."""
+    if not is_2x2_binary(design, tables):
+        raise SystemFormatError(_NOT_2X2)
+    return point_axes(design, tables)
+
+
+def _binary_order_specs(design: Design, axes: Mapping[InputPoint, tuple]) -> tuple[OrderSpec, OrderSpec]:
     """Rank maps for the two canonical binary order-distances: both axes by
     canonical value order, and with the second input's order reversed."""
-    low = default_order_metric(design, tables).order
+    low = index_order_metric(axes).order
     second = design.inputs[1]
     reversed_second = {
         pt: {v: 3 - r for v, r in ranks.items()} if pt.input == second else ranks
@@ -382,6 +470,7 @@ def d1_d2_chain_residuals(
     design: Design,
     tables: Iterable[TreatmentTable],
     eps_test: float = EPS_TEST,
+    axes: Optional[Mapping[InputPoint, tuple]] = None,
 ) -> tuple[list[ChainReport], list[ChainReport]]:
     """The eight canonical chain tests of a 2x2 binary system.
 
@@ -392,9 +481,9 @@ def d1_d2_chain_residuals(
     reversed.  Each is reported, flagged or not, as the chain suite would.
     """
     tables = list(tables)
-    if not is_2x2_binary(design, tables):
-        raise SystemFormatError(_NOT_2X2)
-    d1_spec, d2_spec = _binary_order_specs(design, tables)
+    if axes is None:
+        axes = _axes_2x2(design, tables)
+    d1_spec, d2_spec = _binary_order_specs(design, axes)
     metrics = [OrderDistance(d1_spec, "order:low-first"), OrderDistance(d2_spec, "order:second-reversed")]
     pts = design.points()
     C = design.pair_covers()[0]
@@ -431,6 +520,7 @@ def fine_chain_equivalence(
     fs: FineSystem,
     design: Design,
     tables: Iterable[TreatmentTable],
+    axes: Optional[Mapping[InputPoint, tuple]] = None,
 ) -> EquivalenceReport:
     """Check, cell for cell, that the Fine expressions of `fs` (built from
     these tables) and the canonical chain residuals are the same facts:
@@ -438,7 +528,7 @@ def fine_chain_equivalence(
     lower one is the second-family residual shifted by 1.  Exact rational
     systems must come out at zero discrepancy."""
     e = fine_expressions(fs)
-    d1, d2 = d1_d2_chain_residuals(design, tables)
+    d1, d2 = d1_d2_chain_residuals(design, tables, axes=axes)
     disc = []
     for k in range(4):
         disc.append(abs(d1[k].residual - (-e[k])))

@@ -282,7 +282,23 @@ def solve_equality_feasibility(
 
 
 def verify_solution(rows, rhs, x, eps: float = 0.0) -> bool:
-    """x >= 0 and A x = b, exactly or within eps per constraint."""
+    """x >= 0 and A x = b, exactly or within eps per constraint.
+
+    With eps 0 and every x and b exact, x is scaled to ints over the lcm
+    den of its nonzero entries' denominators, and each row's int total t
+    is compared with its target b as t * b.denominator == b.numerator *
+    den: the same test, without a Fraction per term."""
+    if eps == 0 and all(map(is_exact, x)) and all(map(is_exact, rhs)):
+        cols = [j for j, v in enumerate(x) if v]
+        ints, den = over_lcm(x[j] for j in cols)
+        if any(v < 0 for v in ints):
+            return False
+        support = list(zip(cols, ints))
+        for row, target in zip(rows, rhs):
+            total = sum(row[j] * v for j, v in support if row[j])
+            if total * target.denominator != target.numerator * den:
+                return False
+        return True
     for v in x:
         if (v < 0) if is_exact(v) else (v < -eps):
             return False

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .arith import Num, is_exact, zero_of
+from .arith import Num, digit_limit, is_exact, zero_of
 from .errors import (
     GroundAxiomViolation,
     InvalidExponent,
@@ -117,6 +117,21 @@ def _check_rank(r):
         raise UnrankedValue(f"ranks must be integers >= 1, got {r!r}")
 
 
+def _overflow_is_input_error(evaluate):
+    """An ``evaluate`` whose arithmetic meets a value too large for a float
+    (a huge embedding, ground distance or weight mixed with floats) raises
+    MetricEvaluationError, naming the metric, instead of OverflowError."""
+
+    @functools.wraps(evaluate)
+    def checked(self, m):
+        try:
+            return evaluate(self, m)
+        except OverflowError:
+            raise MetricEvaluationError(f"{self.describe()} overflows a float") from None
+
+    return checked
+
+
 class Metric:
     """Base class: an immutable evaluator on bivariate marginals."""
 
@@ -172,10 +187,14 @@ class OrderDistance(_RankedMetric):
 
 def default_order_metric(design: Design, tables) -> OrderDistance:
     """Order-distance ranking every point's outcomes by canonical order."""
-    per_point = {
-        pt: {v: k + 1 for k, v in enumerate(axis)}
-        for pt, axis in point_axes(design, tables).items()
-    }
+    return index_order_metric(point_axes(design, tables))
+
+
+def index_order_metric(axes: Mapping[InputPoint, Sequence]) -> OrderDistance:
+    """:func:`default_order_metric` from the tables' per-point axes, as
+    :func:`~ordist.probspace.point_axes` gives them: each point's outcomes
+    ranked by their place in its axis."""
+    per_point = {pt: {v: k + 1 for k, v in enumerate(axis)} for pt, axis in axes.items()}
     return OrderDistance(OrderSpec({}, per_point), "order:index")
 
 
@@ -212,6 +231,7 @@ class PDistance(Metric):
         if self.p != math.inf and not self.p >= 1:
             raise InvalidP(f"p must be >= 1 or infinity, got {self.p!r}")
 
+    @_overflow_is_input_error
     def evaluate(self, m: BivariateMarginal) -> Num:
         f = as_embedding(self.embed)
         if self.p == math.inf:
@@ -227,7 +247,7 @@ class PDistance(Metric):
             if p == 0:
                 continue
             d = abs(f(a) - f(b))
-            term = p * d if self.p == 1 else p * d ** self.p
+            term = p * d if self.p == 1 else p * _power(d, self.p)
             total = term if total is None else total + term
         if total is None:
             return zero_of(chain(*m.probs))
@@ -237,6 +257,21 @@ class PDistance(Metric):
 
     def describe(self) -> str:
         return f"d^({self.p})"
+
+
+def _power(d: Num, p) -> Num:
+    """d ** p, refusing an exact power too large to build.  With d and p
+    exact and p an integer, the power's larger term has more than
+    p * (b - 1) bits, b the bit length of d's larger term, so the power
+    is refused when that passes :func:`~ordist.arith.digit_limit` digits,
+    before any of it is computed.  d = 0 and d = 1 give b = 1 and pass."""
+    if is_exact(d) and is_exact(p) and p.denominator == 1:
+        bits = p * (max(d.numerator, d.denominator).bit_length() - 1)
+        if bits > digit_limit() * math.log2(10):
+            raise MetricEvaluationError(
+                f"an exact power |a - b|^p would have more than {digit_limit()} digits"
+            )
+    return d ** p
 
 
 @dataclass(frozen=True)
@@ -276,6 +311,7 @@ class FrechetDistance(Metric):
 
     embed: Embedding
 
+    @_overflow_is_input_error
     def evaluate(self, m: BivariateMarginal) -> Num:
         f = as_embedding(self.embed)
         total = None
@@ -339,7 +375,13 @@ class ExpectedGround(Metric):
             sorted({v for pair in self.ground for v in pair}, key=repr)
         )
         object.__setattr__(self, "values", values)
-        g = self.ground
+        # the axioms are checked exactly: a finite float entry as the
+        # Fraction it equals, so that no float rounds a sum, and an entry
+        # loads alike whether it came as a float or as an exact literal
+        g = {
+            k: Fraction(v) if isinstance(v, float) and math.isfinite(v) else v
+            for k, v in self.ground.items()
+        }
         for v in values:
             if g.get((v, v), None) != 0:
                 raise GroundAxiomViolation(f"ground distance g({v!r},{v!r}) must be 0")
@@ -357,6 +399,7 @@ class ExpectedGround(Metric):
                             f"ground triangle fails at ({a!r},{b!r},{c!r})"
                         )
 
+    @_overflow_is_input_error
     def evaluate(self, m: BivariateMarginal) -> Num:
         total = None
         for a, b, p in m.cells():
@@ -387,6 +430,7 @@ class PowerOf(Metric):
         if not 0 < self.q <= 1:
             raise InvalidExponent(f"power transform needs 0 < q <= 1, got {self.q!r}")
 
+    @_overflow_is_input_error
     def evaluate(self, m: BivariateMarginal) -> Num:
         d = self.base.evaluate(m)
         if self.q == 1 or d == 0:
@@ -401,6 +445,7 @@ class PowerOf(Metric):
 class BoundedOf(Metric):
     base: Metric
 
+    @_overflow_is_input_error
     def evaluate(self, m: BivariateMarginal) -> Num:
         d = self.base.evaluate(m)
         return d / (1 + d)
@@ -426,6 +471,7 @@ class SumOf(Metric):
     first: Metric
     second: Metric
 
+    @_overflow_is_input_error
     def evaluate(self, m: BivariateMarginal) -> Num:
         return self.first.evaluate(m) + self.second.evaluate(m)
 
@@ -450,6 +496,7 @@ class MixtureOf(Metric):
         if bad:
             raise ValueError(f"mixture weights sum to {total}, expected 1")
 
+    @_overflow_is_input_error
     def evaluate(self, m: BivariateMarginal) -> Num:
         total = None
         for w, metric in zip(self.weights, self.components):

@@ -8,6 +8,7 @@ import pytest
 
 from lp_reference import jdc_rows
 from ordist import build_jdc, cli, load_system, witness_reproduces_tables
+from ordist import jdc as jdc_mod
 from ordist.cli import _build_parser, main
 from ordist.errors import SystemFormatError
 from ordist.jdc import FineSystem
@@ -53,6 +54,18 @@ class TestCheck:
         assert code == 2
         report = json.loads(out)
         assert "d^(1)" in report["metrics"]
+
+    def test_huge_exact_power_is_input_error(self, capsys):
+        # |1e308 - 0| to the power 1e308 would have about 3e310 digits: it
+        # is refused before any of it is computed
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "check", str(SAMPLES / "product.json"),
+            "--metric", '{"kind":"p","p":1e308,"embed":{"0":0,"1":1e308}}',
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "digits" in err
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/system.json")
@@ -221,6 +234,41 @@ class TestJdc:
         assert json.loads(out)["theorem4_max_discrepancy"] == "0"
         assert len(built) == 1
 
+    def test_pr_box_refuted_by_a_chain(self, capsys):
+        code, out, _ = run(capsys, "jdc", str(SAMPLES / "prbox.json"), "--json")
+        assert code == 2
+        report = json.loads(out)
+        chain = report["certificate_chain"]
+        assert chain["metric"] == "order:index"
+        assert chain["residual"] == "-1/2" and chain["violated"] is True
+        assert chain["sequence"] == [["1", "x'"], ["2", "y"], ["1", "x"], ["2", "y'"]]
+        assert_certificate_verifies(SAMPLES / "prbox.json", report)
+
+    def test_chain_free_refutation_goes_through_the_simplex(self, capsys, tmp_path, monkeypatch):
+        # the PR box with its correlations flipped violates no chain of the
+        # index order, so the simplex's certificate refutes it
+        doc = json.loads((SAMPLES / "prbox.json").read_text())
+        for table in doc["tables"]:
+            for cell in table["probs"]:
+                cell["outcome"][1] = "1" if cell["outcome"][1] == "0" else "0"
+        path = tmp_path / "anti_prbox.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        solve = jdc_mod.solve_equality_feasibility
+        monkeypatch.setattr(
+            jdc_mod, "solve_equality_feasibility",
+            lambda rows, rhs, **kw: calls.append(len(rows)) or solve(rows, rhs, **kw),
+        )
+        code, out, _ = run(capsys, "jdc", str(path), "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert report["certificate_chain"] is None
+        assert report["fine"]["violations"]
+        assert calls == [9]
+        assert_certificate_verifies(path, report)
+        code, out, _ = run(capsys, "jdc", str(path))
+        assert code == 2 and "chain" not in out
+
     def test_hidden_space_cap_is_input_error(self, capsys):
         code, _, err = run(capsys, "jdc", str(SAMPLES / "product.json"), "--cap", "8")
         assert code == 1
@@ -237,6 +285,16 @@ class TestJdc:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+def assert_certificate_verifies(path, report):
+    """The report's certificate refutes every build_jdc row of the system."""
+    loaded = load_system(path)
+    problem = build_jdc(loaded.design, loaded.tables)
+    y = {(tuple(e["treatment"]), tuple(e["outcome"])): Fraction(e["y"]) for e in report["certificate"]}
+    rows, rhs = jdc_rows(problem)
+    assert len(y) == len(rows)
+    assert verify_certificate(rows, rhs, [y[c.treatment, c.outcome] for c in problem.constraints])
 
 
 class TestDemoNormal:

@@ -2,9 +2,12 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
+from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordist import (
     ChainReport,
@@ -24,6 +27,7 @@ from ordist import (
     is_2x2_binary,
     jdc_feasible,
     load_system,
+    point_axes,
     run_suite,
     witness_reproduces_tables,
 )
@@ -31,7 +35,8 @@ from ordist import jdc as jdc_mod
 from ordist import selectivity
 from ordist.cli import main
 from ordist.jdc import fine_expressions, independent_rows
-from ordist.lp import verify_certificate
+from ordist.lp import solve_equality_feasibility, verify_certificate
+from ordist.metrics import index_order_metric
 from lp_reference import exact_rank, jdc_rows
 from randsys import (
     binary_design,
@@ -217,9 +222,120 @@ class TestIndependentRows:
         verdict = jdc_feasible(problem)
         assert calls == [9, 16]
         assert not verdict.feasible
+        # no chain flags the system, so the simplex decides it
+        assert verdict.chain is None
         rows, rhs = jdc_rows(problem)
         y = [v for _, _, v in verdict.certificate]
         assert verify_certificate(rows, rhs, y, eps=1e-9 if problem.regime == "float" else 0.0)
+
+
+def anti_pr_box():
+    """A PR box with its correlations flipped: anticorrelation on three
+    treatments, correlation on (x', y').  Infeasible, yet no chain of the
+    index order-distance is violated: every one of its Bell-CHSH-Fine
+    violations is a lower inequality, a chain of the reversed order."""
+    design = binary_design()
+    h = F(1, 2)
+    corr = {("0", "0"): h, ("1", "1"): h}
+    anti = {("0", "1"): h, ("1", "0"): h}
+    tables = [
+        TreatmentTable(design, t, corr if t == ("x'", "y'") else anti, axes=[("0", "1"), ("0", "1")])
+        for t in design.iter_treatments()
+    ]
+    return design, tables
+
+
+def random_exact_system(kind, rng):
+    if kind == "2x2":
+        return random_2x2_system(rng)
+    if kind == "noisy_pr":
+        # w times a PR box (or its flipped twin) plus 1 - w times fair coins
+        w = F(rng.randint(0, 12), 12)
+        design, boxes = (pr_box if rng.random() < 0.5 else anti_pr_box)()
+        _, coins = product_system()
+        tables = [
+            TreatmentTable(design, b.treatment, {o: w * b.prob(o) + (1 - w) * c.prob(o) for o in c.probs}, axes=b.axes)
+            for b, c in zip(boxes, coins)
+        ]
+        return design, tables
+    if kind == "joint":
+        return system_from_joint(rng, 2 + rng.randint(0, 1), 2, 2)[:2]
+    return random_coupled_system(
+        rng, max_input_values=3, out_sizes=(2, 3), restrict_phi=kind == "restricted"
+    )
+
+
+class TestChainCertificate:
+    """jdc_feasible refutes by a violated chain's certificate, verified on
+    every row, before the simplex pivots."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(["2x2", "noisy_pr", "full", "restricted", "joint"]), st.randoms(use_true_random=False))
+    def test_verdicts_equal_the_simplex_and_certificates_verify(self, kind, rng):
+        design, tables = random_exact_system(kind, rng)
+        problem = build_jdc(design, tables)
+        rows, rhs = jdc_rows(problem)
+        verdict = jdc_feasible(problem)
+        assert verdict.feasible == solve_equality_feasibility(rows, rhs).feasible
+        if verdict.chain is None:
+            return
+        assert not verdict.feasible and verdict.chain.violated
+        y = [v for _, _, v in verdict.certificate]
+        assert [(t, o) for t, o, _ in verdict.certificate] == [(c.treatment, c.outcome) for c in problem.constraints]
+        assert verify_certificate(rows, rhs, y)
+        assert sum(map(mul, y, rhs)) == -verdict.chain.residual
+
+    def test_most_violated_chain_first_in_suite_order(self):
+        design, tables = pr_box()
+        suite = run_suite(design, tables, [index_order_metric(point_axes(design, tables))], max_len=4)
+        worst = min(v.residual for v in suite.violations)
+        first = next(v for v in suite.violations if v.residual == worst)
+        assert sum(v.residual == worst for v in suite.violations) > 1
+        assert jdc_feasible(build_jdc(design, tables)).chain == first
+
+    def test_refutes_without_the_simplex(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(jdc_mod, "solve_equality_feasibility", lambda *a, **k: calls.append(a))
+        design, tables = pr_box()
+        verdict = jdc_feasible(build_jdc(design, tables))
+        assert not verdict.feasible and verdict.chain.residual == F(-1, 2)
+        assert calls == []
+
+    def test_certificate_failing_verification_leaves_the_simplex_to_decide(self, monkeypatch):
+        design, tables = pr_box()
+        problem = build_jdc(design, tables)
+        chain, y = jdc_mod._chain_certificate(problem)
+        bad = [-v for v in y]
+        monkeypatch.setattr(jdc_mod, "_chain_certificate", lambda problem: (chain, bad))
+        calls = []
+        solve = jdc_mod.solve_equality_feasibility
+        monkeypatch.setattr(
+            jdc_mod, "solve_equality_feasibility",
+            lambda rows, rhs, **kw: calls.append(len(rows)) or solve(rows, rhs, **kw),
+        )
+        verdict = jdc_feasible(problem)
+        assert calls == [9]
+        assert not verdict.feasible and verdict.chain is None
+        assert brute_certificate_check(problem, verdict.certificate)
+
+    def test_float_system_is_not_screened(self, monkeypatch):
+        monkeypatch.setattr(jdc_mod, "_chain_certificate", lambda problem: pytest.fail("screened"))
+        design, tables = pr_box()
+        verdict = jdc_feasible(build_jdc(design, as_float(tables)))
+        assert verdict.regime == "float" and not verdict.feasible and verdict.chain is None
+
+    def test_missing_table_is_not_screened(self):
+        # a treatment without a table constrains nothing, and covers no pair
+        design, tables = pr_box()
+        problem = build_jdc(design, tables[:3])
+        assert jdc_mod._chain_certificate(problem) is None
+        assert jdc_feasible(problem).feasible
+
+    def test_tableau_guard_trips_before_the_screen(self, monkeypatch):
+        monkeypatch.setattr(jdc_mod, "MAX_TABLEAU_CELLS", 10)
+        design, tables = pr_box()
+        with pytest.raises(HiddenSpaceTooLarge):
+            jdc_feasible(build_jdc(design, tables))
 
 
 class TestFineInequalities:
@@ -301,7 +417,8 @@ def chain_test_route(design, tables):
     """The eight canonical chains as `jdc` once reported them: the first
     four witnesses of enumerate_irreducible, each decided by chain_test."""
     witnesses = list(itertools.islice(enumerate_irreducible(design, 4), 4))
-    specs = zip(jdc_mod._binary_order_specs(design, tables), ("order:low-first", "order:second-reversed"))
+    axes = point_axes(design, tables)
+    specs = zip(jdc_mod._binary_order_specs(design, axes), ("order:low-first", "order:second-reversed"))
     return tuple([chain_test(OrderDistance(spec, name), w, tables) for w in witnesses] for spec, name in specs)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ from ordist import (
     InvalidExponent,
     InvalidP,
     MaxOf,
+    MetricEvaluationError,
     MixtureOf,
     OrderDistance,
     OrderSpec,
@@ -26,6 +28,7 @@ from ordist import (
     SumOf,
     UnrankedValue,
     diagonal_coupling,
+    load_metric,
     separation_distance,
     triangle_defect,
 )
@@ -164,6 +167,20 @@ class TestPDistance:
         with pytest.raises(InvalidP):
             PDistance(EMBED01, math.nan)
 
+    def test_exact_power_too_large_is_refused(self):
+        big = F(10) ** 308
+        with pytest.raises(MetricEvaluationError, match="digits"):
+            PDistance({"0": F(0), "1": big}, big).evaluate(uniform_independent(("0", "1")))
+
+    def test_exact_power_of_zero_and_one_is_built(self):
+        # 0^p and 1^p are as small as their base, whatever p
+        m = uniform_independent(("0", "1"))
+        assert PDistance(EMBED01, F(10) ** 308).evaluate(m) == pytest.approx(1.0)
+
+    def test_float_overflow_is_an_evaluation_error(self):
+        with pytest.raises(MetricEvaluationError, match="overflows a float"):
+            PDistance({"0": F(0), "1": F(10) ** 200}, 2).evaluate(uniform_independent(("0", "1")))
+
     def test_essential_sup_ignores_zero_mass(self):
         m = matrix(("0", "1"), ("0", "1"), [[F(1), F(0)], [F(0), F(0)]])
         assert PDistance(EMBED01, math.inf).evaluate(m) == 0
@@ -292,6 +309,19 @@ class TestExpectedGround:
         g[("0", "2")] = F(5)
         with pytest.raises(GroundAxiomViolation):
             ExpectedGround(g, values3)
+
+
+    def test_float_and_exact_entries_load_alike(self):
+        # as a dict, 0.5 is a float next to the exact 1e400; as JSON text
+        # both are exact.  The axioms compare the entries exactly, so both
+        # load, and summing the float with 1e400 is an evaluation error
+        doc = {"kind": "expected_ground", "values": ["0", "1"], "ground": [[0, 0.5], ["1e400", 0]]}
+        from_dict, from_text = load_metric(doc), load_metric(json.dumps(doc))
+        assert from_dict.ground[("0", "1")] == 0.5 and from_text.ground[("0", "1")] == F(1, 2)
+        m = uniform_independent(("0", "1"))
+        assert from_text.evaluate(m) == (F(1, 2) + F(10) ** 400) / 4
+        with pytest.raises(MetricEvaluationError, match="overflows a float"):
+            from_dict.evaluate(m)
 
 
 class TestTransforms:
