@@ -121,7 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_float,
         default=EPS_LP,
         metavar="X",
-        help="feasibility slack for float-mode LP solves",
+        help="largest phase-1 objective at which a float system, read as the "
+        "binary fractions its floats equal, is feasible; also the chain screen's "
+        "float tolerance",
     )
 
     p_demo = sub.add_parser("demo-normal", help="bivariate-normal counterexample")

@@ -54,7 +54,7 @@ class MarginalSelectivityViolated(OrdistError):
 
 
 class NumericalInstability(OrdistError):
-    """Float-mode computation could not be trusted; rerun with rationals."""
+    """The simplex did not finish, or a verdict failed its own check."""
 
 
 class InvalidCorrelation(OrdistError):

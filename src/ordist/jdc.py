@@ -8,12 +8,14 @@ is a linear feasibility problem: one nonnegative unknown per assignment of
 outcomes to all input points, one equality per (treatment, outcome
 vector).  The solver returns either a witness Q (re-checked against every
 table before being reported) or a Farkas certificate (also re-checked).
+A float system is decided on the exact values of its floats, each an
+exact binary fraction, within a stated tolerance.
 
-On exact systems a violated chain of the order-distance refutes without
-the simplex.  The distance d(x, y) of a pair inside its covering
-treatment t is the sum of t's rows whose outcome puts x strictly below y,
-so a chain's residual, sum of the step distances minus the closing one,
-is a linear form in the rows.  Every variable is one assignment, and
+A violated chain of the order-distance refutes without the simplex.
+The distance d(x, y) of a pair inside its covering treatment t is the
+sum of t's rows whose outcome puts x strictly below y, so a chain's
+residual, sum of the step distances minus the closing one, is a linear
+form in the rows.  Every variable is one assignment, and
 under one assignment "strictly below" is a total preorder, so the
 indicators obey the triangle inequality.  Minus the chain's coefficient
 vector is therefore a Farkas certificate: y.A <= 0, and y.b = -residual,
@@ -32,10 +34,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
-from .arith import EPS_LP, EPS_TEST, Num, num_to_json, zero_of
+from .arith import EPS_LP, EPS_TEST, FLOAT, RATIONAL, Num, is_exact, num_to_json
 from .errors import (
     HiddenSpaceTooLarge,
     MarginalSelectivityViolated,
@@ -99,7 +102,9 @@ class JdcProblem:
 @dataclass(frozen=True, eq=False)
 class JdcVerdict:
     """`chain` is the violated chain the certificate was derived from, or
-    None when the simplex decided."""
+    None when the simplex decided.  The witness and the certificate are
+    exact on every problem; a float problem's report prints them as
+    floats."""
 
     feasible: bool
     witness: Optional[dict]
@@ -108,6 +113,9 @@ class JdcVerdict:
     chain: Optional[ChainReport] = None
 
     def as_json(self):
+        def show(v):
+            return num_to_json(float(v) if self.regime == FLOAT else v)
+
         out = {
             "feasible": self.feasible,
             "witness": None,
@@ -116,7 +124,7 @@ class JdcVerdict:
         }
         if self.witness is not None:
             out["witness"] = [
-                {"assignment": list(k), "p": num_to_json(v)}
+                {"assignment": list(k), "p": show(v)}
                 for k, v in self.witness.items()
             ]
         if self.certificate is not None:
@@ -124,7 +132,7 @@ class JdcVerdict:
                 {
                     "treatment": list(t),
                     "outcome": list(o),
-                    "y": num_to_json(y),
+                    "y": show(y),
                 }
                 for t, o, y in self.certificate
             ]
@@ -162,10 +170,10 @@ def build_jdc(
     place = [{v: strides[k] * d for d, v in enumerate(axis)} for k, axis in enumerate(axes)]
 
     constraints = []
-    regime = "rational"
+    regime = RATIONAL
     for t in tables:
-        if t.regime() == "float":
-            regime = "float"
+        if t.regime() == FLOAT:
+            regime = FLOAT
         tr_idx = [point_index[InputPoint(name, w)] for name, w in zip(design.inputs, t.treatment)]
         # the variables matching an outcome vector at the treatment's
         # points: its base index plus every digit of the other points
@@ -221,14 +229,16 @@ def independent_rows(problem: JdcProblem) -> list[int]:
     return keep
 
 
-def _chain_certificate(problem: JdcProblem) -> Optional[tuple[ChainReport, list[int]]]:
+def _chain_certificate(problem: JdcProblem, eps_test: float) -> Optional[tuple[ChainReport, list[int]]]:
     """The most violated chain of the index order-distance over the
     problem's tables, and the Farkas certificate it gives, one multiplier
     per constraint row in order; None when no chain is violated, or when
     a treatment of the design has no table to cover a pair.
 
-    The chains are :func:`run_suite`'s at length 4 at most: a full
-    design's tetrads, a restricted design's sequences of length 3 and 4.
+    The chains are :func:`run_suite`'s at length 4 at most, at `eps_test`:
+    a full design's tetrads, a restricted design's sequences of length 3
+    and 4.  An exact table's chain is violated when its residual is
+    negative, a float table's when it is below -eps_test.
     Of equal residuals the first in suite order is taken.  Row (t, o)
     gets -1 for each step of the chain covered by t whose outcome o puts
     the step's first point strictly below its second, and +1 when the
@@ -238,7 +248,7 @@ def _chain_certificate(problem: JdcProblem) -> Optional[tuple[ChainReport, list[
     if not {t.treatment for t in tables} >= set(design.iter_treatments()):
         return None
     metric = index_order_metric(problem.axes)
-    suite = run_suite(design, tables, [metric], max_len=4, on_cap="truncate")
+    suite = run_suite(design, tables, [metric], max_len=4, eps_test=eps_test, on_cap="truncate")
     if not suite.violations:
         return None
     chain = min(suite.violations, key=attrgetter("residual"))
@@ -262,43 +272,43 @@ def _chain_certificate(problem: JdcProblem) -> Optional[tuple[ChainReport, list[
 def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
     """Decide the problem; the verdict is self-checked before returning.
 
-    An exact problem is first screened for a violated chain
-    (:func:`_chain_certificate`).  When one is found and its certificate
-    verifies on every row, the system is refuted by it, and the verdict
-    names the chain.  Otherwise the simplex decides.
+    Every problem is decided in exact arithmetic, on 0/1 int rows and
+    exact right-hand sides: a float probability is read as the binary
+    fraction it equals.  The problem is first screened for a violated
+    chain (:func:`_chain_certificate`), a float table's chain flagged
+    when its residual is below -eps_lp.  When one is found and its
+    certificate verifies on every row, the system is refuted by it, and
+    the verdict names the chain.  Otherwise the simplex decides.
 
     The simplex runs on the rows of `independent_rows`, which span all
     rows.  A certificate for them, zero on the dropped rows, refutes every
     row.  A solution of them is checked on every row; it fails a dropped
     row only when that row's right-hand side disagrees with the kept rows
-    (a system that is not marginally selective) or a float solve drifted,
-    and then all rows are solved again.
+    (a system that is not marginally selective), and then all rows are
+    solved again.
 
-    Rational systems are solved exactly; float systems use tolerance
-    eps_lp and may raise NumericalInstability, in which case rerunning the
-    same system in rational arithmetic is the reliable path.
+    A rational problem is feasible when its phase-1 objective is 0, a
+    float one when it is at most eps_lp; a float witness is then checked
+    within 10 * eps_lp per row.  Certificates are checked exactly.
     """
     m = len(problem.constraints)
     if m * (problem.n_vars + m) > MAX_TABLEAU_CELLS:
         raise HiddenSpaceTooLarge(
             f"dense tableau {m} x {problem.n_vars + m} exceeds the solver guard"
         )
-    exact = problem.regime == "rational"
-    zero, one = (0, 1) if exact else (0.0, 1.0)
-    eps, eps_x = (0.0, 0.0) if exact else (eps_lp, 10 * eps_lp)
+    eps, eps_x = (0, 0) if problem.regime == RATIONAL else (eps_lp, 10 * eps_lp)
     rows = []
     rhs = []
     for c in problem.constraints:
-        row = [zero] * problem.n_vars
+        row = [0] * problem.n_vars
         for k in c.var_indices:
-            row[k] = one
+            row[k] = 1
         rows.append(row)
-        rhs.append(c.rhs if exact else float(c.rhs))
-    if exact:
-        found = _chain_certificate(problem)
-        if found is not None and verify_certificate(rows, rhs, found[1]):
-            chain, y = found
-            return JdcVerdict(False, None, _certificate(problem, y), problem.regime, chain)
+        rhs.append(c.rhs if is_exact(c.rhs) else Fraction(c.rhs))
+    found = _chain_certificate(problem, eps_lp)
+    if found is not None and verify_certificate(rows, rhs, found[1]):
+        chain, y = found
+        return JdcVerdict(False, None, _certificate(problem, y), problem.regime, chain)
     keep = independent_rows(problem)
     result = solve_equality_feasibility([rows[i] for i in keep], [rhs[i] for i in keep], eps=eps)
     ok = result.feasible and verify_solution(rows, rhs, result.x, eps=eps_x)
@@ -308,17 +318,16 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
         ok = result.feasible and verify_solution(rows, rhs, result.x, eps=eps_x)
     if result.feasible:
         if not ok:
-            raise NumericalInstability("witness failed verification; rerun with rational arithmetic")
+            raise NumericalInstability("witness failed verification")
         witness = {
             problem.assignment(k): v for k, v in enumerate(result.x) if v != 0
         }
         return JdcVerdict(True, witness, None, problem.regime)
-    y = [zero_of(result.certificate)] * m
+    y = [Fraction(0)] * m
     for i, v in zip(keep, result.certificate):
         y[i] = v
-    ok = verify_certificate(rows, rhs, y, eps=eps)
-    if not ok:
-        raise NumericalInstability("certificate failed verification; rerun with rational arithmetic")
+    if not verify_certificate(rows, rhs, y):
+        raise NumericalInstability("certificate failed verification")
     return JdcVerdict(False, None, _certificate(problem, y), problem.regime)
 
 

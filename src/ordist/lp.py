@@ -1,11 +1,12 @@
 """Equality-form LP feasibility: find x >= 0 with A x = b, or refute it.
 
-Phase-1 simplex.  The answer is either a basic feasible point or a Farkas
-certificate y with yA <= 0 componentwise and y.b > 0, which no
-nonnegative solution can coexist with.  Float mode pivots alike with an
-epsilon and a bounded iteration count and raises NumericalInstability
-when it cannot finish or cannot verify its own answer; rerunning in
-rational mode is the fix.
+Phase-1 simplex in exact arithmetic.  The answer is either a basic point
+whose phase-1 objective (the total of the artificial variables) is at
+most a stated tolerance, 0 by default, or a Farkas certificate y with
+yA <= 0 componentwise and y.b > 0, which no nonnegative solution can
+coexist with.  The entries of A and b are ints and Fractions; a float
+is a TypeError, since every float is an exact binary fraction that the
+caller reads as one (``Fraction(float)``).
 
 Pricing.  The entering column is the one with the most negative reduced
 cost, ties to the smaller column (Dantzig's rule).  A pivot is degenerate
@@ -16,7 +17,7 @@ a row the entering column is the first one with a negative reduced cost
 returns.  The leaving row is always the smallest ratio b_i / a_ie over
 the rows with a_ie > 0, ties to the smaller basic variable.
 
-Termination in exact arithmetic.  A pivot that is not degenerate lowers
+Termination.  A pivot that is not degenerate lowers
 the phase-1 objective, which a basis determines, so no basis recurs
 across one, and there are finitely many bases.  A run of degenerate
 pivots either ends within DEGENERATE_RUN pivots or goes on under Bland's
@@ -28,9 +29,9 @@ The tableau has the n columns of A, then m artificial columns (the
 starting identity basis), then the right-hand side; a row whose b_i is
 negative is negated first.  The phase-1 cost row has the same layout.
 
-Exact mode stores each row as a list of Python ints R plus one positive
-int denominator D, so the tableau entry in column j is R[j] / D.  Each
-input row is scaled once by the lcm of its entries' denominators.  A pivot
+Each row is stored as a list of Python ints R plus one positive int
+denominator D, so the tableau entry in column j is R[j] / D.  Each input
+row is scaled once by the lcm of its entries' denominators.  A pivot
 on row r and column e turns the pivot row into R_r / R_r[e], and every
 other row with R_i[e] != 0 (the cost row included) into
 
@@ -54,8 +55,11 @@ The pivot sequence, the iteration count, the witness and the Farkas
 certificate are therefore those of the dense `Fraction` loop with the same
 rule, which the tests keep as a reference (``tests/lp_reference.py``).
 
-Float mode keeps floats, normalises the pivot row by its pivot and
-applies the same sparse row update.
+The tolerance enters only the verdict.  The simplex runs to an optimal
+basis as it does at tolerance 0, and the objective it reaches, a
+`Fraction`, is compared exactly with the tolerance: at most, and the
+point is returned with the artificial variables dropped; above, and the
+certificate's y.b, which equals the objective, is positive.
 
 Certificates and witnesses are verified by the caller-facing helpers
 below; nothing is reported unchecked.
@@ -79,6 +83,9 @@ from .errors import NumericalInstability
 #: far more pivots there, stays a guard against cycling.
 DEGENERATE_RUN = 50
 
+#: pivots after which the solve gives up with NumericalInstability
+MAX_PIVOTS = 50_000
+
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
@@ -89,16 +96,10 @@ class FeasibilityResult:
     iterations: int
 
 
-def _subtract(row: list, f, nz: list) -> None:
-    """row -= f * pivot row, where nz lists the pivot row's nonzero
-    entries as (column, value) pairs."""
-    for j, a in nz:
-        row[j] -= f * a
-
-
 def _eliminate(row: list[int], den: int, prow: list[int], nz: list, enter: int):
-    """Integer row minus row[enter] times the pivot row prow / prow[enter]:
-    the new ints and denominator, in lowest terms."""
+    """Integer row minus row[enter] times the pivot row prow / prow[enter],
+    where nz lists prow's nonzero entries as (column, value) pairs: the new
+    ints and denominator, in lowest terms."""
     p, f = prow[enter], row[enter]
     g = gcd(p, f)
     p //= g
@@ -106,7 +107,8 @@ def _eliminate(row: list[int], den: int, prow: list[int], nz: list, enter: int):
     if p != 1:
         row = [v * p for v in row]
         den *= p
-    _subtract(row, f, nz)
+    for j, a in nz:
+        row[j] -= f * a
     g = gcd(den, *row)
     if g != 1:
         row = [v // g for v in row]
@@ -114,7 +116,7 @@ def _eliminate(row: list[int], den: int, prow: list[int], nz: list, enter: int):
     return row, den
 
 
-def _exact_tableau(rows, rhs, n: int, m: int):
+def _tableau(rows, rhs, n: int, m: int):
     """Integer rows with their denominators and signs, and the integer
     phase-1 cost row with its denominator."""
     T, den, signs = [], [], []
@@ -142,24 +144,7 @@ def _exact_tableau(rows, rhs, n: int, m: int):
     return T, den, signs, [v // g for v in cost], cden // g
 
 
-def _float_tableau(rows, rhs, n: int, m: int):
-    """Float rows with their signs, and the phase-1 cost row."""
-    T, signs = [], []
-    for i in range(m):
-        row = [float(v) for v in rows[i]]
-        b = float(rhs[i])
-        sign = -1 if b < 0 else 1
-        if sign < 0:
-            row = [-v for v in row]
-            b = -b
-        T.append(row + [1.0 if k == i else 0.0 for k in range(m)] + [b])
-        signs.append(sign)
-    cost = [-sum(T[i][j] for i in range(m)) for j in range(n)] + [0.0] * m
-    cost.append(-sum(T[i][n + m] for i in range(m)))
-    return T, signs, cost
-
-
-def _exact_leaving_row(T, basis, enter: int) -> int:
+def _leaving_row(T, basis, enter: int) -> int:
     """Bland's leaving row: the smallest R[-1] / R[enter] over the rows with
     R[enter] > 0, compared by cross-multiplying, ties to the smaller basic
     variable; -1 when no entry is positive."""
@@ -175,42 +160,19 @@ def _exact_leaving_row(T, basis, enter: int) -> int:
     return leave
 
 
-def _float_leaving_row(T, basis, enter: int, eps: float) -> int:
-    """Bland's leaving row over the entries above eps; -1 when none is."""
-    leave = -1
-    best = None
-    for i, row in enumerate(T):
-        a = row[enter]
-        if a > eps:
-            ratio = row[-1] / a
-            if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                best = ratio
-                leave = i
-    return leave
-
-
 def solve_equality_feasibility(
     rows: Sequence[Sequence[Num]],
     rhs: Sequence[Num],
-    eps: float = 0.0,
-    max_iter: Optional[int] = None,
+    eps: Num = 0,
 ) -> FeasibilityResult:
-    """Decide {x >= 0 : A x = b}.  eps=0 demands exact arithmetic."""
+    """Decide {x >= 0 : A x = b}: feasible when the least phase-1
+    objective is at most eps, compared exactly."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    exact = eps == 0
     ncols = n + m
-    if exact:
-        T, den, signs, cost, cden = _exact_tableau(rows, rhs, n, m)
-        neg = 0
-    else:
-        T, signs, cost = _float_tableau(rows, rhs, n, m)
-        neg = -eps
+    T, den, signs, cost, cden = _tableau(rows, rhs, n, m)
     basis = list(range(n, ncols))
 
-    if max_iter is None:
-        max_iter = 50_000 if exact else 20_000
-    tol = 0 if exact else eps
     iterations = 0
     degenerate = 0
     while True:
@@ -218,66 +180,43 @@ def solve_equality_feasibility(
             # Dantzig: the most negative reduced cost, ties to the smaller
             # column (index finds the first occurrence)
             low = min(cost[:ncols], default=0)
-            enter = cost.index(low) if low < neg else -1
+            enter = cost.index(low) if low < 0 else -1
         else:
             # Bland: the first negative reduced cost
-            enter = next((j for j in range(ncols) if cost[j] < neg), -1)
+            enter = next((j for j in range(ncols) if cost[j] < 0), -1)
         if enter < 0:
             break
-        if exact:
-            leave = _exact_leaving_row(T, basis, enter)
-        else:
-            leave = _float_leaving_row(T, basis, enter, eps)
+        leave = _leaving_row(T, basis, enter)
         if leave < 0:
-            raise NumericalInstability("phase-1 objective unbounded; numeric trouble")
-        degenerate = degenerate + 1 if T[leave][-1] <= tol else 0
+            raise NumericalInstability("phase-1 objective unbounded")
+        degenerate = degenerate + 1 if T[leave][-1] == 0 else 0
         iterations += 1
-        if iterations > max_iter:
-            hint = "" if exact else "; rerun with rational arithmetic"
-            raise NumericalInstability(f"no convergence after {max_iter} pivots{hint}")
+        if iterations > MAX_PIVOTS:
+            raise NumericalInstability(f"no convergence after {MAX_PIVOTS} pivots")
         prow = T[leave]
-        if exact:
-            g = gcd(*prow)
-            if g != 1:
-                T[leave] = prow = [v // g for v in prow]
-            den[leave] = prow[enter]
-        else:
-            piv = prow[enter]
-            if piv != 1:
-                inv = 1.0 / piv
-                T[leave] = prow = [v * inv for v in prow]
+        g = gcd(*prow)
+        if g != 1:
+            T[leave] = prow = [v // g for v in prow]
+        den[leave] = prow[enter]
         nz = [(j, v) for j, v in enumerate(prow) if v]
         for i, row in enumerate(T):
             if i != leave and row[enter]:
-                if exact:
-                    T[i], den[i] = _eliminate(row, den[i], prow, nz, enter)
-                else:
-                    _subtract(row, row[enter], nz)
+                T[i], den[i] = _eliminate(row, den[i], prow, nz, enter)
         if cost[enter]:
-            if exact:
-                cost, cden = _eliminate(cost, cden, prow, nz, enter)
-            else:
-                _subtract(cost, cost[enter], nz)
+            cost, cden = _eliminate(cost, cden, prow, nz, enter)
         basis[leave] = enter
 
-    if exact:
-        b = [Fraction(T[i][-1], den[i]) for i in range(m)]
-    else:
-        b = [T[i][-1] for i in range(m)]
+    b = [Fraction(T[i][-1], den[i]) for i in range(m)]
     objective = sum(b[i] for i in range(m) if basis[i] >= n)
-    feasible = objective == 0 if exact else objective <= eps
-    if feasible:
-        x = [Fraction(0) if exact else 0.0] * n
+    if objective <= eps:
+        x = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
                 x[var] = b[i]
         return FeasibilityResult(True, x, None, objective, iterations)
     # Farkas certificate from the phase-1 duals: y_i = 1 - reduced cost of
     # artificial i, flipped back to the original row orientation.
-    if exact:
-        y = [Fraction(cden - cost[n + i], cden) * signs[i] for i in range(m)]
-    else:
-        y = [(1.0 - cost[n + i]) * signs[i] for i in range(m)]
+    y = [Fraction(cden - cost[n + i], cden) * signs[i] for i in range(m)]
     return FeasibilityResult(False, None, y, objective, iterations)
 
 
@@ -310,8 +249,9 @@ def verify_solution(rows, rhs, x, eps: float = 0.0) -> bool:
     return True
 
 
-def verify_certificate(rows, rhs, y, eps: float = 0.0) -> bool:
-    """y refutes {x >= 0 : A x = b}: y.A <= 0 componentwise and y.b > 0."""
+def verify_certificate(rows, rhs, y) -> bool:
+    """y refutes {x >= 0 : A x = b}: y.A <= 0 componentwise and y.b > 0,
+    exactly."""
     n = len(rows[0]) if rows else 0
     # column sums of y.A, accumulated over the rows with a nonzero
     # multiplier and their nonzero cells
@@ -321,4 +261,4 @@ def verify_certificate(rows, rhs, y, eps: float = 0.0) -> bool:
             for j, a in enumerate(row):
                 if a:
                     cols[j] += yi * a
-    return all(col <= eps for col in cols) and sum(yi * bi for yi, bi in zip(y, rhs)) > eps
+    return all(col <= 0 for col in cols) and sum(yi * bi for yi, bi in zip(y, rhs)) > 0

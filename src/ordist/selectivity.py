@@ -435,11 +435,16 @@ def _distance_screen(
     for metric in metrics:
         if exact and type(metric).evaluate is _RankedMetric.evaluate:
             if grids is None:
-                grids = []
+                # (i, j) and (j, i) share a cover: one grid per unordered
+                # pair, read transposed for the other order
+                grids, built = [], {}
                 for (i, j), t in zip(pairs, covering):
                     a, b = t.design.index(pts[i].input), t.design.index(pts[j].input)
                     ints, t_den = t.scaled()
-                    grids.append((t.axes[a], t.axes[b], _pair_grid(t, a, b, ints), t_den))
+                    grid = built.get((j, i))
+                    grid = _pair_grid(t, a, b, ints) if grid is None else tuple(zip(*grid))
+                    built[i, j] = grid
+                    grids.append((t.axes[a], t.axes[b], grid, t_den))
             nums, dens = [], []
             for (i, j), (rows, cols, grid, t_den) in zip(pairs, grids):
                 total = _mass_below(rows, cols, grid, metric.rank_of, pts[i], pts[j]) or 0

@@ -12,6 +12,11 @@ number of pivots.
 With ``degenerate_run=0`` every pivot follows Bland's rule
 (`dense_bland_feasibility`), a second pivoting rule whose verdicts the
 tests compare with the kernel's.
+
+With eps > 0 it is the float simplex that `ordist.lp` once ran on float
+systems: float cells, eps as the pricing, ratio and verdict tolerance.
+Tests compare `jdc_feasible`'s float verdicts, now reached in exact
+arithmetic, with its verdicts.
 """
 
 from __future__ import annotations
@@ -123,14 +128,15 @@ def dense_feasibility(rows, rhs, eps: float = 0.0, max_iter=None, degenerate_run
 
 
 def jdc_rows(problem):
-    """Dense 0/1 rows and right-hand sides of every `build_jdc` constraint."""
+    """Dense 0/1 rows and exact right-hand sides of every `build_jdc`
+    constraint, a float's as the `Fraction` it equals."""
     rows = []
     for c in problem.constraints:
         row = [0] * problem.n_vars
         for k in c.var_indices:
             row[k] = 1
         rows.append(row)
-    return rows, [c.rhs for c in problem.constraints]
+    return rows, [Fraction(c.rhs) for c in problem.constraints]
 
 
 def exact_rank(rows) -> int:

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from ordist import (
     ChainReport,
     Design,
+    EPS_LP,
     HiddenSpaceTooLarge,
     FineSystem,
+    InputPoint,
     MarginalSelectivityViolated,
     OrderDistance,
     SystemFormatError,
@@ -37,7 +39,7 @@ from ordist.cli import main
 from ordist.jdc import fine_expressions, independent_rows
 from ordist.lp import solve_equality_feasibility, verify_certificate
 from ordist.metrics import index_order_metric
-from lp_reference import exact_rank, jdc_rows
+from lp_reference import dense_feasibility, exact_rank, jdc_rows
 from randsys import (
     binary_design,
     canonical_order_specs,
@@ -226,7 +228,7 @@ class TestIndependentRows:
         assert verdict.chain is None
         rows, rhs = jdc_rows(problem)
         y = [v for _, _, v in verdict.certificate]
-        assert verify_certificate(rows, rhs, y, eps=1e-9 if problem.regime == "float" else 0.0)
+        assert verify_certificate(rows, rhs, y)
 
 
 def anti_pr_box():
@@ -304,9 +306,9 @@ class TestChainCertificate:
     def test_certificate_failing_verification_leaves_the_simplex_to_decide(self, monkeypatch):
         design, tables = pr_box()
         problem = build_jdc(design, tables)
-        chain, y = jdc_mod._chain_certificate(problem)
+        chain, y = jdc_mod._chain_certificate(problem, EPS_LP)
         bad = [-v for v in y]
-        monkeypatch.setattr(jdc_mod, "_chain_certificate", lambda problem: (chain, bad))
+        monkeypatch.setattr(jdc_mod, "_chain_certificate", lambda problem, eps_test: (chain, bad))
         calls = []
         solve = jdc_mod.solve_equality_feasibility
         monkeypatch.setattr(
@@ -318,17 +320,41 @@ class TestChainCertificate:
         assert not verdict.feasible and verdict.chain is None
         assert brute_certificate_check(problem, verdict.certificate)
 
-    def test_float_system_is_not_screened(self, monkeypatch):
-        monkeypatch.setattr(jdc_mod, "_chain_certificate", lambda problem: pytest.fail("screened"))
+    def test_float_pr_box_is_refuted_by_a_chain(self, monkeypatch):
+        # the PR box's floats are its halves exactly: the exact box's chain
+        # and certificate, and no simplex
+        calls = []
+        monkeypatch.setattr(jdc_mod, "solve_equality_feasibility", lambda *a, **k: calls.append(a))
         design, tables = pr_box()
         verdict = jdc_feasible(build_jdc(design, as_float(tables)))
-        assert verdict.regime == "float" and not verdict.feasible and verdict.chain is None
+        exact = jdc_feasible(build_jdc(design, tables))
+        assert verdict.regime == "float" and not verdict.feasible and calls == []
+        assert verdict.chain.residual == -0.5 and verdict.chain.sequence == exact.chain.sequence
+        assert verdict.certificate == exact.certificate
+
+    def test_sound_system_through_floats_is_not_refuted_by_a_chain(self):
+        # the joint lies on a chain's face: the exact residual is 0, the
+        # floats' -2^-53, flagged only below -eps_lp.  Read exactly, the
+        # floats miss the face by 2^-54, so the chain flagged at 0 refutes
+        # them; within eps_lp the simplex finds them feasible.
+        design, tables = face_joint_system()
+        floats = as_float(tables)
+        problem = build_jdc(design, floats)
+        suite = run_suite(design, floats, [index_order_metric(problem.axes)], max_len=4, eps_test=0.0)
+        assert [v.residual for v in suite.violations] == [-(2.0**-53)]
+        assert jdc_mod._chain_certificate(problem, EPS_LP) is None
+        _, y = jdc_mod._chain_certificate(problem, 0.0)
+        rows, rhs = jdc_rows(problem)
+        assert sum(map(mul, y, rhs)) == F(1, 2**54) and verify_certificate(rows, rhs, y)
+        verdict = jdc_feasible(problem)
+        assert verdict.feasible and verdict.chain is None
+        assert witness_reproduces_tables(problem, verdict.witness, floats, eps=10 * EPS_LP)
 
     def test_missing_table_is_not_screened(self):
         # a treatment without a table constrains nothing, and covers no pair
         design, tables = pr_box()
         problem = build_jdc(design, tables[:3])
-        assert jdc_mod._chain_certificate(problem) is None
+        assert jdc_mod._chain_certificate(problem, EPS_LP) is None
         assert jdc_feasible(problem).feasible
 
     def test_tableau_guard_trips_before_the_screen(self, monkeypatch):
@@ -336,6 +362,47 @@ class TestChainCertificate:
         design, tables = pr_box()
         with pytest.raises(HiddenSpaceTooLarge):
             jdc_feasible(build_jdc(design, tables))
+
+
+class TestFloatSystems:
+    """jdc_feasible decides a float system in exact arithmetic, on the
+    binary fractions its floats are, with eps_lp on the phase-1 objective;
+    its verdicts are those of the float simplex it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["2x2", "noisy_pr", "full", "restricted", "joint"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_verdicts_equal_the_float_simplex(self, kind, rng):
+        design, tables = random_exact_system(kind, rng)
+        floats = as_float(tables)
+        problem = build_jdc(design, floats)
+        rows, rhs = jdc_rows(problem)
+        verdict = jdc_feasible(problem)
+        assert verdict.regime == "float"
+        assert verdict.feasible == dense_feasibility(rows, rhs, eps=EPS_LP).feasible
+        if verdict.feasible:
+            assert witness_reproduces_tables(problem, verdict.witness, floats, eps=10 * EPS_LP)
+        else:
+            assert verify_certificate(rows, rhs, [v for _, _, v in verdict.certificate])
+
+
+def face_joint_system():
+    """A sound 2x2 binary system, the tables of a joint over (x, x', y, y')
+    on the face of a chain of the index order-distance: the chain's
+    residual is 0.  Its tenths are not binary fractions."""
+    design = binary_design()
+    points = design.points()
+    joint = {("1", "0", "0", "1"): F(1, 10), ("1", "1", "1", "0"): F(7, 10), ("0", "1", "1", "0"): F(1, 5)}
+    tables = []
+    for t in design.iter_treatments():
+        idx = [points.index(InputPoint(name, v)) for name, v in zip(design.inputs, t)]
+        probs = {(a, b): F(0) for a in "01" for b in "01"}
+        for assignment, p in joint.items():
+            probs[tuple(assignment[i] for i in idx)] += p
+        tables.append(TreatmentTable(design, t, probs, axes=[("0", "1"), ("0", "1")]))
+    return design, tables
 
 
 class TestFineInequalities:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
@@ -16,18 +17,18 @@ def random_instance(rng, max_m=4, max_n=6, coefficient=lambda rng: F(rng.randint
     return rows, rhs
 
 
-def assert_matches_reference(rows, rhs, eps=0.0):
+def assert_matches_reference(rows, rhs):
     """The sparse kernel and the dense reference loop pivot alike: same
     verdict, witness, certificate, objective and pivot count.  Bland's rule
     alone, a different pivot sequence, reaches the same verdict."""
-    got = solve_equality_feasibility(rows, rhs, eps)
-    ref = dense_feasibility(rows, rhs, eps)
+    got = solve_equality_feasibility(rows, rhs)
+    ref = dense_feasibility(rows, rhs)
     assert got.feasible == ref.feasible
     assert got.x == ref.x
     assert got.certificate == ref.certificate
     assert got.objective == ref.objective
     assert got.iterations == ref.iterations
-    assert dense_bland_feasibility(rows, rhs, eps).feasible == got.feasible
+    assert dense_bland_feasibility(rows, rhs).feasible == got.feasible
     return got
 
 
@@ -108,11 +109,12 @@ class TestExactMode:
                 assert verify_certificate(rows, rhs, res.certificate)
         assert feasible and infeasible
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         rows = [[F(1), F(1)], [F(0), F(1)]]
         rhs = [F(1), F(1, 2)]
+        monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
         with pytest.raises(NumericalInstability):
-            solve_equality_feasibility(rows, rhs, max_iter=0)
+            solve_equality_feasibility(rows, rhs)
 
     def test_certificate_checks_every_column(self):
         # y = (1, -1) refutes x1 + x2 = 1, x1 + x2 = 0 only while no column
@@ -136,9 +138,6 @@ class TestReferenceAgreement:
         for _ in range(150):
             rows, rhs = random_instance(rng, max_m=5, max_n=8, coefficient=coefficient)
             assert_matches_reference(rows, rhs)
-            assert_matches_reference(
-                [[float(v) for v in row] for row in rows], [float(v) for v in rhs], eps=1e-9
-            )
 
     @pytest.mark.parametrize("kind, count", [("2x2", 40), ("coupled-3", 8), ("joint-3", 3)])
     def test_jdc_problems(self, kind, count):
@@ -185,25 +184,33 @@ class TestReferenceAgreement:
 
 
 class TestFloatMode:
+    """The tolerance a float system is decided with: the least phase-1
+    objective, reached in exact arithmetic, is compared exactly with eps.
+    The rows x1 + x2 = 1 and x1 + x2 = 1 + 2^-60 miss each other by 2^-60,
+    which is their least phase-1 objective."""
+
+    rows = [[1, 1], [1, 1]]
+    rhs = [F(1), 1 + F(1, 2**60)]
+
     def test_feasible_within_slack(self):
-        rows = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
-        rhs = [1.0, 1.0]
-        res = solve_equality_feasibility(rows, rhs, eps=1e-9)
-        assert res.feasible
-        assert verify_solution(rows, rhs, res.x, eps=1e-8)
+        res = solve_equality_feasibility(self.rows, self.rhs, eps=1e-9)
+        assert res.feasible and res.objective == F(1, 2**60)
+        assert verify_solution(self.rows, self.rhs, res.x, eps=1e-9)
+        assert not verify_solution(self.rows, self.rhs, res.x)
+        # the objective is compared exactly: at eps equal to it, feasible
+        assert solve_equality_feasibility(self.rows, self.rhs, eps=2.0**-60).feasible
 
     def test_infeasible_certificate(self):
-        rows = [[1.0, 1.0], [1.0, 1.0]]
-        rhs = [1.0, 2.0]
-        res = solve_equality_feasibility(rows, rhs, eps=1e-9)
-        assert not res.feasible
-        assert verify_certificate(rows, rhs, res.certificate, eps=1e-9)
+        for eps in (0, 2.0**-61):
+            res = solve_equality_feasibility(self.rows, self.rhs, eps=eps)
+            assert not res.feasible and res.objective == F(1, 2**60)
+            assert verify_certificate(self.rows, self.rhs, res.certificate)
+            assert sum(map(mul, res.certificate, self.rhs)) == res.objective
 
-    def test_iteration_cap_raises(self):
-        rows = [[1.0, 1.0], [0.0, 1.0]]
-        rhs = [1.0, 0.5]
-        with pytest.raises(NumericalInstability):
-            solve_equality_feasibility(rows, rhs, eps=1e-9, max_iter=0)
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
+        with pytest.raises(NumericalInstability, match="no convergence after 0 pivots$"):
+            solve_equality_feasibility(self.rows, self.rhs, eps=1e-9)
 
 
 class TestGuards:
