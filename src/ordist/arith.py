@@ -15,6 +15,8 @@ loader scales a table's ratios over their lcm denominator, so an exact
 table is ints over one denominator from the start; :func:`over_lcm`
 scales values that are already ``Fraction`` objects the same way.
 :func:`parse_number` is the same parser returning a ``Fraction``.
+:func:`as_exact` reads a float as the binary fraction it equals, so that
+chain residuals and LP right-hand sides of float data are exact too.
 """
 
 from __future__ import annotations
@@ -141,6 +143,16 @@ def parse_number(raw, mode: str = "auto") -> Num:
     """:func:`parse_ratio` with an exact value as a Fraction."""
     value = parse_ratio(raw, mode)
     return value if isinstance(value, float) else Fraction(*value)
+
+
+def as_exact(x: Num) -> Union[int, Fraction]:
+    """An exact value as it is, a float as the Fraction it equals: a binary
+    fraction, with no rounding.  A NaN or an infinity raises ValueError."""
+    if is_exact(x):
+        return x
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite number")
+    return Fraction(x)
 
 
 def over_lcm(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:

@@ -68,7 +68,7 @@ class BinormalSystem:
         d = self.order_distance
         lhs = d(pts[0], pts[-1])
         rhs = tuple(d(x, y) for x, y in zip(pts, pts[1:]))
-        lhs, rhs, residual, violated = _chain_residual(lhs, rhs, eps_test)
+        residual, violated = _chain_residual(lhs, rhs, eps_test, "order:sign")
         return ChainReport(
             sequence=pts,
             metric="order:sign",

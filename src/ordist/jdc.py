@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
-from .arith import EPS_LP, EPS_TEST, FLOAT, RATIONAL, Num, is_exact, num_to_json
+from .arith import EPS_LP, EPS_TEST, FLOAT, RATIONAL, Num, as_exact, num_to_json
 from .errors import (
     HiddenSpaceTooLarge,
     MarginalSelectivityViolated,
@@ -304,7 +304,7 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
         for k in c.var_indices:
             row[k] = 1
         rows.append(row)
-        rhs.append(c.rhs if is_exact(c.rhs) else Fraction(c.rhs))
+        rhs.append(as_exact(c.rhs))
     found = _chain_certificate(problem, eps_lp)
     if found is not None and verify_certificate(rows, rhs, found[1]):
         chain, y = found

@@ -73,7 +73,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .arith import Num, is_exact, over_lcm
+from .arith import Num, over_lcm
 from .errors import NumericalInstability
 
 #: consecutive degenerate pivots after which the entering column is chosen
@@ -221,30 +221,23 @@ def solve_equality_feasibility(
 
 
 def verify_solution(rows, rhs, x, eps: float = 0.0) -> bool:
-    """x >= 0 and A x = b, exactly or within eps per constraint.
+    """x >= 0 and |A x - b| <= eps per constraint, exactly.
 
-    With eps 0 and every x and b exact, x is scaled to ints over the lcm
-    den of its nonzero entries' denominators, and each row's int total t
-    is compared with its target b as t * b.denominator == b.numerator *
-    den: the same test, without a Fraction per term."""
-    if eps == 0 and all(map(is_exact, x)) and all(map(is_exact, rhs)):
-        cols = [j for j, v in enumerate(x) if v]
-        ints, den = over_lcm(x[j] for j in cols)
-        if any(v < 0 for v in ints):
-            return False
-        support = list(zip(cols, ints))
-        for row, target in zip(rows, rhs):
-            total = sum(row[j] * v for j, v in support if row[j])
-            if total * target.denominator != target.numerator * den:
-                return False
-        return True
-    for v in x:
-        if (v < 0) if is_exact(v) else (v < -eps):
-            return False
-    support = [(j, v) for j, v in enumerate(x) if v != 0]
+    x and b are ints and Fractions, and eps is read as the binary fraction
+    it is.  x is scaled to ints over the lcm den of its nonzero entries'
+    denominators, and each row's int total t is compared with its target
+    b as |t * b.denominator - b.numerator * den| <= eps * den *
+    b.denominator: the same test, without a Fraction per term."""
+    cols = [j for j, v in enumerate(x) if v]
+    ints, den = over_lcm(x[j] for j in cols)
+    if any(v < 0 for v in ints):
+        return False
+    tol = Fraction(eps)
+    support = list(zip(cols, ints))
     for row, target in zip(rows, rhs):
         total = sum(row[j] * v for j, v in support if row[j])
-        if not abs(total - target) <= eps:
+        miss = abs(total * target.denominator - target.numerator * den)
+        if miss * tol.denominator > tol.numerator * den * target.denominator:
             return False
     return True
 

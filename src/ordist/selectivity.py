@@ -46,48 +46,45 @@ All d-values are taken from the witnessing treatments' bivariate
 marginals; under marginal selectivity (checked separately) they do not
 depend on which witness covers a pair.
 
-Both design kinds decide chains on one distance table per metric: the
-distance of every ordered pair of points a tested sequence can use (the
-tetrad pairs of a full design, else every covered pair of distinct
+Both design kinds decide chains on one int distance table per metric:
+the distance of every ordered pair of points a tested sequence can use
+(the tetrad pairs of a full design, else every covered pair of distinct
 points), evaluated once on the pair's joint inside its cover (from the
-one-pass table of :meth:`Design.pair_covers`) and, when all
-are exact, scaled by the lcm of their denominators to plain ints.  An
-order-distance or classification distance on exact tables is summed
-straight from the covering table's ints, with no marginal and no
-``Fraction`` made; every other metric is evaluated on the marginal.  A
-sequence is screened by its residual on that table (an int, or the raw
-values with the float tolerance).  A restricted design's walked sequences
-are each screened.  A full design's tetrads x, y, x', y' are counted in
-closed form, and only those whose residual may be below the limit are
-visited: the residual is f(y) + g(y'), f(y) = d(x, y) + d(y, x') and
-g(y') = d(x', y') - d(x, y'), so per triple x, y, x' the y' with
-g(y') < -f(y) are a prefix of the other input's points sorted by g, found
-by bisection.  On an int table that prefix is exact; on a raw-value table
-it is taken over the values as floats, with a slack that covers the
-rounding.  A flagged chain, like each Bell-CHSH-Fine chain of ``jdc``, is
-reported from the tables the screen built beside the distances: the raw
-values (an int-summed distance's as its ints over the lcm denominator),
-the pairs' covers, and the int residual over the lcm denominator, or on a
-raw-value table the residual :func:`_chain_residual` adds over the raw
-values.  The marginal-selectivity check sums the marginals of all tables
+one-pass table of :meth:`Design.pair_covers`), each float read as the
+binary fraction it equals, and scaled by the lcm of the denominators to
+plain ints.  An order-distance or classification distance on exact
+tables is summed straight from the covering table's ints, with no
+marginal and no ``Fraction`` made; every other metric is evaluated on the
+marginal.  A sequence's int residual over the lcm denominator is its
+exact residual: a chain of exact terms is flagged when it is negative,
+one with a float term when it is below -eps_test.  A restricted design's
+walked sequences are each screened.  A full design's tetrads
+x, y, x', y' are counted in closed form, and only those whose int
+residual is below the table's bound are visited: the residual is
+f(y) + g(y'), f(y) = d(x, y) + d(y, x') and g(y') = d(x', y') - d(x, y'),
+so per triple x, y, x' the y' with g(y') < bound - f(y) are a prefix of
+the other input's points sorted by g, found by bisection.  A flagged
+chain, like each Bell-CHSH-Fine chain of ``jdc``, is reported from the
+tables the screen built beside the distances: the raw values (an
+int-summed distance's as its ints over the lcm denominator), the pairs'
+covers, and the exact residual, rounded once to a float when a term is a
+float.  The marginal-selectivity check sums the marginals of all tables
 of one cell layout together, column by column over their integer-scaled
 cells, and compares each class of tables in one pass.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, eq, itemgetter, lt, mul, sub
+from operator import eq, itemgetter, lt, mul, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .arith import EPS_TEST, RATIONAL, Num, is_exact, num_to_json, over_lcm
-from .errors import CapExceeded, SystemFormatError
+from .arith import EPS_TEST, RATIONAL, Num, as_exact, is_exact, num_to_json, over_lcm
+from .errors import CapExceeded, MetricEvaluationError, SystemFormatError
 from .metrics import Metric, _mass_below, _RankedMetric
 from .probspace import (
     BivariateMarginal,
@@ -123,7 +120,10 @@ class SequenceWitness:
 @dataclass(frozen=True)
 class ChainReport:
     """One chain-inequality evaluation: residual = sum(rhs_terms) - lhs,
-    negative residual (beyond tolerance in float mode) means violation."""
+    computed exactly with each float term read as the binary fraction it
+    equals.  With exact terms the residual is exact and a negative one is
+    a violation; with a float term it is the exact residual rounded once to
+    a float, and a violation when the exact residual is below -eps_test."""
 
     sequence: tuple[InputPoint, ...]
     metric: str
@@ -357,17 +357,39 @@ def _cover_table(by_t: Mapping[tuple, TreatmentTable], cover: tuple) -> Treatmen
         raise SystemFormatError(f"no table for covering treatment {cover!r}") from None
 
 
-def _chain_residual(
-    lhs: Num, rhs: tuple[Num, ...], eps_test: float
-) -> tuple[Num, tuple[Num, ...], Num, bool]:
-    """The chain inequality for one sequence, as plain values: lhs is the
-    distance over its closing pair, rhs the distances over its adjacent
-    pairs in order.  Returns (lhs, rhs, residual, violated), where the
-    residual adds rhs left to right and subtracts lhs, and a negative
-    residual, or one below -eps_test in float mode, is a violation."""
-    residual = functools.reduce(add, rhs, 0) - lhs
-    violated = residual < 0 if is_exact(residual) else residual < -eps_test
-    return lhs, rhs, residual, violated
+def _exact_distances(values: Iterable[Num], name: str) -> list:
+    """Distances as ints and Fractions, each float read as the binary
+    fraction it equals (:func:`~ordist.arith.as_exact`); a NaN or an
+    infinity raises MetricEvaluationError naming the metric."""
+    try:
+        return list(map(as_exact, values))
+    except ValueError:
+        raise MetricEvaluationError(f"{name} gave a distance that is not finite") from None
+
+
+def _float_residual(residual: Num, name: str) -> float:
+    """An exact residual rounded once to a float; MetricEvaluationError,
+    naming the metric, when it is too large for one."""
+    try:
+        return float(residual)
+    except OverflowError:
+        raise MetricEvaluationError(f"{name}: a chain residual overflows a float") from None
+
+
+def _chain_residual(lhs: Num, rhs: tuple[Num, ...], eps_test: float, name: str) -> tuple[Num, bool]:
+    """The chain inequality for one sequence under the metric `name`, as
+    plain values: lhs is the distance over its closing pair, rhs the
+    distances over its adjacent pairs in order.  Returns (residual,
+    violated).  The residual sum(rhs) - lhs is computed exactly, each float
+    read as the binary fraction it equals.  When every term is exact it is
+    returned as it is and a negative one is a violation; when a term is a
+    float it is returned rounded once to a float, and one below -eps_test,
+    compared exactly, is a violation."""
+    terms = _exact_distances((lhs, *rhs), name)
+    residual = sum(terms[1:]) - terms[0]
+    if any(isinstance(v, float) for v in (lhs, *rhs)):
+        return _float_residual(residual, name), residual < -Fraction(eps_test)
+    return residual, residual < 0
 
 
 def chain_test(
@@ -390,7 +412,8 @@ def chain_test(
 
     lhs = dist(0, points[0], points[-1])
     rhs = tuple(dist(i, points[i - 1], points[i]) for i in range(1, len(points)))
-    return ChainReport(points, metric.describe(), *_chain_residual(lhs, rhs, eps_test), covers)
+    name = metric.describe()
+    return ChainReport(points, name, lhs, rhs, *_chain_residual(lhs, rhs, eps_test, name), covers)
 
 
 def _distance_screen(
@@ -399,16 +422,17 @@ def _distance_screen(
     pairs: Sequence[tuple[int, int]],
     by_t: Mapping[tuple, TreatmentTable],
     C: list[list],
-) -> list[tuple[list[list], Optional[list[list]], Optional[int]]]:
+) -> list[tuple[list[list], Optional[list[list]], int]]:
     """Every metric's distances over the point-index `pairs`: the tables
     every chain of :func:`run_suite` is decided and reported on.  Each
     pair's distance is taken inside its cover C[i][j] (from
     :meth:`Design.pair_covers`).  Returns (D, R, den) per metric, where
-    R[i][j] is the value ``metric.evaluate`` gives on that pair's joint.
-    When every value is exact, D holds them as ints over the lcm den of
-    their denominators, so a residual on D is a plain int whose sign is
-    the exact residual's.  Otherwise D is R, den is None, and
-    :func:`_chain_residual` decides a chain over R.
+    R[i][j] is the value ``metric.evaluate`` gives on that pair's joint,
+    and D holds the values as ints over the lcm den of their
+    denominators, each float read as the binary fraction it equals.  A
+    residual on D is then a plain int N, and N / den is the exact
+    residual.  A distance that is not finite raises
+    MetricEvaluationError.
 
     An order-distance family metric on exact tables never leaves ints:
     :func:`~ordist.metrics._mass_below` sums each covering table's int
@@ -457,66 +481,23 @@ def _distance_screen(
         if marginals is None:
             marginals = [_pair_marginal(t, pts[i], pts[j]) for (i, j), t in zip(pairs, covering)]
         raw = list(map(metric.evaluate, marginals))
-        R = table(raw)
-        if all(map(is_exact, raw)):
-            ints, den = over_lcm(raw)
-            screens.append((table(ints), R, den))
-        else:
-            screens.append((R, R, None))
+        ints, den = over_lcm(_exact_distances(raw, metric.describe()))
+        screens.append((table(ints), table(raw), den))
     return screens
 
 
-#: the slack of a float view, relative to max|value| + |lim|
-_SLACK = 2.0**-40
-
-
-def _candidate_view(
-    D: list[list], den: Optional[int], pairs: Sequence[tuple[int, int]], eps_test: float
-) -> tuple[list[list], Num]:
-    """The table G and bound B that :func:`_tetrad_candidates` screens one
-    metric's screen (D, R, den) of :func:`_distance_screen` on.
-
-    An int table is its own view, with bound 0.  A raw-value table is
-    viewed as floats, G = float(D), with B = lim + slack,
-    slack = 2^-40 (M + L) + 2^-1022, M = max|G| and L = |lim|.  Every
-    residual that :func:`_chain_residual` flags on D is below lim:
-    -eps_test when every value is a float, max(0, -eps_test) when exact
-    and float values mix.  Then every tetrad whose residual on D, added
-    left to right, is below lim is a candidate.  Proof: let u = 2^-53.
-    Rounding to nearest moves a result by at most u of its size, plus
-    2^-1075 when an exact value converts to a subnormal float; float
-    addition of a subnormal sum is exact.  The residual r1 + r2 + r3 - r4
-    rounds at most 7 times: 3 float operations, and 4 conversions of an
-    exact value or an exact partial sum to float, each of a quantity of
-    size at most 4M(1 + 2u).  The screen rounds the 4 conversions into G,
-    g = G[x'][y'] - G[x][y'] once, the threshold (B - G[x][y]) - G[y][x']
-    twice, and B itself once, each of a quantity of size at most
-    2M + 2L + slack.  Writing the real residual both ways, g minus the
-    threshold equals the computed residual minus lim minus slack, up to
-    all these errors, which sum to less than 64u (M + L) + 2^-1071, far
-    below the slack.  So a residual below lim puts g below the threshold.
-
-    A table with a non-finite value, or a value too large for a float, or
-    so large that 8 (M + L) overflows, is viewed as zeros with bound
-    +inf: every y' is then a candidate."""
-    if den is not None:
-        return D, 0
-    n = len(D)
-    raw = [D[i][j] for i, j in pairs]
-    lim = max(0, -eps_test) if any(map(is_exact, raw)) else -eps_test
-    try:
-        floats = list(map(float, raw))
-        M = max(map(abs, floats), default=0.0)
-        L = abs(lim)
-        finite = all(map(math.isfinite, floats)) and math.isfinite(8 * (M + L))
-    except OverflowError:
-        finite = False
-    if not finite:
-        return [[0] * n for _ in range(n)], math.inf
-    G: list[list] = [[None] * n for _ in range(n)]
-    for (i, j), v in zip(pairs, floats):
-        G[i][j] = v
-    return G, lim + (_SLACK * (M + L) + sys.float_info.min)
+def _flag_bound(R: Optional[list[list]], pairs: Sequence[tuple[int, int]], den: int, eps_test: float) -> int:
+    """An int B such that every chain :func:`_chain_report` flags on the
+    screen (D, R, den) has an int residual N < B.  A chain of exact terms
+    is flagged when N < 0, one with a float term when N / den < -eps_test,
+    which for an int N is N < -floor(eps_test * den).  So B is 0 when no
+    value is a float, -floor(eps_test * den) when every value is, and the
+    larger of the two when they mix."""
+    floats = 0 if R is None else sum(isinstance(R[i][j], float) for i, j in pairs)
+    if not floats:
+        return 0
+    bound = -math.floor(Fraction(eps_test) * den)
+    return bound if floats == len(pairs) else max(0, bound)
 
 
 def _tetrad_total(design: Design) -> int:
@@ -529,10 +510,10 @@ def _tetrad_total(design: Design) -> int:
 def _tetrad_candidates(
     design: Design, tables: Sequence[tuple[list[list], Num]], cap: int
 ) -> Iterator[tuple[int, int, int, int, int]]:
-    """Among the first `cap` tetrads of :func:`_tetrad_indices`, those that
-    may be flagged on table k, as (a, b, c, d, k) in tetrad order, k inner.
-    `tables` holds a view (G, B) per metric, as from
-    :func:`_candidate_view`.
+    """Among the first `cap` tetrads of :func:`_tetrad_indices`, those whose
+    residual is below table k's bound, as (a, b, c, d, k) in tetrad order,
+    k inner.  `tables` holds an int table and an int bound (G, B) per
+    metric: a screen's D and its :func:`_flag_bound`.
 
     Fix x, x' (indices a, c) of one input and another input Y.  The
     residual of the tetrad x, y, x', y' is f(y) + g(y'), with
@@ -540,9 +521,7 @@ def _tetrad_candidates(
     are sorted by g once per (x, x', Y), and for each y the candidates are
     the y' with g(y') < (B - G[x][y]) - G[y][x'], that is g < -f(y) + B: a
     prefix found by bisection.  For each (x, y), a table on which no x'
-    has its least g below that threshold is skipped whole.  On an int
-    table B is 0 and the candidates are exactly the tetrads whose residual
-    is negative; on a float view B covers the rounding.  The tetrads of
+    has its least g below that threshold is skipped whole.  The tetrads of
     one triple are consecutive, so the cap cuts inside at most one
     triple."""
     pts = design.points()
@@ -607,27 +586,31 @@ def _chain_report(screens: list, k: int, seq: tuple[int, ...], pts: Sequence[Inp
                   C: list[list], name: str, eps_test: float, every: bool = False) -> Optional[ChainReport]:
     """The chain over index sequence `seq` on screen k, (D, R, den) of
     :func:`_distance_screen`, covers from C; None if not flagged, unless
-    `every`.  An int table's residual is D's over den, and R is made from
-    D over den on the first report; a raw-value table decides over R."""
+    `every`.  The residual is D's int N over den, the exact residual that
+    :func:`_chain_residual` computes from R.  A chain of exact terms is
+    flagged when N < 0 and reports N / den; one with a float term in R is
+    flagged when N / den < -eps_test, compared exactly, and reports
+    float(N / den), rounded once.  R is made from D over den on the first
+    report when the screen has none."""
     D, R, den = screens[k]
     first, last = seq[0], seq[-1]
-    if den is None:
-        lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
-        _, _, residual, violated = _chain_residual(lhs, rhs, eps_test)
-    else:
-        residual = sum(_adjacent(D, seq)) - D[first][last]
-        violated = residual < 0
+    n = sum(_adjacent(D, seq)) - D[first][last]
+    terms = None if R is None else (R[first][last], *_adjacent(R, seq))
+    inexact = terms is not None and any(isinstance(v, float) for v in terms)
+    violated = n < -Fraction(eps_test) * den if inexact else n < 0
     if not (violated or every):
         return None
-    if den is not None:
-        if R is None:
-            R = [[None if v is None else Fraction(v, den) for v in row] for row in D]
-            screens[k] = D, R, den
-        lhs, rhs = R[first][last], tuple(_adjacent(R, seq))
-        residual = Fraction(residual, den)
-        if residual.denominator == 1 and not any(isinstance(v, Fraction) for v in (lhs, *rhs)):
-            residual = residual.numerator  # ints add up to an int
-    return ChainReport(tuple(map(pts.__getitem__, seq)), name, lhs, rhs, residual, violated, _covers(C, seq))
+    if terms is None:
+        R = [[None if v is None else Fraction(v, den) for v in row] for row in D]
+        screens[k] = D, R, den
+        terms = (R[first][last], *_adjacent(R, seq))
+    residual = Fraction(n, den)
+    if inexact:
+        residual = _float_residual(residual, name)
+    elif residual.denominator == 1 and not any(isinstance(v, Fraction) for v in terms):
+        residual = residual.numerator  # ints add up to an int
+    return ChainReport(tuple(map(pts.__getitem__, seq)), name, terms[0], terms[1:], residual, violated,
+                       _covers(C, seq))
 
 
 def run_suite(
@@ -649,8 +632,8 @@ def run_suite(
     restricted design's walked sequences are each screened on that table.
     A full design's tetrads are counted in closed form and screened per
     triple x, y, x' by :func:`_tetrad_candidates`, which passes on only
-    the y' whose residual may be below the limit: exactly the negative
-    ones on an int table, a few more on a raw-value table.  Each screened
+    the y' whose int residual is below the screen's :func:`_flag_bound`:
+    exactly the negative ones on a table of exact values.  Each screened
     chain is decided, and a flagged one reported, by
     :func:`_chain_report` from the screen's tables.  Past `cap` sequences
     CapExceeded is raised, or with ``on_cap="truncate"`` the report is
@@ -681,8 +664,8 @@ def run_suite(
         total = _tetrad_total(design) if max_len >= 4 else 0
         tested = min(total, max(cap, 0))
         truncated = total > tested
-        views = [_candidate_view(D, den, pairs, eps_test) for D, _, den in screens]
-        for a, b, c, d, k in _tetrad_candidates(design, views, tested):
+        bounds = [(D, _flag_bound(R, pairs, den, eps_test)) for D, R, den in screens]
+        for a, b, c, d, k in _tetrad_candidates(design, bounds, tested):
             decide((a, b, c, d), k)
     else:
         seqs = _walk(near, third, max_len, True)

@@ -19,6 +19,8 @@ same.  One more choice, ``samples`` (also run by default, last), hashes
 benchmark's ``EXTRA_METRICS`` (``perfbench/workloads.py``), each with and
 without ``--json``, on every ``samples/*.json`` in name order, the samples
 directory's path likewise replaced; it does not depend on the seed.
+Every ``--json`` call's stdout must parse as strict JSON, with no NaN or
+Infinity, or the script fails.
 The default order-distance and the extra classification distance are
 summed in a table's ints and the extra transformed p-distance on its
 marginals, so the choice covers both paths of the chain suite.  pytest
@@ -31,6 +33,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import random
 import sys
 import tempfile
@@ -57,10 +60,18 @@ def call(argv: list[str]) -> tuple[object, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def add_call(digest, argv: list[str], directory: str) -> None:
     """Feed one call's exit code, stdout and stderr to `digest`, with
-    `directory` replaced by a fixed token."""
-    for part in call(argv):
+    `directory` replaced by a fixed token.  A ``--json`` call's stdout must
+    be strict JSON: a NaN or an infinity in it raises ValueError."""
+    parts = call(argv)
+    if "--json" in argv and parts[1]:
+        json.loads(parts[1], parse_constant=_not_json)
+    for part in parts:
         text = str(part).replace(directory, "<dir>")
         digest.update(f"{len(text)}:{text}".encode("utf-8"))
 

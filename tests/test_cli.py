@@ -67,6 +67,18 @@ class TestCheck:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "digits" in err
 
+    def test_infinite_distance_is_input_error(self, capsys):
+        # 1.5e308 + 1.5e308 overflows to inf without an OverflowError; the
+        # report would print Infinity, which is not JSON
+        ground = '{"kind":"expected_ground","values":["0","1"],"ground":[[0,1.5e308],[1.5e308,0]]'
+        config = ground + ',"transform":[{"op":"sum","other":' + ground + '}}]}'
+        code, out, err = run(
+            capsys, "check", str(SAMPLES / "prbox.json"), "--arithmetic", "float",
+            "--metric", config, "--json",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: sum(E[ground],E[ground]) gave a distance that is not finite\n"
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/system.json")
         assert code == 1

@@ -333,19 +333,20 @@ class TestChainCertificate:
         assert verdict.certificate == exact.certificate
 
     def test_sound_system_through_floats_is_not_refuted_by_a_chain(self):
-        # the joint lies on a chain's face: the exact residual is 0, the
-        # floats' -2^-53, flagged only below -eps_lp.  Read exactly, the
-        # floats miss the face by 2^-54, so the chain flagged at 0 refutes
-        # them; within eps_lp the simplex finds them feasible.
+        # the joint lies on a chain's face: the residual of its tenths is
+        # 0.  Read exactly, the floats miss the face by 2^-54, the chain's
+        # residual, flagged only below -eps_lp; so the chain flagged at 0
+        # refutes them, and within eps_lp the simplex finds them feasible.
         design, tables = face_joint_system()
         floats = as_float(tables)
         problem = build_jdc(design, floats)
         suite = run_suite(design, floats, [index_order_metric(problem.axes)], max_len=4, eps_test=0.0)
-        assert [v.residual for v in suite.violations] == [-(2.0**-53)]
+        assert [v.residual for v in suite.violations] == [-(2.0**-54)]
         assert jdc_mod._chain_certificate(problem, EPS_LP) is None
-        _, y = jdc_mod._chain_certificate(problem, 0.0)
+        chain, y = jdc_mod._chain_certificate(problem, 0.0)
         rows, rhs = jdc_rows(problem)
         assert sum(map(mul, y, rhs)) == F(1, 2**54) and verify_certificate(rows, rhs, y)
+        assert chain.residual == float(-sum(map(mul, y, rhs)))
         verdict = jdc_feasible(problem)
         assert verdict.feasible and verdict.chain is None
         assert witness_reproduces_tables(problem, verdict.witness, floats, eps=10 * EPS_LP)
@@ -385,7 +386,16 @@ class TestFloatSystems:
         if verdict.feasible:
             assert witness_reproduces_tables(problem, verdict.witness, floats, eps=10 * EPS_LP)
         else:
-            assert verify_certificate(rows, rhs, [v for _, _, v in verdict.certificate])
+            y = [v for _, _, v in verdict.certificate]
+            assert verify_certificate(rows, rhs, y)
+            chain = verdict.chain
+            if chain is not None:
+                # the residual is its terms' exact residual, rounded once;
+                # -y.b sums the cells exactly, the terms are the metric's
+                # float sums of them
+                exact = sum(map(F, chain.rhs_terms)) - F(chain.lhs)
+                assert chain.residual == float(exact)
+                assert abs(exact + sum(map(mul, y, rhs))) < 1e-12
 
 
 def face_joint_system():

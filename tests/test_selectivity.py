@@ -13,6 +13,7 @@ from ordist import (
     Design,
     InputPoint,
     Metric,
+    MetricEvaluationError,
     OrderDistance,
     OrderSpec,
     PDistance,
@@ -39,8 +40,8 @@ from ordist.arith import EPS_TEST, over_lcm
 from ordist.cli import main
 from ordist.fileio import load_metric, load_system
 from ordist.selectivity import (
-    _candidate_view,
     _distance_screen,
+    _flag_bound,
     _tetrad_candidates,
     _tetrad_indices,
     _tetrad_total,
@@ -1355,54 +1356,11 @@ def tetrad_pairs(design):
     return [(i, j) for i in multi for j in multi if pts[i].input != pts[j].input]
 
 
-def candidate_sets(design, tables, cap):
-    """_tetrad_candidates per table index, as sets of tetrads."""
-    got = [set() for _ in tables]
-    for *t, k in _tetrad_candidates(design, tables, cap):
-        got[k].add(tuple(t))
-    return got
-
-
-def tie_tables(rng, design):
-    """Raw-value distance tables whose left-to-right tetrad residuals sit on
-    or next to a limit, in float and mixed Fraction/float values."""
-    pairs = tetrad_pairs(design)
-    tetrads = list(_tetrad_indices(design))
-    n = len(design.points())
-
-    def table(draw):
-        D = [[None] * n for _ in range(n)]
-        for i, j in pairs:
-            D[i][j] = draw()
-        return D
-
-    scales = {
-        "unit": lambda: rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, 0.6, 1 / 3]),
-        "huge": lambda: rng.choice([1e300, 3e299, 7.5e298]) * rng.random(),
-        "tiny": lambda: rng.choice([1e-300, 5e-324, 2.5e-310, 1e-308]) * rng.randint(0, 9),
-        "mixed": lambda: rng.choice([F(1, 10), F(1, 3), 0.1, 0.2, F(3, 10), 0.3, F(0), 0.5]),
-    }
-    out = []
-    for name, draw in scales.items():
-        D = table(draw)
-        # closing distances that put a residual at the limit, and one ulp
-        # to either side of it
-        for a, b, c, d in rng.sample(tetrads, min(len(tetrads), 8)):
-            target = D[a][b] + D[b][c] + D[c][d] - rng.choice([0.0, -1e-9, -0.05])
-            if isinstance(target, F):
-                target = float(target)
-            D[a][d] = rng.choice([target, math.nextafter(target, math.inf),
-                                  math.nextafter(target, -math.inf)])
-        out.append((name, D))
-    return out
-
-
 class TestTetradScreen:
     """_tetrad_candidates against _tetrad_indices plus the unrolled residual."""
 
     def expected(self, design, tables, cap):
-        # on an int view (bound 0) and on the every-y' view (zeros, bound
-        # inf) the candidates are exactly the tetrads below the bound
+        # the candidates are exactly the tetrads below each table's bound
         return [
             (*t, k)
             for t in itertools.islice(_tetrad_indices(design), cap)
@@ -1423,57 +1381,15 @@ class TestTetradScreen:
             ties += sum(unrolled(D, t) == 0 for t in _tetrad_indices(design) for D, _ in tables)
         assert ties > 0
 
-    @pytest.mark.parametrize("eps_test", [0.0, 1e-9, 0.05])
-    def test_raw_value_candidates_cover_every_tetrad_below_the_limit(self, eps_test):
-        # every tetrad whose residual, added left to right over the raw
-        # values, is below the limit is a candidate; the screen still
-        # drops most of the others
-        rng = random.Random(f"tetrad-screen-raw-{eps_test}")
-        near, pruned = 0, 0
-        for _ in range(12):
-            design = random_tetrad_design(rng)
-            pairs = tetrad_pairs(design)
-            total = _tetrad_total(design)
-            for name, D in tie_tables(rng, design):
-                values = [D[i][j] for i, j in pairs]
-                exact = any(isinstance(v, F) for v in values)
-                lim = max(0, -eps_test) if exact else -eps_test
-                view = _candidate_view(D, None, pairs, eps_test)
-                assert view[1] < math.inf, name
-                (got,) = candidate_sets(design, [view], total)
-                below = {t for t in _tetrad_indices(design) if unrolled(D, t) < lim}
-                assert below <= got, name
-                near += sum(abs(unrolled(D, t) - lim) <= 1e-15 * max(map(abs, values))
-                            for t in _tetrad_indices(design))
-                pruned += len(got) < total
-        assert near > 0 and pruned > 0
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, F(10) ** 400])
-    def test_non_finite_tables_keep_every_tetrad(self, bad):
-        rng = random.Random("tetrad-screen-bad")
-        for _ in range(5):
-            design = random_tetrad_design(rng)
-            pairs = tetrad_pairs(design)
-            (_, D), *_ = tie_tables(rng, design)
-            i, j = rng.choice(pairs)
-            D[i][j] = bad
-            ints = random_distance_tables(rng, design, 1)[0]
-            tables = [(ints, 0), _candidate_view(D, None, pairs, 1e-9)]
-            assert tables[1][1] == math.inf
-            total = _tetrad_total(design)
-            got = list(_tetrad_candidates(design, tables, total))
-            assert got == self.expected(design, tables, total)
-            assert sum(1 for *_, k in got if k == 1) == total
-
     def test_cap_cuts_inside_a_triple(self):
         rng = random.Random("tetrad-screen-cap")
         for _ in range(10):
             design = random_tetrad_design(rng)
-            D, other = random_distance_tables(rng, design, 2)
-            pairs = tetrad_pairs(design)
-            i, j = rng.choice(pairs)
-            other[i][j] = math.nan  # a table that keeps every tetrad
-            tables = [(D, 0), _candidate_view(other, None, pairs, 1e-9)]
+            (D,) = random_distance_tables(rng, design, 1)
+            n = len(design.points())
+            # every tetrad's residual on `every` is -1 - 1 - 1 + 1
+            every = [[-1] * n for _ in range(n)]
+            tables = [(D, 0), (every, 0)]
             total = _tetrad_total(design)
             caps = {0, 1, total - 1, total, total + 1, rng.randrange(total + 1)}
             for cap in sorted(caps):
@@ -1533,3 +1449,155 @@ class TestTetradScreen:
             else:
                 assert run_suite(design, tables, metrics, cap=cap).truncated is False
         assert violations
+
+
+def exact_oracle(design, tables, metrics, eps_test):
+    """The violations of run_suite rebuilt from enumerate_irreducible and
+    each metric's values on its covers' marginals, decided on the exact
+    residual sum(map(Fraction, rhs)) - Fraction(lhs): below 0 when every
+    term is exact, below -eps_test when one is a float.  One (sequence,
+    metric, covers, exact residual, float term or not) per violation."""
+    by_t = {t.treatment: t for t in tables}
+    out = []
+    for w in enumerate_irreducible(design):
+        steps = [(w.points[0], w.points[-1]), *zip(w.points, w.points[1:])]
+        for metric in metrics:
+            lhs, *rhs = [metric.evaluate(bivariate(by_t[c], x.input, y.input))
+                         for c, (x, y) in zip(w.covers, steps)]
+            exact = sum(map(F, rhs)) - F(lhs)
+            floats = any(isinstance(v, float) for v in (lhs, *rhs))
+            if exact < (-F(eps_test) if floats else 0):
+                out.append((w.points, metric.describe(), w.covers, exact, floats))
+    return out
+
+
+class Lookup(Metric):
+    """A fixed distance per ordered pair of points, whatever the marginal."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def evaluate(self, m):
+        return self.values[m.row_point, m.col_point]
+
+    def describe(self):
+        return "lookup"
+
+
+class Scaled(Metric):
+    """A metric's values as floats times `scale`, to reach subnormal and
+    huge floats."""
+
+    def __init__(self, base, scale):
+        self.base, self.scale = base, scale
+
+    def evaluate(self, m):
+        return float(self.base.evaluate(m)) * self.scale
+
+    def describe(self):
+        return f"scaled-{self.scale}"
+
+
+class TestExactResiduals:
+    """Chains with float terms are decided and reported on their exact
+    residuals, rounded once for the report."""
+
+    @pytest.mark.parametrize("eps_test", [EPS_TEST, 0.05, 2.0**-30], ids=["1e-9", "0.05", "2^-30"])
+    def test_float_and_mixed_tables_match_an_exact_oracle(self, eps_test):
+        # float tables, exact and float values in one table (SomeFloat,
+        # and a power with exact zeros), subnormal and huge floats, full
+        # and restricted designs
+        rng = random.Random(f"exact-residuals-{eps_test}")
+        seen = set()
+        for k in range(8):
+            full = random_full_system(rng, ("float", "rational")[k % 2])
+            tables = full[1]
+            order = OrderDistance(random_order_spec(rng, tables))
+            metrics = [
+                order,
+                PowerOf(OrderDistance(random_order_spec(rng, tables), "order-b"), F(1, 2)),
+                SomeFloat(OrderDistance(random_order_spec(rng, tables))),
+                Scaled(order, 2.0**-1060),
+                Scaled(order, 1e300),
+            ]
+            for design, tabs in (full, restricted_copy(rng, *full)):
+                suite = run_suite(design, tabs, metrics, eps_test=eps_test)
+                want = exact_oracle(design, tabs, metrics, eps_test)
+                assert [(v.sequence, v.metric, v.covers) for v in suite.violations] == [w[:3] for w in want]
+                for v, (*_, exact, floats) in zip(suite.violations, want):
+                    assert isinstance(v.residual, float) is floats
+                    assert v.residual == (float(exact) if floats else exact)
+                    seen.add((design.is_full, floats))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_float_bound_at_a_dyadic_eps(self):
+        # float distances in 64ths, and closings that put tetrad residuals
+        # at -eps exactly or 2^-40 to either side: only those below -eps
+        # are flagged, and on an all-float table the screen's candidates
+        # are exactly those
+        eps = 2.0**-30
+        rng = random.Random("dyadic-bound")
+        ties = 0
+        for _ in range(10):
+            design, tables = random_full_system(rng, "float")
+            pts = design.points()
+            pairs = tetrad_pairs(design)
+            tetrads = list(_tetrad_indices(design))
+            values = {(pts[i], pts[j]): rng.randint(0, 64) / 64 for i, j in pairs}
+            for a, b, c, d in rng.sample(tetrads, min(len(tetrads), 8)):
+                x, y, x2, y2 = (pts[i] for i in (a, b, c, d))
+                step = rng.choice([0.0, 2.0**-40, -(2.0**-40)])
+                values[x, y2] = values[x, y] + values[y, x2] + values[x2, y2] + eps + step
+            metric = Lookup(values)
+
+            def exact(t):
+                x, y, x2, y2 = (pts[i] for i in t)
+                return F(values[x, y]) + F(values[y, x2]) + F(values[x2, y2]) - F(values[x, y2])
+
+            flagged = [t for t in tetrads if exact(t) < -F(eps)]
+            ties += sum(exact(t) == -F(eps) for t in tetrads)
+            suite = run_suite(design, tables, [metric], eps_test=eps)
+            assert [v.sequence for v in suite.violations] == [tuple(pts[i] for i in t) for t in flagged]
+            assert [v.residual for v in suite.violations] == [float(exact(t)) for t in flagged]
+            C = design.pair_covers()[0]
+            ((D, R, den),) = _distance_screen([metric], pts, pairs, {t.treatment: t for t in tables}, C)
+            bound = _flag_bound(R, pairs, den, eps)
+            assert bound == -math.floor(F(eps) * den)
+            got = [tuple(t) for *t, _ in _tetrad_candidates(design, [(D, bound)], len(tetrads))]
+            assert got == flagged
+        assert ties > 0
+
+
+class Constant(Metric):
+    def __init__(self, value):
+        self.value = value
+
+    def evaluate(self, m):
+        return self.value
+
+    def describe(self):
+        return "constant"
+
+
+class TestNonFiniteDistances:
+    """A library metric's NaN or infinity is an input error naming it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sample", ["pr_full.json", "pr_restricted.json"], ids=["full", "restricted"])
+    def test_suite_and_chain_test_raise(self, bad, sample):
+        loaded = load_system(SAMPLES / sample)
+        metric = Constant(bad)
+        message = "^constant gave a distance that is not finite$"
+        with pytest.raises(MetricEvaluationError, match=message):
+            run_suite(loaded.design, loaded.tables, [metric])
+        witness = next(enumerate_irreducible(loaded.design))
+        with pytest.raises(MetricEvaluationError, match=message):
+            chain_test(metric, witness, loaded.tables)
+
+    def test_residual_too_large_for_a_float(self):
+        # 1.5e308 on every pair: the tetrad's residual is 3e308
+        design, tables = pr_box()
+        witness = next(enumerate_irreducible(design))
+        with pytest.raises(MetricEvaluationError, match="^constant: a chain residual overflows a float$"):
+            chain_test(Constant(1.5e308), witness, tables)
+        assert run_suite(design, tables, [Constant(1.5e308)]).violations == ()
