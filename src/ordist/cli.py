@@ -105,7 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="metric configuration (repeatable); default: canonical order-distance",
     )
     p_check.add_argument(
-        "--max-len", type=_sequence_length, default=6, help="sequence length cap"
+        "--max-len",
+        type=_sequence_length,
+        help="sequence length cap; default: the number of input points on a "
+        "restricted design, so that every chordless cycle is tested, and 6 on a "
+        "full one, whose irreducible sequences are tetrads",
     )
     p_check.add_argument(
         "--cap", type=_count_bound, default=1_000_000, help="irreducible-sequence bound"
@@ -161,11 +165,14 @@ def cmd_check(args) -> int:
             metrics = [load_metric(m) for m in args.metric]
         else:
             metrics = [default_order_metric(loaded.design, loaded.tables)]
+        max_len = args.max_len
+        if max_len is None:
+            max_len = 6 if loaded.design.is_full else max(3, len(loaded.design.points()))
         suite = run_suite(
             loaded.design,
             loaded.tables,
             metrics,
-            max_len=args.max_len,
+            max_len=max_len,
             cap=args.cap,
             eps_test=args.tol_test,
             on_cap="truncate",

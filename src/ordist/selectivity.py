@@ -25,22 +25,25 @@ of its points shares a treatment; for l = 3 every pair is allowed and only
 the triple is checked.  A repeated point shares a treatment with itself,
 so repeats need no special case.
 
-On a restricted design the suite walks the sequences depth first, as
-tuples of point indices, on bit sets.  One pass over the treatments, in
-the order :meth:`Design.cover` scans them, gives each ordered pair of
-points its cover (the first treatment seen that holds both), each point
-its near set as an int bit mask (the points it shares a treatment with),
-and each pair its third mask (the points sharing a treatment with both;
-:meth:`Design.pair_covers`).  The walk keeps two running ORs of near
-masks, `blocked` over the points two or more places back and `rest`, the
-same without the first point.  A middle point is drawn from
-near[last] & ~blocked, a closing one from
-near[last] & near[first] & ~rest, without the first point itself and, at
-length 3, without the pair's third mask.  The set bits are taken low to
-high, so the sequences come shortest first, lexicographic within each
-length.  The walk thus reaches the irreducible sequences without visiting
-the far more numerous reducible ones, tests no candidate by itself and
-looks nothing up in the design.
+On a restricted design the irreducible sequences are thus the chordless
+cycles of the graph whose vertices are the points and whose edges are the
+covered pairs of distinct points, a triangle counting only when its
+triple lies in no treatment; a cycle of length l is 2l sequences, one from
+each point in each direction.  One pass over the treatments, in the order
+:meth:`Design.cover` scans them, gives each ordered pair of points its
+cover (the first treatment seen that holds both), each point its near set
+as an int bit mask (the points it shares a treatment with), and each pair
+its third mask (the points sharing a treatment with both;
+:meth:`Design.pair_covers`).  :func:`_chordless_cycles` then finds each
+cycle once, least point first and second point below the last, depth
+first on an explicit stack: a path v0..vj is extended by
+near[vj] & ~blocked over the points above v0, `blocked` the OR of
+near[v1]..near[v(j-1)], and a point also in near[v0] closes a cycle (at
+length 3 only outside third[v0][v1]).  The walk thus reaches each
+chordless cycle once, without visiting the far more numerous reducible
+sequences, and looks nothing up in the design.  A length's
+cycles' traversals, sorted, come shortest first, lexicographic within
+each length: the suite's order.
 
 All d-values are taken from the witnessing treatments' bivariate
 marginals; under marginal selectivity (checked separately) they do not
@@ -58,7 +61,11 @@ marginal and no ``Fraction`` made; every other metric is evaluated on the
 marginal.  A sequence's int residual over the lcm denominator is its
 exact residual: a chain of exact terms is flagged when it is negative,
 one with a float term when it is below -eps_test.  A restricted design's
-walked sequences are each screened.  A full design's tetrads
+cycles are screened by two sums each: with F and B the cycle's distances
+summed one way round and the other and s(e) = d(u, v) + d(v, u) per edge
+e, the two sequences that leave out e have residuals F - s(e) and
+B - s(e), so only a cycle with min(F, B) - max s(e) below the table's
+bound is expanded into its chains.  A full design's tetrads
 x, y, x', y' are counted in closed form, and only those whose int
 residual is below the table's bound are visited: the residual is
 f(y) + g(y'), f(y) = d(x, y) + d(y, x') and g(y') = d(x', y') - d(x, y'),
@@ -80,7 +87,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, itemgetter, lt, mul, sub
+from operator import add, eq, getitem, itemgetter, lt, mul, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arith import EPS_TEST, RATIONAL, Num, as_exact, is_exact, num_to_json, over_lcm
@@ -183,61 +190,137 @@ class SuiteReport:
         }
 
 
-def _walk(
-    near: Sequence[int], third: Sequence[Sequence[int]], max_len: int, irreducible: bool
-) -> Iterator[tuple[int, ...]]:
-    """The one depth-first walk over treatment-realizable sequences of
-    length 3..max_len, as tuples of point indices: shortest first,
-    lexicographic within each length.  ``near`` holds each point's near
-    set and ``third`` each pair's third points as bit masks, from
-    :meth:`Design.pair_covers`.
+def _chordless_cycles(
+    near: Sequence[int], third: Sequence[Sequence[int]], max_len: int, cap: int = MAX_SEQUENCES
+) -> dict[int, list[tuple[int, ...]]]:
+    """The chordless cycles of length 3..max_len of the graph whose edges
+    are the covered pairs of distinct points, by length, as tuples of point
+    indices: each cycle once, least point first and second point below the
+    last.  A triangle counts only when its triple lies in no treatment.
+    ``near`` holds each point's near set and ``third`` each pair's third
+    points as bit masks, from :meth:`Design.pair_covers`.
 
-    A prefix x_1..x_j is extended by the points of near[x_j]; the closing
-    point must also lie in near[x_1].  With `irreducible` two running ORs
-    of near masks rule out the rest: `blocked` over x_1..x_{j-1} and `rest`
-    over x_2..x_{j-1}.  A middle point is drawn from near[x_j] & ~blocked,
-    a closing one from near[x_j] & near[x_1] & ~rest, without x_1, and for
-    length 3 also without third[x_1][x_2], so that the triple lies in no
-    treatment.  Without `irreducible` these masks stay 0.  Candidates are
-    taken low bit first."""
+    The walk runs depth first on an explicit stack.  A path v0..vj is
+    extended by the points of near[vj] above v0 outside `blocked`, the OR
+    of near[v1]..near[v(j-1)]; those in near[v0] close a cycle (when above
+    v1, and at length 3 when outside third[v0][v1]), and the rest extend
+    the path.  Every point of a path lies in its own near set, so none
+    recurs.  Candidates are taken low bit first.
+
+    A cycle stands for its 2l traversals (:func:`_traversals`), and of
+    those in suite order only the first cap + 1 are needed: cap to test
+    and one to tell that the cap cuts.  So once the cycles found hold more
+    than cap traversals, :func:`_trim` drops the lengths past the least
+    one at which they do, and no path is extended past it; what is kept
+    stays within a small multiple of cap traversals."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-
-    def extend(seq: list[int], length: int, blocked: int, rest: int) -> Iterator[tuple[int, ...]]:
-        # blocked and rest rule out the point after seq; for the point after
-        # that they take in near[last] too, rest only if last is not first
-        last = seq[-1]
-        mask = near[last] & ~blocked
-        if irreducible:
-            blocked |= near[last]
-            rest = rest | near[last] if len(seq) > 1 else 0
-        if len(seq) < length - 2:
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                seq.append(low.bit_length() - 1)
-                yield from extend(seq, length, blocked, rest)
-                seq.pop()
-            return
-        # the next point y is the last middle one; then close on z
-        first = seq[0]
-        closing = near[first] & ~(rest | 1 << first) if irreducible else near[first]
-        covered = third[first] if irreducible and length == 3 else None
-        while mask:
+    need = max(cap, 0) + 1
+    cycles: dict[int, list[tuple[int, ...]]] = {}
+    found = 0  # traversals of the cycles in `cycles`
+    limit = max_len
+    for v0, ring in enumerate(near):
+        above = -1 << v0 + 1
+        # per point of the path: the OR of the near sets from the second
+        # point through it, which rules out the points two places after it,
+        # and the candidates for the point after it still to be tried
+        path, blocked, pending = [v0], [0], [ring & above]
+        while pending:
+            mask = pending[-1]
+            if not mask or len(path) + 2 > limit:
+                path.pop()
+                blocked.pop()
+                pending.pop()
+                continue
             low = mask & -mask
-            mask ^= low
-            y = low.bit_length() - 1
-            ends = near[y] & closing
-            if covered is not None:
-                ends &= ~covered[y]
+            pending[-1] = mask ^ low
+            v = low.bit_length() - 1
+            step = near[v] & above & ~(blocked[-1] | low)
+            if len(path) == 1:
+                after = -1 << v + 1
+                ends = step & ring & after & ~third[v0][v]
+            else:
+                ends = step & ring & after
             while ends:
-                low = ends & -ends
-                ends ^= low
-                yield (*seq, y, low.bit_length() - 1)
+                end = ends & -ends
+                ends ^= end
+                cycle = (*path, v, end.bit_length() - 1)
+                cycles.setdefault(len(cycle), []).append(cycle)
+                found += 2 * len(cycle)
+                if found >= need:
+                    limit, found = _trim(cycles, need)
+            if len(path) + 3 <= limit:
+                path.append(v)
+                blocked.append(blocked[-1] | near[v])
+                pending.append(step & ~ring)
+    return cycles
+
+
+def _trim(cycles: dict[int, list[tuple[int, ...]]], need: int) -> tuple[int, int]:
+    """Cut `cycles`, by length, holding `need` traversals or more, to what
+    the first `need` of them in suite order take: the lengths up to the
+    least L at which they do, and at L, when it holds more than twice as
+    many cycles as traversals are still needed there, only the cycles
+    owning one of the least of those.  Returns L and the traversals kept.
+
+    No cycle a later cut needs is dropped: cycles found later only push a
+    traversal back in the order, and fewer are needed at L as shorter
+    cycles turn up, so a traversal needed at the end ranks among those
+    needed now."""
+    counted = 0
+    for length in sorted(cycles):
+        group = cycles[length]
+        left = need - counted
+        if 2 * length * len(group) >= left:
+            break
+        counted += 2 * length * len(group)
+    for longer in [l for l in cycles if l > length]:
+        del cycles[longer]
+    if len(group) > 2 * left:
+        least = sorted((seq, k) for k, cycle in enumerate(group) for seq in _traversals(cycle))[:left]
+        cycles[length] = group = [group[k] for k in sorted({k for _, k in least})]
+    return length, counted + 2 * length * len(group)
+
+
+def _traversals(cycle: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """A cycle's 2l sequences: from each of its points, one way round and
+    the other."""
+    back = cycle[::-1]
+    return [c[i:] + c[:i] for c in (cycle, back) for i in range(len(cycle))]
+
+
+def _irreducible_walk(
+    near: Sequence[int], third: Sequence[Sequence[int]], max_len: int, cap: int = MAX_SEQUENCES
+) -> Iterator[tuple[int, ...]]:
+    """A restricted design's irreducible sequences of length 3..max_len as
+    tuples of point indices, shortest first, lexicographic within each
+    length: the traversals of :func:`_chordless_cycles`, sorted one length
+    at a time.  The first cap + 1 are those of the whole walk."""
+    cycles = _chordless_cycles(near, third, max_len, cap)
+    for length in sorted(cycles):
+        yield from sorted(itertools.chain.from_iterable(map(_traversals, cycles[length])))
+
+
+def _realizable_walk(near: Sequence[int], max_len: int) -> Iterator[tuple[int, ...]]:
+    """Every treatment-realizable sequence of length 3..max_len as a tuple
+    of point indices, repeats included: each adjacent pair and the closing
+    pair in near (:meth:`Design.pair_covers`).  Shortest first,
+    lexicographic within each length."""
+    if max_len < 3:
+        raise ValueError("max_len must be at least 3")
+    adjacent = [[j for j in range(len(near)) if mask >> j & 1] for mask in near]
+
+    def extend(seq: tuple[int, ...], length: int) -> Iterator[tuple[int, ...]]:
+        if len(seq) == length - 1:
+            ring = near[seq[0]]
+            yield from ((*seq, z) for z in adjacent[seq[-1]] if ring >> z & 1)
+            return
+        for y in adjacent[seq[-1]]:
+            yield from extend((*seq, y), length)
 
     for length in range(3, max_len + 1):
         for x in range(len(near)):
-            yield from extend([x], length, 0, 0)
+            yield from extend((x,), length)
 
 
 def _adjacent(T: list[list], seq: Sequence[int]) -> Iterator:
@@ -268,8 +351,8 @@ def enumerate_realizable(
     first, lexicographic within each length (design input order, declared
     value order), covers from :meth:`Design.pair_covers`' table C.  Raises
     CapExceeded past `cap` yields."""
-    C, near, third = design.pair_covers()
-    return _witnesses(design, C, _walk(near, third, max_len, False), cap, "realizable")
+    C, near, _ = design.pair_covers()
+    return _witnesses(design, C, _realizable_walk(near, max_len), cap, "realizable")
 
 
 def is_irreducible(points: Sequence[InputPoint], design: Design) -> bool:
@@ -281,8 +364,8 @@ def is_irreducible(points: Sequence[InputPoint], design: Design) -> bool:
     inside it, and the allowed pairs form an l-cycle, which for l >= 4
     holds no triangle, so for l >= 4 a covered subset of size >= 3 always
     has a covered pair that is not allowed.  For l = 3 every pair is
-    allowed and only the triple is checked.  :func:`_walk` applies the
-    same rule to prefixes, on bit masks."""
+    allowed and only the triple is checked.  :func:`_chordless_cycles`
+    applies the same rule to paths, on bit masks."""
     l = len(points)
     if l == 3:
         covered = design.cover(points) is not None
@@ -307,14 +390,14 @@ def enumerate_irreducible(
 
     Full factorial designs skip straight to the alternating tetrads over
     two distinct inputs, the only irreducible shape they admit.  Other
-    designs are walked depth first, extending only prefixes that can
-    still become irreducible.
+    designs' sequences are the traversals of their chordless cycles,
+    each cycle found once (:func:`_irreducible_walk`).
     """
     C, near, third = design.pair_covers()
     if design.is_full:
         seqs = _tetrad_indices(design) if max_len >= 4 else iter(())
     else:
-        seqs = _walk(near, third, max_len, True)
+        seqs = _irreducible_walk(near, third, max_len, cap)
     return _witnesses(design, C, seqs, cap, "irreducible")
 
 
@@ -582,6 +665,50 @@ def _tetrad_candidates(
                     yield a, b, c, d, k
 
 
+def _cycle_candidates(
+    cycles: dict[int, list[tuple[int, ...]]], tables: Sequence[tuple[list[list], int]], cap: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Among the first `cap` traversals of `cycles` (:func:`_chordless_cycles`)
+    in suite order, shortest first and lexicographic, those whose residual
+    may be below table k's bound, as (sequence, k) in that order, k inner.
+    `tables` holds an int table and an int bound per metric, as for
+    :func:`_tetrad_candidates`.
+
+    Let F and B be the sums of G around a cycle c_0..c_(l-1) one way and
+    the other, and s_i = G[c_i][c_(i+1)] + G[c_(i+1)][c_i].  The traversal
+    from c_(i+1) round to c_i leaves out the step c_i, c_(i+1) and closes
+    on it the other way, so its residual is F - s_i; the one from c_i back
+    round to c_(i+1) has B - s_i.  A cycle whose least residual,
+    min(F, B) - max s_i, is not below the bound is passed over whole, and
+    of the others only the traversals below it are passed on.  The length
+    at which the cap cuts has its traversals sorted, and the first of them
+    are all passed on."""
+    for length in sorted(cycles):
+        group = cycles[length]
+        if 2 * length * len(group) > cap:
+            for seq in sorted(itertools.chain.from_iterable(map(_traversals, group)))[:cap]:
+                yield from ((seq, k) for k in range(len(tables)))
+            return
+        cap -= 2 * length * len(group)
+        hits = []
+        for cycle in group:
+            ahead = cycle[1:] + cycle[:1]
+            for k, (G, bound) in enumerate(tables):
+                fore = list(map(getitem, map(G.__getitem__, cycle), ahead))
+                back = list(map(getitem, map(G.__getitem__, ahead), cycle))
+                F, B = sum(fore), sum(back)
+                sums = list(map(add, fore, back))
+                if min(F, B) - max(sums) >= bound:
+                    continue
+                for i, s in enumerate(sums):
+                    if F - s < bound:
+                        hits.append((cycle[i + 1:] + cycle[: i + 1], k))
+                    if B - s < bound:
+                        hits.append((cycle[i::-1] + cycle[:i:-1], k))
+        hits.sort()
+        yield from hits
+
+
 def _chain_report(screens: list, k: int, seq: tuple[int, ...], pts: Sequence[InputPoint],
                   C: list[list], name: str, eps_test: float, every: bool = False) -> Optional[ChainReport]:
     """The chain over index sequence `seq` on screen k, (D, R, den) of
@@ -628,16 +755,22 @@ def run_suite(
     Assumes a validated, marginally selective system; distances are then
     witness-independent, so they are computed once per (metric, ordered
     point pair) by :func:`_distance_screen`, over the tetrad pairs of a
-    full design or the covered pairs of distinct points of another.  A
-    restricted design's walked sequences are each screened on that table.
-    A full design's tetrads are counted in closed form and screened per
-    triple x, y, x' by :func:`_tetrad_candidates`, which passes on only
-    the y' whose int residual is below the screen's :func:`_flag_bound`:
-    exactly the negative ones on a table of exact values.  Each screened
-    chain is decided, and a flagged one reported, by
-    :func:`_chain_report` from the screen's tables.  Past `cap` sequences
-    CapExceeded is raised, or with ``on_cap="truncate"`` the report is
-    marked truncated.
+    full design or the covered pairs of distinct points of another.  Each
+    candidate passed on has an int residual below the screen's
+    :func:`_flag_bound` (exactly the negative ones on a table of exact
+    values) and is decided, and reported when flagged, by
+    :func:`_chain_report` from the screen's tables.  A full design's
+    tetrads are counted in closed form and screened per triple x, y, x'
+    by :func:`_tetrad_candidates`.  A restricted design's cycles are
+    screened by :func:`_cycle_candidates`, each on two sums, F and B
+    around it one way and the other, with s(e) = d(u, v) + d(v, u) per
+    edge: its 2l chains have residuals F - s(e) and B - s(e), and only a
+    cycle with min(F, B) - max s(e) below the bound is expanded.  A
+    restricted design's sequences are counted 2l per cycle, and past
+    `cap` of them the cycle pass stops extending paths past the length
+    at which the cap is reached.  Past `cap` sequences CapExceeded is
+    raised, or with ``on_cap="truncate"`` the report is marked
+    truncated.
     """
     by_t = _tables_by_treatment(tables)
     metrics = list(metrics)
@@ -653,6 +786,7 @@ def run_suite(
     else:
         pairs = [(i, j) for i, row in enumerate(C) for j, c in enumerate(row) if c is not None and j != i]
     screens = _distance_screen(metrics, pts, pairs, by_t, C)
+    bounds = [(D, _flag_bound(R, pairs, den, eps_test)) for D, R, den in screens]
     violations: list[ChainReport] = []
 
     def decide(seq: tuple[int, ...], k: int) -> None:
@@ -663,18 +797,15 @@ def run_suite(
     if full:
         total = _tetrad_total(design) if max_len >= 4 else 0
         tested = min(total, max(cap, 0))
-        truncated = total > tested
-        bounds = [(D, _flag_bound(R, pairs, den, eps_test)) for D, R, den in screens]
         for a, b, c, d, k in _tetrad_candidates(design, bounds, tested):
             decide((a, b, c, d), k)
     else:
-        seqs = _walk(near, third, max_len, True)
-        tested = 0
-        for seq in itertools.islice(seqs, max(cap, 0)):
-            tested += 1
-            for k in range(len(screens)):
-                decide(seq, k)
-        truncated = next(seqs, None) is not None
+        cycles = _chordless_cycles(near, third, max_len, cap)
+        total = sum(2 * length * len(group) for length, group in cycles.items())
+        tested = min(total, max(cap, 0))
+        for seq, k in _cycle_candidates(cycles, bounds, tested):
+            decide(seq, k)
+    truncated = total > tested
     if truncated and on_cap != "truncate":
         raise CapExceeded(f"more than {cap} irreducible sequences")
     return SuiteReport(

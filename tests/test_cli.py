@@ -428,6 +428,12 @@ SAMPLE_GOLDENS = {
         ("check_pr_restricted_per_point", ("check", *PER_POINT_METRICS), 2),
         ("check_pr_restricted_per_point_float", ("check", *FLOAT, *PER_POINT_METRICS), 2),
     ),
+    # eight_cycle_doc(): one chordless 8-cycle, refuted at the default
+    # --max-len, the design's number of points
+    "eight_cycle.json": (
+        ("check_eight_cycle", ("check",), 2),
+        ("jdc_eight_cycle", ("jdc",), 2),
+    ),
     # a table summing to 1 + 1/12, negative cells and a missing treatment:
     # the validation messages
     "invalid_exact.json": (
@@ -630,6 +636,24 @@ class TestLongCycle:
             assert len(seq) == 8
             assert {tuple(seq[0]), tuple(seq[-1])} == {("1", "x0"), ("2", "y3")}
             assert f_to_float(v["residual"]) < 0
+
+    def test_check_at_the_default_length_finds_the_flipped_edge(self, capsys, tmp_path):
+        # on a restricted design --max-len defaults to the number of points
+        path = tmp_path / "cycle8.json"
+        path.write_text(json.dumps(eight_cycle_doc()))
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert report["sequences_tested"] == 16 and report["truncated"] is False
+        assert len(report["violations"]) == 2
+        assert report == json.loads(run(capsys, "check", str(path), "--max-len", "8", "--json")[1])
+        # an explicit shorter limit still hides the cycle
+        code, out, _ = run(capsys, "check", str(path), "--max-len", "7", "--json")
+        assert code == 0
+        assert json.loads(out)["sequences_tested"] == 0
+
+    def test_sample_is_the_doc(self):
+        assert json.loads((SAMPLES / "eight_cycle.json").read_text()) == eight_cycle_doc()
 
     def test_jdc_refutes(self, capsys, tmp_path):
         path = tmp_path / "cycle8.json"

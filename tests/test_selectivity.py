@@ -40,12 +40,15 @@ from ordist.arith import EPS_TEST, over_lcm
 from ordist.cli import main
 from ordist.fileio import load_metric, load_system
 from ordist.selectivity import (
+    _chordless_cycles,
     _distance_screen,
     _flag_bound,
     _tetrad_candidates,
     _tetrad_indices,
     _tetrad_total,
-    _walk,
+    _irreducible_walk,
+    _realizable_walk,
+    _traversals,
 )
 from randsys import (
     binary_design,
@@ -1181,7 +1184,11 @@ class TestMaskWalk:
         for design, max_len in cases:
             _, near, third = design.pair_covers()
             for irreducible in (True, False):
-                mine = list(itertools.islice(_walk(near, third, max_len, irreducible), cap))
+                if irreducible:
+                    walk = _irreducible_walk(near, third, max_len, cap)
+                else:
+                    walk = _realizable_walk(near, max_len)
+                mine = list(itertools.islice(walk, cap))
                 reference = pair_rule_walk(design, max_len, irreducible)
                 assert mine == list(itertools.islice(reference, cap)), (design.treatments, max_len)
                 if irreducible:
@@ -1311,6 +1318,172 @@ class TestRestrictedCap:
         with pytest.raises(CapExceeded, match=f"more than {below} irreducible sequences"):
             list(enumerate_irreducible(design, 6, cap=below))
         assert list(enumerate_irreducible(design, 6, cap=len(irreducible))) == irreducible
+
+
+def random_tables(rng, design):
+    """An independent random joint per treatment of `design`, over two or
+    three outcomes per input and a denominator of its own, so that chains
+    fail often."""
+    axes = [("0", "1", "2")[: rng.randint(2, 3)] for _ in design.inputs]
+    outcomes = list(itertools.product(*axes))
+    return [
+        TreatmentTable(design, t, dict(zip(outcomes, random_dist(rng, len(outcomes)))), axes=axes)
+        for t in design.iter_treatments()
+    ]
+
+
+def flipped_edge(design):
+    """Binary outputs equal in every table but the first, where the first
+    input's output is the others' flipped: the cycles through that table's
+    pairs violate the index order's chains."""
+    axes = [("0", "1")] * len(design.inputs)
+    k = len(design.inputs)
+    same = {("0",) * k: F(1, 2), ("1",) * k: F(1, 2)}
+    flip = {("1",) + ("0",) * (k - 1): F(1, 2), ("0",) + ("1",) * (k - 1): F(1, 2)}
+    return [TreatmentTable(design, t, flip if n == 0 else same, axes=axes)
+            for n, t in enumerate(design.iter_treatments())]
+
+
+def cycle_systems(rng, count):
+    """The cycle designs with random tables and with a flipped edge, then
+    `count` random restricted designs holding a cycle, with random
+    tables."""
+    systems = [(d, random_tables(rng, d)) for d in (*CYCLE_DESIGNS, EIGHT_CYCLE)]
+    systems += [(d, flipped_edge(d)) for d in (*CYCLE_DESIGNS, EIGHT_CYCLE)]
+    while len(systems) < 6 + count:
+        design = random_restricted_design(rng)
+        _, near, third = design.pair_covers()
+        if _chordless_cycles(near, third, max(3, len(near))):
+            systems.append((design, random_tables(rng, design)))
+    return systems
+
+
+def pair_rule_chains(design, tables, metrics, max_len):
+    """Per sequence of the reference walk `pair_rule_walk`, in its order,
+    its length and the reports chain_test gives under each metric that it
+    violates, the covers taken from Design.cover."""
+    pts = design.points()
+    out = []
+    for seq in pair_rule_walk(design, max_len, True):
+        p = [pts[i] for i in seq]
+        covers = (design.cover((p[0], p[-1])), *(design.cover((p[i - 1], p[i])) for i in range(1, len(p))))
+        witness = SequenceWitness(tuple(p), covers)
+        out.append((len(seq), [r for m in metrics if (r := chain_test(m, witness, tables)).violated]))
+    return out
+
+
+class TestCycleKernel:
+    """The chordless-cycle pass and its two-sum screen against chain_test
+    on the reference walk's sequences."""
+
+    def test_two_sums_give_every_traversal_residual(self):
+        # F - s(e) and B - s(e) are the chain_test residuals of the two
+        # traversals that leave out the edge e
+        rng = random.Random("two-sums")
+        lengths = set()
+        for design, tables in cycle_systems(rng, 40):
+            pts = design.points()
+            by_t = {t.treatment: t for t in tables}
+            C, near, third = design.pair_covers()
+            metric = OrderDistance(random_order_spec(rng, tables))
+
+            def d(u, v):
+                return metric.evaluate(bivariate(by_t[C[u][v]], pts[u].input, pts[v].input))
+
+            for length, group in _chordless_cycles(near, third, max(3, len(pts))).items():
+                for cycle in group:
+                    assert len(cycle) == length and cycle[0] == min(cycle) and cycle[1] < cycle[-1]
+                    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+                    F = sum(d(u, v) for u, v in edges)
+                    B = sum(d(v, u) for u, v in edges)
+                    for i, (u, v) in enumerate(edges):
+                        s = d(u, v) + d(v, u)
+                        forward = cycle[i + 1:] + cycle[: i + 1]
+                        backward = cycle[i::-1] + cycle[:i:-1]
+                        for seq, want in ((forward, F - s), (backward, B - s)):
+                            points = tuple(pts[k] for k in seq)
+                            covers = (C[seq[0]][seq[-1]], *(C[a][b] for a, b in zip(seq, seq[1:])))
+                            got = chain_test(metric, SequenceWitness(points, covers), tables).residual
+                            assert got == want, (design.treatments, seq)
+                    assert sorted(_traversals(cycle)) == sorted(
+                        [cycle[i + 1:] + cycle[: i + 1] for i in range(length)]
+                        + [cycle[i::-1] + cycle[:i:-1] for i in range(length)])
+                    assert len(set(_traversals(cycle))) == 2 * length
+                    lengths.add(length)
+        assert lengths == {3, 4, 5, 6, 8}
+
+    def test_suite_matches_the_reference_walk(self):
+        # violations byte for byte, covers included, and the count, at
+        # max_len 3-8
+        rng = random.Random("cycle-suite")
+        loaded = load_system(SAMPLES / "pr_restricted.json")
+        systems = [(loaded.design, loaded.tables), *cycle_systems(rng, 12)]
+        found = set()
+        for design, tables in systems:
+            metrics = kernel_metrics(rng, design, tables) + suite_metrics(rng, tables)[2:]
+            longest = pair_rule_chains(design, tables, metrics, 8)
+            for max_len in range(3, 9):
+                # the reference walk is shortest first
+                chains = [reports for length, reports in longest if length <= max_len]
+                want = [r for reports in chains for r in reports]
+                suite = run_suite(design, tables, metrics, max_len=max_len)
+                assert suite.sequences_tested == len(chains) and not suite.truncated
+                assert as_bytes(suite.violations) == as_bytes(want), (design.treatments, max_len)
+                assert [v.covers for v in suite.violations] == [r.covers for r in want]
+                found.update(len(v.sequence) for v in suite.violations)
+        assert found == {3, 4, 5, 6, 8}
+
+    def test_every_cap_on_pr_restricted(self):
+        # run_suite in both on_cap modes, and enumerate_irreducible's
+        # witnesses up to its CapExceeded, at every cap; oracle_suite, which
+        # runs chain_test on every witness, at the caps around the ends
+        loaded = load_system(SAMPLES / "pr_restricted.json")
+        design, tables = loaded.design, loaded.tables
+        rng = random.Random("cycle-caps")
+        metrics = kernel_metrics(rng, design, tables)[:3]
+        chains = [reports for _, reports in pair_rule_chains(design, tables, metrics, 6)]
+        witnesses = list(enumerate_irreducible(design, 6))
+        total = len(chains)
+        assert total == len(witnesses) == 190
+        for cap in range(total + 1):
+            want = [r for reports in chains[:cap] for r in reports]
+            suite = run_suite(design, tables, metrics, cap=cap, on_cap="truncate")
+            assert (suite.sequences_tested, suite.truncated) == (cap, cap < total)
+            assert as_bytes(suite.violations) == as_bytes(want)
+            walked = []
+            try:
+                walked.extend(enumerate_irreducible(design, 6, cap))
+            except CapExceeded:
+                assert cap < total
+            assert walked == witnesses[:cap]
+            if cap < total:
+                with pytest.raises(CapExceeded, match=f"more than {cap} irreducible"):
+                    run_suite(design, tables, metrics, cap=cap)
+            else:
+                assert as_bytes(run_suite(design, tables, metrics, cap=cap).violations) == as_bytes(want)
+            if cap in (0, 1, 2, total - 1, total):
+                violations, tested, truncated = oracle_suite(design, tables, metrics, cap=cap, on_cap="truncate")
+                assert (tested, truncated, as_bytes(violations)) == (cap, cap < total, as_bytes(want))
+                if cap < total:
+                    with pytest.raises(CapExceeded, match=f"more than {cap} irreducible"):
+                        oracle_suite(design, tables, metrics, cap=cap)
+
+    def test_capped_walk_keeps_the_first_cap_plus_one(self):
+        # past the cap the pass drops longer cycles and, at the length the
+        # cap falls in, the cycles owning none of the sequences needed
+        rng = random.Random("cycle-trim")
+        loaded = load_system(SAMPLES / "pr_restricted.json")
+        designs = [loaded.design, *(design for design, _ in cycle_systems(rng, 12))]
+        dropped = 0
+        for design in designs:
+            _, near, third = design.pair_covers()
+            reference = list(pair_rule_walk(design, 8, True))
+            for cap in range(len(reference) + 2):
+                walked = itertools.islice(_irreducible_walk(near, third, 8, cap), cap + 1)
+                assert list(walked) == reference[: cap + 1]
+                kept = _chordless_cycles(near, third, 8, cap)
+                dropped += sum(2 * l * len(g) for l, g in kept.items()) < len(reference)
+        assert dropped > 100
 
 
 def unrolled(D, tetrad):
