@@ -168,9 +168,13 @@ def over_lcm(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:
 
 
 def num_to_json(x: Num):
-    """JSON-friendly representation: Fractions as 'a/b' strings."""
-    if isinstance(x, Fraction):
+    """JSON-friendly representation: Fractions as 'a/b' strings, ints as
+    their digits; floats and bools as they are."""
+    kind = type(x)
+    if kind is Fraction or kind is int:
         return str(x)
-    if isinstance(x, int) and not isinstance(x, bool):
+    if kind is float or kind is bool:
+        return x
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
         return str(x)
     return x

@@ -55,6 +55,7 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -628,18 +629,73 @@ def _num_to_doc(p):
     return str(p) if isinstance(p, Fraction) else p
 
 
-def _decimal_text(value):
-    # a label read as a JSON decimal (an outcome such as 0.5) prints as
-    # its decimal text
-    if isinstance(value, Decimal):
-        return str(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+#: json.dumps' spellings of the floats repr writes as nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append the JSON text of `value` to `out`; `newline` is a line break
+    followed by the indent of the line `value` starts on.  A str item,
+    the commonest leaf, is quoted in its container's loop."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            if type(item) is str:
+                out.append(sep + encode_basestring(item))
+            else:
+                out.append(sep)
+                _write(item, out, inner)
+            sep = comma
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            out.append(f"{sep}{encode_basestring(key)}: ")
+            _write(value[key], out, inner)
+            sep = comma
+        out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, Decimal):
+        # a label read as a JSON decimal (an outcome such as 0.5) prints
+        # as its decimal text
+        out.append(encode_basestring(str(value)))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dumps_report(report: Mapping) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline.
-    Identical inputs and configuration produce byte-identical output."""
-    return (
-        json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, default=_decimal_text)
-        + "\n"
-    )
+    Identical inputs and configuration produce byte-identical output.
+
+    The text is exactly that of ``json.dumps(report, sort_keys=True,
+    indent=2, ensure_ascii=False, default=str_of_decimal) + "\\n"``, where
+    ``str_of_decimal`` turns a Decimal into its text and rejects any other
+    type.  Keys must be str.  It is written by one recursive walk into
+    one list, because before Python 3.14 json.dumps encodes any
+    ``indent`` in pure Python, one generator per nesting level, and a
+    report with thousands of violated chains spent most of its output
+    time there."""
+    out: list = []
+    _write(report, out, "\n")
+    out.append("\n")
+    return "".join(out)

@@ -50,7 +50,7 @@ from .metrics import OrderDistance, OrderSpec, index_order_metric
 from .probspace import Design, InputPoint, TreatmentTable, point_axes
 from .selectivity import (
     ChainReport,
-    _chain_report,
+    _chain_reporter,
     _distance_screen,
     _tetrad_indices,
     check_marginal_selectivity,
@@ -235,10 +235,11 @@ def _chain_certificate(problem: JdcProblem, eps_test: float) -> Optional[tuple[C
     per constraint row in order; None when no chain is violated, or when
     a treatment of the design has no table to cover a pair.
 
-    The chains are :func:`run_suite`'s at length 4 at most, at `eps_test`:
-    a full design's tetrads, a restricted design's sequences of length 3
-    and 4.  An exact table's chain is violated when its residual is
-    negative, a float table's when it is below -eps_test.
+    The chains are :func:`run_suite`'s at ``check``'s default length, at
+    `eps_test`: a full design's tetrads, and on a restricted design every
+    chordless cycle, up to the number of points.  An exact table's chain
+    is violated when its residual is negative, a float table's when it is
+    below -eps_test.
     Of equal residuals the first in suite order is taken.  Row (t, o)
     gets -1 for each step of the chain covered by t whose outcome o puts
     the step's first point strictly below its second, and +1 when the
@@ -248,7 +249,8 @@ def _chain_certificate(problem: JdcProblem, eps_test: float) -> Optional[tuple[C
     if not {t.treatment for t in tables} >= set(design.iter_treatments()):
         return None
     metric = index_order_metric(problem.axes)
-    suite = run_suite(design, tables, [metric], max_len=4, eps_test=eps_test, on_cap="truncate")
+    max_len = 4 if design.is_full else max(3, len(design.points()))
+    suite = run_suite(design, tables, [metric], max_len=max_len, eps_test=eps_test, on_cap="truncate")
     if not suite.violations:
         return None
     chain = min(suite.violations, key=attrgetter("residual"))
@@ -499,10 +501,11 @@ def d1_d2_chain_residuals(
     pairs = [(i, j) for i, p in enumerate(pts) for j, q in enumerate(pts) if p.input != q.input]
     screens = _distance_screen(metrics, pts, pairs, {t.treatment: t for t in tables}, C)
     tetrads = list(itertools.islice(_tetrad_indices(design), 4))
-    d1, d2 = (
-        [_chain_report(screens, k, seq, pts, C, m.describe(), eps_test, every=True) for seq in tetrads]
-        for k, m in enumerate(metrics)
-    )
+    reporters = [
+        _chain_reporter(screen, None, pts, C, m.describe(), eps_test, every=True)
+        for screen, m in zip(screens, metrics)
+    ]
+    d1, d2 = ([report(seq) for seq in tetrads] for report in reporters)
     return d1, d2
 
 

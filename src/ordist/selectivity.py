@@ -88,7 +88,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, eq, getitem, itemgetter, lt, mul, sub
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arith import EPS_TEST, RATIONAL, Num, as_exact, is_exact, num_to_json, over_lcm
 from .errors import CapExceeded, MetricEvaluationError, SystemFormatError
@@ -145,7 +145,7 @@ class ChainReport:
             "sequence": [p.as_json() for p in self.sequence],
             "metric": self.metric,
             "lhs": num_to_json(self.lhs),
-            "rhs_terms": [num_to_json(t) for t in self.rhs_terms],
+            "rhs_terms": list(map(num_to_json, self.rhs_terms)),
             "residual": num_to_json(self.residual),
             "violated": self.violated,
         }
@@ -184,7 +184,7 @@ class SuiteReport:
     def as_json(self):
         return {
             "sequences_tested": self.sequences_tested,
-            "violations": [v.as_json() for v in self.violations],
+            "violations": list(map(ChainReport.as_json, self.violations)),
             "metrics": list(self.metrics),
             "truncated": self.truncated,
         }
@@ -569,18 +569,26 @@ def _distance_screen(
     return screens
 
 
-def _flag_bound(R: Optional[list[list]], pairs: Sequence[tuple[int, int]], den: int, eps_test: float) -> int:
-    """An int B such that every chain :func:`_chain_report` flags on the
-    screen (D, R, den) has an int residual N < B.  A chain of exact terms
-    is flagged when N < 0, one with a float term when N / den < -eps_test,
-    which for an int N is N < -floor(eps_test * den).  So B is 0 when no
-    value is a float, -floor(eps_test * den) when every value is, and the
-    larger of the two when they mix."""
+def _float_terms(R: Optional[list[list]], pairs: Sequence[tuple[int, int]]) -> Optional[bool]:
+    """Whether the chains of a screen (D, R, den) have float terms: False
+    when no value over `pairs` is a float (R None included), True when
+    every one is, None when they mix and each chain's own terms decide."""
     floats = 0 if R is None else sum(isinstance(R[i][j], float) for i, j in pairs)
-    if not floats:
+    return False if not floats else True if floats == len(pairs) else None
+
+
+def _flag_bound(floats: Optional[bool], den: int, eps_test: float) -> int:
+    """An int B such that every chain :func:`_chain_reporter` flags on a
+    screen over den with :func:`_float_terms` `floats` has an int residual
+    N < B.  A chain of exact terms is flagged when N < 0, one with a float
+    term when N / den < -eps_test, which for an int N is
+    N < -floor(eps_test * den).  So B is 0 when no value is a float,
+    -floor(eps_test * den) when every value is, and the larger of the two
+    when they mix."""
+    if floats is False:
         return 0
     bound = -math.floor(Fraction(eps_test) * den)
-    return bound if floats == len(pairs) else max(0, bound)
+    return bound if floats else max(0, bound)
 
 
 def _tetrad_total(design: Design) -> int:
@@ -709,35 +717,61 @@ def _cycle_candidates(
         yield from hits
 
 
-def _chain_report(screens: list, k: int, seq: tuple[int, ...], pts: Sequence[InputPoint],
-                  C: list[list], name: str, eps_test: float, every: bool = False) -> Optional[ChainReport]:
-    """The chain over index sequence `seq` on screen k, (D, R, den) of
-    :func:`_distance_screen`, covers from C; None if not flagged, unless
-    `every`.  The residual is D's int N over den, the exact residual that
+class _Over(dict):
+    """The Fractions v / den over one denominator by int v, each made on
+    first use."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, v: int) -> Fraction:
+        self[v] = value = Fraction(v, self.den)
+        return value
+
+
+def _chain_reporter(screen: tuple, floats: Optional[bool], pts: Sequence[InputPoint], C: list[list],
+                    name: str, eps_test: float, every: bool = False
+                    ) -> Callable[[tuple[int, ...]], Optional[ChainReport]]:
+    """The chain kernel of one screen (D, R, den) of :func:`_distance_screen`:
+    a function of an index sequence giving the chain's report, covers
+    from C, or None if it is not flagged, unless `every`.
+    The residual is D's int N over den, the exact residual that
     :func:`_chain_residual` computes from R.  A chain of exact terms is
     flagged when N < 0 and reports N / den; one with a float term in R is
     flagged when N / den < -eps_test, compared exactly, and reports
-    float(N / den), rounded once.  R is made from D over den on the first
-    report when the screen has none."""
-    D, R, den = screens[k]
-    first, last = seq[0], seq[-1]
-    n = sum(_adjacent(D, seq)) - D[first][last]
-    terms = None if R is None else (R[first][last], *_adjacent(R, seq))
-    inexact = terms is not None and any(isinstance(v, float) for v in terms)
-    violated = n < -Fraction(eps_test) * den if inexact else n < 0
-    if not (violated or every):
-        return None
-    if terms is None:
-        R = [[None if v is None else Fraction(v, den) for v in row] for row in D]
-        screens[k] = D, R, den
-        terms = (R[first][last], *_adjacent(R, seq))
-    residual = Fraction(n, den)
-    if inexact:
-        residual = _float_residual(residual, name)
-    elif residual.denominator == 1 and not any(isinstance(v, Fraction) for v in terms):
-        residual = residual.numerator  # ints add up to an int
-    return ChainReport(tuple(map(pts.__getitem__, seq)), name, terms[0], terms[1:], residual, violated,
-                       _covers(C, seq))
+    float(N / den), rounded once.  `floats` is :func:`_float_terms` of the
+    screen: whether every chain has a float term, none has, or (None) each
+    chain's own terms say.  With R None the terms are the Fractions
+    D[i][j] / den.  Each Fraction v / den of an int v, a term or a
+    residual, is made once: a report with thousands of chains holds a
+    few dozen distinct values."""
+    D, R, den = screen
+    float_bound = _flag_bound(True, den, eps_test)
+    over = _Over(den)
+
+    def report(seq: tuple[int, ...]) -> Optional[ChainReport]:
+        first, last = seq[0], seq[-1]
+        n = sum(_adjacent(D, seq)) - D[first][last]
+        if R is None:
+            terms, inexact = None, False
+        else:
+            terms = (R[first][last], *_adjacent(R, seq))
+            inexact = any(isinstance(v, float) for v in terms) if floats is None else floats
+        violated = n < (float_bound if inexact else 0)
+        if not (violated or every):
+            return None
+        if terms is None:
+            terms = (over[D[first][last]], *map(over.__getitem__, _adjacent(D, seq)))
+        residual = over[n]
+        if inexact:
+            residual = _float_residual(residual, name)
+        elif residual.denominator == 1 and not any(isinstance(v, Fraction) for v in terms):
+            residual = residual.numerator  # ints add up to an int
+        return ChainReport(tuple(map(pts.__getitem__, seq)), name, terms[0], terms[1:], residual, violated,
+                           _covers(C, seq))
+
+    return report
 
 
 def run_suite(
@@ -759,7 +793,7 @@ def run_suite(
     candidate passed on has an int residual below the screen's
     :func:`_flag_bound` (exactly the negative ones on a table of exact
     values) and is decided, and reported when flagged, by
-    :func:`_chain_report` from the screen's tables.  A full design's
+    its screen's :func:`_chain_reporter`.  A full design's
     tetrads are counted in closed form and screened per triple x, y, x'
     by :func:`_tetrad_candidates`.  A restricted design's cycles are
     screened by :func:`_cycle_candidates`, each on two sums, F and B
@@ -786,11 +820,15 @@ def run_suite(
     else:
         pairs = [(i, j) for i, row in enumerate(C) for j, c in enumerate(row) if c is not None and j != i]
     screens = _distance_screen(metrics, pts, pairs, by_t, C)
-    bounds = [(D, _flag_bound(R, pairs, den, eps_test)) for D, R, den in screens]
+    floats = [_float_terms(R, pairs) for _, R, _ in screens]
+    bounds = [(D, _flag_bound(f, den, eps_test)) for (D, _, den), f in zip(screens, floats)]
+    reporters = [
+        _chain_reporter(screen, f, pts, C, name, eps_test) for screen, f, name in zip(screens, floats, names)
+    ]
     violations: list[ChainReport] = []
 
     def decide(seq: tuple[int, ...], k: int) -> None:
-        report = _chain_report(screens, k, seq, pts, C, names[k], eps_test)
+        report = reporters[k](seq)
         if report is not None:
             violations.append(report)
 

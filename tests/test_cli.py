@@ -660,7 +660,11 @@ class TestLongCycle:
         path.write_text(json.dumps(eight_cycle_doc()))
         code, out, _ = run(capsys, "jdc", str(path), "--json")
         assert code == 2
-        assert json.loads(out)["feasible"] is False
+        report = json.loads(out)
+        assert report["feasible"] is False
+        # refuted by one of the two violated 8-chains
+        assert len(report["certificate_chain"]["sequence"]) == 8
+        assert report["certificate_chain"]["residual"] == "-1/2"
 
 
 class TestUsageErrors:

@@ -1,10 +1,13 @@
 import io
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from load_reference import assert_loads_alike, load_both
 from randsys import random_2x2_system, random_coupled_system, system_from_joint
@@ -274,12 +277,87 @@ class TestLoadMetric:
         assert metric.order.rank_of("1", InputPoint("2", "y'")) == 2
 
 
+def _str_of_decimal(value):
+    if isinstance(value, Decimal):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def reference_dumps(report) -> str:
+    """The stdlib encoding dumps_report must reproduce byte for byte."""
+    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, default=_str_of_decimal) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII text and JSON's
+# punctuation, among any other characters
+REPORT_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7f\n\t[]{},: é€\u2028𝄞'), st.characters()))
+REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**64), 10**100, -(10**100)]),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 1e300, -1e300, 2.0**-1074]),
+    st.decimals(),
+    REPORT_TEXT,
+)
+
+
+def report_containers(inner):
+    return st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(REPORT_TEXT, inner, max_size=4),
+    )
+
+
+REPORT_VALUES = st.recursive(REPORT_LEAVES, report_containers, max_leaves=30)
+
+
+@st.composite
+def deep_reports(draw):
+    """A value wrapped in six to ten containers, empty ones among them."""
+    value = draw(REPORT_VALUES)
+    for kind in draw(st.lists(st.sampled_from(["list", "tuple", "dict", "empty"]), min_size=6, max_size=10)):
+        if kind == "list":
+            value = [value, *draw(st.lists(REPORT_LEAVES, max_size=2))]
+        elif kind == "tuple":
+            value = (value,)
+        elif kind == "dict":
+            value = {draw(REPORT_TEXT): value, **draw(st.dictionaries(REPORT_TEXT, REPORT_LEAVES, max_size=2))}
+        else:
+            value = {"value": value, "empty": draw(st.sampled_from([[], (), {}]))}
+    return value
+
+
 class TestDumpsReport:
     def test_key_order_independent_and_stable(self):
         a = dumps_report({"b": 1, "a": [1, 2], "c": {"y": 0.5, "x": "1/2"}})
         b = dumps_report({"c": {"x": "1/2", "y": 0.5}, "a": [1, 2], "b": 1})
         assert a == b
         assert a.endswith("\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(REPORT_VALUES, report_containers(REPORT_VALUES), deep_reports()))
+    def test_bytes_are_the_stdlib_indent_encoding(self, report):
+        assert dumps_report(report) == reference_dumps(report)
+
+    def test_edge_values(self):
+        report = {
+            "": [[], (), {}, [[[[[[[]]]]]]]],
+            "floats": [-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf],
+            "ints": [0, -1, 2**200, True, False, None],
+            "labels": [Decimal("0.50"), Decimal("-1E+3")],
+            "text": '"\\\x00\x1f é \u2028 [1, {"a": 2}]',
+        }
+        assert dumps_report(report) == reference_dumps(report)
+
+    @pytest.mark.parametrize("value", [F(1, 2), {1, 2}, b"bytes", object()])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            reference_dumps({"x": [value]})
+        with pytest.raises(TypeError):
+            dumps_report({"x": [value]})
 
 
 class TestRoundTrip:

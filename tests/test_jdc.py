@@ -303,6 +303,18 @@ class TestChainCertificate:
         assert not verdict.feasible and verdict.chain.residual == F(-1, 2)
         assert calls == []
 
+    def test_eight_cycle_is_refuted_by_its_8_chain_without_the_simplex(self, monkeypatch):
+        # the only violated chains of the 8-cycle have 8 points: the chain
+        # screen runs at check's default length, the number of points
+        calls = []
+        monkeypatch.setattr(jdc_mod, "solve_equality_feasibility", lambda *a, **k: calls.append(a))
+        loaded = load_system(SAMPLES / "eight_cycle.json")
+        problem = build_jdc(loaded.design, loaded.tables)
+        verdict = jdc_feasible(problem)
+        assert not verdict.feasible and calls == []
+        assert len(verdict.chain.sequence) == 8 and verdict.chain.residual == F(-1, 2)
+        assert brute_certificate_check(problem, verdict.certificate)
+
     def test_certificate_failing_verification_leaves_the_simplex_to_decide(self, monkeypatch):
         design, tables = pr_box()
         problem = build_jdc(design, tables)

@@ -43,6 +43,7 @@ from ordist.selectivity import (
     _chordless_cycles,
     _distance_screen,
     _flag_bound,
+    _float_terms,
     _tetrad_candidates,
     _tetrad_indices,
     _tetrad_total,
@@ -1734,7 +1735,7 @@ class TestExactResiduals:
             assert [v.residual for v in suite.violations] == [float(exact(t)) for t in flagged]
             C = design.pair_covers()[0]
             ((D, R, den),) = _distance_screen([metric], pts, pairs, {t.treatment: t for t in tables}, C)
-            bound = _flag_bound(R, pairs, den, eps)
+            bound = _flag_bound(_float_terms(R, pairs), den, eps)
             assert bound == -math.floor(F(eps) * den)
             got = [tuple(t) for *t, _ in _tetrad_candidates(design, [(D, bound)], len(tetrads))]
             assert got == flagged
