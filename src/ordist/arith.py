@@ -168,13 +168,9 @@ def over_lcm(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:
 
 
 def num_to_json(x: Num):
-    """JSON-friendly representation: Fractions as 'a/b' strings, ints as
-    their digits; floats and bools as they are."""
-    kind = type(x)
-    if kind is Fraction or kind is int:
+    """JSON-friendly representation: Fractions as 'a/b' strings."""
+    if isinstance(x, Fraction):
         return str(x)
-    if kind is float or kind is bool:
-        return x
-    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+    if isinstance(x, int) and not isinstance(x, bool):
         return str(x)
     return x

@@ -33,7 +33,7 @@ from .jdc import (
 )
 from .binormal import demo_chain_violation, rho_grid
 from .metrics import default_order_metric
-from .selectivity import check_marginal_selectivity, run_suite
+from .selectivity import check_marginal_selectivity, default_max_len, run_suite
 from .probspace import validate_system
 
 EXIT_OK = 0
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-len",
         type=_sequence_length,
         help="sequence length cap; default: the number of input points on a "
-        "restricted design, so that every chordless cycle is tested, and 6 on a "
+        "restricted design, so that every chordless cycle is tested, and 4 on a "
         "full one, whose irreducible sequences are tetrads",
     )
     p_check.add_argument(
@@ -165,9 +165,7 @@ def cmd_check(args) -> int:
             metrics = [load_metric(m) for m in args.metric]
         else:
             metrics = [default_order_metric(loaded.design, loaded.tables)]
-        max_len = args.max_len
-        if max_len is None:
-            max_len = 6 if loaded.design.is_full else max(3, len(loaded.design.points()))
+        max_len = default_max_len(loaded.design) if args.max_len is None else args.max_len
         suite = run_suite(
             loaded.design,
             loaded.tables,

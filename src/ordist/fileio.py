@@ -660,7 +660,7 @@ def _write(value, out: list, newline: str) -> None:
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner
         for key in sorted(value):
-            out.append(f"{sep}{encode_basestring(key)}: ")
+            out.append(f"{sep}{encode_basestring(key if isinstance(key, str) else _key_text(key))}: ")
             _write(value[key], out, inner)
             sep = comma
         out.append(newline + "}")
@@ -683,6 +683,16 @@ def _write(value, out: list, newline: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _key_text(key) -> str:
+    """A non-str key as json.dumps spells it: an int, float, bool or None
+    as its JSON text."""
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    text: list = []
+    _write(key, text, "")
+    return text[0]
+
+
 def dumps_report(report: Mapping) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline.
     Identical inputs and configuration produce byte-identical output.
@@ -690,7 +700,8 @@ def dumps_report(report: Mapping) -> str:
     The text is exactly that of ``json.dumps(report, sort_keys=True,
     indent=2, ensure_ascii=False, default=str_of_decimal) + "\\n"``, where
     ``str_of_decimal`` turns a Decimal into its text and rejects any other
-    type.  Keys must be str.  It is written by one recursive walk into
+    type.  A key that is not a str is sorted as it is and printed as
+    json.dumps prints it.  It is written by one recursive walk into
     one list, because before Python 3.14 json.dumps encodes any
     ``indent`` in pure Python, one generator per nesting level, and a
     report with thousands of violated chains spent most of its output

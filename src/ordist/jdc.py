@@ -54,6 +54,7 @@ from .selectivity import (
     _distance_screen,
     _tetrad_indices,
     check_marginal_selectivity,
+    default_max_len,
     run_suite,
 )
 
@@ -249,8 +250,7 @@ def _chain_certificate(problem: JdcProblem, eps_test: float) -> Optional[tuple[C
     if not {t.treatment for t in tables} >= set(design.iter_treatments()):
         return None
     metric = index_order_metric(problem.axes)
-    max_len = 4 if design.is_full else max(3, len(design.points()))
-    suite = run_suite(design, tables, [metric], max_len=max_len, eps_test=eps_test, on_cap="truncate")
+    suite = run_suite(design, tables, [metric], max_len=default_max_len(design), eps_test=eps_test, on_cap="truncate")
     if not suite.violations:
         return None
     chain = min(suite.violations, key=attrgetter("residual"))

@@ -145,7 +145,7 @@ class ChainReport:
             "sequence": [p.as_json() for p in self.sequence],
             "metric": self.metric,
             "lhs": num_to_json(self.lhs),
-            "rhs_terms": list(map(num_to_json, self.rhs_terms)),
+            "rhs_terms": [num_to_json(t) for t in self.rhs_terms],
             "residual": num_to_json(self.residual),
             "violated": self.violated,
         }
@@ -184,7 +184,7 @@ class SuiteReport:
     def as_json(self):
         return {
             "sequences_tested": self.sequences_tested,
-            "violations": list(map(ChainReport.as_json, self.violations)),
+            "violations": [v.as_json() for v in self.violations],
             "metrics": list(self.metrics),
             "truncated": self.truncated,
         }
@@ -772,6 +772,14 @@ def _chain_reporter(screen: tuple, floats: Optional[bool], pts: Sequence[InputPo
                            _covers(C, seq))
 
     return report
+
+
+def default_max_len(design: Design) -> int:
+    """The sequence length ``check`` tests up to when none is given: 4 on
+    a full design, whose irreducible sequences are tetrads, and otherwise
+    the number of points (at least 3), so that every chordless cycle is
+    tested."""
+    return 4 if design.is_full else max(3, len(design.points()))
 
 
 def run_suite(

@@ -308,6 +308,7 @@ def report_containers(inner):
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(REPORT_TEXT, inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats()), inner, max_size=4),
     )
 
 
@@ -351,6 +352,19 @@ class TestDumpsReport:
             "text": '"\\\x00\x1f é \u2028 [1, {"a": 2}]',
         }
         assert dumps_report(report) == reference_dumps(report)
+
+    @pytest.mark.parametrize(
+        "report", [{True: 1, False: [2]}, {None: {}}, {10: "a", 2: "b", -1.5: "c", 1e300: "d", math.nan: "e"}]
+    )
+    def test_keys_that_are_not_str(self, report):
+        assert dumps_report(report) == reference_dumps(report)
+
+    @pytest.mark.parametrize("report", [{Decimal(1): 0}, {(1, 2): 0}, {"a": 0, 1: 0}])
+    def test_keys_json_cannot_spell_raise_type_error(self, report):
+        with pytest.raises(TypeError):
+            reference_dumps(report)
+        with pytest.raises(TypeError):
+            dumps_report(report)
 
     @pytest.mark.parametrize("value", [F(1, 2), {1, 2}, b"bytes", object()])
     def test_other_types_raise_type_error(self, value):
