@@ -1,22 +1,22 @@
-"""Number handling: exact rationals next to floats, one regime per system.
+"""Number handling: every probability exact, one arithmetic label per system.
 
-Probabilities are kept exact whenever the source data permits it (integer
-ratios like ``"3/7"``, or terminating decimals with at most
-:data:`AUTO_MAX_PLACES` places), so that inequality verdicts can be decided
-exactly.  Otherwise they are 64-bit floats and comparisons carry an
-explicit tolerance.  A system is expected to live entirely in one regime;
-:func:`regime_of` reports which.
+An integer ratio like ``"3/7"`` or a decimal with at most
+:data:`AUTO_MAX_PLACES` places is read as the rational it spells; any
+other literal (every literal under ``--arithmetic float``) reads as a
+64-bit float, held as the binary fraction that float equals, so verdicts
+are decided exactly.  A system with a float is labelled "float"
+(:func:`regime_of`): the label picks the tolerances its sums and chains
+are held to, each compared exactly, and has its numbers printed as floats.
 
 :func:`parse_ratio` is the one literal parser.  It reads an exact literal
 straight to (numerator, denominator) ints, without a ``Fraction``, and
 rejects one whose value would have more digits than the interpreter
 converts (``sys.get_int_max_str_digits()``) before building it.  The
-loader scales a table's ratios over their lcm denominator, so an exact
-table is ints over one denominator from the start; :func:`over_lcm`
-scales values that are already ``Fraction`` objects the same way.
+loader scales a table's ratios over their lcm denominator, so a table is
+ints over one denominator from the start; :func:`over_lcm` scales values
+that are already ``Fraction`` objects the same way.
 :func:`parse_number` is the same parser returning a ``Fraction``.
-:func:`as_exact` reads a float as the binary fraction it equals, so that
-chain residuals and LP right-hand sides of float data are exact too.
+:func:`as_exact` reads a float as the binary fraction it equals.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import argparse
 import functools
 import sys
 
-from .arith import EPS_LP, EPS_SUM, EPS_TEST, num_to_json
+from .arith import EPS_LP, EPS_SUM, EPS_TEST, FLOAT, num_to_json
 from .errors import OrdistError
 from .fileio import dumps_report, load_metric, load_system
 from .jdc import (
@@ -43,8 +43,8 @@ EXIT_VERDICT = 2
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
@@ -77,7 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--arithmetic",
             choices=["auto", "rational", "float"],
             default="auto",
-            help="number handling; auto keeps exact rationals when the file permits",
+            help="which literals read as floats (auto: decimals of more than 9 places), each "
+            "held as the binary fraction it equals; a system with one uses the --tol-* "
+            "tolerances and prints its numbers as floats",
         )
         p.add_argument("--json", action="store_true", help="print the JSON report")
         p.add_argument(
@@ -85,14 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_positive_float,
             default=EPS_TEST,
             metavar="X",
-            help="violation tolerance for float systems",
+            help="violation tolerance for float systems, compared exactly",
         )
         p.add_argument(
             "--tol-sum",
             type=_positive_float,
             default=EPS_SUM,
             metavar="X",
-            help="table normalization tolerance for float systems",
+            help="table normalization tolerance for float systems, compared exactly",
         )
 
     p_check = sub.add_parser("check", help="chain-inequality test suite")
@@ -127,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="X",
         help="largest phase-1 objective at which a float system, read as the "
         "binary fractions its floats equal, is feasible; also the chain screen's "
-        "float tolerance",
+        "float tolerance; compared exactly",
     )
 
     p_demo = sub.add_parser("demo-normal", help="bivariate-normal counterexample")
@@ -214,9 +216,10 @@ def cmd_jdc(args) -> int:
     if is_2x2_binary(loaded.design, loaded.tables):
         try:
             fs = FineSystem.from_tables(loaded.design, loaded.tables, args.tol_test, problem.axes)
-            report["fine"] = fine_inequalities(
-                fs, 0.0 if loaded.regime == "rational" else args.tol_test
-            ).as_json()
+            floats = loaded.regime == FLOAT
+            fine = fine_inequalities(fs, args.tol_test if floats else 0.0)
+            # a float system prints the expressions as floats, rounded once
+            report["fine"] = {**fine.as_json(), "values": list(map(float, fine.values))} if floats else fine.as_json()
             eq = fine_chain_equivalence(fs, loaded.design, loaded.tables, problem.axes)
             report["theorem4_max_discrepancy"] = num_to_json(eq.max_discrepancy)
         except OrdistError as exc:

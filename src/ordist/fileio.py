@@ -15,9 +15,9 @@ System schema::
 Probabilities may be JSON numbers or strings like "3/4"; unlisted outcome
 vectors are zero.  The "outcomes" block declares outcome value sets per
 input (preferred) or per input point; without it they are inferred from
-the tables.  Arithmetic mode "auto" keeps every probability exact when
-all of them are integer ratios or short decimals, otherwise the whole
-system is float.
+the tables.  Every probability is held exactly, a literal that reads as
+a float (see :mod:`ordist.arith`) as the binary fraction it equals; a
+system with such a literal is labelled "float", and so are its tables.
 
 The loader reads a document in three passes: literals, axes, tables.  It
 parses each distinct string literal once.  Tables that list the same
@@ -160,8 +160,7 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
             for w in values[name]:
                 declared[InputPoint(name, w)] = vals
 
-    # literals: each table's treatment, cell order and values, a value
-    # being a (numerator, denominator) pair or a float
+    # literals: each table's treatment, cell order and (numerator, denominator) values
     literals = _Literals(arithmetic)
     parse = literals.__getitem__
     orders = _CellOrders()
@@ -210,24 +209,14 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
             tables.append(_table_in_file_order(design, axes, treatment, order, cells, regime))
             continue
         gather = layout.gather(order)
-        if regime == RATIONAL:
-            den = math.lcm(*map(_DEN, cells))
-            ints = [num * (den // d) for num, d in cells]
-            if gather is not None:
-                ints.append(0)
-                ints = list(map(ints.__getitem__, gather))
-            if layout.wide:
-                _check_digits(treatment, max(den, max(ints), -min(ints)), len(ints), limit)
-            tables.append(new_table(design, treatment, layout.axes, RATIONAL, ints, den, None))
-        else:
-            probs = [v if isinstance(v, float) else v[0] / v[1] for v in cells]
-            # a table without cells is all exact zeros, as TreatmentTable makes it
-            probs.append(0.0 if cells else Fraction(0))
-            dense = probs[:-1] if gather is None else list(map(probs.__getitem__, gather))
-            probs = dict(zip(layout.outcomes, dense))
-            tables.append(new_table(
-                design, treatment, layout.axes, FLOAT if cells else RATIONAL, None, None, probs
-            ))
+        den = math.lcm(*map(_DEN, cells))
+        ints = [num * (den // d) for num, d in cells]
+        if gather is not None:
+            ints.append(0)
+            ints = list(map(ints.__getitem__, gather))
+        if layout.wide:
+            _check_digits(treatment, max(den, max(ints), -min(ints)), len(ints), limit)
+        tables.append(new_table(design, treatment, layout.axes, regime, ints, den))
     return LoadedSystem(design=design, tables=tables, regime=regime)
 
 
@@ -237,10 +226,11 @@ _DEN = operator.itemgetter(1)
 
 
 class _Literals(dict):
-    """A document's probability literals by their raw JSON value: each
+    """A document's probability literals by their raw JSON value, each as
+    (numerator, denominator), a float as the ratio it equals: each
     distinct string is parsed once, any other literal on every lookup.
     ``floats`` records whether a literal read as a float, ``bits`` the
-    largest bit length of an exact literal's numerator or denominator."""
+    largest bit length of a numerator or denominator (up to 1075)."""
 
     def __init__(self, mode: str):
         super().__init__()
@@ -252,8 +242,8 @@ class _Literals(dict):
         value = parse_ratio(raw, self.mode)
         if isinstance(value, float):
             self.floats = True
-        else:
-            self.bits = max(self.bits, value[0].bit_length(), value[1].bit_length())
+            value = value.as_integer_ratio()
+        self.bits = max(self.bits, value[0].bit_length(), value[1].bit_length())
         if isinstance(raw, str):
             self[raw] = value
         return value
@@ -465,21 +455,18 @@ def _check_digits(treatment, top: int, cells: int, limit: int) -> None:
 
 def _table_in_file_order(design: Design, axes: Mapping, treatment, order, cells, regime):
     """One table built point by point and cell by cell, for a table whose
-    layout is not known sound; raises the table's first fault."""
+    layout is not known sound, labelled `regime`; raises its first fault."""
     table_axes = []
     for pos, name in enumerate(design.inputs):
         pt = InputPoint(name, treatment[pos])
         if not axes.get(pt):
             raise SystemFormatError(f"no outcomes known for point {pt}")
         table_axes.append(tuple(axes[pt]))
-    if regime == RATIONAL:
-        den = math.lcm(*(d for _, d in cells))
-        scaled = {o: n * (den // d) for o, (n, d) in zip(order.outcomes, cells)}
-        ints = [scaled.pop(outcome, 0) for outcome in itertools.product(*table_axes)]
-        _check_digits(treatment, max(den, max(ints), -min(ints)), len(ints), digit_limit())
-        return TreatmentTable.from_ints(design, treatment, table_axes, ints, den)
-    probs = {o: v if isinstance(v, float) else v[0] / v[1] for o, v in zip(order.outcomes, cells)}
-    return TreatmentTable(design, treatment, probs, axes=table_axes)
+    den = math.lcm(*(d for _, d in cells))
+    scaled = {o: n * (den // d) for o, (n, d) in zip(order.outcomes, cells)}
+    ints = [scaled.pop(outcome, 0) for outcome in itertools.product(*table_axes)]
+    _check_digits(treatment, max(den, max(ints), -min(ints)), len(ints), digit_limit())
+    return TreatmentTable.from_ints(design, treatment, table_axes, ints, den)._labelled(regime)
 
 
 def _parse_embed(spec):

@@ -8,8 +8,8 @@ is a linear feasibility problem: one nonnegative unknown per assignment of
 outcomes to all input points, one equality per (treatment, outcome
 vector).  The solver returns either a witness Q (re-checked against every
 table before being reported) or a Farkas certificate (also re-checked).
-A float system is decided on the exact values of its floats, each an
-exact binary fraction, within a stated tolerance.
+A system labelled "float" is decided on the same exact tables within a
+stated tolerance, and reports its numbers as floats.
 
 A violated chain of the order-distance refutes without the simplex.
 The distance d(x, y) of a pair inside its covering treatment t is the
@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
-from .arith import EPS_LP, EPS_TEST, FLOAT, RATIONAL, Num, as_exact, num_to_json
+from .arith import EPS_LP, EPS_TEST, FLOAT, RATIONAL, Num, num_to_json
 from .errors import (
     HiddenSpaceTooLarge,
     MarginalSelectivityViolated,
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .lp import solve_equality_feasibility, verify_certificate, verify_solution
 from .metrics import OrderDistance, OrderSpec, index_order_metric
-from .probspace import Design, InputPoint, TreatmentTable, point_axes
+from .probspace import Design, InputPoint, TreatmentTable, _float_labelled, point_axes
 from .selectivity import (
     ChainReport,
     _chain_reporter,
@@ -171,10 +171,7 @@ def build_jdc(
     place = [{v: strides[k] * d for d, v in enumerate(axis)} for k, axis in enumerate(axes)]
 
     constraints = []
-    regime = RATIONAL
     for t in tables:
-        if t.regime() == FLOAT:
-            regime = FLOAT
         tr_idx = [point_index[InputPoint(name, w)] for name, w in zip(design.inputs, t.treatment)]
         # the variables matching an outcome vector at the treatment's
         # points: its base index plus every digit of the other points
@@ -194,7 +191,7 @@ def build_jdc(
         hidden_axes=tuple(axes),
         n_vars=n_vars,
         constraints=tuple(constraints),
-        regime=regime,
+        regime=FLOAT if _float_labelled(tables) else RATIONAL,
         tables=tuple(tables),
         axes=known,
     )
@@ -238,9 +235,9 @@ def _chain_certificate(problem: JdcProblem, eps_test: float) -> Optional[tuple[C
 
     The chains are :func:`run_suite`'s at ``check``'s default length, at
     `eps_test`: a full design's tetrads, and on a restricted design every
-    chordless cycle, up to the number of points.  An exact table's chain
-    is violated when its residual is negative, a float table's when it is
-    below -eps_test.
+    chordless cycle, up to the number of points.  A chain is violated
+    when its residual is negative, or on a system labelled "float" when it
+    is below -eps_test.
     Of equal residuals the first in suite order is taken.  Row (t, o)
     gets -1 for each step of the chain covered by t whose outcome o puts
     the step's first point strictly below its second, and +1 when the
@@ -275,10 +272,9 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
     """Decide the problem; the verdict is self-checked before returning.
 
     Every problem is decided in exact arithmetic, on 0/1 int rows and
-    exact right-hand sides: a float probability is read as the binary
-    fraction it equals.  The problem is first screened for a violated
-    chain (:func:`_chain_certificate`), a float table's chain flagged
-    when its residual is below -eps_lp.  When one is found and its
+    the tables' exact cells as right-hand sides.  The problem is first
+    screened for a violated chain (:func:`_chain_certificate`), a float
+    system's chain flagged when its residual is below -eps_lp.  When one is found and its
     certificate verifies on every row, the system is refuted by it, and
     the verdict names the chain.  Otherwise the simplex decides.
 
@@ -306,7 +302,7 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
         for k in c.var_indices:
             row[k] = 1
         rows.append(row)
-        rhs.append(as_exact(c.rhs))
+        rhs.append(c.rhs)
     found = _chain_certificate(problem, eps_lp)
     if found is not None and verify_certificate(rows, rhs, found[1]):
         chain, y = found

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .probspace import BivariateMarginal, Design, InputPoint, JointDist, point_axes
 
-#: support cutoff for the essential supremum in float mode
+#: support cutoff for the essential supremum on float cells (marginals built in code)
 EPS_SUPP = 1e-12
 
 Embedding = Union[Mapping, Callable[[object], Num]]

@@ -8,16 +8,17 @@ lazily.  For each allowable treatment the system holds a
 :class:`TreatmentTable`: the joint distribution of the outputs observed
 under that treatment, one output per input.
 
-An exact table holds its cells as ints over one per-table denominator
+Every table holds its cells as ints over one per-table denominator
 (:meth:`TreatmentTable.scaled`), dense in the row-major order of its
-outcome axes.  The loader builds it that way straight from the file's
-literals; a table built in code from a mapping of exact values scales
-them on first use.  Validation decides its sums and signs in these ints,
-and :func:`marginalize` and :func:`bivariate` sum them and divide once,
-so only a marginal is made of ``Fraction`` values.  ``probs``, the
+outcome axes, a float as the binary fraction it equals; a table with a
+float cell is labelled "float".  The loader builds it that way straight
+from the file's literals; a table built in code from a mapping scales its
+values on first use.  Validation decides its sums and signs in these
+ints, and :func:`marginalize` and :func:`bivariate` sum them and divide
+once, so only a marginal is made of ``Fraction`` values.  ``probs``, the
 mapping of outcome vectors to probabilities, is a view of ``Fraction``
 values derived on first access and cached; a table built from a mapping
-keeps that mapping as its view, and a float table holds only that.
+keeps that mapping as its view.
 
 Outcome values are opaque labels.  Any numeric meaning is introduced
 downstream through rank assignments or explicit embeddings.  Tables are
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .arith import EPS_SUM, RATIONAL, Num, is_exact, over_lcm, regime_of, zero_of
+from .arith import EPS_SUM, FLOAT, RATIONAL, Num, is_exact, over_lcm, regime_of, zero_of
 from .errors import SameInput, SystemFormatError, UnknownInput
 
 MAX_EXPLICIT_TREATMENTS = 100_000
@@ -281,10 +282,11 @@ class TreatmentTable:
 
     ``probs`` maps full outcome vectors (one value per input, in design
     order) to probabilities.  Missing vectors are filled with zero so the
-    table is dense over the product of its axes.  An exact table keeps its
-    cells as ints over one denominator (:meth:`scaled`); ``probs`` is then
+    table is dense over the product of its axes.  A table keeps its cells
+    as ints over one denominator (:meth:`scaled`); ``probs`` is then
     derived from them on first access.  Numeric validity (sums, signs) is
-    checked by :func:`validate_system`, not at construction.
+    checked by :func:`validate_system`, not at construction, and a NaN or
+    an infinity in a mapping is kept for it to name.
     """
 
     __slots__ = ("design", "treatment", "axes", "_regime", "_ints", "_den", "_probs")
@@ -292,15 +294,16 @@ class TreatmentTable:
     def __init__(self, design: Design, treatment, probs: Mapping[tuple, Num], axes=None):
         probs = {tuple(k): v for k, v in probs.items()}
         self._set_shape(design, treatment, axes, probs)
-        zero = zero_of(probs.values())
         dense = {}
         for outcome in itertools.product(*self.axes):
-            dense[outcome] = probs.pop(outcome, zero)
+            dense[outcome] = probs.pop(outcome, _ZERO)
         if probs:
             bad = next(iter(probs))
             raise SystemFormatError(f"outcome {bad!r} outside the declared axes")
-        self._probs = dense
         self._regime = regime_of(dense.values())
+        if self._regime == FLOAT:
+            dense = {o: Fraction(p) if is_exact(p) or math.isfinite(p) else p for o, p in dense.items()}
+        self._probs = dense
         self._ints = None
         self._den = None
 
@@ -320,11 +323,10 @@ class TreatmentTable:
 
     @classmethod
     def _from_parts(cls, design: Design, treatment: tuple, axes: tuple, regime: str,
-                    ints=None, den=None, probs=None) -> "TreatmentTable":
+                    ints: list[int], den: int) -> "TreatmentTable":
         """A table from parts already checked as ``_set_shape`` and
         ``from_ints`` check them; ``axes`` is kept as given, so tables of
-        one layout can share it.  An exact table gives ``ints`` and
-        ``den``, a float table its dense ``probs``."""
+        one layout can share it."""
         table = cls.__new__(cls)
         table.design = design
         table.treatment = treatment
@@ -332,8 +334,12 @@ class TreatmentTable:
         table._regime = regime
         table._ints = ints
         table._den = den
-        table._probs = probs
+        table._probs = None
         return table
+
+    def _labelled(self, regime: str) -> "TreatmentTable":
+        """This table's cells under the label `regime`."""
+        return self._from_parts(self.design, self.treatment, self.axes, regime, *self.scaled())
 
     def _set_shape(self, design: Design, treatment, axes, outcomes) -> None:
         """Set design, treatment and axes, inferring the axes from the
@@ -377,10 +383,9 @@ class TreatmentTable:
         return self._probs
 
     def scaled(self) -> tuple[list[int], int]:
-        """An exact table's cells as (ints, den): ints[k] / den is the k-th
-        probability in ``probs`` order."""
-        if self._regime != RATIONAL:
-            raise ValueError("a float table has no integer cells")
+        """The cells as (ints, den): ints[k] / den is the k-th probability
+        in ``probs`` order.  A table built in code with a NaN or an
+        infinite cell raises TypeError."""
         if self._ints is None:
             self._ints, self._den = over_lcm(self._probs.values())
         return self._ints, self._den
@@ -391,11 +396,9 @@ class TreatmentTable:
     def prob(self, outcome: tuple) -> Num:
         return self.probs[tuple(outcome)]
 
-    def total(self) -> Num:
-        if self._regime == RATIONAL:
-            ints, den = self.scaled()
-            return Fraction(sum(ints), den)
-        return sum(self.probs.values())
+    def total(self) -> Fraction:
+        ints, den = self.scaled()
+        return Fraction(sum(ints), den)
 
     def univariate(self, name: str) -> dict:
         """Marginal distribution of the single output for input `name`."""
@@ -405,7 +408,13 @@ class TreatmentTable:
         return InputPoint(name, self.treatment[self.design.index(name)])
 
     def regime(self) -> str:
+        """The table's label: "float" when a cell was read from a float."""
         return self._regime
+
+
+def _float_labelled(tables: Iterable[TreatmentTable]) -> bool:
+    """Whether a table is labelled "float": the system's tolerances apply."""
+    return any(t.regime() == FLOAT for t in tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,6 +506,9 @@ def diagonal_coupling(values: Sequence, dist: Mapping, point: Optional[InputPoin
     return BivariateMarginal(values, values, probs, point, point)
 
 
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
     code: str
@@ -537,9 +549,6 @@ class ValidationReport:
         return out
 
 
-_ZERO = Fraction(0)
-
-
 def _negative(t: TreatmentTable, outcome: tuple, p: Num) -> ValidationIssue:
     return ValidationIssue(
         "NegativeProbability",
@@ -557,24 +566,35 @@ def _sum_not_one(t: TreatmentTable, delta: Num) -> ValidationIssue:
     )
 
 
-def _check_exact_table(t: TreatmentTable, issues: list, sum_errors: dict) -> None:
-    """Signs and sum of an exact table, decided on its ints; a Fraction is
-    made only for a nonzero sum error or an issue message."""
-    ints, den = t.scaled()
+def _check_exact_table(t: TreatmentTable, issues: list, sum_errors: dict, eps_sum: tuple[int, int]) -> None:
+    """Signs and sum of a table, decided on its ints: the sum must be 1, or
+    for a table labelled "float" within eps_sum, a (numerator, denominator)
+    pair, and that table's numbers print as floats.  A Fraction is made
+    only for a nonzero sum error or an issue message."""
+    try:
+        ints, den = t.scaled()
+    except TypeError:  # a NaN or an infinity, which only a table built in code holds
+        outcome, p = next((o, p) for o, p in t.probs.items() if not is_exact(p))
+        message = f"non-finite probability {p} at {outcome!r} in treatment {t.treatment!r}"
+        issues.append(ValidationIssue("NonFiniteProbability", message, t.treatment))
+        return
+    floats = t.regime() == FLOAT
     if min(ints) < 0:
         k = next(k for k, n in enumerate(ints) if n < 0)
         outcome = next(itertools.islice(itertools.product(*t.axes), k, None))
-        issues.append(_negative(t, outcome, Fraction(ints[k], den)))
+        p = Fraction(ints[k], den)
+        issues.append(_negative(t, outcome, float(p) if floats else p))
     excess = sum(ints) - den
-    sum_errors[t.treatment] = Fraction(excess, den) if excess else _ZERO
-    if excess:
-        issues.append(_sum_not_one(t, sum_errors[t.treatment]))
+    sum_errors[t.treatment] = delta = Fraction(excess, den) if excess else _ZERO
+    bad = abs(excess) * eps_sum[1] > eps_sum[0] * den if floats else excess
+    if bad:
+        issues.append(_sum_not_one(t, float(delta) if floats else delta))
 
 
 def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: float = EPS_SUM) -> ValidationReport:
     """Check tables against the design: one table per treatment, probabilities
-    finite, nonnegative and summing to one (exactly in the rational regime), and
-    outcome value sets consistent across tables sharing an input point.
+    finite, nonnegative and summing to one (a "float" table's within eps_sum),
+    and outcome value sets consistent across tables sharing an input point.
 
     A design of more than MAX_EXPLICIT_TREATMENTS treatments is not
     expanded, so its missing- and extra-treatment checks are skipped and
@@ -605,29 +625,9 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
                     ValidationIssue("ExtraTreatment", f"table for non-allowable treatment {t!r}", t)
                 )
 
-    exact = all(t.regime() == "rational" for t in tables)
+    tolerance = eps_sum.as_integer_ratio()
     for t in tables:
-        if t.regime() == RATIONAL:
-            _check_exact_table(t, issues, sum_errors)
-            continue
-        for outcome, p in t.probs.items():
-            if p < 0:
-                issues.append(_negative(t, outcome, p))
-                break
-            if not (is_exact(p) or math.isfinite(p)):
-                issues.append(
-                    ValidationIssue(
-                        "NonFiniteProbability",
-                        f"non-finite probability {p} at {outcome!r} in treatment {t.treatment!r}",
-                        t.treatment,
-                    )
-                )
-                break
-        delta = t.total() - 1
-        sum_errors[t.treatment] = delta
-        bad = delta != 0 if is_exact(delta) else abs(delta) > eps_sum
-        if bad:
-            issues.append(_sum_not_one(t, delta))
+        _check_exact_table(t, issues, sum_errors, tolerance)
 
     # outcome-set consistency per input point across tables
     for pt, treatment in _point_axes(design, tables)[1]:
@@ -636,7 +636,7 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
     return ValidationReport(
         ok=not issues,
         issues=tuple(issues),
-        regime="rational" if exact else "float",
+        regime=FLOAT if _float_labelled(tables) else RATIONAL,
         sum_errors=sum_errors,
         skipped_checks=skipped,
     )
@@ -682,7 +682,7 @@ def _summands(sizes: tuple, keep: tuple) -> tuple:
 
 def _sums(cells: Sequence, sizes: tuple, keep: tuple) -> list:
     """Dense `cells` summed down to the positions `keep`, in row-major
-    order over the kept axes; each sum adds its cells left to right."""
+    order over the kept axes."""
     add = operator.add
     return [functools.reduce(add, get(cells)) for get in _summands(sizes, keep)]
 
@@ -696,8 +696,7 @@ def _column_sums(columns: Sequence[tuple], sizes: tuple, keep: tuple) -> list[tu
     """:func:`_sums` of several tables of one layout at once.  ``columns``
     holds one tuple per cell, of that cell's value in each table (the
     tables' cells transposed); returns one tuple per vector of kept values,
-    of each table's sum.  Each sum adds its cells left to right, as
-    :func:`_sums` does, so float sums come out bit for bit the same."""
+    of each table's sum, as :func:`_sums` gives it."""
     stack = functools.partial(map, operator.add)
     out = []
     for get in _summands(sizes, keep):
@@ -709,20 +708,17 @@ def _column_sums(columns: Sequence[tuple], sizes: tuple, keep: tuple) -> list[tu
     return out
 
 
-def _marginal_sums(table: TreatmentTable, keep: tuple) -> list:
-    """The marginal over the positions `keep` in row-major order; an exact
-    table's is summed in its ints and divided once."""
-    sizes = tuple(map(len, table.axes))
-    if table.regime() == RATIONAL:
-        ints, den = table.scaled()
-        return [Fraction(n, den) for n in _sums(ints, sizes, keep)]
-    return _sums(list(table.probs.values()), sizes, keep)
+def _marginal_sums(table: TreatmentTable, keep: tuple) -> list[Fraction]:
+    """The marginal over the positions `keep` in row-major order, summed
+    in the table's ints and divided once."""
+    ints, den = table.scaled()
+    return [Fraction(n, den) for n in _sums(ints, tuple(map(len, table.axes)), keep)]
 
 
 def _pair_grid(table: TreatmentTable, i: int, j: int, cells: Sequence) -> tuple:
     """`cells`, dense in the table's row-major order, summed down to the
     input positions i != j as a grid: one row per value of axes[i], one
-    column per value of axes[j].  Each sum adds its cells left to right."""
+    column per value of axes[j]."""
     lo, hi = min(i, j), max(i, j)
     sums = _sums(cells, tuple(map(len, table.axes)), (lo, hi))
     width = len(table.axes[hi])
@@ -734,19 +730,14 @@ def bivariate(table: TreatmentTable, first: str, second: str) -> BivariateMargin
     """Ordered-pair marginal of the outputs for two distinct inputs.
 
     The argument order is preserved; swapping the inputs transposes the
-    matrix, which matters because the distances are asymmetric.  An exact
-    table's pair sums are taken in its ints and divided once.
+    matrix, which matters because the distances are asymmetric.  The pair
+    sums are taken in the table's ints and divided once.
     """
     if first == second:
         raise SameInput(f"bivariate marginal needs two distinct inputs, got {first!r} twice")
     i, j = table.design.index(first), table.design.index(second)
-    if table.regime() == RATIONAL:
-        ints, den = table.scaled()
-        probs = tuple(
-            tuple(Fraction(n, den) for n in row) for row in _pair_grid(table, i, j, ints)
-        )
-    else:
-        probs = _pair_grid(table, i, j, list(table.probs.values()))
+    ints, den = table.scaled()
+    probs = tuple(tuple(Fraction(n, den) for n in row) for row in _pair_grid(table, i, j, ints))
     return BivariateMarginal(
         table.axes[i], table.axes[j], probs, table.point(first), table.point(second)
     )

@@ -55,29 +55,31 @@ the distance of every ordered pair of points a tested sequence can use
 points), evaluated once on the pair's joint inside its cover (from the
 one-pass table of :meth:`Design.pair_covers`), each float read as the
 binary fraction it equals, and scaled by the lcm of the denominators to
-plain ints.  An order-distance or classification distance on exact
-tables is summed straight from the covering table's ints, with no
-marginal and no ``Fraction`` made; every other metric is evaluated on the
-marginal.  A sequence's int residual over the lcm denominator is its
-exact residual: a chain of exact terms is flagged when it is negative,
-one with a float term when it is below -eps_test.  A restricted design's
-cycles are screened by two sums each: with F and B the cycle's distances
-summed one way round and the other and s(e) = d(u, v) + d(v, u) per edge
-e, the two sequences that leave out e have residuals F - s(e) and
-B - s(e), so only a cycle with min(F, B) - max s(e) below the table's
-bound is expanded into its chains.  A full design's tetrads
-x, y, x', y' are counted in closed form, and only those whose int
-residual is below the table's bound are visited: the residual is
-f(y) + g(y'), f(y) = d(x, y) + d(y, x') and g(y') = d(x', y') - d(x, y'),
-so per triple x, y, x' the y' with g(y') < bound - f(y) are a prefix of
-the other input's points sorted by g, found by bisection.  A flagged
+plain ints.  An order-distance or classification distance is summed
+straight from the covering table's ints, with no marginal and no
+``Fraction`` made; every other metric is evaluated on the marginal.  A
+sequence's int residual over the lcm denominator is its exact residual: a
+chain of exact terms is flagged when it is negative, one with a float
+term, or on a system labelled "float", when it is below -eps_test.  A
+restricted design's cycles are screened by two sums each: with F and B
+the cycle's distances summed one way round and the other and
+s(e) = d(u, v) + d(v, u) per edge e, the two sequences that leave out e
+have residuals F - s(e) and B - s(e), so only a cycle with
+min(F, B) - max s(e) below the table's bound is expanded into its
+chains.  A full design's tetrads x, y, x', y' are counted in closed
+form, and only those whose int residual is below the table's bound are
+visited: the residual is f(y) + g(y'), f(y) = d(x, y) + d(y, x') and
+g(y') = d(x', y') - d(x, y'), so per triple x, y, x' the y' with
+g(y') < bound - f(y) are a prefix of the other input's points sorted by
+g, found by bisection.  A flagged
 chain, like each Bell-CHSH-Fine chain of ``jdc``, is reported from the
 tables the screen built beside the distances: the raw values (an
 int-summed distance's as its ints over the lcm denominator), the pairs'
 covers, and the exact residual, rounded once to a float when a term is a
-float.  The marginal-selectivity check sums the marginals of all tables
-of one cell layout together, column by column over their integer-scaled
-cells, and compares each class of tables in one pass.
+float or the system is labelled "float".  The marginal-selectivity check
+sums the marginals of all tables of one cell layout together, column by
+column over their integer-scaled cells, and compares each class of
+tables in one pass.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ from fractions import Fraction
 from operator import add, eq, getitem, itemgetter, lt, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .arith import EPS_TEST, RATIONAL, Num, as_exact, is_exact, num_to_json, over_lcm
+from .arith import EPS_TEST, Num, as_exact, num_to_json, over_lcm
 from .errors import CapExceeded, MetricEvaluationError, SystemFormatError
 from .metrics import Metric, _mass_below, _RankedMetric
 from .probspace import (
@@ -100,6 +102,7 @@ from .probspace import (
     TreatmentTable,
     bivariate,
     diagonal_coupling,
+    _float_labelled,
     _column_sums,
     _keyed,
     _pair_grid,
@@ -440,13 +443,15 @@ def _cover_table(by_t: Mapping[tuple, TreatmentTable], cover: tuple) -> Treatmen
         raise SystemFormatError(f"no table for covering treatment {cover!r}") from None
 
 
-def _exact_distances(values: Iterable[Num], name: str) -> list:
+def _finite_distances(values: Iterable[Num], name: str, convert: Callable = as_exact) -> list:
     """Distances as ints and Fractions, each float read as the binary
-    fraction it equals (:func:`~ordist.arith.as_exact`); a NaN or an
-    infinity raises MetricEvaluationError naming the metric."""
+    fraction it equals (:func:`~ordist.arith.as_exact`), or with `convert`
+    float rounded once to floats, as a float system prints them.  A NaN,
+    an infinity or a value too large for a float raises
+    MetricEvaluationError naming the metric."""
     try:
-        return list(map(as_exact, values))
-    except ValueError:
+        return list(map(convert, values))
+    except (ValueError, OverflowError):
         raise MetricEvaluationError(f"{name} gave a distance that is not finite") from None
 
 
@@ -459,18 +464,19 @@ def _float_residual(residual: Num, name: str) -> float:
         raise MetricEvaluationError(f"{name}: a chain residual overflows a float") from None
 
 
-def _chain_residual(lhs: Num, rhs: tuple[Num, ...], eps_test: float, name: str) -> tuple[Num, bool]:
+def _chain_residual(lhs: Num, rhs: tuple[Num, ...], eps_test: float, name: str,
+                    floats: bool = False) -> tuple[Num, bool]:
     """The chain inequality for one sequence under the metric `name`, as
     plain values: lhs is the distance over its closing pair, rhs the
     distances over its adjacent pairs in order.  Returns (residual,
     violated).  The residual sum(rhs) - lhs is computed exactly, each float
-    read as the binary fraction it equals.  When every term is exact it is
-    returned as it is and a negative one is a violation; when a term is a
-    float it is returned rounded once to a float, and one below -eps_test,
-    compared exactly, is a violation."""
-    terms = _exact_distances((lhs, *rhs), name)
+    read as the binary fraction it equals.  When every term is exact and
+    the system is not labelled "float" (`floats`), it is returned as it is
+    and a negative one is a violation; otherwise it is returned rounded
+    once to a float, and one below -eps_test, compared exactly, is one."""
+    terms = _finite_distances((lhs, *rhs), name)
     residual = sum(terms[1:]) - terms[0]
-    if any(isinstance(v, float) for v in (lhs, *rhs)):
+    if floats or any(isinstance(v, float) for v in (lhs, *rhs)):
         return _float_residual(residual, name), residual < -Fraction(eps_test)
     return residual, residual < 0
 
@@ -486,7 +492,8 @@ def chain_test(
     lhs is the distance between the endpoint outputs inside the closing
     cover; each rhs term is the distance between adjacent outputs inside
     that step's cover.  A repeated point contributes its diagonal coupling
-    (distance zero for any p.q.-metric)."""
+    (distance zero for any p.q.-metric).  A float system's terms are
+    reported rounded once to floats."""
     by_t = _tables_by_treatment(tables)
     points, covers = witness.points, witness.covers
 
@@ -496,7 +503,11 @@ def chain_test(
     lhs = dist(0, points[0], points[-1])
     rhs = tuple(dist(i, points[i - 1], points[i]) for i in range(1, len(points)))
     name = metric.describe()
-    return ChainReport(points, name, lhs, rhs, *_chain_residual(lhs, rhs, eps_test, name), covers)
+    floats = _float_labelled(by_t.values())
+    residual, violated = _chain_residual(lhs, rhs, eps_test, name, floats)
+    if floats:
+        lhs, *rhs = _finite_distances((lhs, *rhs), name, float)
+    return ChainReport(points, name, lhs, tuple(rhs), residual, violated, covers)
 
 
 def _distance_screen(
@@ -515,17 +526,16 @@ def _distance_screen(
     denominators, each float read as the binary fraction it equals.  A
     residual on D is then a plain int N, and N / den is the exact
     residual.  A distance that is not finite raises
-    MetricEvaluationError.
+    MetricEvaluationError.  A float system's R holds floats, rounded once.
 
-    An order-distance family metric on exact tables never leaves ints:
+    An order-distance family metric never leaves ints:
     :func:`~ordist.metrics._mass_below` sums each covering table's int
     pair sums (the ints :func:`~ordist.probspace.bivariate` would divide)
     to an int over that table's denominator, each is reduced by its gcd
     with the denominator, and D and den follow by the lcm as
     :func:`~ordist.arith.over_lcm` gives them on the values.  R is then
     None, to be read as the Fractions D[i][j] / den, which are the values
-    ``evaluate`` returns.  Any other metric, and every metric when a
-    covering table is a float table, is evaluated on the pairs'
+    ``evaluate`` returns.  Any other metric is evaluated on the pairs'
     marginals, each built once."""
     n = len(pts)
 
@@ -536,11 +546,12 @@ def _distance_screen(
         return T
 
     covering = [_cover_table(by_t, C[i][j]) for i, j in pairs] if metrics else []
-    exact = all(t.regime() == RATIONAL for t in covering)
+    floats = _float_labelled(by_t.values())
     grids = marginals = None
     screens = []
     for metric in metrics:
-        if exact and type(metric).evaluate is _RankedMetric.evaluate:
+        name = metric.describe()
+        if type(metric).evaluate is _RankedMetric.evaluate:
             if grids is None:
                 # (i, j) and (j, i) share a cover: one grid per unordered
                 # pair, read transposed for the other order
@@ -559,13 +570,15 @@ def _distance_screen(
                 nums.append(total // g)
                 dens.append(t_den // g)
             den = math.lcm(*dens)
-            screens.append((table(map(mul, nums, map(den.__floordiv__, dens))), None, den))
-            continue
-        if marginals is None:
-            marginals = [_pair_marginal(t, pts[i], pts[j]) for (i, j), t in zip(pairs, covering)]
-        raw = list(map(metric.evaluate, marginals))
-        ints, den = over_lcm(_exact_distances(raw, metric.describe()))
-        screens.append((table(ints), table(raw), den))
+            ints, raw = list(map(mul, nums, map(den.__floordiv__, dens))), None
+        else:
+            if marginals is None:
+                marginals = [_pair_marginal(t, pts[i], pts[j]) for (i, j), t in zip(pairs, covering)]
+            raw = list(map(metric.evaluate, marginals))
+            ints, den = over_lcm(_finite_distances(raw, name))
+        if floats:
+            raw = _finite_distances(map(Fraction, ints, itertools.repeat(den)), name, float)
+        screens.append((table(ints), None if raw is None else table(raw), den))
     return screens
 
 
@@ -882,30 +895,27 @@ def check_marginal_selectivity(
 ) -> MarginalSelectivityReport:
     """Compare marginals that must agree: for every single input and every
     input pair, treatments assigning the same values there must induce the
-    same marginal over those outputs.  Exact comparison in the rational
-    regime, entrywise |diff| <= eps otherwise.
+    same marginal over those outputs, compared exactly: within eps on a
+    system labelled "float", whose worst discrepancy prints as a float.
 
     Every table's marginals are summed together with those of the other
     tables of its cell layout (the same axes), one input subset at a time,
-    column by column over the tables' cells transposed
-    (:func:`~ordist.probspace._column_sums`): in the rational regime over
-    the tables' ints (:meth:`TreatmentTable.scaled`), otherwise over the
-    tables' own numbers, added left to right either way.  A class whose
+    column by column over the tables' ints (:meth:`TreatmentTable.scaled`)
+    transposed (:func:`~ordist.probspace._column_sums`).  A class whose
     members share one layout and whose marginals all equal the first
     member's, two denominators cross-multiplied, passes with discrepancy
     0.  Any other class is scanned outcome by outcome, member by member,
     which is where the discrepancies and the witness come from:
-    |a*den - b*ref_den| / (ref_den*den) over the same ints, a Fraction in
-    the rational regime.  An equal member scans to 0 and moves nothing."""
+    |a*den - b*ref_den| / (ref_den*den) over the same ints, compared
+    cross-multiplied, so that one Fraction is made per class.  An equal
+    member scans to 0 and moves nothing."""
     tables = list(tables)
-    exact = all(t.regime() == RATIONAL for t in tables)
-    # per table: an exact table's ints over their denominator, else its own
-    # cells over 1, dense in probs order; per layout (axes), the positions
-    # of its tables and their cells transposed, one tuple per cell
+    # per table: its ints over their denominator; per layout (axes), the
+    # positions of its tables and their cells transposed, one tuple per cell
     cells, dens = [], []
     layouts: dict[tuple, list[int]] = {}
     for p, t in enumerate(tables):
-        c, den = t.scaled() if exact else (list(t.probs.values()), 1)
+        c, den = t.scaled()
         cells.append(c)
         dens.append(den)
         layouts.setdefault(t.axes, []).append(p)
@@ -943,28 +953,37 @@ def check_marginal_selectivity(
                     continue
                 ref, ref_den = tabs[0], group_dens[0]
                 ref_d = _keyed([ref.axes[i] for i in keep], marginals[0])
-                class_worst: Num = 0
+                ref_outcomes = list(ref_d)
+                # the class's worst discrepancy, top / scale, first reached at `found`
+                top, scale, found = 0, 1, None
                 for other, den, m in zip(tabs[1:], group_dens[1:], marginals[1:]):
-                    d = _keyed([other.axes[i] for i in keep], m)
-                    # deterministic scan order so tied witnesses are stable
-                    outcomes = list(ref_d) + [k for k in d if k not in ref_d]
-                    for outcome in outcomes:
-                        diff = abs(ref_d.get(outcome, 0) * den - d.get(outcome, 0) * ref_den)
-                        if exact:
-                            diff = Fraction(diff, ref_den * den)
-                        if diff > class_worst:
-                            class_worst = diff
-                        if diff > worst:
-                            worst = diff
-                            witness = {
-                                "inputs": list(names),
-                                "assignment": list(key),
-                                "treatments": [list(ref.treatment), list(other.treatment)],
-                                "outcome": list(outcome) if isinstance(outcome, tuple) else [outcome],
-                                "discrepancy": diff,
-                            }
+                    if shared:
+                        outcomes = ref_outcomes
+                        gaps = [abs(a * den - b * ref_den) for a, b in zip(marginals[0], m)]
+                    else:
+                        d = _keyed([other.axes[i] for i in keep], m)
+                        # deterministic scan order so tied witnesses are stable
+                        outcomes = ref_outcomes + [k for k in d if k not in ref_d]
+                        gaps = [abs(ref_d.get(o, 0) * den - d.get(o, 0) * ref_den) for o in outcomes]
+                    gap = max(gaps)
+                    if gap * scale > top * ref_den * den:
+                        top, scale, found = gap, ref_den * den, (other, outcomes[gaps.index(gap)])
+                class_worst = Fraction(top, scale) if top else 0
                 classes.append((names, key, class_worst))
-    passed = worst == 0 if is_exact(worst) else worst <= eps
+                if class_worst > worst:
+                    worst = class_worst
+                    other, outcome = found
+                    witness = {
+                        "inputs": list(names),
+                        "assignment": list(key),
+                        "treatments": [list(ref.treatment), list(other.treatment)],
+                        "outcome": list(outcome) if isinstance(outcome, tuple) else [outcome],
+                        "discrepancy": worst,
+                    }
+    floats = _float_labelled(tables)
+    passed = worst <= eps if floats else worst == 0
+    if floats and worst:
+        worst = witness["discrepancy"] = float(worst)
     return MarginalSelectivityReport(
         passed=passed, max_discrepancy=worst, witness=witness, classes=tuple(classes)
     )
@@ -975,7 +994,8 @@ def transform_outputs(tables: Iterable[TreatmentTable], relabel) -> list[Treatme
 
     ``relabel(input, input_value, outcome_value)`` need not be injective;
     mass merges under the new labels.  Marginal selectivity survives
-    because the relabeling depends only on the input point.
+    because the relabeling depends only on the input point.  Each table
+    keeps its label.
     """
     out = []
     for t in tables:
@@ -1000,5 +1020,6 @@ def transform_outputs(tables: Iterable[TreatmentTable], relabel) -> list[Treatme
                 probs[key] = probs[key] + p
             else:
                 probs[key] = p
-        out.append(TreatmentTable(design, t.treatment, probs, axes=new_axes))
+        new = TreatmentTable(design, t.treatment, probs, axes=new_axes)
+        out.append(new if new.regime() == t.regime() else new._labelled(t.regime()))
     return out

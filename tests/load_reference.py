@@ -2,10 +2,10 @@
 
 This is the straightforward loop that ``ordist.fileio._system_from_doc``
 replaced with work per table layout.  It reads every cell into an
-outcome -> value dict, builds each point's axis from the tables in file
-order, and builds every table through ``TreatmentTable.from_ints`` (or
-the ``TreatmentTable`` constructor in the float regime), which re-checks
-its shape.  It is slow but easy to read.  Tests compare the production
+outcome -> (numerator, denominator) dict, a float as the ratio it equals,
+builds each point's axis from the tables in file order, and builds every
+table through ``TreatmentTable.from_ints``, which re-checks its shape,
+labelled "float" when a literal of the document read as a float.  It is slow but easy to read.  Tests compare the production
 loader against it: the same tables in the same order, and the same
 ``SystemFormatError`` message on a malformed document.  It also rejects
 an ``outcomes`` entry for a value its input does not have, as the
@@ -73,8 +73,9 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
             for w in values[name]:
                 declared[InputPoint(name, w)] = vals
 
-    # each table's cells as (numerator, denominator) ints or floats; a
-    # string literal is parsed once per document, as tables repeat them
+    # each table's cells as (numerator, denominator) ints, a float as the
+    # ratio it equals; a string literal is parsed once per document, as
+    # tables repeat them
     raw_tables = []
     exact = arithmetic != FLOAT
     parsed: dict[str, object] = {}
@@ -101,6 +102,7 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
                 value = parsed[raw] = parse_ratio(raw, arithmetic)
             if isinstance(value, float):
                 exact = False
+                value = value.as_integer_ratio()
             cells[outcome] = value
         raw_tables.append((treatment, cells))
     regime = RATIONAL if exact else FLOAT
@@ -134,15 +136,11 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
             if not shared.get(pt):
                 raise SystemFormatError(f"no outcomes known for point {pt}")
             table_axes.append(shared[pt])
-        if regime == RATIONAL:
-            tables.append(_exact_table(design, treatment, table_axes, cells))
-        else:
-            probs = {o: v if isinstance(v, float) else v[0] / v[1] for o, v in cells.items()}
-            tables.append(TreatmentTable(design, treatment, probs, axes=table_axes))
+        tables.append(_table(design, treatment, table_axes, cells, regime))
     return LoadedSystem(design=design, tables=tables, regime=regime)
 
 
-def _exact_table(design: Design, treatment, axes, cells) -> TreatmentTable:
+def _table(design: Design, treatment, axes, cells, regime: str) -> TreatmentTable:
     den = math.lcm(*(d for _, d in cells.values()))
     scaled = {outcome: n * (den // d) for outcome, (n, d) in cells.items()}
     ints = [scaled.pop(outcome, 0) for outcome in itertools.product(*axes)]
@@ -152,7 +150,7 @@ def _exact_table(design: Design, treatment, axes, cells) -> TreatmentTable:
         raise SystemFormatError(
             f"probabilities in treatment {treatment!r} need more than {limit} digits"
         )
-    return TreatmentTable.from_ints(design, treatment, axes, ints, den)
+    return TreatmentTable.from_ints(design, treatment, axes, ints, den)._labelled(regime)
 
 
 def load_both(text: str, arithmetic: str = "auto") -> list:
@@ -170,7 +168,7 @@ def load_both(text: str, arithmetic: str = "auto") -> list:
 def assert_loads_alike(text: str, arithmetic: str = "auto") -> None:
     """Both loaders raise the same exception with the same message, or
     return the same tables in the same order: treatment, axes (printed
-    alike), regime and cells."""
+    alike), regime and cells as ints over one denominator."""
     loaded, reference = load_both(text, arithmetic)
     if isinstance(reference, Exception):
         assert type(loaded) is type(reference), (loaded, reference)
@@ -186,7 +184,4 @@ def assert_loads_alike(text: str, arithmetic: str = "auto") -> None:
         assert t.treatment == r.treatment
         assert repr(t.axes) == repr(r.axes)
         assert t.regime() == r.regime()
-        if r.regime() == RATIONAL:
-            assert t.scaled() == r.scaled()
-        else:
-            assert t.probs == r.probs
+        assert t.scaled() == r.scaled()

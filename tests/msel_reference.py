@@ -1,11 +1,13 @@
-"""Reference marginal-selectivity check: every comparison in the tables' own
-numbers.
+"""Reference marginal-selectivity check: every comparison in the tables'
+``Fraction`` cells.
 
 This is the straightforward scan that `ordist.selectivity` replaced with
 comparisons of marginals summed in the tables' ints.  Every class member's
 marginal is summed from its ``probs`` cells and every outcome is compared,
 also when the two marginals are identical, which makes it slow but easy to
-read.  Tests compare the production check against it: same verdict, same
+read.  A system with a table labelled "float" passes when no discrepancy
+exceeds eps, and its worst discrepancy is reported rounded once to a
+float.  Tests compare the production check against it: same verdict, same
 worst discrepancy, same witness and the same per-class worst values.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from ordist.arith import EPS_TEST, Num, is_exact
+from ordist.arith import EPS_TEST, Num
 from ordist.selectivity import MarginalSelectivityReport
 from table_reference import sum_down
 
@@ -56,7 +58,10 @@ def reference_marginal_selectivity(design, tables, eps: float = EPS_TEST) -> Mar
                                 "discrepancy": diff,
                             }
                 classes.append((names, key, class_worst))
-    passed = worst == 0 if is_exact(worst) else worst <= eps
+    floats = any(t.regime() == "float" for t in tables)
+    passed = worst <= eps if floats else worst == 0
+    if floats and worst:
+        worst = witness["discrepancy"] = float(worst)
     return MarginalSelectivityReport(
         passed=passed, max_discrepancy=worst, witness=witness, classes=tuple(classes)
     )

@@ -5,6 +5,7 @@ Run from anywhere in a checkout::
     python3 tests/report_hashes.py --seed 1
     python3 tests/report_hashes.py --seed 2 --workload check_full
     python3 tests/report_hashes.py --seed 1 --workload samples
+    python3 tests/report_hashes.py --seed 1 --workload samples_float
 
 For each workload (all of them by default) the seed's batch of systems is
 generated by ``perfbench/workloads.py`` and written by
@@ -19,6 +20,8 @@ same.  One more choice, ``samples`` (also run by default, last), hashes
 benchmark's ``EXTRA_METRICS`` (``perfbench/workloads.py``), each with and
 without ``--json``, on every ``samples/*.json`` in name order, the samples
 directory's path likewise replaced; it does not depend on the seed.
+``samples_float`` (run by default after ``samples``) makes the same calls
+with ``--arithmetic float``, so that float reports are pinned too.
 Every ``--json`` call's stdout must parse as strict JSON, with no NaN or
 Infinity, or the script fails.
 The default order-distance and the extra classification distance are
@@ -90,26 +93,28 @@ def batch_hash(workload: str, seed: int) -> str:
     return digest.hexdigest()
 
 
-def samples_hash() -> str:
+def samples_hash(arithmetic: tuple[str, ...] = ()) -> str:
     """sha256 over `check`, `jdc` and `check` with EXTRA_METRICS, text and
-    JSON, on every sample."""
+    JSON, on every sample, each call given the `arithmetic` options."""
     digest = hashlib.sha256()
     samples = ROOT / "samples"
     for path in sorted(samples.glob("*.json")):
         for command, *options in (["check"], ["jdc"], ["check", *EXTRA_METRICS]):
             for extra in ([], ["--json"]):
-                add_call(digest, [command, str(path), *options, *extra], str(samples))
+                add_call(digest, [command, str(path), *options, *arithmetic, *extra], str(samples))
     return digest.hexdigest()
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workload", action="append", choices=sorted([*WORKLOADS, "samples"]))
+    p.add_argument("--workload", action="append", choices=sorted([*WORKLOADS, "samples", "samples_float"]))
     args = p.parse_args(argv)
-    for workload in args.workload or [*WORKLOADS, "samples"]:
+    for workload in args.workload or [*WORKLOADS, "samples", "samples_float"]:
         if workload == "samples":
             print(f"samples {samples_hash()}")
+        elif workload == "samples_float":
+            print(f"samples_float {samples_hash(('--arithmetic', 'float'))}")
         else:
             print(f"{workload} {batch_hash(workload, args.seed)}")
     return 0

@@ -696,6 +696,20 @@ class TestUsageErrors:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [("check", "--tol-test"), ("check", "--tol-sum"), ("jdc", "--tol-test"), ("jdc", "--tol-sum"),
+         ("jdc", "--tol-lp")],
+    )
+    @pytest.mark.parametrize("value", ["inf", "Infinity", "nan"])
+    def test_non_finite_tolerance_is_input_error(self, capsys, command, option, value):
+        # every tolerance is compared exactly, as a Fraction, which no
+        # infinity has; on exact data too, an infinite one once ended in a
+        # traceback
+        code, out, err = run(capsys, command, str(SAMPLES / "prbox.json"), option, value)
+        assert (code, out) == (1, "")
+        assert f"{option}: must be positive and finite" in err
+
     def test_lp_tolerance_is_a_jdc_option(self, capsys):
         product = str(SAMPLES / "product.json")
         code, _, err = run(capsys, "check", product, "--tol-lp", "1e-6")

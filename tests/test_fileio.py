@@ -18,10 +18,12 @@ from ordist import (
     default_order_metric,
     dump_system,
     dumps_report,
+    fileio,
     load_metric,
     load_system,
     validate_system,
 )
+from ordist.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -78,7 +80,10 @@ class TestLoadSystem:
         path.write_text(json.dumps(doc))
         loaded = load_system(path)
         assert loaded.regime == "float"
-        assert isinstance(loaded.tables[0].prob(("1", "1")), float)
+        assert all(t.regime() == "float" for t in loaded.tables)
+        # each float held as the binary fraction it equals
+        assert loaded.tables[0].prob(("0", "0")) == F(0.2500000000001) != F("0.2500000000001")
+        assert loaded.tables[0].prob(("1", "1")) == F(1, 4)
 
     def test_float_mode_coerces_everything(self):
         loaded = load_system(minimal_doc("1/4"), arithmetic="float")
@@ -121,6 +126,48 @@ class TestLoadSystem:
             load_system({"inputs": []})
         with pytest.raises(SystemFormatError):
             load_system({"inputs": [{"name": "1", "values": ["x"]}]})
+
+
+class TestFloatLiteralSize:
+    """A float literal is held as the ratio it equals, so the digit guard
+    counts that ratio's bits: a subnormal's denominator is 2^1074."""
+
+    @staticmethod
+    def write(path, cells_of):
+        outcomes = [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
+        doc = minimal_doc()
+        doc["treatments"] = "full"
+        doc["tables"] = [
+            {"treatment": t, "probs": [{"outcome": o, "p": p} for o, p in zip(outcomes, cells_of(t))]}
+            for t in (["x", "y"], ["x", "y'"], ["x'", "y"], ["x'", "y'"])
+        ]
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_bits_count_a_float_literal(self):
+        literals = fileio._Literals("auto")
+        assert literals[5e-324] == (1, 2**1074)
+        assert literals[1e308] == (int(1e308), 1)
+        assert literals.floats
+        assert literals.bits == 1075
+
+    def test_subnormal_and_huge_cells(self, tmp_path, capsys):
+        huge = self.write(tmp_path / "huge.json", lambda t: [5e-324, 1e308, 0.25, 0.25] if t == ["x", "y"] else [0.25] * 4)
+        tiny = self.write(tmp_path / "tiny.json", lambda t: [0.25, 0.25, 0.5, 5e-324])
+        for arithmetic in ("auto", "float"):
+            loaded = load_system(huge, arithmetic)
+            assert loaded.regime == "float"
+            assert loaded.tables[0].scaled()[1] == 2**1074
+            report = validate_system(loaded.design, loaded.tables)
+            assert report.as_json() == {"ok": False, "regime": "float", "issues": [{
+                "code": "SumNotOne",
+                "message": "probabilities in treatment ('x', 'y') sum to 1+1e+308",
+                "treatment": ["x", "y"],
+            }]}
+            for command in ("check", "jdc"):
+                assert main([command, huge, "--arithmetic", arithmetic]) == 1
+                assert main([command, tiny, "--arithmetic", arithmetic]) == 0
+        capsys.readouterr()
 
 
 def two_table_doc(first, second):

@@ -866,23 +866,6 @@ class TestMarginalSelectivityReference:
                 self.assert_same(design, floated(variant))
         assert verdicts == {True, False}
 
-    def test_float_sums_add_left_to_right(self):
-        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit;
-        # a compensated sum would round both to 0.6
-        design = Design(["1", "2"], {"1": ["x"], "2": ["y", "y'"]})
-        axes = [("0", "1"), ("a", "b", "c")]
-        outcomes = list(itertools.product(*axes))
-        first, second = design.iter_treatments()
-        tables = [
-            TreatmentTable(design, first, dict(zip(outcomes, (0.1, 0.2, 0.3, 0.2, 0.1, 0.1))),
-                           axes=axes),
-            TreatmentTable(design, second, dict(zip(outcomes, (0.3, 0.2, 0.1, 0.1, 0.1, 0.2))),
-                           axes=axes),
-        ]
-        report = self.assert_same(design, tables)
-        assert report.passed
-        assert report.max_discrepancy == (0.1 + 0.2) + 0.3 - 0.6 > 0
-        assert report.witness["outcome"] == ["0"]
 
 
 class TestRealizableIrreducibleEquivalence:
@@ -944,6 +927,14 @@ class TestTransformOutputs:
         new = transform_outputs(tables, lambda name, w, v: v)
         for old, fresh in zip(tables, new):
             assert old.probs == fresh.probs
+
+    def test_float_tables_keep_their_label(self):
+        # merged cells are exact sums of the binary fractions; the tables
+        # stay "float", so their chains keep the float tolerance
+        design, tables = pr_box()
+        new = transform_outputs(floated(tables), lambda name, w, v: "z" if v == "1" else v)
+        assert [t.regime() for t in new] == ["float"] * 4
+        assert [t.probs for t in new] == [t.probs for t in transform_outputs(tables, lambda name, w, v: "z" if v == "1" else v)]
 
     def test_constant_relabeling_kills_every_metric(self):
         design, tables = pr_box()
@@ -1629,9 +1620,11 @@ def exact_oracle(design, tables, metrics, eps_test):
     """The violations of run_suite rebuilt from enumerate_irreducible and
     each metric's values on its covers' marginals, decided on the exact
     residual sum(map(Fraction, rhs)) - Fraction(lhs): below 0 when every
-    term is exact, below -eps_test when one is a float.  One (sequence,
-    metric, covers, exact residual, float term or not) per violation."""
+    term is exact, below -eps_test when one is a float or a table is
+    labelled "float".  One (sequence, metric, covers, exact residual, float
+    or not) per violation."""
     by_t = {t.treatment: t for t in tables}
+    float_system = any(t.regime() == "float" for t in tables)
     out = []
     for w in enumerate_irreducible(design):
         steps = [(w.points[0], w.points[-1]), *zip(w.points, w.points[1:])]
@@ -1639,7 +1632,7 @@ def exact_oracle(design, tables, metrics, eps_test):
             lhs, *rhs = [metric.evaluate(bivariate(by_t[c], x.input, y.input))
                          for c, (x, y) in zip(w.covers, steps)]
             exact = sum(map(F, rhs)) - F(lhs)
-            floats = any(isinstance(v, float) for v in (lhs, *rhs))
+            floats = float_system or any(isinstance(v, float) for v in (lhs, *rhs))
             if exact < (-F(eps_test) if floats else 0):
                 out.append((w.points, metric.describe(), w.covers, exact, floats))
     return out

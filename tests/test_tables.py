@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from ordist import Design, TreatmentTable, dump_system, load_system, validate_system
 from ordist.arith import digit_limit, parse_number, parse_ratio
 from ordist.errors import SystemFormatError
-from ordist.probspace import _column_sums, _sums, bivariate, marginalize
+from ordist.probspace import _column_sums, _sums, bivariate
 from ordist.selectivity import check_marginal_selectivity
 
 from msel_reference import reference_marginal_selectivity
@@ -278,31 +278,17 @@ def test_int_tables_agree_with_the_fraction_path(doc):
                     assert m.probs[r][c] == pair[(u, v) if i < j else (v, u)]
 
 
-@pytest.mark.parametrize("design, tables", random_systems()[:8])
-def test_float_marginals_add_in_cell_order(design, tables):
-    # a float table's marginal adds its cells left to right in cell order,
-    # as the reference does, bit for bit (sum() adds with compensation
-    # from Python 3.12 on)
-    for t in tables:
-        floats = TreatmentTable(design, t.treatment, {o: float(p) / 3 for o, p in t.probs.items()}, axes=t.axes)
-        for k in range(len(design.inputs) + 1):
-            for keep in itertools.combinations(range(len(design.inputs)), k):
-                names = [design.inputs[i] for i in keep]
-                assert marginalize(floats, names) == sum_down(floats.probs, keep)
-
-
 def test_column_sums_add_like_sums():
     # several tables' cells transposed and summed at once, with sums of up
-    # to 270 cells (more than one nesting block), equal _sums bit for bit
+    # to 270 cells (more than one nesting block), equal _sums
     rng = random.Random("column-sums")
     sizes = (2, 3, 45)
-    for draw in (lambda: rng.random() / 7, lambda: rng.randint(-10**12, 10**12)):
-        tables = [[draw() for _ in range(math.prod(sizes))] for _ in range(4)]
-        columns = list(zip(*tables))
-        for k in range(len(sizes) + 1):
-            for keep in itertools.combinations(range(len(sizes)), k):
-                want = [_sums(cells, sizes, keep) for cells in tables]
-                assert _column_sums(columns, sizes, keep) == list(zip(*want)), keep
+    tables = [[rng.randint(-10**12, 10**12) for _ in range(math.prod(sizes))] for _ in range(4)]
+    columns = list(zip(*tables))
+    for k in range(len(sizes) + 1):
+        for keep in itertools.combinations(range(len(sizes)), k):
+            want = [_sums(cells, sizes, keep) for cells in tables]
+            assert _column_sums(columns, sizes, keep) == list(zip(*want)), keep
 
 
 class TestTableViews:
@@ -323,13 +309,6 @@ class TestTableViews:
         assert t.total() == 1
         with pytest.raises(SystemFormatError):
             TreatmentTable.from_ints(design, ("x", "y"), [("0", "1"), ("a",)], [1, 2, 1], 4)
-
-    def test_float_table_has_no_ints(self):
-        design = Design(["1"], {"1": ["x"]})
-        t = TreatmentTable(design, ("x",), {("0",): 0.5, ("1",): 0.5})
-        assert t.regime() == "float"
-        with pytest.raises(ValueError):
-            t.scaled()
 
 
 def test_loading_and_checking_make_no_fraction_per_cell(monkeypatch):
