@@ -4,9 +4,9 @@ An integer ratio like ``"3/7"`` or a decimal with at most
 :data:`AUTO_MAX_PLACES` places is read as the rational it spells; any
 other literal (every literal under ``--arithmetic float``) reads as a
 64-bit float, held as the binary fraction that float equals, so verdicts
-are decided exactly.  A system with a float is labelled "float"
-(:func:`regime_of`): the label picks the tolerances its sums and chains
-are held to, each compared exactly, and has its numbers printed as floats.
+are decided exactly.  A system with a float is labelled "float": the
+label picks the tolerances its sums and chains are held to, each
+compared exactly, and :func:`shown` prints its numbers as floats.
 
 :func:`parse_ratio` is the one literal parser.  It reads an exact literal
 straight to (numerator, denominator) ints, without a ``Fraction``, and
@@ -153,6 +153,16 @@ def as_exact(x: Num) -> Union[int, Fraction]:
     if not math.isfinite(x):
         raise ValueError(f"{x!r} is not a finite number")
     return Fraction(x)
+
+
+def shown(x: Num, regime: str) -> Num:
+    """`x` as a report or dump of a system labelled `regime` writes it:
+    under "float" rounded once to a float (beyond the float range to an
+    infinity, as float arithmetic gives it), otherwise as it is."""
+    try:
+        return float(x) if regime == FLOAT else x
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def over_lcm(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:

@@ -20,7 +20,7 @@ import argparse
 import functools
 import sys
 
-from .arith import EPS_LP, EPS_SUM, EPS_TEST, FLOAT, num_to_json
+from .arith import EPS_LP, EPS_SUM, EPS_TEST, num_to_json
 from .errors import OrdistError
 from .fileio import dumps_report, load_metric, load_system
 from .jdc import (
@@ -77,9 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--arithmetic",
             choices=["auto", "rational", "float"],
             default="auto",
-            help="which literals read as floats (auto: decimals of more than 9 places), each "
-            "held as the binary fraction it equals; a system with one uses the --tol-* "
-            "tolerances and prints its numbers as floats",
+            help="which literals read as floats (auto: decimals of over 9 places), held exactly; "
+            "a system with one uses the --tol-* tolerances and prints floats",
         )
         p.add_argument("--json", action="store_true", help="print the JSON report")
         p.add_argument(
@@ -216,10 +215,9 @@ def cmd_jdc(args) -> int:
     if is_2x2_binary(loaded.design, loaded.tables):
         try:
             fs = FineSystem.from_tables(loaded.design, loaded.tables, args.tol_test, problem.axes)
-            floats = loaded.regime == FLOAT
-            fine = fine_inequalities(fs, args.tol_test if floats else 0.0)
-            # a float system prints the expressions as floats, rounded once
-            report["fine"] = {**fine.as_json(), "values": list(map(float, fine.values))} if floats else fine.as_json()
+            report["fine"] = fine_inequalities(
+                fs, 0.0 if loaded.regime == "rational" else args.tol_test
+            ).as_json()
             eq = fine_chain_equivalence(fs, loaded.design, loaded.tables, problem.axes)
             report["theorem4_max_discrepancy"] = num_to_json(eq.max_discrepancy)
         except OrdistError as exc:

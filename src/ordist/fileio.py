@@ -59,7 +59,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .arith import FLOAT, RATIONAL, digit_limit, parse_number, parse_ratio
+from .arith import FLOAT, RATIONAL, digit_limit, parse_number, parse_ratio, shown
 from .errors import SystemFormatError
 from .metrics import (
     BoundedOf,
@@ -582,7 +582,8 @@ def _metric_from_config(doc: Mapping) -> Metric:
 
 
 def dump_system(design: Design, tables) -> dict:
-    """Serialize a system back to the JSON schema (zero cells omitted)."""
+    """Serialize a system back to the JSON schema (zero cells omitted); a
+    float-labelled table's cells are written as the floats they are."""
     doc = {
         "inputs": [
             {"name": name, "values": list(design.values[name])}
@@ -603,7 +604,7 @@ def dump_system(design: Design, tables) -> dict:
             {
                 "treatment": list(t.treatment),
                 "probs": [
-                    {"outcome": list(o), "p": _num_to_doc(p)}
+                    {"outcome": list(o), "p": _num_to_doc(shown(p, t.regime()))}
                     for o, p in t.probs.items()
                     if p != 0
                 ],

@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
-from .arith import EPS_LP, EPS_TEST, FLOAT, RATIONAL, Num, num_to_json
+from .arith import EPS_LP, EPS_TEST, RATIONAL, Num, num_to_json, shown
 from .errors import (
     HiddenSpaceTooLarge,
     MarginalSelectivityViolated,
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .lp import solve_equality_feasibility, verify_certificate, verify_solution
 from .metrics import OrderDistance, OrderSpec, index_order_metric
-from .probspace import Design, InputPoint, TreatmentTable, _float_labelled, point_axes
+from .probspace import Design, InputPoint, TreatmentTable, _system_label, point_axes
 from .selectivity import (
     ChainReport,
     _chain_reporter,
@@ -115,7 +115,7 @@ class JdcVerdict:
 
     def as_json(self):
         def show(v):
-            return num_to_json(float(v) if self.regime == FLOAT else v)
+            return num_to_json(shown(v, self.regime))
 
         out = {
             "feasible": self.feasible,
@@ -191,7 +191,7 @@ def build_jdc(
         hidden_axes=tuple(axes),
         n_vars=n_vars,
         constraints=tuple(constraints),
-        regime=FLOAT if _float_labelled(tables) else RATIONAL,
+        regime=_system_label(tables),
         tables=tuple(tables),
         axes=known,
     )
@@ -237,12 +237,11 @@ def _chain_certificate(problem: JdcProblem, eps_test: float) -> Optional[tuple[C
     `eps_test`: a full design's tetrads, and on a restricted design every
     chordless cycle, up to the number of points.  A chain is violated
     when its residual is negative, or on a system labelled "float" when it
-    is below -eps_test.
-    Of equal residuals the first in suite order is taken.  Row (t, o)
-    gets -1 for each step of the chain covered by t whose outcome o puts
-    the step's first point strictly below its second, and +1 when the
-    closing pair is covered by t and o puts its first point below its
-    last.  Then y.b = -residual."""
+    is below -eps_test.  Of equal residuals the first in suite order is
+    taken.  Row (t, o) gets -1 for each step of the chain covered by t
+    whose outcome o puts the step's first point strictly below its second,
+    and +1 when the closing pair is covered by t and o puts its first
+    point below its last.  Then y.b = -residual."""
     design, tables = problem.design, problem.tables
     if not {t.treatment for t in tables} >= set(design.iter_treatments()):
         return None
@@ -272,11 +271,10 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
     """Decide the problem; the verdict is self-checked before returning.
 
     Every problem is decided in exact arithmetic, on 0/1 int rows and
-    the tables' exact cells as right-hand sides.  The problem is first
-    screened for a violated chain (:func:`_chain_certificate`), a float
-    system's chain flagged when its residual is below -eps_lp.  When one is found and its
-    certificate verifies on every row, the system is refuted by it, and
-    the verdict names the chain.  Otherwise the simplex decides.
+    the tables' exact cells as right-hand sides.  A violated chain
+    (:func:`_chain_certificate`, below -eps_lp on a float system) whose
+    certificate verifies on every row refutes the system, and the verdict
+    names it.  Otherwise the simplex decides.
 
     The simplex runs on the rows of `independent_rows`, which span all
     rows.  A certificate for them, zero on the dropped rows, refutes every
@@ -376,6 +374,7 @@ class FineSystem:
     a1p: Num
     b1: Num
     b1p: Num
+    regime: str = RATIONAL
 
     @classmethod
     def from_tables(
@@ -416,6 +415,7 @@ class FineSystem:
             a1p=r11 + r12,
             b1=p11 + p21,
             b1p=q11 + q21,
+            regime=_system_label(tables),
         )
 
 
@@ -424,10 +424,11 @@ class FineReport:
     values: tuple[Num, Num, Num, Num]
     satisfied: bool
     violations: tuple[int, ...]
+    regime: str = RATIONAL
 
     def as_json(self):
         return {
-            "values": [num_to_json(v) for v in self.values],
+            "values": [num_to_json(shown(v, self.regime)) for v in self.values],
             "satisfied": self.satisfied,
             "violations": list(self.violations),
         }
@@ -451,7 +452,7 @@ def fine_inequalities(fs: FineSystem, eps: float = 0.0) -> FineReport:
     for k, e in enumerate(values, start=1):
         if not -1 - eps <= e <= eps:
             violations.append(k)
-    return FineReport(values, not violations, tuple(violations))
+    return FineReport(values, not violations, tuple(violations), fs.regime)
 
 
 def _axes_2x2(design: Design, tables: list[TreatmentTable]) -> dict[InputPoint, tuple]:
@@ -514,10 +515,11 @@ class EquivalenceReport:
     d1_residuals: tuple
     d2_residuals: tuple
     max_discrepancy: Num
+    regime: str = RATIONAL
 
     def as_json(self):
         return {
-            "fine_values": [num_to_json(v) for v in self.fine_values],
+            "fine_values": [num_to_json(shown(v, self.regime)) for v in self.fine_values],
             "d1_residuals": [num_to_json(v) for v in self.d1_residuals],
             "d2_residuals": [num_to_json(v) for v in self.d2_residuals],
             "max_discrepancy": num_to_json(self.max_discrepancy),
@@ -546,6 +548,7 @@ def fine_chain_equivalence(
         d1_residuals=tuple(r.residual for r in d1),
         d2_residuals=tuple(r.residual for r in d2),
         max_discrepancy=max(disc),
+        regime=fs.regime,
     )
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .arith import EPS_SUM, FLOAT, RATIONAL, Num, is_exact, over_lcm, regime_of, zero_of
+from .arith import EPS_SUM, FLOAT, RATIONAL, Num, is_exact, over_lcm, regime_of, shown, zero_of
 from .errors import SameInput, SystemFormatError, UnknownInput
 
 MAX_EXPLICIT_TREATMENTS = 100_000
@@ -412,9 +412,9 @@ class TreatmentTable:
         return self._regime
 
 
-def _float_labelled(tables: Iterable[TreatmentTable]) -> bool:
-    """Whether a table is labelled "float": the system's tolerances apply."""
-    return any(t.regime() == FLOAT for t in tables)
+def _system_label(tables: Iterable[TreatmentTable]) -> str:
+    """A system's label: "float" when a table is (:func:`~ordist.arith.shown`)."""
+    return FLOAT if any(t.regime() == FLOAT for t in tables) else RATIONAL
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,8 +569,7 @@ def _sum_not_one(t: TreatmentTable, delta: Num) -> ValidationIssue:
 def _check_exact_table(t: TreatmentTable, issues: list, sum_errors: dict, eps_sum: tuple[int, int]) -> None:
     """Signs and sum of a table, decided on its ints: the sum must be 1, or
     for a table labelled "float" within eps_sum, a (numerator, denominator)
-    pair, and that table's numbers print as floats.  A Fraction is made
-    only for a nonzero sum error or an issue message."""
+    pair.  A Fraction is made only for a nonzero sum error or an issue."""
     try:
         ints, den = t.scaled()
     except TypeError:  # a NaN or an infinity, which only a table built in code holds
@@ -578,17 +577,16 @@ def _check_exact_table(t: TreatmentTable, issues: list, sum_errors: dict, eps_su
         message = f"non-finite probability {p} at {outcome!r} in treatment {t.treatment!r}"
         issues.append(ValidationIssue("NonFiniteProbability", message, t.treatment))
         return
-    floats = t.regime() == FLOAT
+    regime = t.regime()
     if min(ints) < 0:
         k = next(k for k, n in enumerate(ints) if n < 0)
         outcome = next(itertools.islice(itertools.product(*t.axes), k, None))
-        p = Fraction(ints[k], den)
-        issues.append(_negative(t, outcome, float(p) if floats else p))
+        issues.append(_negative(t, outcome, shown(Fraction(ints[k], den), regime)))
     excess = sum(ints) - den
     sum_errors[t.treatment] = delta = Fraction(excess, den) if excess else _ZERO
-    bad = abs(excess) * eps_sum[1] > eps_sum[0] * den if floats else excess
+    bad = abs(excess) * eps_sum[1] > eps_sum[0] * den if regime == FLOAT else excess
     if bad:
-        issues.append(_sum_not_one(t, float(delta) if floats else delta))
+        issues.append(_sum_not_one(t, shown(delta, regime)))
 
 
 def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: float = EPS_SUM) -> ValidationReport:
@@ -636,7 +634,7 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
     return ValidationReport(
         ok=not issues,
         issues=tuple(issues),
-        regime=FLOAT if _float_labelled(tables) else RATIONAL,
+        regime=_system_label(tables),
         sum_errors=sum_errors,
         skipped_checks=skipped,
     )

@@ -71,15 +71,14 @@ form, and only those whose int residual is below the table's bound are
 visited: the residual is f(y) + g(y'), f(y) = d(x, y) + d(y, x') and
 g(y') = d(x', y') - d(x, y'), so per triple x, y, x' the y' with
 g(y') < bound - f(y) are a prefix of the other input's points sorted by
-g, found by bisection.  A flagged
-chain, like each Bell-CHSH-Fine chain of ``jdc``, is reported from the
-tables the screen built beside the distances: the raw values (an
-int-summed distance's as its ints over the lcm denominator), the pairs'
-covers, and the exact residual, rounded once to a float when a term is a
-float or the system is labelled "float".  The marginal-selectivity check
-sums the marginals of all tables of one cell layout together, column by
-column over their integer-scaled cells, and compares each class of
-tables in one pass.
+g, found by bisection.  A flagged chain, like each Bell-CHSH-Fine chain
+of ``jdc``, is reported from the tables the screen built beside the
+distances: the raw values (an int-summed distance's as its ints over the
+lcm denominator), the pairs' covers, and the exact residual, rounded once
+to a float when a term is a float or the system is labelled "float".  The
+marginal-selectivity check sums the marginals of all tables of one cell
+layout together, column by column over their integer-scaled cells, and
+compares each class of tables in one pass.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ from fractions import Fraction
 from operator import add, eq, getitem, itemgetter, lt, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .arith import EPS_TEST, Num, as_exact, num_to_json, over_lcm
+from .arith import EPS_TEST, FLOAT, RATIONAL, Num, as_exact, num_to_json, over_lcm, shown
 from .errors import CapExceeded, MetricEvaluationError, SystemFormatError
 from .metrics import Metric, _mass_below, _RankedMetric
 from .probspace import (
@@ -102,7 +101,7 @@ from .probspace import (
     TreatmentTable,
     bivariate,
     diagonal_coupling,
-    _float_labelled,
+    _system_label,
     _column_sums,
     _keyed,
     _pair_grid,
@@ -443,15 +442,17 @@ def _cover_table(by_t: Mapping[tuple, TreatmentTable], cover: tuple) -> Treatmen
         raise SystemFormatError(f"no table for covering treatment {cover!r}") from None
 
 
-def _finite_distances(values: Iterable[Num], name: str, convert: Callable = as_exact) -> list:
+def _finite_distances(values: Iterable[Num], name: str, regime: str = RATIONAL) -> list:
     """Distances as ints and Fractions, each float read as the binary
-    fraction it equals (:func:`~ordist.arith.as_exact`), or with `convert`
-    float rounded once to floats, as a float system prints them.  A NaN,
-    an infinity or a value too large for a float raises
-    MetricEvaluationError naming the metric."""
+    fraction it equals, then as a system labelled `regime` prints them
+    (:func:`~ordist.arith.shown`).  A NaN or an infinity, read or
+    rounded to, raises MetricEvaluationError naming the metric."""
     try:
-        return list(map(convert, values))
-    except (ValueError, OverflowError):
+        out = [shown(as_exact(v), regime) for v in values]
+        if regime == FLOAT and not all(map(math.isfinite, out)):
+            raise ValueError
+        return out
+    except ValueError:
         raise MetricEvaluationError(f"{name} gave a distance that is not finite") from None
 
 
@@ -465,18 +466,17 @@ def _float_residual(residual: Num, name: str) -> float:
 
 
 def _chain_residual(lhs: Num, rhs: tuple[Num, ...], eps_test: float, name: str,
-                    floats: bool = False) -> tuple[Num, bool]:
-    """The chain inequality for one sequence under the metric `name`, as
-    plain values: lhs is the distance over its closing pair, rhs the
-    distances over its adjacent pairs in order.  Returns (residual,
-    violated).  The residual sum(rhs) - lhs is computed exactly, each float
-    read as the binary fraction it equals.  When every term is exact and
-    the system is not labelled "float" (`floats`), it is returned as it is
-    and a negative one is a violation; otherwise it is returned rounded
-    once to a float, and one below -eps_test, compared exactly, is one."""
+                    regime: str = RATIONAL) -> tuple[Num, bool]:
+    """The chain inequality for one sequence under the metric `name`: lhs
+    is the distance over its closing pair, rhs the distances over its
+    adjacent pairs in order.  Returns (residual, violated), the residual
+    sum(rhs) - lhs computed exactly.  When a term is a float or the system
+    is labelled "float" (`regime`), it is returned rounded once to a float
+    and violated below -eps_test, compared exactly; otherwise as it is,
+    violated when negative."""
     terms = _finite_distances((lhs, *rhs), name)
     residual = sum(terms[1:]) - terms[0]
-    if floats or any(isinstance(v, float) for v in (lhs, *rhs)):
+    if regime == FLOAT or any(isinstance(v, float) for v in (lhs, *rhs)):
         return _float_residual(residual, name), residual < -Fraction(eps_test)
     return residual, residual < 0
 
@@ -492,8 +492,7 @@ def chain_test(
     lhs is the distance between the endpoint outputs inside the closing
     cover; each rhs term is the distance between adjacent outputs inside
     that step's cover.  A repeated point contributes its diagonal coupling
-    (distance zero for any p.q.-metric).  A float system's terms are
-    reported rounded once to floats."""
+    (distance zero for any p.q.-metric).  Terms print as the system does."""
     by_t = _tables_by_treatment(tables)
     points, covers = witness.points, witness.covers
 
@@ -503,10 +502,10 @@ def chain_test(
     lhs = dist(0, points[0], points[-1])
     rhs = tuple(dist(i, points[i - 1], points[i]) for i in range(1, len(points)))
     name = metric.describe()
-    floats = _float_labelled(by_t.values())
-    residual, violated = _chain_residual(lhs, rhs, eps_test, name, floats)
-    if floats:
-        lhs, *rhs = _finite_distances((lhs, *rhs), name, float)
+    regime = _system_label(by_t.values())
+    residual, violated = _chain_residual(lhs, rhs, eps_test, name, regime)
+    if regime == FLOAT:
+        lhs, *rhs = _finite_distances((lhs, *rhs), name, regime)
     return ChainReport(points, name, lhs, tuple(rhs), residual, violated, covers)
 
 
@@ -517,16 +516,15 @@ def _distance_screen(
     by_t: Mapping[tuple, TreatmentTable],
     C: list[list],
 ) -> list[tuple[list[list], Optional[list[list]], int]]:
-    """Every metric's distances over the point-index `pairs`: the tables
-    every chain of :func:`run_suite` is decided and reported on.  Each
-    pair's distance is taken inside its cover C[i][j] (from
-    :meth:`Design.pair_covers`).  Returns (D, R, den) per metric, where
-    R[i][j] is the value ``metric.evaluate`` gives on that pair's joint,
-    and D holds the values as ints over the lcm den of their
-    denominators, each float read as the binary fraction it equals.  A
-    residual on D is then a plain int N, and N / den is the exact
-    residual.  A distance that is not finite raises
-    MetricEvaluationError.  A float system's R holds floats, rounded once.
+    """Every metric's distances over the point-index `pairs`, each taken
+    inside its cover C[i][j] (:meth:`Design.pair_covers`): the tables
+    every chain of :func:`run_suite` is decided and reported on.  Returns
+    (D, R, den) per metric: R[i][j] is the value ``metric.evaluate`` gives
+    on that pair's joint, as the system prints it
+    (:func:`~ordist.arith.shown`), and D holds the exact values as ints
+    over the lcm den of their denominators, so a residual on D is a plain
+    int N and N / den is the exact residual.  A distance that is not
+    finite raises MetricEvaluationError.
 
     An order-distance family metric never leaves ints:
     :func:`~ordist.metrics._mass_below` sums each covering table's int
@@ -534,8 +532,8 @@ def _distance_screen(
     to an int over that table's denominator, each is reduced by its gcd
     with the denominator, and D and den follow by the lcm as
     :func:`~ordist.arith.over_lcm` gives them on the values.  R is then
-    None, to be read as the Fractions D[i][j] / den, which are the values
-    ``evaluate`` returns.  Any other metric is evaluated on the pairs'
+    None on an exact system, to be read as the Fractions D[i][j] / den,
+    the values ``evaluate`` returns.  Any other metric is evaluated on the pairs'
     marginals, each built once."""
     n = len(pts)
 
@@ -546,7 +544,7 @@ def _distance_screen(
         return T
 
     covering = [_cover_table(by_t, C[i][j]) for i, j in pairs] if metrics else []
-    floats = _float_labelled(by_t.values())
+    regime = _system_label(by_t.values())
     grids = marginals = None
     screens = []
     for metric in metrics:
@@ -576,8 +574,8 @@ def _distance_screen(
                 marginals = [_pair_marginal(t, pts[i], pts[j]) for (i, j), t in zip(pairs, covering)]
             raw = list(map(metric.evaluate, marginals))
             ints, den = over_lcm(_finite_distances(raw, name))
-        if floats:
-            raw = _finite_distances(map(Fraction, ints, itertools.repeat(den)), name, float)
+        if regime == FLOAT:
+            raw = _finite_distances(map(Fraction, ints, itertools.repeat(den)), name, regime)
         screens.append((table(ints), None if raw is None else table(raw), den))
     return screens
 
@@ -593,11 +591,9 @@ def _float_terms(R: Optional[list[list]], pairs: Sequence[tuple[int, int]]) -> O
 def _flag_bound(floats: Optional[bool], den: int, eps_test: float) -> int:
     """An int B such that every chain :func:`_chain_reporter` flags on a
     screen over den with :func:`_float_terms` `floats` has an int residual
-    N < B.  A chain of exact terms is flagged when N < 0, one with a float
-    term when N / den < -eps_test, which for an int N is
-    N < -floor(eps_test * den).  So B is 0 when no value is a float,
-    -floor(eps_test * den) when every value is, and the larger of the two
-    when they mix."""
+    N < B: 0 when no value is a float (flagged when N < 0),
+    -floor(eps_test * den) when every value is (when N / den < -eps_test,
+    compared exactly), and the larger of the two when they mix."""
     if floats is False:
         return 0
     bound = -math.floor(Fraction(eps_test) * den)
@@ -748,16 +744,12 @@ def _chain_reporter(screen: tuple, floats: Optional[bool], pts: Sequence[InputPo
                     ) -> Callable[[tuple[int, ...]], Optional[ChainReport]]:
     """The chain kernel of one screen (D, R, den) of :func:`_distance_screen`:
     a function of an index sequence giving the chain's report, covers
-    from C, or None if it is not flagged, unless `every`.
-    The residual is D's int N over den, the exact residual that
-    :func:`_chain_residual` computes from R.  A chain of exact terms is
-    flagged when N < 0 and reports N / den; one with a float term in R is
-    flagged when N / den < -eps_test, compared exactly, and reports
-    float(N / den), rounded once.  `floats` is :func:`_float_terms` of the
-    screen: whether every chain has a float term, none has, or (None) each
-    chain's own terms say.  With R None the terms are the Fractions
-    D[i][j] / den.  Each Fraction v / den of an int v, a term or a
-    residual, is made once: a report with thousands of chains holds a
+    from C, or None if it is not flagged, unless `every`.  The residual
+    is D's int N over den, flagged and reported as :func:`_chain_residual`
+    does on R's terms; `floats` is :func:`_float_terms` of the screen, or
+    None when each chain's own terms say.  With R None the terms are the
+    Fractions D[i][j] / den.  Each Fraction v / den of an int v, a term or
+    a residual, is made once: a report with thousands of chains holds a
     few dozen distinct values."""
     D, R, den = screen
     float_bound = _flag_bound(True, den, eps_test)
@@ -904,11 +896,10 @@ def check_marginal_selectivity(
     transposed (:func:`~ordist.probspace._column_sums`).  A class whose
     members share one layout and whose marginals all equal the first
     member's, two denominators cross-multiplied, passes with discrepancy
-    0.  Any other class is scanned outcome by outcome, member by member,
-    which is where the discrepancies and the witness come from:
-    |a*den - b*ref_den| / (ref_den*den) over the same ints, compared
-    cross-multiplied, so that one Fraction is made per class.  An equal
-    member scans to 0 and moves nothing."""
+    0.  Any other class is scanned member by member, outcome by outcome,
+    for the discrepancies and the witness: |a*den - b*ref_den| /
+    (ref_den*den) over the same ints, compared cross-multiplied, so that
+    one Fraction is made per class; an equal member scans to 0."""
     tables = list(tables)
     # per table: its ints over their denominator; per layout (axes), the
     # positions of its tables and their cells transposed, one tuple per cell
@@ -980,10 +971,10 @@ def check_marginal_selectivity(
                         "outcome": list(outcome) if isinstance(outcome, tuple) else [outcome],
                         "discrepancy": worst,
                     }
-    floats = _float_labelled(tables)
-    passed = worst <= eps if floats else worst == 0
-    if floats and worst:
-        worst = witness["discrepancy"] = float(worst)
+    regime = _system_label(tables)
+    passed = worst <= eps if regime == FLOAT else worst == 0
+    if worst:
+        worst = witness["discrepancy"] = shown(worst, regime)
     return MarginalSelectivityReport(
         passed=passed, max_discrepancy=worst, witness=witness, classes=tuple(classes)
     )

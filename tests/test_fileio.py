@@ -169,6 +169,22 @@ class TestFloatLiteralSize:
                 assert main([command, tiny, "--arithmetic", arithmetic]) == 0
         capsys.readouterr()
 
+    def test_sums_beyond_the_float_range(self, tmp_path, capsys):
+        # a float system prints its sum error rounded once, as float
+        # addition gives it: beyond the largest float, an infinity
+        big = self.write(tmp_path / "big.json", lambda t: [1.7e308, 1.7e308, 0, 0] if t == ["x", "y"]
+                         else [-1.7e308, -1.7e308, 0.5, 0.5] if t == ["x'", "y"] else [0.25] * 4)
+        loaded = load_system(big, "float")
+        messages = [issue.message for issue in validate_system(loaded.design, loaded.tables).issues]
+        assert messages == [
+            "probabilities in treatment ('x', 'y') sum to 1+inf",
+            "negative probability -1.7e+308 at ('0', '0') in treatment (\"x'\", 'y')",
+            "probabilities in treatment (\"x'\", 'y') sum to 1-inf",
+        ]
+        for command in ("check", "jdc"):
+            assert main([command, big, "--arithmetic", "float"]) == 1
+        capsys.readouterr()
+
 
 def two_table_doc(first, second):
     """minimal_doc with a second treatment; each list holds its table's
@@ -446,6 +462,19 @@ class TestRoundTrip:
                 back = by_t[t.treatment]
                 assert back.axes == t.axes
                 assert back.probs == t.probs
+
+    def test_float_system_survives_dump_and_load(self):
+        # the binary fractions of 0.1, 0.2, 0.3 and 0.4 do not sum to 1
+        # exactly, so the system is valid only under its float label
+        loaded = load_system(two_table_doc([0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.5, 0.0]))
+        doc = dump_system(loaded.design, loaded.tables)
+        assert [cell["p"] for cell in doc["tables"][0]["probs"]] == [0.1, 0.2, 0.3, 0.4]
+        back = load_system(doc)
+        assert loaded.regime == back.regime == "float"
+        assert validate_system(back.design, back.tables).ok
+        for t, u in zip(loaded.tables, back.tables):
+            assert u.regime() == "float"
+            assert u.scaled() == t.scaled()
 
 
 def _literal(rng, p: F, style: str):

@@ -27,11 +27,14 @@ from ordist import (
     SeparationDistance,
     SumOf,
     UnrankedValue,
+    bivariate,
     diagonal_coupling,
     load_metric,
+    load_system,
     separation_distance,
     triangle_defect,
 )
+from ordist.metrics import EPS_SUPP
 from randsys import random_dist, random_embedding, random_joint
 
 
@@ -184,6 +187,26 @@ class TestPDistance:
     def test_essential_sup_ignores_zero_mass(self):
         m = matrix(("0", "1"), ("0", "1"), [[F(1), F(0)], [F(0), F(0)]])
         assert PDistance(EMBED01, math.inf).evaluate(m) == 0
+
+    def test_essential_sup_of_a_float_system_is_exact(self):
+        # a loaded float cell is the binary fraction it equals, so a mass
+        # below EPS_SUPP is support; only a float cell built in code is cut
+        tiny = 1e-13
+        assert tiny < EPS_SUPP
+        doc = {
+            "inputs": [{"name": "a", "values": ["1"]}, {"name": "b", "values": ["1"]}],
+            "treatments": "full",
+            "tables": [{"treatment": ["1", "1"], "probs": [
+                {"outcome": ["0", "0"], "p": 1 - tiny}, {"outcome": ["0", "1"], "p": tiny},
+            ]}],
+        }
+        loaded = load_system(doc, "float")
+        assert loaded.regime == "float"
+        m = bivariate(loaded.tables[0], "a", "b")
+        assert m.probs[0][1] == F(tiny)
+        assert PDistance(EMBED01, math.inf).evaluate(m) == 1
+        in_code = matrix(("0", "1"), ("0", "1"), [[1 - tiny, tiny], [0.0, 0.0]])
+        assert PDistance(EMBED01, math.inf).evaluate(in_code) == 0
 
 
 class TestConditionalEntropy:

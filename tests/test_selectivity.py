@@ -1768,3 +1768,18 @@ class TestNonFiniteDistances:
         with pytest.raises(MetricEvaluationError, match="^constant: a chain residual overflows a float$"):
             chain_test(Constant(1.5e308), witness, tables)
         assert run_suite(design, tables, [Constant(1.5e308)]).violations == ()
+
+    @pytest.mark.parametrize("sample", ["pr_full.json", "pr_restricted.json"], ids=["full", "restricted"])
+    def test_float_system_distance_beyond_the_float_range(self, sample):
+        # a float-labelled system prints its distances as floats, and this
+        # exact one has none; on the exact system it is reported as it is
+        metric = Constant(F(10) ** 400)
+        exact = load_system(SAMPLES / sample)
+        assert run_suite(exact.design, exact.tables, [metric]).violations == ()
+        loaded = load_system(SAMPLES / sample, "float")
+        message = "^constant gave a distance that is not finite$"
+        with pytest.raises(MetricEvaluationError, match=message):
+            run_suite(loaded.design, loaded.tables, [metric])
+        witness = next(enumerate_irreducible(loaded.design))
+        with pytest.raises(MetricEvaluationError, match="^constant: a chain residual overflows a float$"):
+            chain_test(metric, witness, loaded.tables)
