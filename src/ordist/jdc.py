@@ -59,7 +59,9 @@ from .selectivity import (
 )
 
 MAX_HIDDEN_SPACE = 1_000_000
-#: dense tableau guard for the bundled simplex (rows x columns)
+#: guard on the m x n dense 0/1 rows that `jdc_feasible` builds, one cell
+#: per (constraint, hidden assignment); the simplex itself keeps far less,
+#: an m_kept x (m_kept + 1) block for the kept rows
 MAX_TABLEAU_CELLS = 50_000_000
 _NOT_2X2 = "need a 2x2 factorial design with binary outputs"
 
@@ -288,9 +290,9 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
     within 10 * eps_lp per row.  Certificates are checked exactly.
     """
     m = len(problem.constraints)
-    if m * (problem.n_vars + m) > MAX_TABLEAU_CELLS:
+    if m * problem.n_vars > MAX_TABLEAU_CELLS:
         raise HiddenSpaceTooLarge(
-            f"dense tableau {m} x {problem.n_vars + m} exceeds the solver guard"
+            f"dense rows {m} x {problem.n_vars} exceed the solver guard"
         )
     eps, eps_x = (0, 0) if problem.regime == RATIONAL else (eps_lp, 10 * eps_lp)
     rows = []

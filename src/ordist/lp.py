@@ -25,31 +25,50 @@ rule, which cannot cycle (Bland 1977); so every run ends, in a pivot
 that is not degenerate or at an optimal basis.  Dantzig's rule alone can
 cycle.
 
-The tableau has the n columns of A, then m artificial columns (the
-starting identity basis), then the right-hand side; a row whose b_i is
-negative is negated first.  The phase-1 cost row has the same layout.
+The tableau this simplex pivots is the textbook one: the n columns of A,
+then m artificial columns (the starting identity basis), then the
+right-hand side, a row whose b_i is negative negated first, and a phase-1
+cost row of the same layout.  At a basis with matrix B it reads
+B^-1 [A | I | b], and its cost row [-y A | 1 - y | -y b], with y the
+phase-1 duals.
 
-Each row is stored as a list of Python ints R plus one positive int
-denominator D, so the tableau entry in column j is R[j] / D.  Each input
-row is scaled once by the lcm of its entries' denominators.  A pivot
-on row r and column e turns the pivot row into R_r / R_r[e], and every
-other row with R_i[e] != 0 (the cost row included) into
+What is stored.  Only the artificial and right-hand-side blocks: the m
+rows of [B^-1 | B^-1 b], and the cost row's [1 - y | -y b].  Each row is
+a list of m + 1 Python ints R plus one positive int denominator D, so
+its entry k is R[k] / D.  The input is read once into sparse columns:
+each the rows in which it is nonzero and its entries as ints over one
+scale s, the lcm of A's denominators, signs of negated rows applied.
+When A is 0/1 and no row is negated, the entries are all 1 and are not
+kept, so a JDC column is just the list of rows that contain it.  Each
+pivot derives what the dense tableau would hold where a choice looks:
 
-    R_i * R_r[e] - R_i[e] * R_r   over   D_i * R_r[e],
+- the reduced cost of column j of A, -y A_j, as sum_k (C[k] - D_c) a_kj
+  over D_c s, one sum over the column's nonzeros, where C / D_c is the
+  cost row; artificial k's is C[k] / D_c;
+- the entering column's entry in row i, (B^-1 A_e)_i, as
+  sum_k R_i[k] a_ke over D_i s; artificial k's is R_i[k] / D_i.
 
-where the subtraction runs only over the columns in which R_r is nonzero;
-the row is then divided by the gcd of its entries and its denominator.
-Rows with a zero in column e are not touched.  The JDC matrices are 0/1
-and sparse, so most of the work a dense `Fraction` tableau spends on
-rewriting zeros, and on a gcd per cell, is never done.
+A pivot on row r turns every other row with a nonzero numerator f in
+the entering column (the cost row included, with f its reduced cost's
+numerator) into
+
+    R_i * p - f * R_r   over   D_i * p,
+
+where p is row r's numerator and the subtraction runs only over the
+entries in which R_r is nonzero; s and D_r cancel.  Row r becomes
+R_r * s over p.  Every row is then divided by the gcd of its entries and
+its denominator.  Pricing is one pass over A's nonzeros and the
+entering column m short sums.  The reduced costs are the one list n wide
+a pivot builds; no row is n wide.
 
 Every choice is the one a dense rational tableau would make, because it
-depends only on signs, orders and ratios that the integer rows give
-exactly.  The cost row's denominator is positive, so the most negative
-reduced cost is the smallest numerator, and the first negative one the
-first negative numerator.  A row's denominator cancels in its own ratio,
-so the ratio is R_i[-1] / R_i[e], compared by cross-multiplying; a pivot
-is degenerate when R_r[-1] is 0.
+depends only on signs, orders and ratios that these integers give
+exactly.  The reduced costs of A's columns share the positive
+denominator D_c s, and artificial k's is C[k] s over it, so the most
+negative is the smallest numerator, and the first negative the first
+negative numerator.  Row i's entering entry and right-hand side share
+D_i, so its ratio is R_i[m] s / f_i, compared by cross-multiplying with s
+dropped; a pivot is degenerate when R_r[m] is 0.
 
 The pivot sequence, the iteration count, the witness and the Farkas
 certificate are therefore those of the dense `Fraction` loop with the same
@@ -71,6 +90,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+from operator import attrgetter, itemgetter, mul
 from typing import Optional, Sequence
 
 from .arith import Num, over_lcm
@@ -96,11 +116,10 @@ class FeasibilityResult:
     iterations: int
 
 
-def _eliminate(row: list[int], den: int, prow: list[int], nz: list, enter: int):
-    """Integer row minus row[enter] times the pivot row prow / prow[enter],
-    where nz lists prow's nonzero entries as (column, value) pairs: the new
-    ints and denominator, in lowest terms."""
-    p, f = prow[enter], row[enter]
+def _eliminate(row: list[int], den: int, prow: list[int], nz: list, p: int, f: int):
+    """Integer row minus f / p times the pivot row prow, where nz lists
+    prow's nonzero entries as (index, value) pairs: the new ints and
+    denominator, in lowest terms."""
     g = gcd(p, f)
     p //= g
     f //= g
@@ -116,47 +135,101 @@ def _eliminate(row: list[int], den: int, prow: list[int], nz: list, enter: int):
     return row, den
 
 
-def _tableau(rows, rhs, n: int, m: int):
-    """Integer rows with their denominators and signs, and the integer
-    phase-1 cost row with its denominator."""
-    T, den, signs = [], [], []
-    for i in range(m):
-        ints, d = over_lcm((*rows[i], rhs[i]))
-        sign = -1 if ints[-1] < 0 else 1
-        if sign < 0:
-            ints = [-v for v in ints]
-        art = [0] * m
-        art[i] = d
-        T.append(ints[:n] + art + ints[n:])
-        den.append(d)
-        signs.append(sign)
-    # reduced costs of the phase-1 cost (1 on artificials): minus the
-    # column sums, accumulated over each row's nonzero entries; the last
-    # slot carries minus the phase-1 objective
-    cden = lcm(*den)
-    cost = [0] * (n + m + 1)
-    for row, d in zip(T, den):
-        s = cden // d
+def _denominators(values) -> list[int]:
+    """The values' denominators; a value that is not an int or a Fraction,
+    a float included, is a TypeError."""
+    try:
+        return list(map(attrgetter("denominator"), values))
+    except AttributeError:
+        raise TypeError("the simplex takes ints and Fractions") from None
+
+
+def _columns(rows, signs: list[int], n: int):
+    """A's columns, each row's sign applied, and their scale s: per column
+    a getter of its rows' entries from a list of m values, then per column
+    its entries times s as ints, or None when A is 0/1 and no row is
+    negated."""
+    s = lcm(*(lcm(*_denominators(row)) for row in rows))
+    at = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
         for j in compress(range(n), row):
-            cost[j] -= row[j] * s
-        cost[-1] -= row[-1] * s
-    g = gcd(cden, *cost)
-    return T, den, signs, [v // g for v in cost], cden // g
+            at[j].append(i)
+    cols = [_getter(col) for col in at]
+    if all(sign == 1 and {*row} <= {0, 1} for row, sign in zip(rows, signs)):
+        return cols, None, s
+    vals = [
+        [signs[i] * rows[i][j].numerator * (s // rows[i][j].denominator) for i in col]
+        for j, col in enumerate(at)
+    ]
+    return cols, vals, s
 
 
-def _leaving_row(T, basis, enter: int) -> int:
-    """Bland's leaving row: the smallest R[-1] / R[enter] over the rows with
-    R[enter] > 0, compared by cross-multiplying, ties to the smaller basic
-    variable; -1 when no entry is positive."""
+def _getter(rows: list[int]):
+    """A getter of the entries at `rows`, as a tuple or a list to sum."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    # itemgetter of one index returns the entry itself, and of a slice a list
+    return itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
+
+
+def _start(rhs, m: int):
+    """The rows [I | b] with their denominators and signs, and the phase-1
+    cost row [0 | -sum b] with its denominator."""
+    T, den, signs = [], [], []
+    for i, (v, d) in enumerate(zip(rhs, _denominators(rhs))):
+        row = [0] * (m + 1)
+        row[i] = d
+        row[m] = abs(v.numerator)
+        T.append(row)
+        den.append(d)
+        signs.append(-1 if v < 0 else 1)
+    cden = lcm(*den)
+    total = sum(row[m] * (cden // d) for row, d in zip(T, den))
+    g = gcd(cden, total)
+    cost = [0] * (m + 1)
+    cost[m] = -(total // g)
+    return T, den, signs, cost, cden // g
+
+
+def _reduced_costs(cost: list[int], cden: int, cols, vals, s: int, m: int) -> list[int]:
+    """Numerators over cden * s of every column's reduced cost: A's
+    columns, then the artificial ones."""
+    w = [c - cden for c in cost[:m]]
+    if vals is None:
+        red = [sum(col(w)) for col in cols]
+    else:
+        red = [sum(map(mul, col(w), a)) for col, a in zip(cols, vals)]
+    red += cost[:m] if s == 1 else [c * s for c in cost[:m]]
+    return red
+
+
+def _entering(T, cols, vals, enter: int, n: int) -> list[int]:
+    """Each row's numerator of its entry in column enter, over the row's
+    denominator times the column's scale (s for A's columns, 1 for the
+    artificial ones)."""
+    if enter >= n:
+        k = enter - n
+        return [row[k] for row in T]
+    col = cols[enter]
+    if vals is None:
+        return [sum(col(row)) for row in T]
+    a = vals[enter]
+    return [sum(map(mul, col(row), a)) for row in T]
+
+
+def _leaving_row(T, basis, num: list[int], m: int) -> int:
+    """Bland's leaving row: the smallest R[m] / num over the rows with
+    num > 0, compared by cross-multiplying, ties to the smaller basic
+    variable; -1 when no numerator is positive."""
     leave = -1
-    for i, row in enumerate(T):
-        a = row[enter]
+    for i, a in enumerate(num):
         if a > 0:
+            b = T[i][m]
             if leave >= 0:
-                lhs, rhs = row[-1] * best_a, best_b * a
+                lhs, rhs = b * best_a, best_b * a
                 if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
                     continue
-            leave, best_b, best_a = i, row[-1], a
+            leave, best_b, best_a = i, b, a
     return leave
 
 
@@ -169,44 +242,50 @@ def solve_equality_feasibility(
     objective is at most eps, compared exactly."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    ncols = n + m
-    T, den, signs, cost, cden = _tableau(rows, rhs, n, m)
-    basis = list(range(n, ncols))
+    T, den, signs, cost, cden = _start(rhs, m)
+    cols, vals, s = _columns(rows, signs, n)
+    basis = list(range(n, n + m))
 
     iterations = 0
     degenerate = 0
     while True:
+        red = _reduced_costs(cost, cden, cols, vals, s, m)
         if degenerate < DEGENERATE_RUN:
             # Dantzig: the most negative reduced cost, ties to the smaller
             # column (index finds the first occurrence)
-            low = min(cost[:ncols], default=0)
-            enter = cost.index(low) if low < 0 else -1
+            low = min(red, default=0)
+            enter = red.index(low) if low < 0 else -1
         else:
             # Bland: the first negative reduced cost
-            enter = next((j for j in range(ncols) if cost[j] < 0), -1)
+            enter = next((j for j, r in enumerate(red) if r < 0), -1)
         if enter < 0:
             break
-        leave = _leaving_row(T, basis, enter)
+        num = _entering(T, cols, vals, enter, n)
+        leave = _leaving_row(T, basis, num, m)
         if leave < 0:
             raise NumericalInstability("phase-1 objective unbounded")
-        degenerate = degenerate + 1 if T[leave][-1] == 0 else 0
+        degenerate = degenerate + 1 if T[leave][m] == 0 else 0
         iterations += 1
         if iterations > MAX_PIVOTS:
             raise NumericalInstability(f"no convergence after {MAX_PIVOTS} pivots")
-        prow = T[leave]
+        # the column's scale and the cost's reduced-cost numerator
+        scale, f = (s, red[enter]) if enter < n else (1, cost[enter - n])
+        prow, p = T[leave], num[leave]
         g = gcd(*prow)
         if g != 1:
-            T[leave] = prow = [v // g for v in prow]
-        den[leave] = prow[enter]
+            prow = [v // g for v in prow]
+            p //= g
         nz = [(j, v) for j, v in enumerate(prow) if v]
         for i, row in enumerate(T):
-            if i != leave and row[enter]:
-                T[i], den[i] = _eliminate(row, den[i], prow, nz, enter)
-        if cost[enter]:
-            cost, cden = _eliminate(cost, cden, prow, nz, enter)
+            if i != leave and num[i]:
+                T[i], den[i] = _eliminate(row, den[i], prow, nz, p, num[i])
+        cost, cden = _eliminate(cost, cden, prow, nz, p, f)
+        g = gcd(scale, p)
+        T[leave] = prow if scale == g else [v * (scale // g) for v in prow]
+        den[leave] = p // g
         basis[leave] = enter
 
-    b = [Fraction(T[i][-1], den[i]) for i in range(m)]
+    b = [Fraction(row[m], d) for row, d in zip(T, den)]
     objective = sum(b[i] for i in range(m) if basis[i] >= n)
     if objective <= eps:
         x = [Fraction(0)] * n
@@ -216,7 +295,7 @@ def solve_equality_feasibility(
         return FeasibilityResult(True, x, None, objective, iterations)
     # Farkas certificate from the phase-1 duals: y_i = 1 - reduced cost of
     # artificial i, flipped back to the original row orientation.
-    y = [Fraction(cden - cost[n + i], cden) * signs[i] for i in range(m)]
+    y = [Fraction(cden - cost[i], cden) * signs[i] for i in range(m)]
     return FeasibilityResult(False, None, y, objective, iterations)
 
 
@@ -244,7 +323,11 @@ def verify_solution(rows, rhs, x, eps: float = 0.0) -> bool:
 
 def verify_certificate(rows, rhs, y) -> bool:
     """y refutes {x >= 0 : A x = b}: y.A <= 0 componentwise and y.b > 0,
-    exactly."""
+    exactly.
+
+    y.b is summed in ints: each nonzero multiplier over the lcm of their
+    denominators, each of their right-hand sides over the lcm of theirs.
+    Both lcms are positive, so the int total has y.b's sign."""
     n = len(rows[0]) if rows else 0
     # column sums of y.A, accumulated over the rows with a nonzero
     # multiplier and their nonzero cells
@@ -254,4 +337,9 @@ def verify_certificate(rows, rhs, y) -> bool:
             for j, a in enumerate(row):
                 if a:
                     cols[j] += yi * a
-    return all(col <= 0 for col in cols) and sum(yi * bi for yi, bi in zip(y, rhs)) > 0
+    if not all(col <= 0 for col in cols):
+        return False
+    used = [(yi, bi) for yi, bi in zip(y, rhs) if yi]
+    ys, _ = over_lcm(yi for yi, _ in used)
+    bs, _ = over_lcm(bi for _, bi in used)
+    return sum(map(mul, ys, bs)) > 0

@@ -1,13 +1,16 @@
 """Reference phase-1 simplex: a dense tableau of `Fraction`s (or floats).
 
 This is the straightforward loop that `ordist.lp` replaced with integer
-rows.  Every cell is rewritten on every pivot, which makes it slow but easy
-to read.  It prices as `ordist.lp` does: the most negative reduced cost
-enters, ties to the smaller column, and after `degenerate_run` consecutive
+rows, and then with a revised simplex over A's sparse columns.  Every
+cell is rewritten on every pivot, which makes it slow but easy to read.
+It prices as `ordist.lp` does: the most negative reduced cost enters,
+ties to the smaller column, and after `degenerate_run` consecutive
 degenerate pivots the first negative one enters (Bland's rule) until a
 pivot is not degenerate.  Tests compare the production kernel against it:
 same verdict, same witness, same certificate, same objective and the same
-number of pivots.
+number of pivots.  Given a list as `entered`, it appends each pivot's
+entering column, so tests can see which paths a draw exercised: column n
++ i is row i's artificial variable.
 
 With ``degenerate_run=0`` every pivot follows Bland's rule
 (`dense_bland_feasibility`), a second pivoting rule whose verdicts the
@@ -33,7 +36,9 @@ def dense_bland_feasibility(rows, rhs, eps: float = 0.0, max_iter=None) -> Feasi
     return dense_feasibility(rows, rhs, eps, max_iter, degenerate_run=0)
 
 
-def dense_feasibility(rows, rhs, eps: float = 0.0, max_iter=None, degenerate_run=None) -> FeasibilityResult:
+def dense_feasibility(
+    rows, rhs, eps: float = 0.0, max_iter=None, degenerate_run=None, entered=None
+) -> FeasibilityResult:
     """Decide {x >= 0 : A x = b}.  eps=0 demands exact arithmetic.  The
     fallback threshold defaults to the kernel's `lp.DEGENERATE_RUN`."""
     if degenerate_run is None:
@@ -78,6 +83,8 @@ def dense_feasibility(rows, rhs, eps: float = 0.0, max_iter=None, degenerate_run
             enter = min(negative, key=obj.__getitem__)
         else:
             enter = negative[0]
+        if entered is not None:
+            entered.append(enter)
         leave = -1
         best = None
         for i in range(m):

@@ -6,6 +6,7 @@ import pytest
 
 from lp_reference import dense_bland_feasibility, dense_feasibility, jdc_rows
 from ordist import NumericalInstability, build_jdc, lp
+from ordist.jdc import independent_rows
 from ordist.lp import solve_equality_feasibility, verify_certificate, verify_solution
 from randsys import random_2x2_system, random_coupled_system, system_from_joint
 
@@ -17,12 +18,13 @@ def random_instance(rng, max_m=4, max_n=6, coefficient=lambda rng: F(rng.randint
     return rows, rhs
 
 
-def assert_matches_reference(rows, rhs):
-    """The sparse kernel and the dense reference loop pivot alike: same
+def assert_matches_reference(rows, rhs, entered=None):
+    """The revised kernel and the dense reference loop pivot alike: same
     verdict, witness, certificate, objective and pivot count.  Bland's rule
-    alone, a different pivot sequence, reaches the same verdict."""
+    alone, a different pivot sequence, reaches the same verdict.  The
+    reference's entering columns are appended to `entered`."""
     got = solve_equality_feasibility(rows, rhs)
-    ref = dense_feasibility(rows, rhs)
+    ref = dense_feasibility(rows, rhs, entered=entered)
     assert got.feasible == ref.feasible
     assert got.x == ref.x
     assert got.certificate == ref.certificate
@@ -30,6 +32,22 @@ def assert_matches_reference(rows, rhs):
     assert got.iterations == ref.iterations
     assert dense_bland_feasibility(rows, rhs).feasible == got.feasible
     return got
+
+
+def enters_artificial(rows, entered) -> bool:
+    """Some pivot entered an artificial column: row i's is column n + i."""
+    return any(j >= len(rows[0]) for j in entered)
+
+
+def jdc_system(rng, kind):
+    """A random design and tables: a 2x2 binary system, a coupled 3-input
+    one, or an explicit joint over 3 binary inputs or 2 ternary ones."""
+    if kind == "2x2":
+        return random_2x2_system(rng)
+    if kind == "coupled-3":
+        return random_coupled_system(rng, n_inputs=3, max_input_values=2, out_sizes=(2, 2))
+    n_inputs, n_values = {"joint-3": (3, 2), "joint-2x3": (2, 3)}[kind]
+    return system_from_joint(rng, n_inputs=n_inputs, n_values=n_values)[:2]
 
 
 def degenerate_instance(rng, m=8, n=14):
@@ -127,6 +145,34 @@ class TestExactMode:
         assert not verify_certificate(last_column_positive, rhs, y)
         assert not verify_certificate(rows, [F(1), F(1)], y)
 
+    def test_certificate_sign_matches_the_fraction_sum(self):
+        # y.b is summed in ints over two lcms; its sign must be the
+        # Fraction sum's, also at 0.  Zero rows keep y.A <= 0, so the
+        # verdict is the sign of y.b alone.
+        rng = random.Random(31)
+
+        def multiplier(rng):
+            kind = rng.randrange(3)
+            if kind == 0:
+                return 0
+            if kind == 1:
+                return rng.randint(-3, 3)
+            return F(rng.randint(-4, 4), rng.choice([1, 2, 3, 6, 7]))
+
+        verdicts = []
+        for _ in range(400):
+            m = rng.randint(1, 6)
+            rows = [[0, 0] for _ in range(m)]
+            y = [multiplier(rng) for _ in range(m)]
+            rhs = [F(rng.randint(-4, 4), rng.choice([1, 2, 3, 5, 9])) for _ in range(m)]
+            total = sum(F(yi) * bi for yi, bi in zip(y, rhs))
+            assert verify_certificate(rows, rhs, y) == (total > 0)
+            verdicts.append((total > 0, total == 0, any(b < 0 for b in rhs), 0 in y))
+        # both verdicts, a zero total, negative right-hand sides and zero
+        # multipliers all occur
+        assert {v[0] for v in verdicts} == {True, False}
+        assert all(any(v[k] for v in verdicts) for k in (1, 2, 3))
+
 
 class TestReferenceAgreement:
     def test_random_rational_instances(self):
@@ -135,27 +181,54 @@ class TestReferenceAgreement:
         def coefficient(rng):
             return F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 5]))
 
+        fractional = artificial = 0
         for _ in range(150):
             rows, rhs = random_instance(rng, max_m=5, max_n=8, coefficient=coefficient)
+            entered = []
+            assert_matches_reference(rows, rhs, entered)
+            if any(v.denominator > 1 for row in rows for v in row):
+                fractional += 1
+                # a column scale above 1 together with an artificial
+                # column re-entering the basis
+                artificial += enters_artificial(rows, entered)
+        assert fractional and artificial
+
+    def test_zero_one_rows_either_sign(self):
+        # 0/1 rows are priced as lists of rows while every right-hand side
+        # is nonnegative; a negative one flips its row to -1 entries
+        rng = random.Random(41)
+        flipped = 0
+        for _ in range(80):
+            rows, rhs = random_instance(rng, coefficient=lambda rng: rng.choice((0, 1)))
             assert_matches_reference(rows, rhs)
+            flipped += any(b < 0 for b in rhs)
+        assert 0 < flipped < 80
 
     @pytest.mark.parametrize("kind, count", [("2x2", 40), ("coupled-3", 8), ("joint-3", 3)])
     def test_jdc_problems(self, kind, count):
         rng = random.Random(13)
         verdicts = set()
         for _ in range(count):
-            if kind == "2x2":
-                design, tables = random_2x2_system(rng)
-            elif kind == "coupled-3":
-                design, tables = random_coupled_system(
-                    rng, n_inputs=3, max_input_values=2, out_sizes=(2, 2)
-                )
-            else:
-                design, tables, _ = system_from_joint(rng, n_inputs=3)
-            rows, rhs = jdc_rows(build_jdc(design, tables))
+            rows, rhs = jdc_rows(build_jdc(*jdc_system(rng, kind)))
             verdicts.add(assert_matches_reference(rows, rhs).feasible)
         # explicit joints are sound; the other two kinds reach both verdicts
         assert verdicts == ({True} if kind == "joint-3" else {True, False})
+
+    @pytest.mark.parametrize(
+        "kind, count", [("2x2", 40), ("coupled-3", 8), ("joint-3", 3), ("joint-2x3", 4)]
+    )
+    def test_jdc_problems_on_kept_rows(self, kind, count):
+        # what `jdc_feasible` solves: the rows of `independent_rows`
+        rng = random.Random(13)
+        verdicts = set()
+        for _ in range(count):
+            problem = build_jdc(*jdc_system(rng, kind))
+            rows, rhs = jdc_rows(problem)
+            keep = independent_rows(problem)
+            assert len(keep) < len(rows)
+            kept = ([rows[i] for i in keep], [rhs[i] for i in keep])
+            verdicts.add(assert_matches_reference(*kept).feasible)
+        assert verdicts == ({True} if kind.startswith("joint") else {True, False})
 
     @pytest.mark.parametrize("run", [0, 1, 2, 5])
     def test_bland_fallback_pivots_like_the_reference(self, monkeypatch, run):
@@ -164,8 +237,13 @@ class TestReferenceAgreement:
         # patched threshold too.
         monkeypatch.setattr(lp, "DEGENERATE_RUN", run)
         rng = random.Random(23)
+        artificial = 0
         for _ in range(40):
-            assert_matches_reference(*degenerate_instance(rng))
+            rows, rhs = degenerate_instance(rng)
+            entered = []
+            assert_matches_reference(rows, rhs, entered)
+            artificial += enters_artificial(rows, entered)
+        assert artificial
         for _ in range(4):
             design, tables = random_coupled_system(rng, n_inputs=3, max_input_values=2, out_sizes=(2, 2))
             assert_matches_reference(*jdc_rows(build_jdc(design, tables)))
