@@ -12,12 +12,16 @@ system, 1 = usage or input error, 2 = negative verdict (violations found
 or LP infeasible).  :func:`main` is the one error boundary: an OrdistError
 or OSError from any step prints ``error: ...`` and exits 1.  Text output
 is derived from the same report dict that --json prints verbatim.
+:func:`main` runs each command with the cyclic garbage collector paused:
+a command's objects form no reference cycles, so reference counting frees
+all of them and a collection during the command would free nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .arith import EPS_LP, EPS_SUM, EPS_TEST, num_to_json
@@ -142,8 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_valid(args):
-    """Load and validate the system: returns it with the report's first two
-    fields, or prints the invalid system's report and returns None."""
+    """Load and validate the system: returns it with its per-point axes and
+    the report's first two fields, or prints the invalid system's report
+    and returns None."""
     loaded = load_system(args.system, args.arithmetic)
     validation = validate_system(loaded.design, loaded.tables, eps_sum=args.tol_sum)
     report = {"validation": validation.as_json(), "arithmetic": loaded.regime}
@@ -151,21 +156,21 @@ def _load_valid(args):
         print(dumps_report(report), end="")
         print("invalid system; see issues above", file=sys.stderr)
         return None
-    return loaded, report
+    return loaded, validation.axes, report
 
 
 def cmd_check(args) -> int:
     checked = _load_valid(args)
     if checked is None:
         return EXIT_INPUT
-    loaded, report = checked
+    loaded, axes, report = checked
     msel = check_marginal_selectivity(loaded.design, loaded.tables, args.tol_test)
     report["marginal_selectivity"] = msel.as_json()
     if msel.passed:
         if args.metric:
             metrics = [load_metric(m) for m in args.metric]
         else:
-            metrics = [default_order_metric(loaded.design, loaded.tables)]
+            metrics = [default_order_metric(loaded.design, loaded.tables, axes)]
         max_len = default_max_len(loaded.design) if args.max_len is None else args.max_len
         suite = run_suite(
             loaded.design,
@@ -204,7 +209,7 @@ def cmd_jdc(args) -> int:
     checked = _load_valid(args)
     if checked is None:
         return EXIT_INPUT
-    loaded, report = checked
+    loaded, _, report = checked
     problem = build_jdc(loaded.design, loaded.tables, cap=args.cap)
     verdict = jdc_feasible(problem, eps_lp=args.tol_lp)
     report.update(verdict.as_json())
@@ -284,11 +289,22 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for verdicts here
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     commands = {"check": cmd_check, "jdc": cmd_jdc, "demo-normal": cmd_demo_normal}
+    # A command builds no reference cycles (tests/test_cli.py,
+    # TestNoCyclicGarbage), so reference counting frees everything it
+    # drops.  A collection during a command would walk its live containers,
+    # tens of thousands while a large system's JSON tree is alive, and free
+    # nothing.  Parsing stays outside: argparse's usage and help paths do
+    # leave cycles.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return commands[args.command](args)
     except (OrdistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

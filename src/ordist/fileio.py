@@ -13,7 +13,8 @@ System schema::
     }
 
 Probabilities may be JSON numbers or strings like "3/4"; unlisted outcome
-vectors are zero.  The "outcomes" block declares outcome value sets per
+vectors are zero.  A string where the schema shows a list is refused, not
+read as the list of its characters.  The "outcomes" block declares outcome value sets per
 input (preferred) or per input point; without it they are inferred from
 the tables.  Every probability is held exactly, a literal that reads as
 a float (see :mod:`ordist.arith`) as the binary fraction it equals; a
@@ -21,10 +22,12 @@ system with such a literal is labelled "float", and so are its tables.
 
 The loader reads a document in three passes: literals, axes, tables.  It
 parses each distinct string literal once.  Tables that list the same
-outcome vectors in the same order share one cell order, and tables whose
-points have the same outcome axes share one layout.  A layout's
-outcome -> position map, its axis checks and its axes tuple are made once,
-and every table of the layout holds that tuple.  Each table then costs
+outcome vectors in the same order share one cell order; a table listing
+the same outcome lists as the table before it takes that order without
+building its vectors again.  Tables whose points have the same outcome
+axes share one layout.  A layout's outcome -> position map, its axis
+checks and its axes tuple are made once, and every table of the layout
+holds that tuple.  Each table then costs
 one pass over its cells, straight into its dense ints.  Only a malformed
 document is read again cell by cell, to name its first fault.
 
@@ -134,8 +137,8 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
     for entry in inputs_spec:
         try:
             names.append(entry["name"])
-            values[entry["name"]] = list(entry["values"])
-        except (KeyError, TypeError):
+            values[entry["name"]] = _list(entry["values"], "values")
+        except (KeyError, TypeError, ValueError):
             raise SystemFormatError(f"bad input entry {entry!r}") from None
     treatments = doc.get("treatments", "full")
     design = Design(names, values, None if treatments == "full" else treatments)
@@ -144,8 +147,8 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
     for entry in doc.get("outcomes", []):
         try:
             name = entry["input"]
-            vals = tuple(entry["values"])
-        except (KeyError, TypeError):
+            vals = _list(entry["values"], "values")
+        except (KeyError, TypeError, ValueError):
             raise SystemFormatError(f"bad outcomes entry {entry!r}") from None
         if name not in values:
             raise SystemFormatError(f"outcomes given for unknown input {name!r}")
@@ -164,22 +167,34 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
     literals = _Literals(arithmetic)
     parse = literals.__getitem__
     orders = _CellOrders()
+    last_listed = last_order = None
     table_treatments, table_orders, table_cells = [], [], []
     for tspec in tables_spec:
         try:
-            treatment = tuple(tspec["treatment"])
+            treatment = _list(tspec["treatment"], "a treatment")
             probs_spec = tspec["probs"]
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             raise SystemFormatError(f"bad table entry {tspec!r}") from None
         try:
-            outcomes = tuple(map(tuple, map(_OUTCOME, probs_spec)))
-            order = orders[outcomes]
+            listed = list(map(_OUTCOME, probs_spec))
+            if listed == last_listed:
+                order = last_order
+            else:
+                if not _SEQUENCES.issuperset(map(type, listed)):
+                    raise TypeError  # a string or a mapping: named cell by cell below
+                outcomes = tuple(map(tuple, listed))
+                order = orders[outcomes]
             cells = list(map(parse, map(_P, probs_spec))) if order.distinct else None
         except (KeyError, TypeError):
             cells = None
         if cells is None:
             outcomes, cells = _cells_in_file_order(probs_spec, literals)
             order = orders[outcomes]
+        elif order.plain:
+            # outcome lists equal to these are lists of the same strings
+            # (a string or a mapping never equals a list): the next table
+            # that lists them shares this order unchecked
+            last_listed, last_order = listed, order
         if not order.plain:
             # labels that compare equal may print differently (1, 1.0,
             # true): such a table keeps its own labels
@@ -221,6 +236,7 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
 
 
 _OUTCOME = operator.itemgetter("outcome")
+_SEQUENCES = {list, tuple}
 _P = operator.itemgetter("p")
 _DEN = operator.itemgetter(1)
 
@@ -279,9 +295,9 @@ def _cells_in_file_order(probs_spec, literals: _Literals):
     cells = []
     for cell in probs_spec:
         try:
-            outcome = tuple(cell["outcome"])
+            outcome = _list(cell["outcome"], "an outcome")
             raw = cell["p"]
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             raise SystemFormatError(f"bad probability entry {cell!r}") from None
         if outcome in seen:
             raise SystemFormatError(f"outcome {outcome!r} listed twice")

@@ -185,9 +185,13 @@ class OrderDistance(_RankedMetric):
         return self.name
 
 
-def default_order_metric(design: Design, tables) -> OrderDistance:
-    """Order-distance ranking every point's outcomes by canonical order."""
-    return index_order_metric(point_axes(design, tables))
+def default_order_metric(
+    design: Design, tables, axes: Optional[Mapping[InputPoint, Sequence]] = None
+) -> OrderDistance:
+    """Order-distance ranking every point's outcomes by canonical order;
+    `axes`, when given, are the tables' :func:`point_axes`, which are then
+    not walked again."""
+    return index_order_metric(point_axes(design, tables) if axes is None else axes)
 
 
 def index_order_metric(axes: Mapping[InputPoint, Sequence]) -> OrderDistance:

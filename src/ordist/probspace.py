@@ -525,12 +525,15 @@ class ValidationIssue:
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
     """``skipped_checks`` names the issue codes that were not checked at
-    all; the JSON report carries it only when it is nonempty."""
+    all; the JSON report carries it only when it is nonempty.  ``axes``
+    holds each input point's axis in the first table mentioning it: on a
+    valid system, what :func:`point_axes` returns."""
 
     ok: bool
     issues: tuple[ValidationIssue, ...]
     regime: str
     sum_errors: Mapping[tuple, Num]
+    axes: Mapping[InputPoint, tuple]
     skipped_checks: tuple[str, ...] = ()
 
     def raise_if_invalid(self):
@@ -628,7 +631,8 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
         _check_exact_table(t, issues, sum_errors, tolerance)
 
     # outcome-set consistency per input point across tables
-    for pt, treatment in _point_axes(design, tables)[1]:
+    axes, mismatches = _point_axes(design, tables)
+    for pt, treatment in mismatches:
         issues.append(ValidationIssue("ValueSetMismatch", _DISAGREE.format(pt), treatment))
 
     return ValidationReport(
@@ -636,6 +640,7 @@ def validate_system(design: Design, tables: Iterable[TreatmentTable], eps_sum: f
         issues=tuple(issues),
         regime=_system_label(tables),
         sum_errors=sum_errors,
+        axes=axes,
         skipped_checks=skipped,
     )
 

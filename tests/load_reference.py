@@ -8,8 +8,8 @@ table through ``TreatmentTable.from_ints``, which re-checks its shape,
 labelled "float" when a literal of the document read as a float.  It is slow but easy to read.  Tests compare the production
 loader against it: the same tables in the same order, and the same
 ``SystemFormatError`` message on a malformed document.  It also rejects
-an ``outcomes`` entry for a value its input does not have, as the
-production loader does.
+an ``outcomes`` entry for a value its input does not have, and a string
+or a mapping where a list belongs, as the production loader does.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
     for entry in inputs_spec:
         try:
             names.append(entry["name"])
-            values[entry["name"]] = list(entry["values"])
+            values[entry["name"]] = _as_list(entry["values"])
         except (KeyError, TypeError):
             raise SystemFormatError(f"bad input entry {entry!r}") from None
     treatments = doc.get("treatments", "full")
@@ -57,7 +57,7 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
     for entry in doc.get("outcomes", []):
         try:
             name = entry["input"]
-            vals = tuple(entry["values"])
+            vals = tuple(_as_list(entry["values"]))
         except (KeyError, TypeError):
             raise SystemFormatError(f"bad outcomes entry {entry!r}") from None
         if name not in values:
@@ -81,14 +81,14 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
     parsed: dict[str, object] = {}
     for tspec in tables_spec:
         try:
-            treatment = tuple(tspec["treatment"])
+            treatment = tuple(_as_list(tspec["treatment"]))
             probs_spec = tspec["probs"]
         except (KeyError, TypeError):
             raise SystemFormatError(f"bad table entry {tspec!r}") from None
         cells = {}
         for cell in probs_spec:
             try:
-                outcome = tuple(cell["outcome"])
+                outcome = tuple(_as_list(cell["outcome"]))
                 raw = cell["p"]
             except (KeyError, TypeError):
                 raise SystemFormatError(f"bad probability entry {cell!r}") from None
@@ -138,6 +138,14 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
             table_axes.append(shared[pt])
         tables.append(_table(design, treatment, table_axes, cells, regime))
     return LoadedSystem(design=design, tables=tables, regime=regime)
+
+
+def _as_list(value) -> list:
+    """A JSON list; a string, which list() would split into characters,
+    or a mapping, which it would read as its keys, is a TypeError."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"not a list: {value!r}")
+    return list(value)
 
 
 def _table(design: Design, treatment, axes, cells, regime: str) -> TreatmentTable:

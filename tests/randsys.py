@@ -158,6 +158,34 @@ def pr_box(design: Design | None = None) -> tuple[Design, list[TreatmentTable]]:
     return design, tables
 
 
+def pr_embedded_system(n_inputs: int, n_values: int) -> tuple[Design, list[TreatmentTable]]:
+    """A full design of fair binary outputs: outputs 1 and 2 form a PR box
+    on the first two values of inputs 1 and 2 and are independent
+    elsewhere, and every other output is independent of the rest.  Every
+    margin is 1/2, so the system is marginally selective and infeasible."""
+    names = [str(k + 1) for k in range(n_inputs)]
+    design = Design(names, {name: [f"v{k}" for k in range(n_values)] for name in names})
+    block = {"v0", "v1"}
+    h = Fraction(1, 2)
+    corr = {("0", "0"): h, ("1", "1"): h}
+    anti = {("0", "1"): h, ("1", "0"): h}
+    indep = {(a, b): h * h for a in ("0", "1") for b in ("0", "1")}
+    tables = []
+    for t in design.iter_treatments():
+        if t[0] in block and t[1] in block:
+            pair = anti if t[:2] == ("v1", "v1") else corr
+        else:
+            pair = indep
+        rest = h ** (n_inputs - 2)
+        cells = {
+            (*o, *tail): p * rest
+            for o, p in pair.items()
+            for tail in itertools.product("01", repeat=n_inputs - 2)
+        }
+        tables.append(TreatmentTable(design, t, cells, axes=[("0", "1")] * n_inputs))
+    return design, tables
+
+
 def product_system() -> tuple[Design, list[TreatmentTable]]:
     """Independent fair coins under every treatment."""
     design = binary_design()

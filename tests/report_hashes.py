@@ -23,7 +23,11 @@ directory's path likewise replaced; it does not depend on the seed.
 ``samples_float`` (run by default after ``samples``) makes the same calls
 with ``--arithmetic float``, so that float reports are pinned too.
 Every ``--json`` call's stdout must parse as strict JSON, with no NaN or
-Infinity, or the script fails.
+Infinity, or the script fails.  Every call must also leave no objects in
+reference cycles, which ``ordist.cli.main`` relies on when it pauses the
+cyclic garbage collector: the collector stays paused around each call and
+``gc.collect()`` must find nothing after it, or the script fails with the
+call's arguments.
 The default order-distance and the extra classification distance are
 summed in a table's ints and the extra transformed p-distance on its
 marginals, so the choice covers both paths of the chain suite.  pytest
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -53,13 +58,22 @@ from workloads import EXTRA_METRICS, WORKLOADS  # noqa: E402
 
 def call(argv: list[str]) -> tuple[object, str, str]:
     """One CLI call: its exit code (the exception's name if it raised),
-    stdout and stderr."""
+    stdout and stderr.  Raises RuntimeError if the call left objects in
+    reference cycles."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code: object = ordist.cli.main(argv)
-        except Exception as exc:
-            code = type(exc).__name__
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code: object = ordist.cli.main(argv)
+            except Exception as exc:
+                code = type(exc).__name__
+        cyclic = gc.collect()
+    finally:
+        gc.enable()
+    if cyclic:
+        raise RuntimeError(f"{cyclic} objects left in reference cycles by ordist {argv}")
     return code, out.getvalue(), err.getvalue()
 
 
@@ -110,6 +124,10 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workload", action="append", choices=sorted([*WORKLOADS, "samples", "samples_float"]))
     args = p.parse_args(argv)
+    # the first call builds the CLI's parser, which leaves cycles once per
+    # process; a call on no file does that before the checked calls
+    with contextlib.redirect_stdout(io.StringIO()):
+        ordist.cli.main(["demo-normal"])
     for workload in args.workload or [*WORKLOADS, "samples", "samples_float"]:
         if workload == "samples":
             print(f"samples {samples_hash()}")

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import time
@@ -7,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from lp_reference import jdc_rows
-from ordist import build_jdc, cli, load_system, witness_reproduces_tables
+from ordist import build_jdc, cli, dump_system, load_system, witness_reproduces_tables
 from ordist import jdc as jdc_mod
+from ordist import probspace
 from ordist.cli import _build_parser, main
 from ordist.errors import SystemFormatError
 from ordist.jdc import FineSystem
 from ordist.lp import verify_certificate
+from randsys import pr_embedded_system
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -54,6 +57,22 @@ class TestCheck:
         assert code == 2
         report = json.loads(out)
         assert "d^(1)" in report["metrics"]
+
+    @pytest.mark.parametrize("sample", ["product.json", "prbox.json", "pr_full.json"])
+    def test_point_axes_walked_once(self, capsys, monkeypatch, sample):
+        # validation's axes make the default metric; they are not walked again
+        walks = []
+        walk = probspace._point_axes
+
+        def counted(design, tables):
+            walks.append(design)
+            return walk(design, tables)
+
+        monkeypatch.setattr(probspace, "_point_axes", counted)
+        code, out, _ = run(capsys, "check", str(SAMPLES / sample), "--json")
+        assert len(walks) == 1
+        monkeypatch.undo()
+        assert run(capsys, "check", str(SAMPLES / sample), "--json")[:2] == (code, out)
 
     def test_huge_exact_power_is_input_error(self, capsys):
         # |1e308 - 0| to the power 1e308 would have about 3e310 digits: it
@@ -779,6 +798,17 @@ class TestMalformedSystem:
 
 
     @pytest.mark.parametrize("command", ["check", "jdc"])
+    def test_string_outcome_is_input_error(self, capsys, tmp_path, command):
+        # "01" read as the list of its characters would be a valid cell
+        doc = json.loads((SAMPLES / "prbox.json").read_text())
+        doc["tables"][3]["probs"][0]["outcome"] = "01"
+        file = tmp_path / "string_outcome.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(file), "--json")
+        assert (code, out) == (1, "")
+        assert err == "error: bad probability entry {'outcome': '01', 'p': '1/2'}\n"
+
+    @pytest.mark.parametrize("command", ["check", "jdc"])
     def test_outcomes_for_unknown_value_is_input_error(self, capsys, tmp_path, command):
         # a per-point declaration for a value input 1 does not have
         doc = json.loads((SAMPLES / "product.json").read_text())
@@ -888,3 +918,115 @@ class TestNonSelectiveJdc:
         )
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["residual"] == -0.25
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the cyclic garbage collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPaused:
+    """main runs the command with the cyclic garbage collector paused and
+    leaves the collector as it found it, however the command ends."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check", str(SAMPLES / "product.json")], 0),
+            (["check", str(SAMPLES / "prbox.json"), "--json"], 2),
+            (["jdc", str(SAMPLES / "product.json"), "--cap", "8"], 1),  # OrdistError
+            (["check", str(SAMPLES / "no_such_file.json")], 1),  # OSError
+            (["check", str(SAMPLES / "invalid_exact.json")], 1),  # invalid system
+            (["check", "--max-len", "2", str(SAMPLES / "product.json")], 1),  # usage
+        ],
+        ids=["exit-0", "exit-2", "ordist-error", "os-error", "invalid", "usage"],
+    )
+    def test_state_restored(self, capsys, monkeypatch, collector_state, argv, code, enabled):
+        during = []
+        command = {"check": "cmd_check", "jdc": "cmd_jdc"}[argv[0]]
+        inner = getattr(cli, command)
+
+        def spy(args):
+            during.append(gc.isenabled())
+            return inner(args)
+
+        monkeypatch.setattr(cli, command, spy)
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is enabled
+        # a usage error ends before any command runs
+        assert during == ([] if argv[1] == "--max-len" else [False])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored_after_an_unexpected_exception(self, monkeypatch, collector_state, enabled):
+        def fail(args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="injected"):
+            main(["check", str(SAMPLES / "product.json")])
+        assert gc.isenabled() is enabled
+
+
+#: the benchmark's two extra metrics (perfbench/workloads.py EXTRA_METRICS)
+EXTRA_METRICS = (
+    "--metric", '{"kind": "p", "p": 1, "transform": [{"op": "power", "q": "1/2"}]}',
+    "--metric", '{"kind": "classification", "cells": [["0"], ["1"]]}',
+)
+LARGE_PR = "large_pr.json"
+
+
+def _garbage_cases():
+    """argv lists naming system files by their names in samples/, or
+    LARGE_PR for the large system the test class writes."""
+    for path in sorted(SAMPLES.glob("*.json")):
+        for command in ("check", "jdc"):
+            for extra in ([], ["--json"], ["--arithmetic", "float", "--json"]):
+                yield [command, path.name, *extra]
+        yield ["check", path.name, *EXTRA_METRICS, "--json"]
+    yield ["demo-normal", "--json", "--rho-grid"]
+    yield ["check", "no_such_file.json"]
+    for command in ("check", "jdc"):  # jdc exceeds its hidden-space cap
+        for extra in ([], ["--json"]):
+            yield [command, LARGE_PR, *extra]
+    yield ["check", LARGE_PR, *EXTRA_METRICS, "--json"]
+
+
+def _case_id(argv) -> str:
+    return " ".join("{...}" if a.startswith("{") else a for a in argv)
+
+
+class TestNoCyclicGarbage:
+    """The premise of main's pause: a command builds no reference cycles,
+    so reference counting frees all it drops and, after a warm-up call,
+    gc.collect() finds nothing left by the next call."""
+
+    @pytest.fixture(scope="class")
+    def large_pr(self, tmp_path_factory):
+        # 625 tables of 16 cells: a JSON tree of tens of thousands of containers
+        design, tables = pr_embedded_system(4, 5)
+        path = tmp_path_factory.mktemp("large") / "large_pr.json"
+        path.write_text(json.dumps(dump_system(design, tables)))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", list(_garbage_cases()), ids=_case_id)
+    def test_command_leaves_no_cycles(self, capsys, collector_state, large_pr, argv):
+        argv = [
+            large_pr if a == LARGE_PR else str(SAMPLES / a) if a.endswith(".json") else a
+            for a in argv
+        ]
+        code = main(argv)
+        capsys.readouterr()
+        gc.collect()
+        gc.disable()
+        assert main(argv) == code
+        assert gc.collect() == 0
+        capsys.readouterr()

@@ -538,6 +538,37 @@ def _shuffled_doc(rng) -> str:
     return json.dumps(doc)
 
 
+class TestStringWhereAListBelongs:
+    """A JSON string where a list belongs is refused, naming the entry;
+    list() or tuple() would split it into its characters."""
+
+    @pytest.mark.parametrize(
+        "path, value, entry",
+        [
+            (("inputs", 0, "values"), "xz", "input"),
+            (("outcomes", 1, "values"), "01", "outcomes"),
+            (("tables", 0, "treatment"), "xy", "table"),
+            (("tables", 0, "probs", 0, "outcome"), "00", "probability"),
+            # the table lists its cells as the table before it does
+            (("tables", 1, "probs", 1, "outcome"), "11", "probability"),
+            (("tables", 3, "probs", 1, "outcome"), {"1": "0"}, "probability"),
+        ],
+        ids=["input-values", "outcomes-values", "treatment", "outcome",
+             "outcome-in-a-repeated-order", "outcome-mapping"],
+    )
+    def test_refused_and_named(self, path, value, entry):
+        doc = json.loads((SAMPLES / "prbox.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        loaded, reference = load_both(json.dumps(doc))
+        assert isinstance(loaded, SystemFormatError), loaded
+        assert str(loaded) == str(reference)
+        assert str(loaded).startswith(f"bad {entry} entry ")
+        assert repr(value) in str(loaded)
+
+
 class TestAgainstReference:
     """The loader reads every document as tests/load_reference.py does."""
 
