@@ -170,7 +170,7 @@ def cmd_check(args) -> int:
         if args.metric:
             metrics = [load_metric(m) for m in args.metric]
         else:
-            metrics = [default_order_metric(loaded.design, loaded.tables, axes)]
+            metrics = [default_order_metric(axes)]
         max_len = default_max_len(loaded.design) if args.max_len is None else args.max_len
         suite = run_suite(
             loaded.design,
@@ -179,7 +179,6 @@ def cmd_check(args) -> int:
             max_len=max_len,
             cap=args.cap,
             eps_test=args.tol_test,
-            on_cap="truncate",
         )
         report.update(suite.as_json())
     else:
@@ -219,11 +218,9 @@ def cmd_jdc(args) -> int:
     report["theorem4_max_discrepancy"] = None
     if is_2x2_binary(loaded.design, loaded.tables):
         try:
-            fs = FineSystem.from_tables(loaded.design, loaded.tables, args.tol_test, problem.axes)
-            report["fine"] = fine_inequalities(
-                fs, 0.0 if loaded.regime == "rational" else args.tol_test
-            ).as_json()
-            eq = fine_chain_equivalence(fs, loaded.design, loaded.tables, problem.axes)
+            fs = FineSystem.from_tables(loaded.design, loaded.tables, args.tol_test)
+            report["fine"] = fine_inequalities(fs, args.tol_test).as_json()
+            eq = fine_chain_equivalence(fs, loaded.design, loaded.tables)
             report["theorem4_max_discrepancy"] = num_to_json(eq.max_discrepancy)
         except OrdistError as exc:
             report["fine"] = {"error": str(exc)}

@@ -33,6 +33,7 @@ implemented and testable against each other (chains on `check`'s kernel).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -46,7 +47,7 @@ from .errors import (
     SystemFormatError,
 )
 from .lp import solve_equality_feasibility, verify_certificate, verify_solution
-from .metrics import OrderDistance, OrderSpec, index_order_metric
+from .metrics import OrderDistance, OrderSpec, default_order_metric
 from .probspace import Design, InputPoint, TreatmentTable, _system_label, point_axes
 from .selectivity import (
     ChainReport,
@@ -60,8 +61,9 @@ from .selectivity import (
 
 MAX_HIDDEN_SPACE = 1_000_000
 #: guard on the m x n dense 0/1 rows that `jdc_feasible` builds, one cell
-#: per (constraint, hidden assignment); the simplex itself keeps far less,
-#: an m_kept x (m_kept + 1) block for the kept rows
+#: per (constraint, hidden assignment), checked by `build_jdc` before it
+#: builds a row's variable indices; the simplex itself keeps far less, an
+#: m_kept x (m_kept + 1) block for the kept rows
 MAX_TABLEAU_CELLS = 50_000_000
 _NOT_2X2 = "need a 2x2 factorial design with binary outputs"
 
@@ -148,7 +150,9 @@ def build_jdc(
     cap: int = MAX_HIDDEN_SPACE,
 ) -> JdcProblem:
     """Encode the joint-distribution feasibility problem for a validated,
-    marginally selective system."""
+    marginally selective system.  HiddenSpaceTooLarge when the hidden
+    space exceeds `cap`, or the dense rows, one per table cell, exceed
+    MAX_TABLEAU_CELLS cells; both are checked before any row is built."""
     tables = list(tables)
     known = point_axes(design, tables)
     points = design.points()
@@ -162,6 +166,9 @@ def build_jdc(
                 f"hidden space exceeds cap {cap}: product of outcome sets over "
                 f"{len(points)} input points"
             )
+    m = sum(math.prod(map(len, t.axes)) for t in tables)
+    if m * n_vars > MAX_TABLEAU_CELLS:
+        raise HiddenSpaceTooLarge(f"dense rows {m} x {n_vars} exceed the solver guard")
     point_index = {pt: k for k, pt in enumerate(points)}
     # stride of each point's digit in the mixed-radix variable index
     strides = [0] * len(points)
@@ -247,8 +254,8 @@ def _chain_certificate(problem: JdcProblem, eps_test: float) -> Optional[tuple[C
     design, tables = problem.design, problem.tables
     if not {t.treatment for t in tables} >= set(design.iter_treatments()):
         return None
-    metric = index_order_metric(problem.axes)
-    suite = run_suite(design, tables, [metric], max_len=default_max_len(design), eps_test=eps_test, on_cap="truncate")
+    metric = default_order_metric(problem.axes)
+    suite = run_suite(design, tables, [metric], max_len=default_max_len(design), eps_test=eps_test)
     if not suite.violations:
         return None
     chain = min(suite.violations, key=attrgetter("residual"))
@@ -290,10 +297,6 @@ def jdc_feasible(problem: JdcProblem, eps_lp: float = EPS_LP) -> JdcVerdict:
     within 10 * eps_lp per row.  Certificates are checked exactly.
     """
     m = len(problem.constraints)
-    if m * problem.n_vars > MAX_TABLEAU_CELLS:
-        raise HiddenSpaceTooLarge(
-            f"dense rows {m} x {problem.n_vars} exceed the solver guard"
-        )
     eps, eps_x = (0, 0) if problem.regime == RATIONAL else (eps_lp, 10 * eps_lp)
     rows = []
     rhs = []
@@ -361,11 +364,6 @@ class FineSystem:
 
     a1 / a1p: Pr[first output = first value] under x / x'.
     b1 / b1p: Pr[second output = first value] under y / y'.
-
-    Here and in :func:`d1_d2_chain_residuals` and
-    :func:`fine_chain_equivalence`, a caller that has found the system
-    2x2 binary (:func:`is_2x2_binary`) passes the tables'
-    :func:`point_axes` as `axes`, and neither is derived again.
     """
 
     p11: Num
@@ -384,11 +382,9 @@ class FineSystem:
         design: Design,
         tables: Iterable[TreatmentTable],
         eps: float = EPS_TEST,
-        axes: Optional[Mapping[InputPoint, tuple]] = None,
     ) -> "FineSystem":
         tables = list(tables)
-        if axes is None:
-            axes = _axes_2x2(design, tables)
+        axes = _axes_2x2(design, tables)
         msel = check_marginal_selectivity(design, tables, eps)
         if not msel.passed:
             raise MarginalSelectivityViolated(
@@ -445,11 +441,13 @@ def fine_expressions(fs: FineSystem) -> tuple[Num, Num, Num, Num]:
     )
 
 
-def fine_inequalities(fs: FineSystem, eps: float = 0.0) -> FineReport:
+def fine_inequalities(fs: FineSystem, eps: float = EPS_TEST) -> FineReport:
     """The eight Bell-CHSH-Fine conditions: -1 <= e_k <= 0 for the four
-    expressions.  Under marginal selectivity they hold exactly when the
-    joint-distribution problem is feasible."""
+    expressions, exactly, or within eps on a system labelled "float".
+    Under marginal selectivity they hold exactly when the joint-distribution
+    problem is feasible."""
     values = fine_expressions(fs)
+    eps = 0 if fs.regime == RATIONAL else eps
     violations = []
     for k, e in enumerate(values, start=1):
         if not -1 - eps <= e <= eps:
@@ -467,7 +465,7 @@ def _axes_2x2(design: Design, tables: list[TreatmentTable]) -> dict[InputPoint, 
 def _binary_order_specs(design: Design, axes: Mapping[InputPoint, tuple]) -> tuple[OrderSpec, OrderSpec]:
     """Rank maps for the two canonical binary order-distances: both axes by
     canonical value order, and with the second input's order reversed."""
-    low = index_order_metric(axes).order
+    low = default_order_metric(axes).order
     second = design.inputs[1]
     reversed_second = {
         pt: {v: 3 - r for v, r in ranks.items()} if pt.input == second else ranks
@@ -480,7 +478,6 @@ def d1_d2_chain_residuals(
     design: Design,
     tables: Iterable[TreatmentTable],
     eps_test: float = EPS_TEST,
-    axes: Optional[Mapping[InputPoint, tuple]] = None,
 ) -> tuple[list[ChainReport], list[ChainReport]]:
     """The eight canonical chain tests of a 2x2 binary system.
 
@@ -491,9 +488,7 @@ def d1_d2_chain_residuals(
     reversed.  Each is reported, flagged or not, as the chain suite would.
     """
     tables = list(tables)
-    if axes is None:
-        axes = _axes_2x2(design, tables)
-    d1_spec, d2_spec = _binary_order_specs(design, axes)
+    d1_spec, d2_spec = _binary_order_specs(design, _axes_2x2(design, tables))
     metrics = [OrderDistance(d1_spec, "order:low-first"), OrderDistance(d2_spec, "order:second-reversed")]
     pts = design.points()
     C = design.pair_covers()[0]
@@ -532,7 +527,6 @@ def fine_chain_equivalence(
     fs: FineSystem,
     design: Design,
     tables: Iterable[TreatmentTable],
-    axes: Optional[Mapping[InputPoint, tuple]] = None,
 ) -> EquivalenceReport:
     """Check, cell for cell, that the Fine expressions of `fs` (built from
     these tables) and the canonical chain residuals are the same facts:
@@ -540,7 +534,7 @@ def fine_chain_equivalence(
     lower one is the second-family residual shifted by 1.  Exact rational
     systems must come out at zero discrepancy."""
     e = fine_expressions(fs)
-    d1, d2 = d1_d2_chain_residuals(design, tables, axes=axes)
+    d1, d2 = d1_d2_chain_residuals(design, tables)
     disc = []
     for k in range(4):
         disc.append(abs(d1[k].residual - (-e[k])))

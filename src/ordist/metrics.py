@@ -36,7 +36,7 @@ from .errors import (
     UnrankedValue,
     ValueNotInPartition,
 )
-from .probspace import BivariateMarginal, Design, InputPoint, JointDist, point_axes
+from .probspace import BivariateMarginal, InputPoint, JointDist
 
 #: support cutoff for the essential supremum on float cells (marginals built in code)
 EPS_SUPP = 1e-12
@@ -185,19 +185,10 @@ class OrderDistance(_RankedMetric):
         return self.name
 
 
-def default_order_metric(
-    design: Design, tables, axes: Optional[Mapping[InputPoint, Sequence]] = None
-) -> OrderDistance:
-    """Order-distance ranking every point's outcomes by canonical order;
-    `axes`, when given, are the tables' :func:`point_axes`, which are then
-    not walked again."""
-    return index_order_metric(point_axes(design, tables) if axes is None else axes)
-
-
-def index_order_metric(axes: Mapping[InputPoint, Sequence]) -> OrderDistance:
-    """:func:`default_order_metric` from the tables' per-point axes, as
-    :func:`~ordist.probspace.point_axes` gives them: each point's outcomes
-    ranked by their place in its axis."""
+def default_order_metric(axes: Mapping[InputPoint, Sequence]) -> OrderDistance:
+    """The order-distance ``check`` uses when no metric is given, from the
+    tables' per-point axes as :func:`~ordist.probspace.point_axes` gives
+    them: each point's outcomes ranked by their place in its axis."""
     per_point = {pt: {v: k + 1 for k, v in enumerate(axis)} for pt, axis in axes.items()}
     return OrderDistance(OrderSpec({}, per_point), "order:index")
 

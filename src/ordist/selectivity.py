@@ -60,35 +60,43 @@ straight from the covering table's ints, with no marginal and no
 ``Fraction`` made; every other metric is evaluated on the marginal.  A
 sequence's int residual over the lcm denominator is its exact residual: a
 chain of exact terms is flagged when it is negative, one with a float
-term, or on a system labelled "float", when it is below -eps_test.  A
-restricted design's cycles are screened by two sums each: with F and B
-the cycle's distances summed one way round and the other and
-s(e) = d(u, v) + d(v, u) per edge e, the two sequences that leave out e
-have residuals F - s(e) and B - s(e), so only a cycle with
-min(F, B) - max s(e) below the table's bound is expanded into its
-chains.  A full design's tetrads x, y, x', y' are counted in closed
-form, and only those whose int residual is below the table's bound are
-visited: the residual is f(y) + g(y'), f(y) = d(x, y) + d(y, x') and
-g(y') = d(x', y') - d(x, y'), so per triple x, y, x' the y' with
-g(y') < bound - f(y) are a prefix of the other input's points sorted by
-g, found by bisection.  A flagged chain, like each Bell-CHSH-Fine chain
-of ``jdc``, is reported from the tables the screen built beside the
-distances: the raw values (an int-summed distance's as its ints over the
-lcm denominator), the pairs' covers, and the exact residual, rounded once
-to a float when a term is a float or the system is labelled "float".  The
-marginal-selectivity check sums the marginals of all tables of one cell
-layout together, column by column over their integer-scaled cells, and
-compares each class of tables in one pass.
+term, or on a system labelled "float", when it is below -eps_test.
+
+Every irreducible sequence is screened, in whatever order its design
+kind makes cheap, for the hits: the sequences, per metric, whose int
+residual is below the table's bound.  A restricted design's cycles are
+screened by two sums each: with F and B the cycle's distances summed one
+way round and the other and s(e) = d(u, v) + d(v, u) per edge e, the two
+sequences that leave out e have residuals F - s(e) and B - s(e), so only
+a cycle with min(F, B) - max s(e) below the table's bound is expanded
+into its chains.  A full design's tetrads x, y, x', y' are counted in
+closed form, and only those whose int residual is below the table's
+bound are visited: the residual is f(y) + g(y'), f(y) = d(x, y) +
+d(y, x') and g(y') = d(x', y') - d(x, y'), so per x, x' and other input
+the y' with g(y') < bound - f(y) are, for each y, a prefix of that
+input's points sorted by g, found by bisection, and none are when
+min f + min g is not below the bound.  The hits are sorted once into
+suite order, and a cap cuts them after the cap-th sequence of that
+order, the same rule on both design kinds.
+
+A flagged chain, like each Bell-CHSH-Fine chain of ``jdc``, is reported
+from the tables the screen built beside the distances: the raw values (an
+int-summed distance's as its ints over the lcm denominator), the pairs'
+covers, and the exact residual, rounded once to a float when a term is a
+float or the system is labelled "float".  The marginal-selectivity
+check sums the marginals of all tables of one cell layout together,
+column by column over their integer-scaled cells, and compares each class
+of tables in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, eq, getitem, itemgetter, lt, mul, sub
+from operator import add, eq, getitem, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arith import EPS_TEST, FLOAT, RATIONAL, Num, as_exact, num_to_json, over_lcm, shown
@@ -291,14 +299,12 @@ def _traversals(cycle: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [c[i:] + c[:i] for c in (cycle, back) for i in range(len(cycle))]
 
 
-def _irreducible_walk(
-    near: Sequence[int], third: Sequence[Sequence[int]], max_len: int, cap: int = MAX_SEQUENCES
-) -> Iterator[tuple[int, ...]]:
-    """A restricted design's irreducible sequences of length 3..max_len as
-    tuples of point indices, shortest first, lexicographic within each
-    length: the traversals of :func:`_chordless_cycles`, sorted one length
-    at a time.  The first cap + 1 are those of the whole walk."""
-    cycles = _chordless_cycles(near, third, max_len, cap)
+def _in_suite_order(cycles: dict[int, list[tuple[int, ...]]]) -> Iterator[tuple[int, ...]]:
+    """The traversals of `cycles` (:func:`_chordless_cycles`) as tuples of
+    point indices, shortest first, lexicographic within each length: the
+    suite's order, sorted one length at a time.  When the cycles were
+    found under a cap, their first cap + 1 traversals are those of the
+    uncut walk (:func:`_trim`)."""
     for length in sorted(cycles):
         yield from sorted(itertools.chain.from_iterable(map(_traversals, cycles[length])))
 
@@ -393,13 +399,13 @@ def enumerate_irreducible(
     Full factorial designs skip straight to the alternating tetrads over
     two distinct inputs, the only irreducible shape they admit.  Other
     designs' sequences are the traversals of their chordless cycles,
-    each cycle found once (:func:`_irreducible_walk`).
+    each cycle found once (:func:`_chordless_cycles`).
     """
     C, near, third = design.pair_covers()
     if design.is_full:
         seqs = _tetrad_indices(design) if max_len >= 4 else iter(())
     else:
-        seqs = _irreducible_walk(near, third, max_len, cap)
+        seqs = _in_suite_order(_chordless_cycles(near, third, max_len, cap))
     return _witnesses(design, C, seqs, cap, "irreducible")
 
 
@@ -607,107 +613,62 @@ def _tetrad_total(design: Design) -> int:
     return sum(s) ** 2 - sum(v * v for v in s)
 
 
-def _tetrad_candidates(
-    design: Design, tables: Sequence[tuple[list[list], Num]], cap: int
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """Among the first `cap` tetrads of :func:`_tetrad_indices`, those whose
-    residual is below table k's bound, as (a, b, c, d, k) in tetrad order,
-    k inner.  `tables` holds an int table and an int bound (G, B) per
-    metric: a screen's D and its :func:`_flag_bound`.
+def _tetrad_hits(
+    design: Design, tables: Sequence[tuple[list[list], int]]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Every tetrad of :func:`_tetrad_indices` whose residual is below table
+    k's bound, as ((a, b, c, d), k), in no set order.  `tables` holds an int
+    table and an int bound (G, B) per metric: a screen's D and its
+    :func:`_flag_bound`.
 
-    Fix x, x' (indices a, c) of one input and another input Y.  The
-    residual of the tetrad x, y, x', y' is f(y) + g(y'), with
-    f(y) = G[x][y] + G[y][x'] and g(y') = G[x'][y'] - G[x][y'].  Y's points
-    are sorted by g once per (x, x', Y), and for each y the candidates are
-    the y' with g(y') < (B - G[x][y]) - G[y][x'], that is g < -f(y) + B: a
-    prefix found by bisection.  For each (x, y), a table on which no x'
-    has its least g below that threshold is skipped whole.  The tetrads of
-    one triple are consecutive, so the cap cuts inside at most one
-    triple."""
+    The residual of the tetrad x, y, x', y' (indices a, b, c, d) is
+    f(y) + g(y'), with f(y) = G[x][y] + G[y][x'] and
+    g(y') = G[x'][y'] - G[x][y'].  So for each x, x' of one input and each
+    other input Y, the hits are, for each y, the y' other than y with
+    g(y') < B - f(y): a prefix of Y's points sorted by g, found by
+    bisection.  When min f + min g is not below B there is none, and Y's
+    points are not sorted."""
     pts = design.points()
-    of_input = {
-        name: [i for i, p in enumerate(pts) if p.input == name] for name in design.inputs
-    }
-    seen = 0  # tetrads before the current triple
-    for a, x in enumerate(pts):
-        if seen >= cap:
-            return
-        xs = [c for c in of_input[x.input] if c != a]
-        if not xs:
-            continue
-        others = [n for n in design.inputs if n != x.input and len(of_input[n]) >= 2]
-        # per table, per input Y: for each x' in xs, Y's points sorted by g
-        # with their g values; and each x''s least g
-        by_g = []
-        for G, _ in tables:
-            per_input = {}
-            for name in others:
-                lists = []
-                for c in xs:
-                    g = {d: G[c][d] - G[a][d] for d in of_input[name]}
-                    order = sorted(g, key=g.__getitem__)
-                    lists.append(([g[d] for d in order], order))
-                per_input[name] = lists, [gs[0] for gs, _ in lists]
-            by_g.append(per_input)
-        for b, y in enumerate(pts):
-            if y.input not in others:
-                continue
-            ys = [d for d in of_input[y.input] if d != b]
-            # (k, the threshold per x' in xs, lists) of the tables that may
-            # flag a tetrad x, y, ...
-            live = []
-            for k, (G, B) in enumerate(tables):
-                lists, least = by_g[k][y.input]
-                Gb = G[b]
-                limits = list(map(sub, itertools.repeat(B - G[a][b]), map(Gb.__getitem__, xs)))
-                if any(map(lt, least, limits)):
-                    live.append((k, limits, lists))
-            if not live:
-                seen += len(xs) * len(ys)
-                continue
-            for i, c in enumerate(xs):
-                if seen >= cap:
-                    return
-                # with fewer than len(ys) tetrads left, keep the y' before ys[left]
-                left = cap - seen
-                stop = ys[left] if left < len(ys) else len(pts)
-                seen += len(ys)
-                hits = []
-                for k, limits, lists in live:
-                    gs, order = lists[i]
-                    prefix = order[: bisect_left(gs, limits[i])]
-                    hits.extend((d, k) for d in prefix if d != b and d < stop)
-                hits.sort()
-                for d, k in hits:
-                    yield a, b, c, d, k
+    of_input = [[i for i, p in enumerate(pts) if p.input == name] for name in design.inputs]
+    groups = [points for points in of_input if len(points) >= 2]
+    hits = []
+    for k, (G, B) in enumerate(tables):
+        for xs in groups:
+            for ys in groups:
+                if ys is xs:
+                    continue
+                # per point of X: its distances to Y's points, and theirs to it
+                to_y = {a: [G[a][y] for y in ys] for a in xs}
+                from_y = {c: [G[y][c] for y in ys] for c in xs}
+                for a, c in itertools.permutations(xs, 2):
+                    ra, rc, cc = to_y[a], to_y[c], from_y[c]
+                    if min(map(sub, rc, ra)) + min(map(add, ra, cc)) >= B:
+                        continue
+                    order = sorted(zip(map(sub, rc, ra), ys))
+                    gs = [g for g, _ in order]
+                    for b, f in zip(ys, map(add, ra, cc)):
+                        n = bisect_left(gs, B - f)
+                        if n:
+                            hits.extend(((a, b, c, d), k) for _, d in order[:n] if d != b)
+    return hits
 
 
-def _cycle_candidates(
-    cycles: dict[int, list[tuple[int, ...]]], tables: Sequence[tuple[list[list], int]], cap: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Among the first `cap` traversals of `cycles` (:func:`_chordless_cycles`)
-    in suite order, shortest first and lexicographic, those whose residual
-    may be below table k's bound, as (sequence, k) in that order, k inner.
+def _cycle_hits(
+    cycles: dict[int, list[tuple[int, ...]]], tables: Sequence[tuple[list[list], int]]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Every traversal of `cycles` (:func:`_chordless_cycles`) whose
+    residual is below table k's bound, as (sequence, k), in no set order.
     `tables` holds an int table and an int bound per metric, as for
-    :func:`_tetrad_candidates`.
+    :func:`_tetrad_hits`.
 
     Let F and B be the sums of G around a cycle c_0..c_(l-1) one way and
     the other, and s_i = G[c_i][c_(i+1)] + G[c_(i+1)][c_i].  The traversal
     from c_(i+1) round to c_i leaves out the step c_i, c_(i+1) and closes
     on it the other way, so its residual is F - s_i; the one from c_i back
     round to c_(i+1) has B - s_i.  A cycle whose least residual,
-    min(F, B) - max s_i, is not below the bound is passed over whole, and
-    of the others only the traversals below it are passed on.  The length
-    at which the cap cuts has its traversals sorted, and the first of them
-    are all passed on."""
-    for length in sorted(cycles):
-        group = cycles[length]
-        if 2 * length * len(group) > cap:
-            for seq in sorted(itertools.chain.from_iterable(map(_traversals, group)))[:cap]:
-                yield from ((seq, k) for k in range(len(tables)))
-            return
-        cap -= 2 * length * len(group)
-        hits = []
+    min(F, B) - max s_i, is not below the bound is passed over whole."""
+    hits = []
+    for group in cycles.values():
         for cycle in group:
             ahead = cycle[1:] + cycle[:1]
             for k, (G, bound) in enumerate(tables):
@@ -722,8 +683,7 @@ def _cycle_candidates(
                         hits.append((cycle[i + 1:] + cycle[: i + 1], k))
                     if B - s < bound:
                         hits.append((cycle[i::-1] + cycle[:i:-1], k))
-        hits.sort()
-        yield from hits
+    return hits
 
 
 class _Over(dict):
@@ -794,30 +754,27 @@ def run_suite(
     max_len: int = 6,
     cap: int = MAX_SEQUENCES,
     eps_test: float = EPS_TEST,
-    on_cap: str = "raise",
 ) -> SuiteReport:
     """Chain-test the first `cap` irreducible sequences under every metric,
-    in :func:`enumerate_irreducible` order, metrics inner.
+    in :func:`enumerate_irreducible` order, metrics inner.  A report that
+    `cap` cuts is marked truncated.
 
     Assumes a validated, marginally selective system; distances are then
     witness-independent, so they are computed once per (metric, ordered
     point pair) by :func:`_distance_screen`, over the tetrad pairs of a
-    full design or the covered pairs of distinct points of another.  Each
-    candidate passed on has an int residual below the screen's
+    full design or the covered pairs of distinct points of another.  Every
+    irreducible sequence is screened: a full design's tetrads, counted in
+    closed form, by :func:`_tetrad_hits`, per x, x' and other input on
+    the points of that input sorted once; a restricted design's cycles by
+    :func:`_cycle_hits`, each on two sums around it.  A hit is a
+    (sequence, metric) whose int residual is below the screen's
     :func:`_flag_bound` (exactly the negative ones on a table of exact
-    values) and is decided, and reported when flagged, by
-    its screen's :func:`_chain_reporter`.  A full design's
-    tetrads are counted in closed form and screened per triple x, y, x'
-    by :func:`_tetrad_candidates`.  A restricted design's cycles are
-    screened by :func:`_cycle_candidates`, each on two sums, F and B
-    around it one way and the other, with s(e) = d(u, v) + d(v, u) per
-    edge: its 2l chains have residuals F - s(e) and B - s(e), and only a
-    cycle with min(F, B) - max s(e) below the bound is expanded.  A
-    restricted design's sequences are counted 2l per cycle, and past
-    `cap` of them the cycle pass stops extending paths past the length
-    at which the cap is reached.  Past `cap` sequences CapExceeded is
-    raised, or with ``on_cap="truncate"`` the report is marked
-    truncated.
+    values).  The hits are sorted once into suite order, cut past the
+    cap-th sequence when the cap cuts, and each is decided, and reported
+    when flagged, by its screen's :func:`_chain_reporter`.  A restricted
+    design's sequences are counted 2l per cycle, and past `cap` of them
+    the cycle pass stops extending paths past the length at which the cap
+    is reached (:func:`_trim`).
     """
     by_t = _tables_by_treatment(tables)
     metrics = list(metrics)
@@ -835,35 +792,31 @@ def run_suite(
     screens = _distance_screen(metrics, pts, pairs, by_t, C)
     floats = [_float_terms(R, pairs) for _, R, _ in screens]
     bounds = [(D, _flag_bound(f, den, eps_test)) for (D, _, den), f in zip(screens, floats)]
-    reporters = [
-        _chain_reporter(screen, f, pts, C, name, eps_test) for screen, f, name in zip(screens, floats, names)
-    ]
-    violations: list[ChainReport] = []
-
-    def decide(seq: tuple[int, ...], k: int) -> None:
-        report = reporters[k](seq)
-        if report is not None:
-            violations.append(report)
-
     if full:
         total = _tetrad_total(design) if max_len >= 4 else 0
-        tested = min(total, max(cap, 0))
-        for a, b, c, d, k in _tetrad_candidates(design, bounds, tested):
-            decide((a, b, c, d), k)
+        hits = _tetrad_hits(design, bounds) if total else []
     else:
         cycles = _chordless_cycles(near, third, max_len, cap)
         total = sum(2 * length * len(group) for length, group in cycles.items())
-        tested = min(total, max(cap, 0))
-        for seq, k in _cycle_candidates(cycles, bounds, tested):
-            decide(seq, k)
-    truncated = total > tested
-    if truncated and on_cap != "truncate":
-        raise CapExceeded(f"more than {cap} irreducible sequences")
+        hits = _cycle_hits(cycles, bounds)
+    tested = min(total, max(cap, 0))
+    # suite order: shortest sequence first, lexicographic within a length,
+    # metric inner
+    hits.sort(key=lambda hit: (len(hit[0]), hit))
+    if tested < total and hits:
+        # keep the hits at or before the cap-th sequence (none at cap 0)
+        order = _tetrad_indices(design) if full else _in_suite_order(cycles)
+        last = next(itertools.islice(order, tested - 1, None)) if tested else ()
+        del hits[bisect_right(hits, (len(last), last), key=lambda hit: (len(hit[0]), hit[0])):]
+    reporters = [
+        _chain_reporter(screen, f, pts, C, name, eps_test) for screen, f, name in zip(screens, floats, names)
+    ]
+    violations = [report for seq, k in hits if (report := reporters[k](seq)) is not None]
     return SuiteReport(
         sequences_tested=tested,
         violations=tuple(violations),
         metrics=tuple(names),
-        truncated=truncated,
+        truncated=total > tested,
     )
 
 

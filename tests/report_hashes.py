@@ -6,6 +6,7 @@ Run from anywhere in a checkout::
     python3 tests/report_hashes.py --seed 2 --workload check_full
     python3 tests/report_hashes.py --seed 1 --workload samples
     python3 tests/report_hashes.py --seed 1 --workload samples_float
+    python3 tests/report_hashes.py --seed 2 --workload capped
 
 For each workload (all of them by default) the seed's batch of systems is
 generated by ``perfbench/workloads.py`` and written by
@@ -22,6 +23,10 @@ without ``--json``, on every ``samples/*.json`` in name order, the samples
 directory's path likewise replaced; it does not depend on the seed.
 ``samples_float`` (run by default after ``samples``) makes the same calls
 with ``--arithmetic float``, so that float reports are pinned too.
+``capped`` (run by default, last) reruns every ``check`` case of the
+seed's ``check_full`` and ``check_restricted`` batches at each ``--cap``
+of ``CAPS``, so that truncated reports are pinned too; it fails unless
+each cap cuts at least one report.
 Every ``--json`` call's stdout must parse as strict JSON, with no NaN or
 Infinity, or the script fails.  Every call must also leave no objects in
 reference cycles, which ``ordist.cli.main`` relies on when it pauses the
@@ -81,16 +86,18 @@ def _not_json(constant: str):
     raise ValueError(f"{constant} is not JSON")
 
 
-def add_call(digest, argv: list[str], directory: str) -> None:
+def add_call(digest, argv: list[str], directory: str) -> tuple[object, str, str]:
     """Feed one call's exit code, stdout and stderr to `digest`, with
-    `directory` replaced by a fixed token.  A ``--json`` call's stdout must
-    be strict JSON: a NaN or an infinity in it raises ValueError."""
+    `directory` replaced by a fixed token, and return them.  A ``--json``
+    call's stdout must be strict JSON: a NaN or an infinity in it raises
+    ValueError."""
     parts = call(argv)
     if "--json" in argv and parts[1]:
         json.loads(parts[1], parse_constant=_not_json)
     for part in parts:
         text = str(part).replace(directory, "<dir>")
         digest.update(f"{len(text)}:{text}".encode("utf-8"))
+    return parts
 
 
 def batch_hash(workload: str, seed: int) -> str:
@@ -104,6 +111,31 @@ def batch_hash(workload: str, seed: int) -> str:
                 write_system(ordist, case.system, path)
                 written.add(path)
             add_call(digest, case.argv(path), tmp)
+    return digest.hexdigest()
+
+
+#: the caps the ``capped`` choice reruns each ``check`` case at: cap 97
+#: cuts about half of the restricted designs at seed 1, and 5000 every
+#: full one
+CAPS = (1, 7, 97, 5000)
+
+
+def capped_hash(seed: int) -> str:
+    """sha256 over every ``check`` case of the `check_full` and
+    `check_restricted` batches at `seed`, each run at every cap of CAPS.
+    Raises RuntimeError if a cap cuts none of the reports."""
+    digest = hashlib.sha256()
+    cut = dict.fromkeys(CAPS, False)
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in ("check_full", "check_restricted"):
+            for case in WORKLOADS[workload](random.Random(seed)):
+                path = str(Path(tmp) / f"{case.system.name}.json")
+                write_system(ordist, case.system, path)
+                for cap in CAPS:
+                    parts = add_call(digest, [*case.argv(path), "--cap", str(cap)], tmp)
+                    cut[cap] = cut[cap] or json.loads(parts[1]).get("truncated") is True
+    if not all(cut.values()):
+        raise RuntimeError(f"caps {[c for c in CAPS if not cut[c]]} cut no report at seed {seed}")
     return digest.hexdigest()
 
 
@@ -122,17 +154,21 @@ def samples_hash(arithmetic: tuple[str, ...] = ()) -> str:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workload", action="append", choices=sorted([*WORKLOADS, "samples", "samples_float"]))
+    p.add_argument(
+        "--workload", action="append", choices=sorted([*WORKLOADS, "samples", "samples_float", "capped"])
+    )
     args = p.parse_args(argv)
     # the first call builds the CLI's parser, which leaves cycles once per
     # process; a call on no file does that before the checked calls
     with contextlib.redirect_stdout(io.StringIO()):
         ordist.cli.main(["demo-normal"])
-    for workload in args.workload or [*WORKLOADS, "samples", "samples_float"]:
+    for workload in args.workload or [*WORKLOADS, "samples", "samples_float", "capped"]:
         if workload == "samples":
             print(f"samples {samples_hash()}")
         elif workload == "samples_float":
             print(f"samples_float {samples_hash(('--arithmetic', 'float'))}")
+        elif workload == "capped":
+            print(f"capped {capped_hash(args.seed)}")
         else:
             print(f"{workload} {batch_hash(workload, args.seed)}")
     return 0

@@ -305,6 +305,20 @@ class TestJdc:
         assert code == 1
         assert "cap" in err
 
+    def test_tableau_guard_is_input_error(self, capsys, tmp_path, monkeypatch):
+        # 7 binary inputs: 16,384 rows over 16,384 assignments, refused
+        # before build_jdc builds a row
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps(dump_system(*pr_embedded_system(7, 2))))
+
+        def no_row(*args):
+            raise AssertionError("a constraint row was built")
+
+        monkeypatch.setattr(jdc_mod, "JdcConstraint", no_row)
+        code, out, err = run(capsys, "jdc", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: dense rows 16384 x 16384 exceed the solver guard\n"
+
     def test_any_ordist_error_is_input_error(self, capsys, monkeypatch):
         # one error boundary for every command: an OrdistError from any
         # step ends in exit code 1 and a message, never a traceback

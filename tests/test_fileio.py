@@ -21,6 +21,7 @@ from ordist import (
     fileio,
     load_metric,
     load_system,
+    point_axes,
     validate_system,
 )
 from ordist.cli import main
@@ -333,7 +334,7 @@ class TestLoadMetric:
 
     def test_default_metric_ranks_by_declared_order(self):
         loaded = load_system(SAMPLES / "prbox.json")
-        metric = default_order_metric(loaded.design, loaded.tables)
+        metric = default_order_metric(point_axes(loaded.design, loaded.tables))
         from ordist import InputPoint
 
         assert metric.order.rank_of("0", InputPoint("1", "x")) == 1

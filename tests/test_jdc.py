@@ -38,12 +38,13 @@ from ordist import selectivity
 from ordist.cli import main
 from ordist.jdc import fine_expressions, independent_rows
 from ordist.lp import solve_equality_feasibility, verify_certificate
-from ordist.metrics import index_order_metric
+from ordist.metrics import default_order_metric
 from lp_reference import dense_feasibility, exact_rank, jdc_rows
 from randsys import (
     binary_design,
     canonical_order_specs,
     pr_box,
+    pr_embedded_system,
     product_system,
     random_2x2_system,
     random_coupled_system,
@@ -111,6 +112,18 @@ class TestBuildJdc:
         design, tables = pr_box()
         with pytest.raises(HiddenSpaceTooLarge):
             build_jdc(design, tables, cap=8)
+
+    def test_tableau_guard_trips_before_any_row_is_built(self, monkeypatch):
+        # 7 binary inputs: 16,384 rows over 16,384 assignments, whose
+        # 2,097,152 variable indices the guard refuses before building
+        design, tables = pr_embedded_system(7, 2)
+
+        def no_row(*args):
+            raise AssertionError("a constraint row was built")
+
+        monkeypatch.setattr(jdc_mod, "JdcConstraint", no_row)
+        with pytest.raises(HiddenSpaceTooLarge, match="dense rows 16384 x 16384 exceed the solver guard"):
+            build_jdc(design, tables)
 
 
 class TestJdcFeasible:
@@ -289,7 +302,7 @@ class TestChainCertificate:
 
     def test_most_violated_chain_first_in_suite_order(self):
         design, tables = pr_box()
-        suite = run_suite(design, tables, [index_order_metric(point_axes(design, tables))], max_len=4)
+        suite = run_suite(design, tables, [default_order_metric(point_axes(design, tables))], max_len=4)
         worst = min(v.residual for v in suite.violations)
         first = next(v for v in suite.violations if v.residual == worst)
         assert sum(v.residual == worst for v in suite.violations) > 1
@@ -352,7 +365,7 @@ class TestChainCertificate:
         design, tables = face_joint_system()
         floats = as_float(tables)
         problem = build_jdc(design, floats)
-        suite = run_suite(design, floats, [index_order_metric(problem.axes)], max_len=4, eps_test=0.0)
+        suite = run_suite(design, floats, [default_order_metric(problem.axes)], max_len=4, eps_test=0.0)
         assert [v.residual for v in suite.violations] == [-(2.0**-54)]
         assert jdc_mod._chain_certificate(problem, EPS_LP) is None
         chain, y = jdc_mod._chain_certificate(problem, 0.0)

@@ -298,7 +298,6 @@ class TestGuards:
         from ordist import build_jdc, HiddenSpaceTooLarge
 
         design, tables = product_system()
-        problem = build_jdc(design, tables)
         monkeypatch.setattr(jdc_mod, "MAX_TABLEAU_CELLS", 10)
         with pytest.raises(HiddenSpaceTooLarge):
-            jdc_mod.jdc_feasible(problem)
+            build_jdc(design, tables)

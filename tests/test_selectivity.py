@@ -31,6 +31,7 @@ from ordist import (
     enumerate_irreducible,
     enumerate_realizable,
     is_irreducible,
+    point_axes,
     run_suite,
     transform_outputs,
 )
@@ -44,10 +45,10 @@ from ordist.selectivity import (
     _distance_screen,
     _flag_bound,
     _float_terms,
-    _tetrad_candidates,
+    _tetrad_hits,
     _tetrad_indices,
     _tetrad_total,
-    _irreducible_walk,
+    _in_suite_order,
     _realizable_walk,
     _traversals,
 )
@@ -359,17 +360,13 @@ class TestRunSuite:
             assert suite.violations == ()
 
     def test_truncation_flag(self):
+        # a cut report is marked truncated and counts the cap; no cut, no mark
         design, tables = product_system()
-        suite = run_suite(
-            design,
-            tables,
-            [OrderDistance(index_order_spec(tables))],
-            cap=3,
-            on_cap="truncate",
-        )
-        assert suite.truncated
-        with pytest.raises(CapExceeded):
-            run_suite(design, tables, [OrderDistance(index_order_spec(tables))], cap=3)
+        metrics = [OrderDistance(index_order_spec(tables))]
+        suite = run_suite(design, tables, metrics, cap=3)
+        assert suite.truncated and suite.sequences_tested == 3
+        whole = run_suite(design, tables, metrics, cap=8)
+        assert not whole.truncated and whole.sequences_tested == 8
 
 
 def random_full_system(rng, regime: str):
@@ -423,9 +420,10 @@ def suite_metrics(rng, tables):
     ]
 
 
-def oracle_suite(design, tables, metrics, max_len=6, cap=10**6, on_cap="raise", eps_test=EPS_TEST):
+def oracle_suite(design, tables, metrics, max_len=6, cap=10**6, eps_test=EPS_TEST):
     """run_suite rebuilt from enumerate_irreducible plus chain_test: the
-    violated reports in (sequence, metric) order and the sequence count."""
+    violated reports in (sequence, metric) order, the sequence count, and
+    whether enumerate_irreducible's CapExceeded cut it."""
     violations = []
     tested = 0
     truncated = False
@@ -437,8 +435,6 @@ def oracle_suite(design, tables, metrics, max_len=6, cap=10**6, on_cap="raise", 
                 if report.violated:
                     violations.append(report)
     except CapExceeded:
-        if on_cap != "truncate":
-            raise
         truncated = True
     return violations, tested, truncated
 
@@ -500,17 +496,13 @@ class TestSuiteAgreement:
             if total < 8:
                 continue
             cap = total // 3
-            suite = run_suite(design, tables, metrics, cap=cap, on_cap="truncate")
-            violations, tested, truncated = oracle_suite(
-                design, tables, metrics, cap=cap, on_cap="truncate"
-            )
+            suite = run_suite(design, tables, metrics, cap=cap)
+            violations, tested, truncated = oracle_suite(design, tables, metrics, cap=cap)
             assert suite.truncated and truncated
             assert suite.sequences_tested == tested == cap
             assert as_bytes(suite.violations) == as_bytes(violations)
             first = set(w.points for w in itertools.islice(enumerate_irreducible(design, 4), cap))
             assert all(v.sequence in first for v in suite.violations)
-            with pytest.raises(CapExceeded, match=f"more than {cap} irreducible"):
-                run_suite(design, tables, metrics, cap=cap)
             exact = run_suite(design, tables, metrics, cap=total)
             assert exact.sequences_tested == total and not exact.truncated
             checked += 1
@@ -611,7 +603,7 @@ def kernel_metrics(rng, design, tables):
     """The order-distance family as the suite meets it: the index order,
     random per-point ranks with ties, the index order with random points
     reversed, and per-point partitions."""
-    index = default_order_metric(design, tables)
+    index = default_order_metric(point_axes(design, tables))
     return [
         index,
         OrderDistance(random_order_spec(rng, tables), "random-ranks"),
@@ -1177,7 +1169,7 @@ class TestMaskWalk:
             _, near, third = design.pair_covers()
             for irreducible in (True, False):
                 if irreducible:
-                    walk = _irreducible_walk(near, third, max_len, cap)
+                    walk = _in_suite_order(_chordless_cycles(near, third, max_len, cap))
                 else:
                     walk = _realizable_walk(near, max_len)
                 mine = list(itertools.islice(walk, cap))
@@ -1237,7 +1229,7 @@ class TestMaskWalk:
             return cover(self, points)
 
         monkeypatch.setattr(Design, "cover", counted)
-        suite = run_suite(loaded.design, loaded.tables, [default_order_metric(loaded.design, loaded.tables)])
+        suite = run_suite(loaded.design, loaded.tables, [default_order_metric(point_axes(loaded.design, loaded.tables))])
         assert suite.sequences_tested == 190 and suite.violations
         assert calls == []
         # nor do the witnesses of enumerate_irreducible, which read the table
@@ -1290,23 +1282,19 @@ class TestRestrictedCap:
             for metric in metrics
             if (report := chain_test(metric, w, tables)).violated
         ]
-        suite = run_suite(design, tables, metrics, cap=cap, on_cap="truncate")
+        suite = run_suite(design, tables, metrics, cap=cap)
         assert not suite.truncated
         assert suite.sequences_tested == len(irreducible)
         assert expected and as_bytes(suite.violations) == as_bytes(expected)
 
         below = len(irreducible) - 1
-        truncated = run_suite(design, tables, metrics, cap=below, on_cap="truncate")
+        truncated = run_suite(design, tables, metrics, cap=below)
         assert truncated.truncated and truncated.sequences_tested == below
         first = set(w.points for w in irreducible[:below])
         kept = [report for report in expected if report.sequence in first]
         assert as_bytes(truncated.violations) == as_bytes(kept)
-        nothing = run_suite(design, tables, metrics, cap=0, on_cap="truncate")
+        nothing = run_suite(design, tables, metrics, cap=0)
         assert nothing.truncated and nothing.sequences_tested == 0 and not nothing.violations
-        with pytest.raises(CapExceeded, match="more than 0 irreducible sequences"):
-            run_suite(design, tables, metrics, cap=0)
-        with pytest.raises(CapExceeded, match=f"more than {below} irreducible sequences"):
-            run_suite(design, tables, metrics, cap=below)
         with pytest.raises(CapExceeded, match=f"more than {below} irreducible sequences"):
             list(enumerate_irreducible(design, 6, cap=below))
         assert list(enumerate_irreducible(design, 6, cap=len(irreducible))) == irreducible
@@ -1426,9 +1414,9 @@ class TestCycleKernel:
         assert found == {3, 4, 5, 6, 8}
 
     def test_every_cap_on_pr_restricted(self):
-        # run_suite in both on_cap modes, and enumerate_irreducible's
-        # witnesses up to its CapExceeded, at every cap; oracle_suite, which
-        # runs chain_test on every witness, at the caps around the ends
+        # run_suite, and enumerate_irreducible's witnesses up to its
+        # CapExceeded, at every cap; oracle_suite, which runs chain_test on
+        # every witness, at the caps around the ends
         loaded = load_system(SAMPLES / "pr_restricted.json")
         design, tables = loaded.design, loaded.tables
         rng = random.Random("cycle-caps")
@@ -1439,7 +1427,7 @@ class TestCycleKernel:
         assert total == len(witnesses) == 190
         for cap in range(total + 1):
             want = [r for reports in chains[:cap] for r in reports]
-            suite = run_suite(design, tables, metrics, cap=cap, on_cap="truncate")
+            suite = run_suite(design, tables, metrics, cap=cap)
             assert (suite.sequences_tested, suite.truncated) == (cap, cap < total)
             assert as_bytes(suite.violations) == as_bytes(want)
             walked = []
@@ -1448,17 +1436,9 @@ class TestCycleKernel:
             except CapExceeded:
                 assert cap < total
             assert walked == witnesses[:cap]
-            if cap < total:
-                with pytest.raises(CapExceeded, match=f"more than {cap} irreducible"):
-                    run_suite(design, tables, metrics, cap=cap)
-            else:
-                assert as_bytes(run_suite(design, tables, metrics, cap=cap).violations) == as_bytes(want)
             if cap in (0, 1, 2, total - 1, total):
-                violations, tested, truncated = oracle_suite(design, tables, metrics, cap=cap, on_cap="truncate")
+                violations, tested, truncated = oracle_suite(design, tables, metrics, cap=cap)
                 assert (tested, truncated, as_bytes(violations)) == (cap, cap < total, as_bytes(want))
-                if cap < total:
-                    with pytest.raises(CapExceeded, match=f"more than {cap} irreducible"):
-                        oracle_suite(design, tables, metrics, cap=cap)
 
     def test_capped_walk_keeps_the_first_cap_plus_one(self):
         # past the cap the pass drops longer cycles and, at the length the
@@ -1471,7 +1451,7 @@ class TestCycleKernel:
             _, near, third = design.pair_covers()
             reference = list(pair_rule_walk(design, 8, True))
             for cap in range(len(reference) + 2):
-                walked = itertools.islice(_irreducible_walk(near, third, 8, cap), cap + 1)
+                walked = itertools.islice(_in_suite_order(_chordless_cycles(near, third, 8, cap)), cap + 1)
                 assert list(walked) == reference[: cap + 1]
                 kept = _chordless_cycles(near, third, 8, cap)
                 dropped += sum(2 * l * len(g) for l, g in kept.items()) < len(reference)
@@ -1483,23 +1463,24 @@ def unrolled(D, tetrad):
     return D[a][b] + D[b][c] + D[c][d] - D[a][d]
 
 
-def random_distance_tables(rng, design, count):
-    """`count` int distance tables over the cross-input pairs of points of
-    inputs with two or more values (None elsewhere, as _distance_screen
-    leaves them), each with some tetrads tied at residual exactly 0."""
+def random_distance_tables(rng, design, bounds):
+    """One int distance table per bound B in `bounds`, over the cross-input
+    pairs of points of inputs with two or more values (None elsewhere, as
+    _distance_screen leaves them), each with some tetrads tied at its
+    bound: residual B, which the screen must leave out, or B - 1, which it
+    must keep."""
     pts = design.points()
     multi = [len(design.values[p.input]) >= 2 for p in pts]
     tetrads = list(_tetrad_indices(design))
     tables = []
-    for _ in range(count):
+    for bound in bounds:
         D = [
             [rng.randint(-2, 3) if multi[i] and multi[j] and p.input != q.input else None
              for j, q in enumerate(pts)]
             for i, p in enumerate(pts)
         ]
-        # residual 0: g(y') == -f(y), the tie the bisection must leave out
         for a, b, c, d in rng.sample(tetrads, min(len(tetrads), 6)):
-            D[a][d] = D[a][b] + D[b][c] + D[c][d]
+            D[a][d] = D[a][b] + D[b][c] + D[c][d] - bound + rng.randint(0, 1)
         tables.append(D)
     return tables
 
@@ -1522,44 +1503,80 @@ def tetrad_pairs(design):
 
 
 class TestTetradScreen:
-    """_tetrad_candidates against _tetrad_indices plus the unrolled residual."""
+    """_tetrad_hits against _tetrad_indices plus the unrolled residual, and
+    run_suite's cut of the hits at the cap."""
 
     def expected(self, design, tables, cap):
-        # the candidates are exactly the tetrads below each table's bound
+        # the hits are exactly the tetrads below each table's bound
         return [
-            (*t, k)
+            (t, k)
             for t in itertools.islice(_tetrad_indices(design), cap)
             for k, (G, bound) in enumerate(tables)
             if unrolled(G, t) < bound
         ]
 
     def test_int_tables_yield_exactly_the_negative_tetrads(self):
+        # at bound 0 the hits are the negative tetrads; other bounds too,
+        # with ties at B (left out) and B - 1 (kept)
         rng = random.Random("tetrad-screen")
-        ties = 0
+        ties = {0: 0, 1: 0}
         for _ in range(40):
             design = random_tetrad_design(rng)
-            tables = [(D, 0) for D in random_distance_tables(rng, design, rng.randint(1, 3))]
+            bounds = [rng.choice([0, 0, -2, 3]) for _ in range(rng.randint(1, 3))]
+            tables = list(zip(random_distance_tables(rng, design, bounds), bounds))
             total = _tetrad_total(design)
             assert total == sum(1 for _ in _tetrad_indices(design))
-            got = list(_tetrad_candidates(design, tables, total))
-            assert got == self.expected(design, tables, total)
-            ties += sum(unrolled(D, t) == 0 for t in _tetrad_indices(design) for D, _ in tables)
-        assert ties > 0
+            got = _tetrad_hits(design, tables)
+            assert sorted(got) == self.expected(design, tables, total)
+            for t in _tetrad_indices(design):
+                for D, bound in tables:
+                    gap = bound - unrolled(D, t)
+                    if gap in ties:
+                        ties[gap] += 1
+        assert ties[0] > 0 and ties[1] > 0
+
+    def test_screens_with_mixed_float_terms(self):
+        # the screens run_suite builds, float, exact and mixed (SomeFloat,
+        # and a power with exact zeros): the hits are every tetrad whose
+        # int residual is below the screen's bound
+        rng = random.Random("tetrad-screen-mixed")
+        kinds = set()
+        for n in range(8):
+            design, tables = random_full_system(rng, ("float", "rational")[n % 2])
+            pts, pairs = design.points(), tetrad_pairs(design)
+            C = design.pair_covers()[0]
+            screens = _distance_screen(suite_metrics(rng, tables), pts, pairs, {t.treatment: t for t in tables}, C)
+            floats = [_float_terms(R, pairs) for _, R, _ in screens]
+            bounds = [(D, _flag_bound(f, den, 0.05)) for (D, _, den), f in zip(screens, floats)]
+            got = sorted(_tetrad_hits(design, bounds))
+            want = self.expected(design, bounds, _tetrad_total(design))
+            assert got == want
+            kinds.update(floats[k] for _, k in want)
+        # hits on float, exact and mixed screens
+        assert kinds == {True, False, None}
 
     def test_cap_cuts_inside_a_triple(self):
+        # run_suite keeps the hits of the first `cap` tetrads; on `every`
+        # each tetrad is one, so most caps cut inside a triple x, y, x'
         rng = random.Random("tetrad-screen-cap")
         for _ in range(10):
             design = random_tetrad_design(rng)
-            (D,) = random_distance_tables(rng, design, 1)
-            n = len(design.points())
+            tables = random_tables(rng, design)
+            pts, pairs = design.points(), tetrad_pairs(design)
+            (D,) = random_distance_tables(rng, design, [0])
             # every tetrad's residual on `every` is -1 - 1 - 1 + 1
-            every = [[-1] * n for _ in range(n)]
-            tables = [(D, 0), (every, 0)]
+            every = [[-1] * len(pts) for _ in pts]
+            named = [("lookup", D), ("every", every)]
+            metrics = [Lookup({(pts[i], pts[j]): G[i][j] for i, j in pairs}, name) for name, G in named]
             total = _tetrad_total(design)
-            caps = {0, 1, total - 1, total, total + 1, rng.randrange(total + 1)}
-            for cap in sorted(caps):
-                got = list(_tetrad_candidates(design, tables, cap))
-                assert got == self.expected(design, tables, cap), cap
+            for cap in sorted({0, 1, total - 1, total, total + 1, rng.randrange(total + 1)}):
+                suite = run_suite(design, tables, metrics, max_len=4, cap=cap)
+                want = [
+                    (tuple(map(pts.__getitem__, t)), named[k][0], unrolled(named[k][1], t))
+                    for t, k in self.expected(design, [(D, 0), (every, 0)], cap)
+                ]
+                assert [(v.sequence, v.metric, v.residual) for v in suite.violations] == want, cap
+                assert (suite.sequences_tested, suite.truncated) == (min(cap, total), cap < total)
 
     def test_exact_and_power_metrics_interleave_by_tetrad(self):
         # an exact order-distance and its 9/10 power (floats, exact 0):
@@ -1601,19 +1618,39 @@ class TestTetradScreen:
         total = _tetrad_total(design)
         assert total == 56
         for cap in range(total + 2):
-            suite = run_suite(design, tables, metrics, cap=cap, on_cap="truncate")
-            violations, tested, truncated = oracle_suite(
-                design, tables, metrics, cap=cap, on_cap="truncate"
-            )
+            suite = run_suite(design, tables, metrics, cap=cap)
+            violations, tested, truncated = oracle_suite(design, tables, metrics, cap=cap)
             assert suite.sequences_tested == tested == min(cap, total)
             assert suite.truncated is truncated is (cap < total)
             assert as_bytes(suite.violations) == as_bytes(violations)
-            if cap < total:
-                with pytest.raises(CapExceeded, match=f"more than {cap} irreducible"):
-                    run_suite(design, tables, metrics, cap=cap)
-            else:
-                assert run_suite(design, tables, metrics, cap=cap).truncated is False
+            assert [v.covers for v in suite.violations] == [v.covers for v in violations]
         assert violations
+
+    @pytest.mark.parametrize("sample", ["pr_restricted.json", "eight_cycle.json"])
+    def test_every_cap_on_a_restricted_sample(self, sample):
+        # the same cut on a restricted design's cycles, at every cap: the
+        # oracle's report at cap c is its violations on the first c
+        # witnesses, each tested once here, and oracle_suite itself at the
+        # ends
+        loaded = load_system(SAMPLES / sample)
+        design, tables = loaded.design, loaded.tables
+        metrics = kernel_metrics(random.Random(f"every-cap-{sample}"), design, tables)
+        max_len = len(design.points())
+        per_witness = [
+            [report for metric in metrics if (report := chain_test(metric, w, tables)).violated]
+            for w in enumerate_irreducible(design, max_len)
+        ]
+        total = len(per_witness)
+        for cap in range(total + 2):
+            want = [report for reports in per_witness[:cap] for report in reports]
+            suite = run_suite(design, tables, metrics, max_len=max_len, cap=cap)
+            assert (suite.sequences_tested, suite.truncated) == (min(cap, total), cap < total)
+            assert as_bytes(suite.violations) == as_bytes(want)
+            assert [v.covers for v in suite.violations] == [v.covers for v in want]
+            if cap in (0, 1, total - 1, total + 1):
+                violations, tested, truncated = oracle_suite(design, tables, metrics, max_len, cap=cap)
+                assert (tested, truncated, as_bytes(violations)) == (min(cap, total), cap < total, as_bytes(want))
+        assert want
 
 
 def exact_oracle(design, tables, metrics, eps_test):
@@ -1641,14 +1678,14 @@ def exact_oracle(design, tables, metrics, eps_test):
 class Lookup(Metric):
     """A fixed distance per ordered pair of points, whatever the marginal."""
 
-    def __init__(self, values):
-        self.values = values
+    def __init__(self, values, name="lookup"):
+        self.values, self.name = values, name
 
     def evaluate(self, m):
         return self.values[m.row_point, m.col_point]
 
     def describe(self):
-        return "lookup"
+        return self.name
 
 
 class Scaled(Metric):
@@ -1730,7 +1767,7 @@ class TestExactResiduals:
             ((D, R, den),) = _distance_screen([metric], pts, pairs, {t.treatment: t for t in tables}, C)
             bound = _flag_bound(_float_terms(R, pairs), den, eps)
             assert bound == -math.floor(F(eps) * den)
-            got = [tuple(t) for *t, _ in _tetrad_candidates(design, [(D, bound)], len(tetrads))]
+            got = sorted(t for t, _ in _tetrad_hits(design, [(D, bound)]))
             assert got == flagged
         assert ties > 0
 
