@@ -35,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .arith import EPS_SUM, FLOAT, RATIONAL, Num, is_exact, over_lcm, regime_of, shown, zero_of
 from .errors import SameInput, SystemFormatError, UnknownInput
@@ -250,16 +250,16 @@ def _point_axes(design: Design, tables: Iterable["TreatmentTable"]):
     """Each point's axis in the first table mentioning it, and the
     (point, treatment) pairs of later tables whose axis for the point is
     another set."""
-    first_axes: dict[InputPoint, tuple] = {}
+    names = design.inputs
+    # (position, value) -> axis, so that each InputPoint is made once
+    first_axes: dict[tuple, tuple] = {}
     mismatches = []
     for t in tables:
-        for pos, name in enumerate(design.inputs):
-            pt = InputPoint(name, t.treatment[pos])
-            axis = t.axes[pos]
-            first = first_axes.setdefault(pt, axis)
+        for at, axis in zip(enumerate(t.treatment), t.axes):
+            first = first_axes.setdefault(at, axis)
             if first is not axis and set(first) != set(axis):
-                mismatches.append((pt, t.treatment))
-    return first_axes, mismatches
+                mismatches.append((InputPoint(names[at[0]], at[1]), t.treatment))
+    return {InputPoint(names[pos], value): axis for (pos, value), axis in first_axes.items()}, mismatches
 
 
 def point_axes(design: Design, tables: Iterable["TreatmentTable"]) -> dict[InputPoint, tuple]:
@@ -709,6 +709,52 @@ def _column_sums(columns: Sequence[tuple], sizes: tuple, keep: tuple) -> list[tu
             acc = tuple(functools.reduce(stack, cols[k : k + _NEST], acc))
         out.append(acc)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_plan(sizes: tuple) -> tuple:
+    """The steps of :func:`_lattice_sums` on axes of `sizes`: per proper
+    nonempty subset keep of the positions (the one position when there is
+    one), larger subsets first, each size in combinations order,
+    (keep, parent, the parent's sizes, keep's positions in the parent),
+    the parent being the subset over one more position with the fewest
+    cells, the first such in combinations order (the full set for the
+    largest)."""
+    n = len(sizes)
+    steps = []
+    for k in range(n - 1, 0, -1):
+        for keep in itertools.combinations(range(n), k):
+            # inserting a smaller position gives a parent earlier in
+            # combinations order
+            parent = min(
+                (tuple(sorted((*keep, j))) for j in range(n) if j not in keep),
+                key=lambda s: math.prod(map(sizes.__getitem__, s)),
+            )
+            steps.append((keep, parent, tuple(map(sizes.__getitem__, parent)), tuple(map(parent.index, keep))))
+    if n == 1:
+        steps.append(((0,), (0,), sizes, (0,)))
+    return tuple(steps)
+
+
+def _lattice_sums(columns: Sequence[tuple], sizes: tuple) -> Iterator[tuple[tuple, list[tuple]]]:
+    """(keep, :func:`_column_sums` of `columns` over keep) for every proper
+    nonempty subset `keep` of the positions of `sizes` (the one position
+    when there is one): larger subsets first, each size in
+    :func:`itertools.combinations` order.
+
+    This is the data-cube lattice of Harinarayan, Rajaraman & Ullman
+    ("Implementing data cubes efficiently", SIGMOD 1996): each subset is
+    summed from the marginal already summed over one more position that
+    has the fewest cells (:func:`_lattice_plan`), so only the largest
+    subsets are summed from the full cells.  Only two sizes of marginals
+    are held at once."""
+    above, below = {}, {tuple(range(len(sizes))): columns}
+    for keep, parent, parent_sizes, at in _lattice_plan(sizes):
+        if parent not in above:
+            # a new size: the subsets summed last are the parents now
+            above, below = below, {}
+        sums = below[keep] = _column_sums(above[parent], parent_sizes, at)
+        yield keep, sums
 
 
 def _marginal_sums(table: TreatmentTable, keep: tuple) -> list[Fraction]:

@@ -84,9 +84,10 @@ from the tables the screen built beside the distances: the raw values (an
 int-summed distance's as its ints over the lcm denominator), the pairs'
 covers, and the exact residual, rounded once to a float when a term is a
 float or the system is labelled "float".  The marginal-selectivity
-check sums the marginals of all tables of one cell layout together,
-column by column over their integer-scaled cells, and compares each class
-of tables in one pass.
+check compares every proper subset of the inputs.  It sums the marginals
+of all tables of one cell layout together, column by column over their
+integer-scaled cells, each subset from a larger one through the subset
+lattice, and on a shared denominator decides each subset in one pass.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, eq, getitem, itemgetter, mul, sub
@@ -110,8 +112,8 @@ from .probspace import (
     bivariate,
     diagonal_coupling,
     _system_label,
-    _column_sums,
     _keyed,
+    _lattice_sums,
     _pair_grid,
 )
 
@@ -427,6 +429,36 @@ def _tetrad_indices(design: Design) -> Iterator[tuple[int, int, int, int]]:
             for c in xs:
                 for d in ys:
                     yield a, b, c, d
+
+
+def _tetrad_at(design: Design, k: int) -> tuple[int, int, int, int]:
+    """The tetrad at index k (from 0) of :func:`_tetrad_indices`, found in
+    closed form: the tetrads of one x, y, points of inputs X and Y, are
+    one block of (|X| - 1)(|Y| - 1) in that order, and the points of one
+    input are consecutive, so whole inputs and points are skipped by their
+    counts, and x' and y' are the block's row and column past x and y."""
+    sizes = [len(design.values[name]) for name in design.inputs]
+    first = list(itertools.accumulate(sizes, initial=0))
+    pairs = [m * (m - 1) for m in sizes]
+    all_pairs = sum(pairs)
+    for i, mx in enumerate(sizes):
+        # the tetrads of one x of X
+        per_x = (mx - 1) * (all_pairs - pairs[i])
+        if k >= mx * per_x:
+            k -= mx * per_x
+            continue
+        ax, k = divmod(k, per_x)
+        for j, my in enumerate(sizes):
+            if j == i:
+                continue
+            block = (mx - 1) * (my - 1)
+            if k >= my * block:
+                k -= my * block
+                continue
+            by, k = divmod(k, block)
+            cx, dy = divmod(k, my - 1)
+            return (first[i] + ax, first[j] + by, first[i] + cx + (cx >= ax), first[j] + dy + (dy >= by))
+    raise IndexError(f"tetrad index {k} out of range")
 
 
 def _tables_by_treatment(tables: Iterable[TreatmentTable]) -> Mapping[tuple, TreatmentTable]:
@@ -770,7 +802,8 @@ def run_suite(
     (sequence, metric) whose int residual is below the screen's
     :func:`_flag_bound` (exactly the negative ones on a table of exact
     values).  The hits are sorted once into suite order, cut past the
-    cap-th sequence when the cap cuts, and each is decided, and reported
+    cap-th sequence when the cap cuts (on a full design found in closed
+    form by :func:`_tetrad_at`), and each is decided, and reported
     when flagged, by its screen's :func:`_chain_reporter`.  A restricted
     design's sequences are counted 2l per cycle, and past `cap` of them
     the cycle pass stops extending paths past the length at which the cap
@@ -805,8 +838,12 @@ def run_suite(
     hits.sort(key=lambda hit: (len(hit[0]), hit))
     if tested < total and hits:
         # keep the hits at or before the cap-th sequence (none at cap 0)
-        order = _tetrad_indices(design) if full else _in_suite_order(cycles)
-        last = next(itertools.islice(order, tested - 1, None)) if tested else ()
+        if not tested:
+            last = ()
+        elif full:
+            last = _tetrad_at(design, tested - 1)
+        else:
+            last = next(itertools.islice(_in_suite_order(cycles), tested - 1, None))
         del hits[bisect_right(hits, (len(last), last), key=lambda hit: (len(hit[0]), hit[0])):]
     reporters = [
         _chain_reporter(screen, f, pts, C, name, eps_test) for screen, f, name in zip(screens, floats, names)
@@ -833,29 +870,122 @@ def _agree(marginals: Sequence[tuple], dens: Sequence[int]) -> bool:
     return all(map(eq, lhs, rhs))
 
 
+def _shared_scale(dens: Sequence[int]) -> Optional[int]:
+    """The lcm of `dens` when it is at most the square of the largest, else
+    None: an int rescaled to it is then no larger than the products of an
+    int and a denominator that the per-class scan forms anyway.  The lcm is
+    given up on as soon as it passes that bound."""
+    top = max(dens)
+    bound, scale = top * top, 1
+    for den in set(dens):
+        scale = math.lcm(scale, den)
+        if scale > bound:
+            return None
+    return scale
+
+
+def _scan_classes(
+    names: tuple, keep: tuple, groups: dict, tables: list, dens: list, marginal: Mapping[int, tuple]
+) -> tuple[list, Num, Optional[dict]]:
+    """The per-class loop of :func:`check_marginal_selectivity` over the
+    input subset `names`, at positions `keep`, whose classes `groups` maps
+    from their values there (a bare value for one input) to the positions
+    of their tables: (names, values, worst discrepancy) per class of two
+    or more tables, and the subset's worst discrepancy with its witness,
+    first reached.
+
+    A class whose members share one layout and whose marginals all equal
+    the first member's, two denominators cross-multiplied, has discrepancy
+    0.  Any other class is scanned member by member, outcome by outcome,
+    for the discrepancies and the witness: |a*den - b*ref_den| /
+    (ref_den*den) over the ints of `marginal`, compared cross-multiplied,
+    so that one Fraction is made per class; an equal member scans to 0."""
+    classes = []
+    worst: Num = 0
+    witness = None
+    for values, group in groups.items():
+        if len(group) < 2:
+            continue
+        key = values if len(names) > 1 else (values,)
+        pick = itemgetter(*group)
+        tabs, group_dens, marginals = pick(tables), pick(dens), pick(marginal)
+        group_layouts = [t.axes for t in tabs]
+        shared = group_layouts.count(group_layouts[0]) == len(group_layouts)
+        if shared and _agree(marginals, group_dens):
+            classes.append((names, key, 0))
+            continue
+        ref, ref_den = tabs[0], group_dens[0]
+        ref_d = _keyed([ref.axes[i] for i in keep], marginals[0])
+        ref_outcomes = list(ref_d)
+        # the class's worst discrepancy, top / scale, first reached at `found`
+        top, scale, found = 0, 1, None
+        for other, den, m in zip(tabs[1:], group_dens[1:], marginals[1:]):
+            if shared:
+                outcomes = ref_outcomes
+                gaps = [abs(a * den - b * ref_den) for a, b in zip(marginals[0], m)]
+            else:
+                d = _keyed([other.axes[i] for i in keep], m)
+                # deterministic scan order so tied witnesses are stable
+                outcomes = ref_outcomes + [k for k in d if k not in ref_d]
+                gaps = [abs(ref_d.get(o, 0) * den - d.get(o, 0) * ref_den) for o in outcomes]
+            gap = max(gaps)
+            if gap * scale > top * ref_den * den:
+                top, scale, found = gap, ref_den * den, (other, outcomes[gaps.index(gap)])
+        class_worst = Fraction(top, scale) if top else 0
+        classes.append((names, key, class_worst))
+        if class_worst > worst:
+            worst = class_worst
+            other, outcome = found
+            witness = {
+                "inputs": list(names),
+                "assignment": list(key),
+                "treatments": [list(ref.treatment), list(other.treatment)],
+                "outcome": list(outcome) if isinstance(outcome, tuple) else [outcome],
+                "discrepancy": worst,
+            }
+    return classes, worst, witness
+
+
 def check_marginal_selectivity(
     design: Design,
     tables: Iterable[TreatmentTable],
     eps: float = EPS_TEST,
 ) -> MarginalSelectivityReport:
-    """Compare marginals that must agree: for every single input and every
-    input pair, treatments assigning the same values there must induce the
-    same marginal over those outputs, compared exactly: within eps on a
-    system labelled "float", whose worst discrepancy prints as a float.
+    """Compare marginals that must agree: for every proper subset of the
+    inputs (the one input of a one-input design), treatments assigning the
+    same values there must induce the same marginal over those outputs,
+    compared exactly: within eps on a system labelled "float", whose worst
+    discrepancy prints as a float.  ``classes`` lists (inputs, values,
+    worst discrepancy) per class of two or more tables, smaller subsets
+    first, each size in combinations order, classes in order of their first
+    table.
 
-    Every table's marginals are summed together with those of the other
-    tables of its cell layout (the same axes), one input subset at a time,
-    column by column over the tables' ints (:meth:`TreatmentTable.scaled`)
-    transposed (:func:`~ordist.probspace._column_sums`).  A class whose
-    members share one layout and whose marginals all equal the first
-    member's, two denominators cross-multiplied, passes with discrepancy
-    0.  Any other class is scanned member by member, outcome by outcome,
-    for the discrepancies and the witness: |a*den - b*ref_den| /
-    (ref_den*den) over the same ints, compared cross-multiplied, so that
-    one Fraction is made per class; an equal member scans to 0."""
+    The marginals of all tables of one cell layout (the same axes) are
+    summed together, column by column over the tables' ints
+    (:meth:`TreatmentTable.scaled`) transposed, once per subset through the
+    subset lattice (:func:`~ordist.probspace._lattice_sums`): each subset
+    from the smallest marginal over one more input, already summed, larger
+    subsets first.  Each subset is decided as it is summed, and the
+    subsets' classes, worst discrepancies and witnesses are then merged in
+    the order above, so the witness is the first reaching the worst.
+
+    The tables' ints are first put on one shared denominator, the lcm of
+    theirs, when that lcm is at most the square of the largest denominator
+    (:func:`_shared_scale`): a rescaled int is then no larger than the
+    products the per-class loop forms.  When every denominator divides the
+    largest, the lcm is the largest.  On the shared scale two tables'
+    marginals agree exactly when their ints and kept axes are equal, so an
+    input subset is decided in one pass: every class agrees when the set of
+    (values, kept axes, marginal) over all tables holds one entry per class,
+    and its classes then have discrepancy 0.  A subset that fails this goes
+    through the per-class loop (:func:`_scan_classes`), the one place that
+    computes discrepancies and the witness.  So does every subset of a
+    system with no shared scale (tables over distinct primes, say) and of a
+    system labelled "float", whose rounded marginals rarely agree exactly:
+    it keeps the member-by-member scan."""
     tables = list(tables)
     # per table: its ints over their denominator; per layout (axes), the
-    # positions of its tables and their cells transposed, one tuple per cell
+    # positions of its tables
     cells, dens = [], []
     layouts: dict[tuple, list[int]] = {}
     for p, t in enumerate(tables):
@@ -863,68 +993,58 @@ def check_marginal_selectivity(
         cells.append(c)
         dens.append(den)
         layouts.setdefault(t.axes, []).append(p)
-    columns = {axes: list(zip(*map(cells.__getitem__, ps))) for axes, ps in layouts.items()}
-    layout_of = [t.axes for t in tables]
+    regime = _system_label(tables)
+    # rounding leaves a float system's marginals rarely exactly equal
+    scale = _shared_scale(dens) if dens and regime != FLOAT else None
+    # per layout: its subset marginals, summed from its cells transposed,
+    # one tuple per cell, on the shared scale when there is one
+    lattices = []
+    for axes, ps in layouts.items():
+        columns = list(zip(*map(cells.__getitem__, ps)))
+        if scale is not None:
+            factors = [scale // dens[p] for p in ps]
+            if factors.count(1) != len(factors):
+                columns = [tuple(map(mul, column, factors)) for column in columns]
+        lattices.append(_lattice_sums(columns, tuple(map(len, axes))))
+    if scale is not None:
+        dens = [scale] * len(tables)
     treatments = [t.treatment for t in tables]
+    # input subset (positions) -> its classes, worst discrepancy and witness
+    decided: dict[tuple, tuple] = {}
+    for layer in zip(*lattices):
+        keep = layer[0][0]
+        names = tuple(map(design.inputs.__getitem__, keep))
+        values_at = itemgetter(*keep)
+        keys = list(map(values_at, treatments))
+        if scale is not None:
+            counts = Counter(keys)
+            kept: dict[tuple, int] = {}
+            entries: set = set()
+            for (axes, ps), (_, sums) in zip(layouts.items(), layer):
+                kept_id = kept.setdefault(values_at(axes), len(kept))
+                layout_keys = keys if len(ps) == len(keys) else map(keys.__getitem__, ps)
+                entries.update(zip(layout_keys, itertools.repeat(kept_id), zip(*sums)))
+            if len(entries) == len(counts):
+                keyed = counts.items() if len(keep) > 1 else (((k,), n) for k, n in counts.items())
+                decided[keep] = ([(names, k, 0) for k, n in keyed if n > 1], 0, None)
+                continue
+        # position -> that table's marginal over keep, a tuple
+        marginal: dict[int, tuple] = {}
+        for ps, (_, sums) in zip(layouts.values(), layer):
+            marginal.update(zip(ps, zip(*sums)))
+        # the values at keep -> the positions of the tables assigning them
+        groups: dict = {}
+        for p, values in enumerate(keys):
+            groups.setdefault(values, []).append(p)
+        decided[keep] = _scan_classes(names, keep, groups, tables, dens, marginal)
     worst: Num = 0
     witness = None
     classes = []
-    subset_sizes = [1] + ([2] if len(design.inputs) >= 2 else [])
-    for size in subset_sizes:
-        for names in itertools.combinations(design.inputs, size):
-            keep = tuple(design.index(n) for n in names)
-            # position -> that table's marginal over keep, a tuple
-            marginal: dict[int, tuple] = {}
-            for axes, ps in layouts.items():
-                sums = _column_sums(columns[axes], tuple(map(len, axes)), keep)
-                marginal.update(zip(ps, zip(*sums)))
-            # the values at keep -> the positions of the tables assigning them
-            # (a bare value when keep holds one input)
-            groups: dict = {}
-            for p, values in enumerate(map(itemgetter(*keep), treatments)):
-                groups.setdefault(values, []).append(p)
-            for values, group in groups.items():
-                if len(group) < 2:
-                    continue
-                key = values if size > 1 else (values,)
-                pick = itemgetter(*group)
-                tabs, group_dens, marginals, group_layouts = (
-                    pick(tables), pick(dens), pick(marginal), pick(layout_of)
-                )
-                shared = group_layouts.count(group_layouts[0]) == len(group_layouts)
-                if shared and _agree(marginals, group_dens):
-                    classes.append((names, key, 0))
-                    continue
-                ref, ref_den = tabs[0], group_dens[0]
-                ref_d = _keyed([ref.axes[i] for i in keep], marginals[0])
-                ref_outcomes = list(ref_d)
-                # the class's worst discrepancy, top / scale, first reached at `found`
-                top, scale, found = 0, 1, None
-                for other, den, m in zip(tabs[1:], group_dens[1:], marginals[1:]):
-                    if shared:
-                        outcomes = ref_outcomes
-                        gaps = [abs(a * den - b * ref_den) for a, b in zip(marginals[0], m)]
-                    else:
-                        d = _keyed([other.axes[i] for i in keep], m)
-                        # deterministic scan order so tied witnesses are stable
-                        outcomes = ref_outcomes + [k for k in d if k not in ref_d]
-                        gaps = [abs(ref_d.get(o, 0) * den - d.get(o, 0) * ref_den) for o in outcomes]
-                    gap = max(gaps)
-                    if gap * scale > top * ref_den * den:
-                        top, scale, found = gap, ref_den * den, (other, outcomes[gaps.index(gap)])
-                class_worst = Fraction(top, scale) if top else 0
-                classes.append((names, key, class_worst))
-                if class_worst > worst:
-                    worst = class_worst
-                    other, outcome = found
-                    witness = {
-                        "inputs": list(names),
-                        "assignment": list(key),
-                        "treatments": [list(ref.treatment), list(other.treatment)],
-                        "outcome": list(outcome) if isinstance(outcome, tuple) else [outcome],
-                        "discrepancy": worst,
-                    }
-    regime = _system_label(tables)
+    for keep in sorted(decided, key=lambda keep: (len(keep), keep)):
+        part, subset_worst, subset_witness = decided[keep]
+        classes += part
+        if subset_worst > worst:
+            worst, witness = subset_worst, subset_witness
     passed = worst <= eps if regime == FLOAT else worst == 0
     if worst:
         worst = witness["discrepancy"] = shown(worst, regime)

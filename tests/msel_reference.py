@@ -2,10 +2,12 @@
 ``Fraction`` cells.
 
 This is the straightforward scan that `ordist.selectivity` replaced with
-comparisons of marginals summed in the tables' ints.  Every class member's
-marginal is summed from its ``probs`` cells and every outcome is compared,
-also when the two marginals are identical, which makes it slow but easy to
-read.  A system with a table labelled "float" passes when no discrepancy
+comparisons of marginals summed in the tables' ints.  It compares every
+proper subset of the inputs (the one input of a one-input design), one
+at a time from the full tables, classes in order of their first table.
+Every class member's marginal is summed from its ``probs`` cells and
+every outcome is compared, also when the two marginals are identical,
+which makes it slow but easy to read.  A system with a table labelled "float" passes when no discrepancy
 exceeds eps, and its worst discrepancy is reported rounded once to a
 float.  Tests compare the production check against it: same verdict, same
 worst discrepancy, same witness and the same per-class worst values.
@@ -25,8 +27,7 @@ def reference_marginal_selectivity(design, tables, eps: float = EPS_TEST) -> Mar
     worst: Num = 0
     witness = None
     classes = []
-    subset_sizes = [1] + ([2] if len(design.inputs) >= 2 else [])
-    for size in subset_sizes:
+    for size in range(1, max(2, len(design.inputs))):
         for names in itertools.combinations(design.inputs, size):
             keep = [design.index(n) for n in names]
             groups: dict[tuple, list] = {}

@@ -7,6 +7,7 @@ Run from anywhere in a checkout::
     python3 tests/report_hashes.py --seed 1 --workload samples
     python3 tests/report_hashes.py --seed 1 --workload samples_float
     python3 tests/report_hashes.py --seed 2 --workload capped
+    python3 tests/report_hashes.py --seed 2 --workload msel
 
 For each workload (all of them by default) the seed's batch of systems is
 generated by ``perfbench/workloads.py`` and written by
@@ -27,6 +28,11 @@ with ``--arithmetic float``, so that float reports are pinned too.
 seed's ``check_full`` and ``check_restricted`` batches at each ``--cap``
 of ``CAPS``, so that truncated reports are pinned too; it fails unless
 each cap cuts at least one report.
+``msel`` (run by default, last) reruns every ``check`` case of the same
+two batches with one table of the system perturbed (:func:`perturbed`),
+so that failing marginal-selectivity reports of large systems are pinned
+too; it fails unless every ``check_full`` case reports marginal
+selectivity violated.
 Every ``--json`` call's stdout must parse as strict JSON, with no NaN or
 Infinity, or the script fails.  Every call must also leave no objects in
 reference cycles, which ``ordist.cli.main`` relies on when it pauses the
@@ -43,13 +49,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -139,6 +148,42 @@ def capped_hash(seed: int) -> str:
     return digest.hexdigest()
 
 
+def perturbed(system, seed: int):
+    """`system` with one table, drawn by `seed`, perturbed: 1/den of its
+    mass (den the lcm of its cells' denominators) moves from its first cell
+    with positive mass to the cell that differs from it only in the first
+    input's output.  Every marginal over a subset holding the first input
+    then differs by 1/den from those of the other tables of its class, and
+    no other marginal changes."""
+    treatments = system.all_treatments()
+    treatment = treatments[random.Random(f"msel-{seed}-{system.name}").randrange(len(treatments))]
+    cells = dict(system.tables[treatment])
+    step = Fraction(1, math.lcm(*(p.denominator for p in cells.values())))
+    src = next(o for o, p in cells.items() if p > 0)
+    axis = list(dict.fromkeys(o[0] for o in cells))
+    dst = (axis[(axis.index(src[0]) + 1) % len(axis)], *src[1:])
+    cells[src] -= step
+    cells[dst] += step
+    return dataclasses.replace(system, tables={**system.tables, treatment: cells})
+
+
+def msel_hash(seed: int) -> str:
+    """sha256 over every ``check`` case of the `check_full` and
+    `check_restricted` batches at `seed`, each on its system with one
+    table :func:`perturbed`.  Raises RuntimeError if a ``check_full``
+    case reports marginal selectivity passed."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in ("check_full", "check_restricted"):
+            for case in WORKLOADS[workload](random.Random(seed)):
+                path = str(Path(tmp) / f"{case.system.name}.json")
+                write_system(ordist, perturbed(case.system, seed), path)
+                parts = add_call(digest, case.argv(path), tmp)
+                if workload == "check_full" and json.loads(parts[1])["marginal_selectivity"]["passed"]:
+                    raise RuntimeError(f"perturbed {case.system.name} passes marginal selectivity")
+    return digest.hexdigest()
+
+
 def samples_hash(arithmetic: tuple[str, ...] = ()) -> str:
     """sha256 over `check`, `jdc` and `check` with EXTRA_METRICS, text and
     JSON, on every sample, each call given the `arithmetic` options."""
@@ -155,20 +200,22 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
-        "--workload", action="append", choices=sorted([*WORKLOADS, "samples", "samples_float", "capped"])
+        "--workload", action="append", choices=sorted([*WORKLOADS, "samples", "samples_float", "capped", "msel"])
     )
     args = p.parse_args(argv)
     # the first call builds the CLI's parser, which leaves cycles once per
     # process; a call on no file does that before the checked calls
     with contextlib.redirect_stdout(io.StringIO()):
         ordist.cli.main(["demo-normal"])
-    for workload in args.workload or [*WORKLOADS, "samples", "samples_float", "capped"]:
+    for workload in args.workload or [*WORKLOADS, "samples", "samples_float", "capped", "msel"]:
         if workload == "samples":
             print(f"samples {samples_hash()}")
         elif workload == "samples_float":
             print(f"samples_float {samples_hash(('--arithmetic', 'float'))}")
         elif workload == "capped":
             print(f"capped {capped_hash(args.seed)}")
+        elif workload == "msel":
+            print(f"msel {msel_hash(args.seed)}")
         else:
             print(f"{workload} {batch_hash(workload, args.seed)}")
     return 0

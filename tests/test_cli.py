@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import time
@@ -15,6 +16,7 @@ from ordist.cli import _build_parser, main
 from ordist.errors import SystemFormatError
 from ordist.jdc import FineSystem
 from ordist.lp import verify_certificate
+from ordist.selectivity import check_marginal_selectivity
 from randsys import pr_embedded_system
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -467,6 +469,12 @@ SAMPLE_GOLDENS = {
         ("check_eight_cycle", ("check",), 2),
         ("jdc_eight_cycle", ("jdc",), 2),
     ),
+    # parity4_doc(): every 1- and 2-input marginal agrees, two 3-input
+    # marginals differ by 1/4
+    "parity4.json": (
+        ("check_parity4", ("check",), 2),
+        ("jdc_parity4", ("jdc",), 2),
+    ),
     # a table summing to 1 + 1/12, negative cells and a missing treatment:
     # the validation messages
     "invalid_exact.json": (
@@ -698,6 +706,62 @@ class TestLongCycle:
         # refuted by one of the two violated 8-chains
         assert len(report["certificate_chain"]["sequence"]) == 8
         assert report["certificate_chain"]["residual"] == "-1/2"
+
+
+def parity4_doc():
+    """A full design of 4 binary inputs A-D with binary outputs: under each
+    treatment every outcome with X_C = X_A xor X_B xor [D = d1] has mass
+    1/8.  Every marginal over one or two inputs is uniform under every
+    treatment, while the (A, B, C) marginal under d0 and under d1 sit on
+    disjoint halves of its outcomes."""
+    values = {n: [f"{n.lower()}0", f"{n.lower()}1"] for n in "ABCD"}
+    tables = []
+    for t in itertools.product(*values.values()):
+        flip = t[3] == "d1"
+        outcomes = [o for o in itertools.product("01", repeat=4) if int(o[2]) == int(o[0]) ^ int(o[1]) ^ flip]
+        tables.append({"treatment": list(t), "probs": [{"outcome": list(o), "p": "1/8"} for o in outcomes]})
+    return {
+        "inputs": [{"name": n, "values": v} for n, v in values.items()],
+        "treatments": "full",
+        "outcomes": [{"input": n, "values": ["0", "1"]} for n in values],
+        "tables": tables,
+    }
+
+
+class TestParity4:
+    """Marginal selectivity over every proper subset: only a 3-input
+    marginal refutes the parity system."""
+
+    def test_sample_is_the_doc(self):
+        assert json.loads((SAMPLES / "parity4.json").read_text()) == parity4_doc()
+
+    def test_check_names_a_three_input_class(self, capsys):
+        code, out, _ = run(capsys, "check", str(SAMPLES / "parity4.json"), "--json")
+        assert code == 2
+        msel = json.loads(out)["marginal_selectivity"]
+        assert msel["passed"] is False
+        assert msel["max_discrepancy"] == "1/4"
+        assert msel["witness"] == {
+            "inputs": ["A", "B", "C"],
+            "assignment": ["a0", "b0", "c0"],
+            "treatments": [["a0", "b0", "c0", "d0"], ["a0", "b0", "c0", "d1"]],
+            "outcome": ["0", "0", "0"],
+            "discrepancy": "1/4",
+        }
+
+    def test_only_three_input_classes_differ(self):
+        loaded = load_system(SAMPLES / "parity4.json")
+        classes = check_marginal_selectivity(loaded.design, loaded.tables).classes
+        # 4 x 2 one-input, 6 x 4 two-input and 4 x 8 three-input classes
+        assert len(classes) == 8 + 24 + 32
+        assert all(worst == 0 for names, _, worst in classes if len(names) < 3)
+        differ = {names for names, _, worst in classes if worst}
+        assert differ == {("A", "B", "C")}
+
+    def test_jdc_refutes(self, capsys):
+        code, out, _ = run(capsys, "jdc", str(SAMPLES / "parity4.json"), "--json")
+        assert code == 2
+        assert json.loads(out)["feasible"] is False
 
 
 class TestUsageErrors:

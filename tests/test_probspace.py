@@ -18,8 +18,8 @@ from ordist import (
     marginalize,
     validate_system,
 )
-from ordist.probspace import MAX_EXPLICIT_TREATMENTS
-from randsys import binary_design, random_joint
+from ordist.probspace import MAX_EXPLICIT_TREATMENTS, _point_axes
+from randsys import binary_design, random_coupled_system, random_joint
 
 
 def symbolic_tables(design):
@@ -190,6 +190,56 @@ class TestValidateSystem:
         report = validate_system(design, symbolic_tables(design)[:3])
         assert report.skipped_checks == ()
         assert "skipped_checks" not in report.as_json()
+
+
+def loop_point_axes(design, tables):
+    """The per-point axes pass as one loop over (table, input) pairs, an
+    InputPoint each: each point's axis in the first table naming it, and
+    the (point, treatment) pairs of later tables whose axis is another set."""
+    first_axes = {}
+    mismatches = []
+    for t in tables:
+        for pos, name in enumerate(design.inputs):
+            pt = InputPoint(name, t.treatment[pos])
+            axis = t.axes[pos]
+            first = first_axes.setdefault(pt, axis)
+            if first is not axis and set(first) != set(axis):
+                mismatches.append((pt, t.treatment))
+    return first_axes, mismatches
+
+
+def test_point_axes_match_the_loop():
+    # full and restricted systems; some tables reorder an axis (the same
+    # set, no mismatch) or swap an outcome for a new one (a mismatch)
+    rng = random.Random("point-axes")
+    kinds = set()
+    for _ in range(40):
+        design, tables = random_coupled_system(
+            rng, n_inputs=rng.choice([2, 3]), restrict_phi=rng.random() < 0.5
+        )
+        for k, t in enumerate(tables):
+            change = rng.choice(["keep", "keep", "reorder", "swap"])
+            if change == "keep":
+                continue
+            axes = list(t.axes)
+            pos = rng.randrange(len(axes))
+            axis = list(axes[pos])
+            if change == "reorder":
+                axis.reverse()
+            else:
+                axis[rng.randrange(len(axis))] = "new"
+            axes[pos] = tuple(axis)
+            ints, den = t.scaled()
+            tables[k] = TreatmentTable.from_ints(design, t.treatment, axes, ints, den)
+        got, want = _point_axes(design, tables), loop_point_axes(design, tables)
+        assert list(got[0].items()) == list(want[0].items())
+        assert all(type(pt) is InputPoint for pt in got[0])
+        assert got[1] == want[1]
+        assert all(type(pt) is InputPoint for pt, _ in got[1])
+        kinds.add(bool(want[1]))
+        if not want[1]:
+            assert list(validate_system(design, tables).axes.items()) == list(want[0].items())
+    assert kinds == {True, False}
 
 
 class TestMarginalize:

@@ -40,6 +40,7 @@ from msel_reference import reference_marginal_selectivity
 from ordist.arith import EPS_TEST, over_lcm
 from ordist.cli import main
 from ordist.fileio import load_metric, load_system
+from ordist import selectivity
 from ordist.selectivity import (
     _chordless_cycles,
     _distance_screen,
@@ -50,6 +51,8 @@ from ordist.selectivity import (
     _tetrad_total,
     _in_suite_order,
     _realizable_walk,
+    _shared_scale,
+    _tetrad_at,
     _traversals,
 )
 from randsys import (
@@ -860,6 +863,158 @@ class TestMarginalSelectivityReference:
 
 
 
+def restricted(rng, design, tables):
+    """The tables of a random half or so of `design`'s treatments, on the
+    restricted design of those treatments."""
+    kept = sorted(rng.sample(range(len(tables)), max(2, len(tables) // 2)))
+    sub = Design(design.inputs, design.values, [tables[k].treatment for k in kept])
+    return sub, [TreatmentTable.from_ints(sub, tables[k].treatment, tables[k].axes, *tables[k].scaled()) for k in kept]
+
+
+def relaid(rng, tables, factors=(1, 2, 3)):
+    """The same distributions, each table's ints over its denominator times
+    a factor from `factors`, and its axes in one of two orders: as given,
+    or with one input's outcomes reversed.  So agreeing classes mix
+    denominators and, on some subsets, layouts."""
+    flip = rng.randrange(len(tables[0].axes))
+    out = []
+    for t in tables:
+        axes = list(t.axes)
+        if rng.random() < 0.5:
+            axes[flip] = axes[flip][::-1]
+        f = rng.choice(factors)
+        ints, den = t.scaled()
+        cell = dict(zip(itertools.product(*t.axes), ints))
+        out.append(TreatmentTable.from_ints(
+            t.design, t.treatment, axes, [cell[o] * f for o in itertools.product(*axes)], den * f))
+    return out
+
+
+def distinct_prime_system(n_values=10):
+    """A full 3 x `n_values` binary design whose tables have distinct
+    prime denominators from 101 up: every class is scanned."""
+    names = ["1", "2", "3"]
+    design = Design(names, {n: [f"w{k}" for k in range(n_values)] for n in names})
+    rng = random.Random("distinct-primes")
+    primes = (q for q in itertools.count(101) if all(q % d for d in range(2, math.isqrt(q) + 1)))
+    tables = []
+    for t, q in zip(design.iter_treatments(), primes):
+        cuts = sorted(rng.randint(0, q) for _ in range(7))
+        ints = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
+        tables.append(TreatmentTable.from_ints(design, t, [("0", "1")] * 3, ints, q))
+    return design, tables
+
+
+class TestOnePassMarginalSelectivity:
+    """Each input subset decided in one pass on a shared denominator,
+    against the every-proper-subset reference; only subsets that fail it,
+    and every subset of a system with no shared denominator, are scanned
+    class by class."""
+
+    @staticmethod
+    def scanned(monkeypatch):
+        """The input subsets check_marginal_selectivity scans, as a list
+        filled as it runs."""
+        names = []
+        scan = selectivity._scan_classes
+
+        def counted(subset, *args):
+            names.append(subset)
+            return scan(subset, *args)
+
+        monkeypatch.setattr(selectivity, "_scan_classes", counted)
+        return names
+
+    @staticmethod
+    def joint_systems(rng):
+        # a joint over all points makes every marginal treatment-free
+        for n_inputs in (2, 3, 4, 5):
+            for n_values in (2, 3) if n_inputs <= 3 else (2,):
+                design, tables, _ = system_from_joint(rng, n_inputs, n_values, rng.choice([2, 3]) if n_inputs <= 3 else 2)
+                yield design, tables
+                yield restricted(rng, design, tables)
+
+    def test_one_pass_alone_decides_one_layout(self, monkeypatch):
+        # full and restricted designs of 2-5 inputs, the restricted ones
+        # with singleton classes, which list no class
+        rng = random.Random("one-pass")
+        scanned = self.scanned(monkeypatch)
+        singletons = 0
+        for design, tables in self.joint_systems(rng):
+            report = TestMarginalSelectivityReference.assert_same(design, tables)
+            assert report.passed
+            listed = {(names, values) for names, values, _ in report.classes}
+            for size in range(1, max(2, len(design.inputs))):
+                for names in itertools.combinations(design.inputs, size):
+                    keys = [tuple(map(t.treatment.__getitem__, map(design.index, names))) for t in tables]
+                    for key in set(keys):
+                        assert ((names, key) in listed) is (keys.count(key) > 1)
+                        singletons += keys.count(key) == 1
+        assert scanned == []
+        assert singletons > 0
+
+    def test_two_layouts_agree(self, monkeypatch):
+        # one input's outcomes reversed in about half the tables: the
+        # subsets holding it mix two layouts and are scanned, the rest not
+        rng = random.Random("one-pass-two-layouts")
+        scanned = self.scanned(monkeypatch)
+        for design, tables in self.joint_systems(rng):
+            del scanned[:]
+            variant = relaid(rng, tables, factors=(1,))
+            assert TestMarginalSelectivityReference.assert_same(design, variant).passed
+            mixed = {n for pos, n in enumerate(design.inputs) if len({t.axes[pos] for t in variant}) > 1}
+            assert all(mixed & set(names) for names in scanned)
+
+    def test_layouts_and_denominators(self):
+        rng = random.Random("one-pass-relaid")
+        for design, tables in self.joint_systems(rng):
+            for variant in (relaid(rng, tables), relaid(rng, perturbed(rng, tables))):
+                TestMarginalSelectivityReference.assert_same(design, variant)
+                assert len({t.scaled()[1] for t in variant}) > 1
+
+    def test_perturbed_systems_scan_only_failing_subsets(self, monkeypatch):
+        rng = random.Random("one-pass-perturbed")
+        scanned = self.scanned(monkeypatch)
+        failed = 0
+        for design, tables in self.joint_systems(rng):
+            del scanned[:]
+            report = TestMarginalSelectivityReference.assert_same(design, perturbed(rng, tables))
+            differ = {names for names, _, worst in report.classes if worst}
+            assert differ <= set(scanned)
+            failed += not report.passed
+        assert failed > 0
+
+    def test_float_systems_keep_the_scan(self, monkeypatch):
+        # a system labelled "float" scans every subset, passing or not
+        rng = random.Random("one-pass-float")
+        scanned = self.scanned(monkeypatch)
+        for design, tables in self.joint_systems(rng):
+            subsets = [names for size in range(1, len(design.inputs))
+                       for names in itertools.combinations(design.inputs, size)]
+            for variant in (floated(tables), floated(perturbed(rng, tables))):
+                del scanned[:]
+                TestMarginalSelectivityReference.assert_same(design, variant)
+                assert sorted(scanned) == sorted(subsets)
+
+    def test_distinct_prime_denominators_are_scanned(self, monkeypatch):
+        design, tables = distinct_prime_system()
+        dens = [t.scaled()[1] for t in tables]
+        assert len(set(dens)) == 1000 and min(dens) > 100 and max(dens) < 8200
+        assert _shared_scale(dens) is None
+        scanned = self.scanned(monkeypatch)
+        report = TestMarginalSelectivityReference.assert_same(design, tables)
+        assert not report.passed
+        assert sorted(scanned) == sorted([(n,) for n in design.inputs] + list(itertools.combinations(design.inputs, 2)))
+
+    def test_shared_scale_rule(self):
+        assert _shared_scale([4, 6, 8]) == 24
+        assert _shared_scale([1536, 768, 1152]) == 4608
+        assert _shared_scale([2**53, 2**60, 2]) == 2**60
+        # 7 * 11 * 13 > 13 * 13
+        assert _shared_scale([7, 11, 13]) is None
+        assert _shared_scale([5]) == 5
+
+
 class TestRealizableIrreducibleEquivalence:
     def test_violation_in_realizable_iff_in_irreducible(self):
         rng = random.Random(59)
@@ -1600,6 +1755,29 @@ class TestTetradScreen:
             pytest.fail("no sample with a tetrad violated under both metrics")
         pairs = [v for v in suite.violations if seqs.count(v.sequence) == 2]
         assert [v.metric for v in pairs] == ["order", "(order)^9/10"] * (len(pairs) // 2)
+
+    def test_cap_th_tetrad_in_closed_form_on_small_designs(self):
+        # every index of full designs over 2-4 inputs, some with an input
+        # of a single value, and one past the last
+        rng = random.Random("tetrad-at")
+        shapes = [(2, 2), (1, 3), (3, 1, 2), (2, 2, 2), (1, 1, 2, 3), (4, 1, 1, 2), (2, 3, 2, 2)]
+        designs = [Design([str(k) for k in range(len(sizes))],
+                          {str(k): [f"w{j}" for j in range(m)] for k, m in enumerate(sizes)})
+                   for sizes in shapes]
+        designs += [random_tetrad_design(rng) for _ in range(10)]
+        for design in designs:
+            total = _tetrad_total(design)
+            for cap in range(1, total + 1):
+                assert _tetrad_at(design, cap - 1) == next(itertools.islice(_tetrad_indices(design), cap - 1, None))
+            with pytest.raises(IndexError):
+                _tetrad_at(design, total)
+
+    def test_cap_th_tetrad_in_closed_form_on_a_2x32_design(self):
+        design = Design(["1", "2"], {"1": [f"a{k}" for k in range(32)], "2": [f"b{k}" for k in range(32)]})
+        total = _tetrad_total(design)
+        rng = random.Random("tetrad-at-2x32")
+        for cap in [1, total, *rng.sample(range(1, total + 1), 20)]:
+            assert _tetrad_at(design, cap - 1) == next(itertools.islice(_tetrad_indices(design), cap - 1, None))
 
     def test_every_cap_on_a_three_input_design(self):
         rng = random.Random("tetrad-screen-every-cap")

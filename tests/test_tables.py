@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from ordist import Design, TreatmentTable, dump_system, load_system, validate_system
 from ordist.arith import digit_limit, parse_number, parse_ratio
 from ordist.errors import SystemFormatError
-from ordist.probspace import _column_sums, _sums, bivariate
+from ordist.probspace import _column_sums, _lattice_sums, _sums, bivariate
 from ordist.selectivity import check_marginal_selectivity
 
 from msel_reference import reference_marginal_selectivity
@@ -289,6 +289,22 @@ def test_column_sums_add_like_sums():
         for keep in itertools.combinations(range(len(sizes)), k):
             want = [_sums(cells, sizes, keep) for cells in tables]
             assert _column_sums(columns, sizes, keep) == list(zip(*want)), keep
+
+
+def test_lattice_sums_equal_sums_from_the_full_cells():
+    # every proper nonempty subset once, larger first, each equal to its
+    # sums from the full cells, on 1-5 axes of 1-4 values
+    rng = random.Random("lattice-sums")
+    for _ in range(30):
+        sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5)))
+        tables = [[rng.randint(-10**6, 10**6) for _ in range(math.prod(sizes))] for _ in range(3)]
+        columns = list(zip(*tables))
+        got = list(_lattice_sums(columns, sizes))
+        n = len(sizes)
+        want_order = [keep for k in range(n - 1, 0, -1) for keep in itertools.combinations(range(n), k)]
+        assert [keep for keep, _ in got] == (want_order or [(0,)])
+        for keep, sums in got:
+            assert sums == _column_sums(columns, sizes, keep), (sizes, keep)
 
 
 class TestTableViews:
