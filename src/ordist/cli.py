@@ -28,6 +28,7 @@ from .arith import EPS_LP, EPS_SUM, EPS_TEST, num_to_json
 from .errors import OrdistError
 from .fileio import dumps_report, load_metric, load_system
 from .jdc import (
+    MAX_HIDDEN_SPACE,
     FineSystem,
     build_jdc,
     fine_chain_equivalence,
@@ -37,7 +38,7 @@ from .jdc import (
 )
 from .binormal import demo_chain_violation, rho_grid
 from .metrics import default_order_metric
-from .selectivity import check_marginal_selectivity, default_max_len, run_suite
+from .selectivity import MAX_SEQUENCES, check_marginal_selectivity, default_max_len, run_suite
 from .probspace import validate_system
 
 EXIT_OK = 0
@@ -117,13 +118,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "full one, whose irreducible sequences are tetrads",
     )
     p_check.add_argument(
-        "--cap", type=_count_bound, default=1_000_000, help="irreducible-sequence bound"
+        "--cap", type=_count_bound, default=MAX_SEQUENCES, help="irreducible-sequence bound"
     )
 
     p_jdc = sub.add_parser("jdc", help="joint-distribution feasibility")
     common(p_jdc)
     p_jdc.add_argument(
-        "--cap", type=_count_bound, default=1_000_000, help="hidden-space size cap"
+        "--cap", type=_count_bound, default=MAX_HIDDEN_SPACE, help="hidden-space size cap"
     )
     p_jdc.add_argument(
         "--tol-lp",

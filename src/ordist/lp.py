@@ -4,9 +4,17 @@ Phase-1 simplex in exact arithmetic.  The answer is either a basic point
 whose phase-1 objective (the total of the artificial variables) is at
 most a stated tolerance, 0 by default, or a Farkas certificate y with
 yA <= 0 componentwise and y.b > 0, which no nonnegative solution can
-coexist with.  The entries of A and b are ints and Fractions; a float
-is a TypeError, since every float is an exact binary fraction that the
-caller reads as one (``Fraction(float)``).
+coexist with.
+
+Input.  A is a 0/1 matrix, as every JDC system is: each hidden
+assignment lands in exactly one cell of each treatment's table.  Its
+entries are the ints or Fractions 0 and 1, and b's are ints and
+Fractions.  A float is a TypeError, since every float is an exact binary
+fraction that the caller reads as one (``Fraction(float)``); any other
+entry of A is a ValueError that names it.  A negative b_i refutes the
+system before any pivot, whatever the tolerance, by y = -e_i: y A = -A_i
+<= 0 and y.b = -b_i > 0, and the objective reported is that y.b.  So the
+simplex starts from b >= 0 and never negates a row.
 
 Pricing.  The entering column is the one with the most negative reduced
 cost, ties to the smaller column (Dantzig's rule).  A pivot is degenerate
@@ -27,26 +35,23 @@ cycle.
 
 The tableau this simplex pivots is the textbook one: the n columns of A,
 then m artificial columns (the starting identity basis), then the
-right-hand side, a row whose b_i is negative negated first, and a phase-1
-cost row of the same layout.  At a basis with matrix B it reads
-B^-1 [A | I | b], and its cost row [-y A | 1 - y | -y b], with y the
-phase-1 duals.
+right-hand side, and a phase-1 cost row of the same layout.  At a basis
+with matrix B it reads B^-1 [A | I | b], and its cost row
+[-y A | 1 - y | -y b], with y the phase-1 duals.
 
 What is stored.  Only the artificial and right-hand-side blocks: the m
 rows of [B^-1 | B^-1 b], and the cost row's [1 - y | -y b].  Each row is
 a list of m + 1 Python ints R plus one positive int denominator D, so
 its entry k is R[k] / D.  The input is read once into sparse columns:
-each the rows in which it is nonzero and its entries as ints over one
-scale s, the lcm of A's denominators, signs of negated rows applied.
-When A is 0/1 and no row is negated, the entries are all 1 and are not
-kept, so a JDC column is just the list of rows that contain it.  Each
-pivot derives what the dense tableau would hold where a choice looks:
+column j of A is the list of rows that contain it.  Each pivot derives
+what the dense tableau would hold where a choice looks, as plain sums
+over those rows, since every entry of A there is 1:
 
-- the reduced cost of column j of A, -y A_j, as sum_k (C[k] - D_c) a_kj
-  over D_c s, one sum over the column's nonzeros, where C / D_c is the
-  cost row; artificial k's is C[k] / D_c;
-- the entering column's entry in row i, (B^-1 A_e)_i, as
-  sum_k R_i[k] a_ke over D_i s; artificial k's is R_i[k] / D_i.
+- the reduced cost of column j of A, -y A_j, as sum_k (C[k] - D_c) over
+  the column's rows k, over D_c, where C / D_c is the cost row;
+  artificial k's is C[k] / D_c;
+- the entering column's entry in row i, (B^-1 A_e)_i, as sum_k R_i[k]
+  over the column's rows k, over D_i; artificial k's is R_i[k] / D_i.
 
 A pivot on row r turns every other row with a nonzero numerator f in
 the entering column (the cost row included, with f its reduced cost's
@@ -55,24 +60,25 @@ numerator) into
     R_i * p - f * R_r   over   D_i * p,
 
 where p is row r's numerator and the subtraction runs only over the
-entries in which R_r is nonzero; s and D_r cancel.  Row r becomes
-R_r * s over p.  Every row is then divided by the gcd of its entries and
-its denominator.  Pricing is one pass over A's nonzeros and the
-entering column m short sums.  The reduced costs are the one list n wide
-a pivot builds; no row is n wide.
+entries in which R_r is nonzero; D_r cancels.  Row r becomes R_r over p.
+Every row is then divided by the gcd of its entries and its denominator.
+Pricing is one pass over A's nonzeros and the entering column m short
+sums.  The reduced costs are the one list n wide a pivot builds; no row
+is n wide.
 
 Every choice is the one a dense rational tableau would make, because it
 depends only on signs, orders and ratios that these integers give
-exactly.  The reduced costs of A's columns share the positive
-denominator D_c s, and artificial k's is C[k] s over it, so the most
+exactly.  Every reduced cost, of A's columns and the artificial ones
+alike, is a numerator over the one positive denominator D_c, so the most
 negative is the smallest numerator, and the first negative the first
 negative numerator.  Row i's entering entry and right-hand side share
-D_i, so its ratio is R_i[m] s / f_i, compared by cross-multiplying with s
-dropped; a pivot is degenerate when R_r[m] is 0.
+D_i, so its ratio is R_i[m] / f_i, compared by cross-multiplying; a
+pivot is degenerate when R_r[m] is 0.
 
 The pivot sequence, the iteration count, the witness and the Farkas
 certificate are therefore those of the dense `Fraction` loop with the same
-rule, which the tests keep as a reference (``tests/lp_reference.py``).
+rule, which the tests keep as a general reference for any rational A
+(``tests/lp_reference.py``).
 
 The tolerance enters only the verdict.  The simplex runs to an optimal
 basis as it does at tolerance 0, and the objective it reaches, a
@@ -81,7 +87,7 @@ point is returned with the artificial variables dropped; above, and the
 certificate's y.b, which equals the objective, is positive.
 
 Certificates and witnesses are verified by the caller-facing helpers
-below; nothing is reported unchecked.
+below, which take any rational A; nothing is reported unchecked.
 """
 
 from __future__ import annotations
@@ -144,24 +150,19 @@ def _denominators(values) -> list[int]:
         raise TypeError("the simplex takes ints and Fractions") from None
 
 
-def _columns(rows, signs: list[int], n: int):
-    """A's columns, each row's sign applied, and their scale s: per column
-    a getter of its rows' entries from a list of m values, then per column
-    its entries times s as ints, or None when A is 0/1 and no row is
-    negated."""
-    s = lcm(*(lcm(*_denominators(row)) for row in rows))
+def _columns(rows, n: int):
+    """Per column of A a getter of its rows' entries from a list of m
+    values.  A float entry is a TypeError, and any other entry that is not
+    0 or 1 a ValueError that names it."""
     at = [[] for _ in range(n)]
     for i, row in enumerate(rows):
+        _denominators(row)  # a float is a TypeError
+        if not {*row} <= {0, 1}:
+            bad = next(v for v in row if v != 0 and v != 1)
+            raise ValueError(f"the simplex takes 0/1 rows, and row {i} holds {bad}")
         for j in compress(range(n), row):
             at[j].append(i)
-    cols = [_getter(col) for col in at]
-    if all(sign == 1 and {*row} <= {0, 1} for row, sign in zip(rows, signs)):
-        return cols, None, s
-    vals = [
-        [signs[i] * rows[i][j].numerator * (s // rows[i][j].denominator) for i in col]
-        for j, col in enumerate(at)
-    ]
-    return cols, vals, s
+    return [_getter(col) for col in at]
 
 
 def _getter(rows: list[int]):
@@ -173,48 +174,38 @@ def _getter(rows: list[int]):
 
 
 def _start(rhs, m: int):
-    """The rows [I | b] with their denominators and signs, and the phase-1
-    cost row [0 | -sum b] with its denominator."""
-    T, den, signs = [], [], []
+    """The rows [I | b] with their denominators, and the phase-1 cost row
+    [0 | -sum b] with its denominator."""
+    T, den = [], []
     for i, (v, d) in enumerate(zip(rhs, _denominators(rhs))):
         row = [0] * (m + 1)
         row[i] = d
-        row[m] = abs(v.numerator)
+        row[m] = v.numerator
         T.append(row)
         den.append(d)
-        signs.append(-1 if v < 0 else 1)
     cden = lcm(*den)
     total = sum(row[m] * (cden // d) for row, d in zip(T, den))
     g = gcd(cden, total)
     cost = [0] * (m + 1)
     cost[m] = -(total // g)
-    return T, den, signs, cost, cden // g
+    return T, den, cost, cden // g
 
 
-def _reduced_costs(cost: list[int], cden: int, cols, vals, s: int, m: int) -> list[int]:
-    """Numerators over cden * s of every column's reduced cost: A's
-    columns, then the artificial ones."""
+def _reduced_costs(cost: list[int], cden: int, cols, m: int) -> list[int]:
+    """Numerators over cden of every column's reduced cost: A's columns,
+    then the artificial ones."""
     w = [c - cden for c in cost[:m]]
-    if vals is None:
-        red = [sum(col(w)) for col in cols]
-    else:
-        red = [sum(map(mul, col(w), a)) for col, a in zip(cols, vals)]
-    red += cost[:m] if s == 1 else [c * s for c in cost[:m]]
-    return red
+    return [sum(col(w)) for col in cols] + cost[:m]
 
 
-def _entering(T, cols, vals, enter: int, n: int) -> list[int]:
+def _entering(T, cols, enter: int, n: int) -> list[int]:
     """Each row's numerator of its entry in column enter, over the row's
-    denominator times the column's scale (s for A's columns, 1 for the
-    artificial ones)."""
+    denominator."""
     if enter >= n:
         k = enter - n
         return [row[k] for row in T]
     col = cols[enter]
-    if vals is None:
-        return [sum(col(row)) for row in T]
-    a = vals[enter]
-    return [sum(map(mul, col(row), a)) for row in T]
+    return [sum(col(row)) for row in T]
 
 
 def _leaving_row(T, basis, num: list[int], m: int) -> int:
@@ -238,18 +229,25 @@ def solve_equality_feasibility(
     rhs: Sequence[Num],
     eps: Num = 0,
 ) -> FeasibilityResult:
-    """Decide {x >= 0 : A x = b}: feasible when the least phase-1
-    objective is at most eps, compared exactly."""
+    """Decide {x >= 0 : A x = b} for a 0/1 matrix A: feasible when the
+    least phase-1 objective is at most eps, compared exactly.  A negative
+    b_i is refuted before any pivot, whatever eps is."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    T, den, signs, cost, cden = _start(rhs, m)
-    cols, vals, s = _columns(rows, signs, n)
+    cols = _columns(rows, n)
+    T, den, cost, cden = _start(rhs, m)
+    least = min(rhs, default=0)
+    if least < 0:
+        # y = -e_i: y A = -A_i <= 0 and y b = -b_i > 0
+        y = [Fraction(0)] * m
+        y[rhs.index(least)] = Fraction(-1)
+        return FeasibilityResult(False, None, y, -least, 0)
     basis = list(range(n, n + m))
 
     iterations = 0
     degenerate = 0
     while True:
-        red = _reduced_costs(cost, cden, cols, vals, s, m)
+        red = _reduced_costs(cost, cden, cols, m)
         if degenerate < DEGENERATE_RUN:
             # Dantzig: the most negative reduced cost, ties to the smaller
             # column (index finds the first occurrence)
@@ -260,7 +258,7 @@ def solve_equality_feasibility(
             enter = next((j for j, r in enumerate(red) if r < 0), -1)
         if enter < 0:
             break
-        num = _entering(T, cols, vals, enter, n)
+        num = _entering(T, cols, enter, n)
         leave = _leaving_row(T, basis, num, m)
         if leave < 0:
             raise NumericalInstability("phase-1 objective unbounded")
@@ -268,8 +266,6 @@ def solve_equality_feasibility(
         iterations += 1
         if iterations > MAX_PIVOTS:
             raise NumericalInstability(f"no convergence after {MAX_PIVOTS} pivots")
-        # the column's scale and the cost's reduced-cost numerator
-        scale, f = (s, red[enter]) if enter < n else (1, cost[enter - n])
         prow, p = T[leave], num[leave]
         g = gcd(*prow)
         if g != 1:
@@ -279,11 +275,8 @@ def solve_equality_feasibility(
         for i, row in enumerate(T):
             if i != leave and num[i]:
                 T[i], den[i] = _eliminate(row, den[i], prow, nz, p, num[i])
-        cost, cden = _eliminate(cost, cden, prow, nz, p, f)
-        g = gcd(scale, p)
-        T[leave] = prow if scale == g else [v * (scale // g) for v in prow]
-        den[leave] = p // g
-        basis[leave] = enter
+        cost, cden = _eliminate(cost, cden, prow, nz, p, red[enter])
+        T[leave], den[leave], basis[leave] = prow, p, enter
 
     b = [Fraction(row[m], d) for row, d in zip(T, den)]
     objective = sum(b[i] for i in range(m) if basis[i] >= n)
@@ -294,8 +287,8 @@ def solve_equality_feasibility(
                 x[var] = b[i]
         return FeasibilityResult(True, x, None, objective, iterations)
     # Farkas certificate from the phase-1 duals: y_i = 1 - reduced cost of
-    # artificial i, flipped back to the original row orientation.
-    y = [Fraction(cden - cost[i], cden) * signs[i] for i in range(m)]
+    # artificial i
+    y = [Fraction(cden - cost[i], cden) for i in range(m)]
     return FeasibilityResult(False, None, y, objective, iterations)
 
 

@@ -3,6 +3,9 @@
 This is the straightforward loop that `ordist.lp` replaced with integer
 rows, and then with a revised simplex over A's sparse columns.  Every
 cell is rewritten on every pivot, which makes it slow but easy to read.
+It stays general: any rational A, and a negative b_i negates its row
+first.  The kernel takes only 0/1 rows, and refutes a negative b_i
+before any pivot, so tests compare pivots on 0/1 rows with b >= 0.
 It prices as `ordist.lp` does: the most negative reduced cost enters,
 ties to the smaller column, and after `degenerate_run` consecutive
 degenerate pivots the first negative one enters (Bland's rule) until a

@@ -8,6 +8,7 @@ Run from anywhere in a checkout::
     python3 tests/report_hashes.py --seed 1 --workload samples_float
     python3 tests/report_hashes.py --seed 2 --workload capped
     python3 tests/report_hashes.py --seed 2 --workload msel
+    python3 tests/report_hashes.py --seed 2 --workload jdc_float
 
 For each workload (all of them by default) the seed's batch of systems is
 generated by ``perfbench/workloads.py`` and written by
@@ -17,22 +18,27 @@ sha256 is printed per workload over each call's exit code, stdout and
 stderr.  The temporary directory's path is replaced by a fixed token
 before hashing, so the hashes depend only on the program and the seed:
 two checkouts print the same hashes exactly when every call behaves the
-same.  One more choice, ``samples`` (also run by default, last), hashes
-``ordist check`` and ``ordist jdc``, then ``ordist check`` with the
-benchmark's ``EXTRA_METRICS`` (``perfbench/workloads.py``), each with and
-without ``--json``, on every ``samples/*.json`` in name order, the samples
-directory's path likewise replaced; it does not depend on the seed.
+same.  One more choice, ``samples`` (also run by default, after the
+workloads), hashes ``ordist check`` and ``ordist jdc``, then ``ordist
+check`` with the benchmark's ``EXTRA_METRICS``
+(``perfbench/workloads.py``), each with and without ``--json``, on every
+``samples/*.json`` in name order, the samples directory's path likewise
+replaced; it does not depend on the seed.
 ``samples_float`` (run by default after ``samples``) makes the same calls
 with ``--arithmetic float``, so that float reports are pinned too.
-``capped`` (run by default, last) reruns every ``check`` case of the
-seed's ``check_full`` and ``check_restricted`` batches at each ``--cap``
-of ``CAPS``, so that truncated reports are pinned too; it fails unless
-each cap cuts at least one report.
-``msel`` (run by default, last) reruns every ``check`` case of the same
-two batches with one table of the system perturbed (:func:`perturbed`),
-so that failing marginal-selectivity reports of large systems are pinned
-too; it fails unless every ``check_full`` case reports marginal
-selectivity violated.
+``capped`` (run by default, after ``samples_float``) reruns every
+``check`` case of the seed's ``check_full`` and ``check_restricted``
+batches at each ``--cap`` of ``CAPS``, so that truncated reports are
+pinned too; it fails unless each cap cuts at least one report.
+``msel`` (run by default, after ``capped``) reruns every ``check`` case
+of the same two batches with one table of the system perturbed
+(:func:`perturbed`), so that failing marginal-selectivity reports of
+large systems are pinned too; it fails unless every ``check_full`` case
+reports marginal selectivity violated.
+``jdc_float`` (run by default, last) reruns every case of the seed's
+``jdc_exact`` batch with ``--arithmetic float``, so that the simplex's
+tolerance verdicts and float-printed witnesses and certificates are pinned
+too.
 Every ``--json`` call's stdout must parse as strict JSON, with no NaN or
 Infinity, or the script fails.  Every call must also leave no objects in
 reference cycles, which ``ordist.cli.main`` relies on when it pauses the
@@ -109,8 +115,9 @@ def add_call(digest, argv: list[str], directory: str) -> tuple[object, str, str]
     return parts
 
 
-def batch_hash(workload: str, seed: int) -> str:
-    """sha256 over every call of the workload's batch at `seed`."""
+def batch_hash(workload: str, seed: int, options: tuple[str, ...] = ()) -> str:
+    """sha256 over every call of the workload's batch at `seed`, each call
+    given the extra `options`."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         written = set()
@@ -119,7 +126,7 @@ def batch_hash(workload: str, seed: int) -> str:
             if path not in written:
                 write_system(ordist, case.system, path)
                 written.add(path)
-            add_call(digest, case.argv(path), tmp)
+            add_call(digest, [*case.argv(path), *options], tmp)
     return digest.hexdigest()
 
 
@@ -196,18 +203,23 @@ def samples_hash(arithmetic: tuple[str, ...] = ()) -> str:
     return digest.hexdigest()
 
 
+#: the choices beyond the benchmark's workloads, in the order they run by
+#: default
+EXTRA_CHOICES = ("samples", "samples_float", "capped", "msel", "jdc_float")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
-        "--workload", action="append", choices=sorted([*WORKLOADS, "samples", "samples_float", "capped", "msel"])
+        "--workload", action="append", choices=sorted([*WORKLOADS, *EXTRA_CHOICES])
     )
     args = p.parse_args(argv)
     # the first call builds the CLI's parser, which leaves cycles once per
     # process; a call on no file does that before the checked calls
     with contextlib.redirect_stdout(io.StringIO()):
         ordist.cli.main(["demo-normal"])
-    for workload in args.workload or [*WORKLOADS, "samples", "samples_float", "capped", "msel"]:
+    for workload in args.workload or [*WORKLOADS, *EXTRA_CHOICES]:
         if workload == "samples":
             print(f"samples {samples_hash()}")
         elif workload == "samples_float":
@@ -216,6 +228,8 @@ def main(argv=None) -> int:
             print(f"capped {capped_hash(args.seed)}")
         elif workload == "msel":
             print(f"msel {msel_hash(args.seed)}")
+        elif workload == "jdc_float":
+            print(f"jdc_float {batch_hash('jdc_exact', args.seed, ('--arithmetic', 'float'))}")
         else:
             print(f"{workload} {batch_hash(workload, args.seed)}")
     return 0

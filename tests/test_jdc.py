@@ -244,6 +244,41 @@ class TestIndependentRows:
         assert verify_certificate(rows, rhs, y)
 
 
+class TestSimplexInput:
+    def test_every_solve_gets_0_1_int_rows_and_nonnegative_rhs(self, monkeypatch):
+        # the simplex takes only 0/1 rows and right-hand sides >= 0; every
+        # call jdc_feasible makes, kept rows or all rows, exact or float
+        # labelled, must hand it that
+        calls = []
+        solve = jdc_mod.solve_equality_feasibility
+
+        def checked(rows, rhs, **kw):
+            assert all(type(v) is int and v in (0, 1) for row in rows for v in row)
+            assert all(type(b) in (int, F) and b >= 0 for b in rhs)
+            calls.append(len(rows))
+            return solve(rows, rhs, **kw)
+
+        monkeypatch.setattr(jdc_mod, "solve_equality_feasibility", checked)
+        rng = random.Random(43)
+        systems = [random_2x2_system(rng) for _ in range(20)]
+        systems += [
+            random_coupled_system(rng, n_inputs=3, max_input_values=2, out_sizes=(2, 2)) for _ in range(6)
+        ]
+        systems += [system_from_joint(rng, n_inputs=3, n_values=2)[:2] for _ in range(2)]
+        systems += [system_from_joint(rng, n_inputs=2, n_values=3)[:2] for _ in range(2)]
+        systems += [(design, as_float(tables)) for design, tables in systems]
+        systems += [non_selective_system(F), non_selective_system(lambda a, b: a / b)]
+        solved = {"exact": 0, "float": 0}
+        all_rows = 0
+        for design, tables in systems:
+            problem = build_jdc(design, tables)
+            before = len(calls)
+            verdict = jdc_feasible(problem)
+            solved["float" if verdict.regime == "float" else "exact"] += len(calls) > before
+            all_rows += len(problem.constraints) in calls[before:]
+        assert min(solved.values()) >= 10 and all_rows >= 2
+
+
 def anti_pr_box():
     """A PR box with its correlations flipped: anticorrelation on three
     treatments, correlation on (x', y').  Infeasible, yet no chain of the

@@ -11,10 +11,11 @@ from ordist.lp import solve_equality_feasibility, verify_certificate, verify_sol
 from randsys import random_2x2_system, random_coupled_system, system_from_joint
 
 
-def random_instance(rng, max_m=4, max_n=6, coefficient=lambda rng: F(rng.randint(-3, 3))):
+def random_instance(rng, max_m=4, max_n=6, least=0):
+    """Random 0/1 rows and right-hand sides from least to 4."""
     m, n = rng.randint(1, max_m), rng.randint(1, max_n)
-    rows = [[coefficient(rng) for _ in range(n)] for _ in range(m)]
-    rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+    rows = [[rng.choice((0, 1)) for _ in range(n)] for _ in range(m)]
+    rhs = [F(rng.randint(least, 4), rng.randint(1, 3)) for _ in range(m)]
     return rows, rhs
 
 
@@ -82,27 +83,35 @@ class TestExactMode:
         assert not res.feasible
         assert verify_certificate(rows, rhs, res.certificate)
 
-    def test_negative_rhs_rows_are_flipped(self):
-        # -x1 = -3 has the solution x1 = 3; the solver must normalize signs
-        rows = [[F(-1), F(0)], [F(1), F(1)]]
-        rhs = [F(-3), F(5)]
-        res = solve_equality_feasibility(rows, rhs)
-        assert res.feasible
-        assert res.x[0] == 3
-        assert verify_solution(rows, rhs, res.x)
+    def test_entries_other_than_0_and_1_are_value_errors(self):
+        # the kernel takes 0/1 rows only; the error names the entry
+        for bad, shown in ((2, "2"), (F(1, 2), "1/2"), (F(-1), "-1")):
+            with pytest.raises(ValueError, match=f"row 1 holds {shown}$"):
+                solve_equality_feasibility([[1, 0], [F(1), bad]], [F(1), F(1)])
+        assert solve_equality_feasibility([[F(1), F(0)], [0, 1]], [F(1), F(1)]).feasible
 
     def test_negative_rhs_infeasible_certificate_refers_to_original_rows(self):
-        # x >= 0 with x1 + x2 = -1 is impossible
+        # x >= 0 with x1 + x2 = -1 is impossible: y = -e_1 refutes it before
+        # any pivot, the most negative right-hand side's row, the first of
+        # equal ones, whatever eps is
         rows = [[F(1), F(1)]]
         rhs = [F(-1)]
         res = solve_equality_feasibility(rows, rhs)
         assert not res.feasible
         assert verify_certificate(rows, rhs, res.certificate)
+        assert (res.certificate, res.objective, res.iterations) == ([-1], 1, 0)
+        rows = [[1, 0], [0, 1], [1, 1], [0, 0]]
+        rhs = [F(1), F(-1, 2), F(1, 3), F(-1, 2)]
+        res = solve_equality_feasibility(rows, rhs, eps=1)
+        assert not res.feasible
+        assert (res.certificate, res.objective, res.iterations) == ([0, -1, 0, 0], F(1, 2), 0)
+        assert verify_certificate(rows, rhs, res.certificate)
+        assert not dense_feasibility(rows, rhs).feasible
 
     def test_redundant_rows_supported(self):
-        rows = [[F(1), F(1)], [F(2), F(2)], [F(1), F(0)]]
-        rhs = [F(1), F(2), F(1, 4)]
-        res = solve_equality_feasibility(rows, rhs)
+        rows = [[1, 1], [1, 1], [1, 0]]
+        rhs = [F(1), F(1), F(1, 4)]
+        res = assert_matches_reference(rows, rhs)
         assert res.feasible
         assert verify_solution(rows, rhs, res.x)
 
@@ -175,34 +184,25 @@ class TestExactMode:
 
 
 class TestReferenceAgreement:
-    def test_random_rational_instances(self):
-        rng = random.Random(5)
-
-        def coefficient(rng):
-            return F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 5]))
-
-        fractional = artificial = 0
-        for _ in range(150):
-            rows, rhs = random_instance(rng, max_m=5, max_n=8, coefficient=coefficient)
-            entered = []
-            assert_matches_reference(rows, rhs, entered)
-            if any(v.denominator > 1 for row in rows for v in row):
-                fractional += 1
-                # a column scale above 1 together with an artificial
-                # column re-entering the basis
-                artificial += enters_artificial(rows, entered)
-        assert fractional and artificial
-
     def test_zero_one_rows_either_sign(self):
-        # 0/1 rows are priced as lists of rows while every right-hand side
-        # is nonnegative; a negative one flips its row to -1 entries
+        # nonnegative right-hand sides pivot as the reference does; a
+        # negative one is refuted by -e_i before any pivot, as the
+        # reference refutes it after pivoting its flipped row
         rng = random.Random(41)
-        flipped = 0
+        negative = 0
         for _ in range(80):
-            rows, rhs = random_instance(rng, coefficient=lambda rng: rng.choice((0, 1)))
-            assert_matches_reference(rows, rhs)
-            flipped += any(b < 0 for b in rhs)
-        assert 0 < flipped < 80
+            rows, rhs = random_instance(rng, least=-4)
+            if min(rhs) >= 0:
+                assert_matches_reference(rows, rhs)
+                continue
+            negative += 1
+            res = solve_equality_feasibility(rows, rhs)
+            i = rhs.index(min(rhs))
+            assert res.certificate == [-(k == i) for k in range(len(rhs))]
+            assert (res.feasible, res.objective, res.iterations) == (False, -rhs[i], 0)
+            assert verify_certificate(rows, rhs, res.certificate)
+            assert not dense_feasibility(rows, rhs).feasible
+        assert 0 < negative < 80
 
     @pytest.mark.parametrize("kind, count", [("2x2", 40), ("coupled-3", 8), ("joint-3", 3)])
     def test_jdc_problems(self, kind, count):
