@@ -24,12 +24,14 @@ The loader reads a document in three passes: literals, axes, tables.  It
 parses each distinct string literal once.  Tables that list the same
 outcome vectors in the same order share one cell order; a table listing
 the same outcome lists as the table before it takes that order without
-building its vectors again.  Tables whose points have the same outcome
-axes share one layout.  A layout's outcome -> position map, its axis
-checks and its axes tuple are made once, and every table of the layout
-holds that tuple.  Each table then costs
-one pass over its cells, straight into its dense ints.  Only a malformed
-document is read again cell by cell, to name its first fault.
+building its vectors again.  The axes are read once, table by table in
+file order, and that pass raises its first fault itself; a point whose
+column was already read is skipped.  Tables whose points have the same
+outcome axes share one layout.  A layout's outcome -> position map, its
+axis checks and its axes tuple are made once, and every table of the
+layout holds that tuple.  Each table then costs one pass over its cells,
+straight into its dense ints.  Only the literals and tables passes read
+a malformed document again, cell by cell, to name its first fault.
 
 Metric configuration schema::
 
@@ -122,9 +124,10 @@ def load_system(source, arithmetic: str = "auto") -> LoadedSystem:
 
 
 def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
-    """The loader's three passes (see the module docstring).  Where a
-    pass meets a fault it gives way to a table-by-table, cell-by-cell
-    read, which raises the first fault in file order."""
+    """The loader's three passes (see the module docstring).  Where the
+    literals or tables pass meets a fault it gives way to a table-by-table,
+    cell-by-cell read; the axes pass is read in file order already.  Each
+    raises the first fault in file order."""
     try:
         inputs_spec = doc["inputs"]
         tables_spec = doc["tables"]
@@ -206,8 +209,6 @@ def _system_from_doc(doc: Mapping, arithmetic: str) -> LoadedSystem:
 
     # axes: declared order wins, else first appearance in file order
     axes = _axes(design, declared, table_treatments, table_orders)
-    if axes is None:
-        axes = _axes_in_file_order(design, declared, table_treatments, table_orders)
 
     # tables: one layout per distinct tuple of axes.  A table of c cells
     # has ints of at most (c + 1) * bits bits, so a layout checks its
@@ -307,62 +308,41 @@ def _cells_in_file_order(probs_spec, literals: _Literals):
     return tuple(outcomes), cells
 
 
-def _axes(design: Design, declared: Mapping, treatments, orders) -> Optional[dict]:
+def _axes(design: Design, declared: Mapping, treatments, orders) -> dict:
     """Each input point's outcome values, declared or in order of first
-    appearance; None on any fault, which _axes_in_file_order then names."""
-    n = len(design.inputs)
-    listed = [(treatment, order) for treatment, order in zip(treatments, orders) if order.outcomes]
-    for order in {order for _, order in listed}:
-        if order.columns is None:
-            if any(len(outcome) != n for outcome in order.outcomes):
-                return None
-            order.columns = tuple(tuple(dict.fromkeys(c)) for c in zip(*order.outcomes))
-    axes = {pt: list(vs) for pt, vs in declared.items()}
-    listed_treatments = [treatment for treatment, _ in listed]
-    columns = [order.columns for _, order in listed]
-    try:
-        for pos, name in enumerate(design.inputs):
-            at = operator.itemgetter(pos)
-            values = list(map(at, listed_treatments))
-            # nothing to add when every point of this input that a table
-            # lists is declared with every value any column holds
-            points = [InputPoint(name, w) for w in set(values)]
-            held = set().union(*set(map(at, columns)))
-            if all(pt in declared and held.issubset(declared[pt]) for pt in points):
-                continue
-            # one (value, column) pair per distinct pair, in file order
-            for value, column in dict.fromkeys(zip(values, map(at, columns))):
-                pt = InputPoint(name, value)
-                axis = axes.setdefault(pt, [])
-                new = [v for v in column if v not in axis]
-                if new:
-                    if pt in declared:
-                        return None
-                    axis.extend(new)
-    except (IndexError, TypeError):
-        return None
-    return axes
-
-
-def _axes_in_file_order(design: Design, declared: Mapping, treatments, orders) -> dict:
-    """_axes table by table and cell by cell, raising the first fault."""
+    appearance, read table by table in file order; raises the first
+    fault.  A table's checks run in this order: the arity of its
+    outcomes (once per cell order), a short treatment, then each point's
+    new values."""
     n = len(design.inputs)
     axes = {pt: list(vs) for pt, vs in declared.items()}
+    # an (input, value, column) triple already read adds nothing
+    read = set()
     for treatment, order in zip(treatments, orders):
         if not order.outcomes:
             continue
-        for outcome in order.outcomes:
-            if len(outcome) != n:
-                raise SystemFormatError(f"outcome {outcome!r} has wrong arity")
-        points = [InputPoint(design.inputs[pos], treatment[pos]) for pos in range(n)]
-        for pt, column in zip(points, zip(*order.outcomes)):
+        if order.columns is None:
+            for outcome in order.outcomes:
+                if len(outcome) != n:
+                    raise SystemFormatError(f"outcome {outcome!r} has wrong arity")
+            order.columns = tuple(tuple(dict.fromkeys(c)) for c in zip(*order.outcomes))
+        if len(treatment) < n:
+            # before any point is read, as indexing the treatment would
+            raise IndexError("tuple index out of range")
+        for name, value, column in zip(design.inputs, treatment, order.columns):
+            key = (name, value, column)
+            if key in read:
+                continue
+            read.add(key)
+            pt = InputPoint(name, value)
             axis = axes.setdefault(pt, [])
-            new = [v for v in dict.fromkeys(column) if v not in axis]
-            if new and pt in declared:
-                raise SystemFormatError(
-                    f"outcome value {new[0]!r} not among declared outcomes of {pt}"
-                )
-            axis.extend(new)
+            new = [v for v in column if v not in axis]
+            if new:
+                if pt in declared:
+                    raise SystemFormatError(
+                        f"outcome value {new[0]!r} not among declared outcomes of {pt}"
+                    )
+                axis.extend(new)
     return axes
 
 

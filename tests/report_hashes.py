@@ -9,6 +9,8 @@ Run from anywhere in a checkout::
     python3 tests/report_hashes.py --seed 2 --workload capped
     python3 tests/report_hashes.py --seed 2 --workload msel
     python3 tests/report_hashes.py --seed 2 --workload jdc_float
+    python3 tests/report_hashes.py --seed 2 --workload jdc_flipped
+    python3 tests/report_hashes.py --seed 2 --workload restricted_pr
 
 For each workload (all of them by default) the seed's batch of systems is
 generated by ``perfbench/workloads.py`` and written by
@@ -35,10 +37,20 @@ of the same two batches with one table of the system perturbed
 (:func:`perturbed`), so that failing marginal-selectivity reports of
 large systems are pinned too; it fails unless every ``check_full`` case
 reports marginal selectivity violated.
-``jdc_float`` (run by default, last) reruns every case of the seed's
-``jdc_exact`` batch with ``--arithmetic float``, so that the simplex's
-tolerance verdicts and float-printed witnesses and certificates are pinned
-too.
+``jdc_float`` (run by default, after ``msel``) reruns every case of the
+seed's ``jdc_exact`` batch with ``--arithmetic float``, so that the
+simplex's tolerance verdicts and float-printed witnesses and certificates
+are pinned too.
+``jdc_flipped`` (run by default, after ``jdc_float``) runs every PR case
+of the seed's ``jdc_exact`` batch on its system with input 2's outputs
+swapped (:func:`flipped`), once as it is and once with ``--arithmetic
+float``; it fails unless some call exits 2 refuted by the simplex, with
+no certificate chain, so that benchmark-sized simplex certificates are
+pinned in both arithmetics.
+``restricted_pr`` (run by default, last) runs every case of the seed's
+``check_restricted`` batch on its design with the tables of a PR-embedded
+system (:func:`restricted_pr`), so that violation reports on restricted
+designs are pinned too; it fails unless some report lists a violation.
 Every ``--json`` call's stdout must parse as strict JSON, with no NaN or
 Infinity, or the script fails.  Every call must also leave no objects in
 reference cycles, which ``ordist.cli.main`` relies on when it pauses the
@@ -72,8 +84,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import ordist  # noqa: E402
 import ordist.cli  # noqa: E402
-from systems import write_system  # noqa: E402
-from workloads import EXTRA_METRICS, WORKLOADS  # noqa: E402
+from systems import System, pr_system, write_system  # noqa: E402
+from workloads import EXTRA_METRICS, PR_WEIGHTS, WORKLOADS  # noqa: E402
 
 
 def call(argv: list[str]) -> tuple[object, str, str]:
@@ -191,6 +203,64 @@ def msel_hash(seed: int) -> str:
     return digest.hexdigest()
 
 
+def flipped(system: System) -> System:
+    """`system` with input 2's outputs "0" and "1" swapped in every table."""
+    swap = {"0": "1", "1": "0"}
+    tables = {
+        t: {(o[0], swap[o[1]], *o[2:]): p for o, p in cells.items()}
+        for t, cells in system.tables.items()
+    }
+    return dataclasses.replace(system, tables=tables)
+
+
+def jdc_flipped_hash(seed: int) -> str:
+    """sha256 over every PR case of the `jdc_exact` batch at `seed` on its
+    system :func:`flipped`, run as it is and with ``--arithmetic float``.
+    Raises RuntimeError if no call exits 2 without a certificate chain."""
+    digest = hashlib.sha256()
+    by_simplex = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in WORKLOADS["jdc_exact"](random.Random(seed)):
+            if case.system.sound:
+                continue
+            path = str(Path(tmp) / f"{case.system.name}.json")
+            write_system(ordist, flipped(case.system), path)
+            for options in ((), ("--arithmetic", "float")):
+                code, out, _ = add_call(digest, [*case.argv(path), *options], tmp)
+                by_simplex = by_simplex or (code == 2 and json.loads(out)["certificate_chain"] is None)
+    if not by_simplex:
+        raise RuntimeError(f"no flipped jdc_exact case is refuted by the simplex at seed {seed}")
+    return digest.hexdigest()
+
+
+def restricted_pr(system: System, k: int, seed: int) -> System:
+    """The restricted design of `system`, the `k`-th case of its batch,
+    with the tables of a PR-embedded system on the same inputs, drawn by
+    `seed` and the system's name, kept at the design's treatments."""
+    n_values = len(system.inputs[0][1])
+    rng = random.Random(f"rpr-{seed}-{system.name}")
+    pr = pr_system(rng, system.name, 3, n_values, PR_WEIGHTS[k % len(PR_WEIGHTS)])
+    tables = {t: pr.tables[t] for t in system.treatments}
+    return dataclasses.replace(system, tables=tables, sound=False)
+
+
+def restricted_pr_hash(seed: int) -> str:
+    """sha256 over every case of the `check_restricted` batch at `seed`,
+    each on its design with :func:`restricted_pr` tables.  Raises
+    RuntimeError if no report lists a violation."""
+    digest = hashlib.sha256()
+    violated = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, case in enumerate(WORKLOADS["check_restricted"](random.Random(seed))):
+            path = str(Path(tmp) / f"{case.system.name}.json")
+            write_system(ordist, restricted_pr(case.system, k, seed), path)
+            _, out, _ = add_call(digest, case.argv(path), tmp)
+            violated += bool(json.loads(out)["violations"])
+    if not violated:
+        raise RuntimeError(f"no restricted PR report lists a violation at seed {seed}")
+    return digest.hexdigest()
+
+
 def samples_hash(arithmetic: tuple[str, ...] = ()) -> str:
     """sha256 over `check`, `jdc` and `check` with EXTRA_METRICS, text and
     JSON, on every sample, each call given the `arithmetic` options."""
@@ -205,7 +275,9 @@ def samples_hash(arithmetic: tuple[str, ...] = ()) -> str:
 
 #: the choices beyond the benchmark's workloads, in the order they run by
 #: default
-EXTRA_CHOICES = ("samples", "samples_float", "capped", "msel", "jdc_float")
+EXTRA_CHOICES = (
+    "samples", "samples_float", "capped", "msel", "jdc_float", "jdc_flipped", "restricted_pr"
+)
 
 
 def main(argv=None) -> int:
@@ -230,6 +302,10 @@ def main(argv=None) -> int:
             print(f"msel {msel_hash(args.seed)}")
         elif workload == "jdc_float":
             print(f"jdc_float {batch_hash('jdc_exact', args.seed, ('--arithmetic', 'float'))}")
+        elif workload == "jdc_flipped":
+            print(f"jdc_flipped {jdc_flipped_hash(args.seed)}")
+        elif workload == "restricted_pr":
+            print(f"restricted_pr {restricted_pr_hash(args.seed)}")
         else:
             print(f"{workload} {batch_hash(workload, args.seed)}")
     return 0

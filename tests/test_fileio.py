@@ -648,6 +648,43 @@ class TestAgainstReference:
         assert type(loaded) is type(reference)
         assert str(loaded) == str(reference)
 
+    @pytest.mark.parametrize(
+        "faults, named",
+        [
+            ((("short_treatment",), ("undeclared",)), "tuple index out of range"),
+            ((("undeclared",), ("arity",)), "not among declared outcomes"),
+            ((("arity",), ("undeclared",)), "has wrong arity"),
+            ((("short_treatment", "undeclared_first_input"), ()), "tuple index out of range"),
+            ((("undeclared",), ("bad_literal",)), "not a number: 'oops'"),
+        ],
+        ids=["short-then-undeclared", "undeclared-then-arity", "arity-then-undeclared",
+             "short-with-undeclared", "undeclared-then-bad-literal"],
+    )
+    def test_first_of_two_faults_is_named(self, faults, named):
+        # each table of a two-table document holds its own faults; the
+        # stages run in order (literals, axes, tables) and each names the
+        # first fault in file order, checked per table as the reference does
+        doc = two_table_doc(["1/4"] * 4, ["1/4"] * 4)
+        doc["outcomes"] = [{"input": "1", "values": ["0", "1"]},
+                           {"input": "2", "values": ["0", "1"]}]
+        for table, table_faults in zip(doc["tables"], faults):
+            for fault in table_faults:
+                if fault == "short_treatment":
+                    table["treatment"] = table["treatment"][:1]
+                elif fault == "undeclared":
+                    table["probs"][3]["outcome"] = ["1", "2"]
+                elif fault == "undeclared_first_input":
+                    table["probs"][2]["outcome"] = ["2", "0"]
+                elif fault == "arity":
+                    table["probs"][2]["outcome"] = ["1", "0", "1"]
+                elif fault == "bad_literal":
+                    table["probs"][1]["p"] = "oops"
+        loaded, reference = load_both(json.dumps(doc))
+        assert isinstance(reference, SystemFormatError), reference
+        assert named in str(reference)
+        assert type(loaded) is type(reference)
+        assert str(loaded) == str(reference)
+
     def test_outcomes_for_unknown_value_rejected(self):
         doc = minimal_doc("1/4")
         doc["outcomes"] = [{"input": "1", "value": "X", "values": ["0", "1"]}]
